@@ -64,6 +64,8 @@ struct Outcome {
   double wall_ms = 0;
   std::uint64_t hash = 0;
   std::uint64_t events = 0;
+  std::uint64_t scheduled = 0;  // queue pushes: one per change per component
+  std::uint64_t cancelled = 0;
   std::uint64_t solves = 0;
   std::uint64_t rerated = 0;
   std::size_t sharing = 0;
@@ -129,6 +131,8 @@ Outcome run_point(const net::Topology& topo, std::size_t n_flows, bool increment
   Outcome o;
   o.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   o.events = eng.stats().executed;
+  o.scheduled = eng.stats().scheduled;
+  o.cancelled = eng.stats().cancelled;
   o.solves = fnet.solves();
   o.rerated = fnet.flows_rerated();
   o.sharing = fnet.sharing_flows();
@@ -167,7 +171,7 @@ void emit_json(const std::vector<Point>& points, const char* path) {
                  "\"incremental_hash\": \"%016" PRIx64 "\", \"identical\": %s, "
                  "\"full_solves\": %llu, \"incremental_solves\": %llu, "
                  "\"full_rerated\": %llu, \"incremental_rerated\": %llu, "
-                 "\"events\": %llu}%s\n",
+                 "\"events\": %llu, \"scheduled\": %llu, \"cancelled\": %llu}%s\n",
                  p.flows, p.full.wall_ms, p.inc.wall_ms,
                  p.inc.wall_ms > 0 ? p.full.wall_ms / p.inc.wall_ms : 0.0, p.full.hash,
                  p.inc.hash, p.identical ? "true" : "false",
@@ -176,6 +180,8 @@ void emit_json(const std::vector<Point>& points, const char* path) {
                  static_cast<unsigned long long>(p.full.rerated),
                  static_cast<unsigned long long>(p.inc.rerated),
                  static_cast<unsigned long long>(p.inc.events),
+                 static_cast<unsigned long long>(p.inc.scheduled),
+                 static_cast<unsigned long long>(p.inc.cancelled),
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -38,16 +38,23 @@ SimTime Engine::quantize(SimTime t) const {
 }
 
 EventHandle Engine::schedule_at(SimTime t, EventFn fn) {
+  return schedule_reserved(reserve_at(t), std::move(fn));
+}
+
+EventHandle Engine::reserve_at(SimTime t) {
   if (t < now_) {
     ++stats_.past_clamped;
     t = now_;
   }
-  t = quantize(t);
-  const EventId id = next_seq_++;
-  if (tags_enabled_ && exec_tag_ != 0) tags_[id] = exec_tag_;
-  push_record(EventRecord{t, id, std::move(fn)});
+  return EventHandle{next_seq_++, quantize(t)};
+}
+
+EventHandle Engine::schedule_reserved(const EventHandle& key, EventFn fn) {
+  assert(key.valid() && key.id < next_seq_ && key.time >= now_);
+  if (tags_enabled_ && exec_tag_ != 0) tags_[key.id] = exec_tag_;
+  push_record(EventRecord{key.time, key.id, std::move(fn)});
   ++stats_.scheduled;
-  return EventHandle{id, t};
+  return key;
 }
 
 std::uint32_t Engine::event_tag(EventId id) const {

@@ -77,6 +77,20 @@ class Engine {
   /// Schedule `fn` after a delay (>= 0).
   EventHandle schedule_in(SimTime dt, EventFn fn) { return schedule_at(now_ + dt, std::move(fn)); }
 
+  /// Two-phase scheduling, for a model that decides an event's place in the
+  /// (time, seq) order now but queues it only if it turns out to be needed.
+  /// reserve_at() fixes the key exactly as schedule_at() would (clamped,
+  /// quantized, next sequence number) and queues nothing. The returned
+  /// handle is NOT cancellable until schedule_reserved() has queued `fn`
+  /// under it; an unqueued reservation is simply dropped. A reserved event
+  /// runs at the same position among all other events as schedule_at()
+  /// called at reservation time would have put it.
+  EventHandle reserve_at(SimTime t);
+  /// Queue `fn` under a key from reserve_at() (at most once per key, while
+  /// key.time >= now()). The event carries the entity tag current at this
+  /// call. Returns the now-cancellable handle.
+  EventHandle schedule_reserved(const EventHandle& key, EventFn fn);
+
   /// O(1) cancellation. Returns false if the event already ran or was
   /// already cancelled.
   bool cancel(const EventHandle& h);

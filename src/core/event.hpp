@@ -103,7 +103,7 @@ class EventFn {
 
 struct EventRecord {
   SimTime time = 0;
-  EventId seq = 0;  // engine-assigned, strictly increasing
+  EventId seq = 0;  // engine-assigned, unique (assigned in schedule order)
   EventFn fn;
 
   /// Total order: earlier time first, then earlier schedule order.

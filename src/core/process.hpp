@@ -31,6 +31,7 @@
 #include <deque>
 #include <exception>
 #include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 
@@ -240,7 +241,7 @@ class Condition {
   void notify_one() {
     if (waiters_.empty()) return;
     auto h = waiters_.front();
-    waiters_.pop_front();
+    waiters_.erase(waiters_.begin());
     engine_.schedule_in(0, [h] { h.resume(); });
   }
 
@@ -253,7 +254,9 @@ class Condition {
 
  private:
   Engine& engine_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  // A vector, not a deque: models keep many short-lived conditions (one per
+  // awaited file or fetch), and an empty vector allocates nothing.
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace lsds::core

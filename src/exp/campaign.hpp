@@ -4,7 +4,7 @@
 // A campaign takes a base scenario INI plus
 //
 //   [sweep]                      ; parameter grid, see exp/sweep.hpp
-//   network.incremental = true|false
+//   monarc.link = 2.5Gbps|30Gbps
 //
 //   [campaign]
 //   replications = 8             ; independent replications per point

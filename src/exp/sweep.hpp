@@ -7,8 +7,8 @@
 // way):
 //
 //   [sweep]
-//   network.incremental = true|false
-//   workload.n_jobs     = 100,1000,10000
+//   storage.sharing = fifo|maxmin
+//   workload.n_jobs = 100,1000,10000
 //
 // expands to the 2 x 3 = 6 cross-product points. Axis order is file order;
 // the FIRST axis varies slowest (odometer order), so point indices — and

@@ -31,7 +31,8 @@ FlowNetwork::FlowNetwork(core::Engine& engine, RouteProvider& routing, Config cf
       dsu_parent_(routing.link_count()),
       solve_cap_(routing.link_count(), 0.0),
       solve_wsum_(routing.link_count(), 0.0),
-      res_mark_(routing.link_count(), 0) {
+      res_mark_(routing.link_count(), 0),
+      comp_first_(routing.link_count(), nullptr) {
   std::iota(dsu_parent_.begin(), dsu_parent_.end(), ResourceId{0});
   scratch_members_.reserve(64);
   scratch_old_rate_.reserve(64);
@@ -54,6 +55,7 @@ ResourceId FlowNetwork::add_resource(double capacity, std::string name) {
   solve_cap_.push_back(0.0);
   solve_wsum_.push_back(0.0);
   res_mark_.push_back(0);
+  comp_first_.push_back(nullptr);
   return id;
 }
 
@@ -215,7 +217,7 @@ void FlowNetwork::activate(FlowId id) {
   if (cfg_.incremental) {
     const ResourceId anchor = flow.resources.front();
     for (ResourceId r : flow.resources) dsu_unite(anchor, r);
-    comp_members_[dsu_find(anchor)].push_back(id);
+    add_member(flow);
     dirty_res_.push_back(anchor);
   }
   resolve_and_reschedule();
@@ -288,11 +290,12 @@ void FlowNetwork::detach_sharing(Flow& flow) {
     engine_.cancel(flow.completion);
     flow.completion = {};
   }
+  flow.due = {};
   if (cfg_.incremental) {
     // The departing flow's resources must be re-solved (and zeroed when it
-    // was their last user); its component entry goes stale until the next
-    // rebuild.
-    ++stale_members_;
+    // was their last user).
+    remove_member(flow);
+    ++departed_;
     for (ResourceId r : flow.resources) dirty_res_.push_back(r);
   }
 }
@@ -327,33 +330,53 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
   dsu_parent_[lose] = win;
   auto it = comp_members_.find(lose);
   if (it == comp_members_.end()) return;
-  std::vector<FlowId> moved = std::move(it->second);
+  std::vector<Member> moved = std::move(it->second);
   comp_members_.erase(it);
   auto& dst = comp_members_[win];
   if (dst.empty()) {
     dst = std::move(moved);
-  } else {
-    dst.insert(dst.end(), moved.begin(), moved.end());
+    return;
+  }
+  for (const Member& m : moved) {
+    m.flow->member_slot = dst.size();
+    dst.push_back(m);
   }
 }
 
-void FlowNetwork::maybe_rebuild_components() {
+void FlowNetwork::add_member(Flow& flow) {
+  auto& list = comp_members_[dsu_find(flow.resources.front())];
+  flow.member_slot = list.size();
+  list.push_back({flow.id, &flow});
+}
+
+void FlowNetwork::remove_member(Flow& flow) {
+  const auto it = comp_members_.find(dsu_find(flow.resources.front()));
+  assert(it != comp_members_.end() && it->second[flow.member_slot].flow == &flow);
+  auto& list = it->second;
+  list[flow.member_slot] = list.back();
+  list[flow.member_slot].flow->member_slot = flow.member_slot;
+  list.pop_back();  // an emptied list keeps its capacity for the next flow
+}
+
+bool FlowNetwork::maybe_rebuild_components() {
   // Removals leave the union-find over-merged (supersets stay correct but
-  // shrink the incrementality win). Rebuild from live flows once the stale
-  // entries outnumber the live ones.
-  if (stale_members_ < 64 || stale_members_ < sharing_count_) return;
+  // shrink the incrementality win). Rebuild from live flows once the
+  // departures since the last rebuild outnumber the live flows: O(1)
+  // amortized per departure.
+  if (departed_ < 64 || departed_ < sharing_count_) return false;
   std::iota(dsu_parent_.begin(), dsu_parent_.end(), ResourceId{0});
   comp_members_.clear();
-  stale_members_ = 0;
+  departed_ = 0;
   for (auto& [id, flow] : flows_) {
     if (!flow.sharing) continue;
     const ResourceId anchor = flow.resources.front();
     for (ResourceId r : flow.resources) dsu_unite(anchor, r);
-    comp_members_[dsu_find(anchor)].push_back(id);
+    add_member(flow);
   }
+  return true;
 }
 
-void FlowNetwork::collect_dirty() {
+bool FlowNetwork::collect_dirty() {
   scratch_members_.clear();
   scratch_res_.clear();
   if (!cfg_.incremental) {
@@ -371,34 +394,26 @@ void FlowNetwork::collect_dirty() {
       }
     }
     std::sort(scratch_res_.begin(), scratch_res_.end());
-    return;
+    return false;
   }
-  if (dirty_res_.empty()) return;
-  maybe_rebuild_components();
-  // Dirty component roots -> live member flows (compacting stale ids as we
-  // pass). flows_ is ordered but member lists are not; sort afterwards so
-  // the solve walks flows in ascending id order, exactly like the full
-  // solver restricted to these components.
+  if (dirty_res_.empty()) return false;
+  const bool rebuilt = maybe_rebuild_components();
+  // Dirty component roots -> their member flows. Member lists are unordered;
+  // sort so the solve walks flows in ascending id order, exactly like the
+  // full solver restricted to these components.
   ++mark_epoch_;
+  scratch_sorted_.clear();
   for (ResourceId r : dirty_res_) {
     const ResourceId root = dsu_find(r);
     if (res_mark_[root] == mark_epoch_) continue;
     res_mark_[root] = mark_epoch_;
     auto it = comp_members_.find(root);
     if (it == comp_members_.end()) continue;
-    auto& list = it->second;
-    std::size_t kept = 0;
-    for (FlowId fid : list) {
-      auto fit = flows_.find(fid);
-      if (fit == flows_.end() || !fit->second.sharing) continue;  // stale entry
-      list[kept++] = fid;
-      scratch_members_.push_back(&fit->second);
-    }
-    stale_members_ -= list.size() - kept;
-    list.resize(kept);
+    scratch_sorted_.insert(scratch_sorted_.end(), it->second.begin(), it->second.end());
   }
-  std::sort(scratch_members_.begin(), scratch_members_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  std::sort(scratch_sorted_.begin(), scratch_sorted_.end(),
+            [](const Member& a, const Member& b) { return a.id < b.id; });
+  for (const Member& m : scratch_sorted_) scratch_members_.push_back(m.flow);
   // Resources to re-solve: every member's constraint set plus the explicitly
   // dirtied ones (a departed flow's resources must be zeroed even when no
   // member remains on them).
@@ -418,6 +433,7 @@ void FlowNetwork::collect_dirty() {
     }
   }
   std::sort(scratch_res_.begin(), scratch_res_.end());
+  return rebuilt;
 }
 
 void FlowNetwork::solve_members() {
@@ -486,7 +502,7 @@ void FlowNetwork::solve_members() {
 }
 
 void FlowNetwork::resolve_and_reschedule() {
-  collect_dirty();
+  const bool rebuilt = collect_dirty();
   solve_members();
   dirty_res_.clear();
 
@@ -494,10 +510,10 @@ void FlowNetwork::resolve_and_reschedule() {
     series.record(engine_.now(), res_rate_[r] / resource_capacity(r));
   }
 
-  // Reschedule only the flows whose fair share moved: with a piecewise-
+  // Re-reserve only the flows whose fair share moved: with a piecewise-
   // linear remaining, an unchanged rate means an unchanged absolute
-  // completion instant, so the pending event stays valid. Members are in
-  // ascending flow id order -> deterministic event sequence numbers.
+  // completion instant, so the reserved key stays valid. Members are in
+  // ascending flow id order -> deterministic sequence numbers.
   for (std::size_t i = 0; i < scratch_members_.size(); ++i) {
     Flow* f = scratch_members_[i];
     if (f->rate == scratch_old_rate_[i]) continue;
@@ -506,10 +522,49 @@ void FlowNetwork::resolve_and_reschedule() {
       engine_.cancel(f->completion);  // O(1) tombstone; skipped at pop
       f->completion = {};
     }
-    if (f->rate > 0) {
-      f->completion = engine_.schedule_in(f->remaining / f->rate,
-                                          [this, id = f->id] { on_completion_event(id); });
+    f->due = f->rate > 0 ? engine_.reserve_at(engine_.now() + f->remaining / f->rate)
+                         : core::EventHandle{};
+  }
+  if (!rebuilt) {
+    arm_completions(scratch_members_);
+    return;
+  }
+  // A rebuild can split a component whose one queued event now covers only
+  // one of the parts: re-arm every component.
+  std::vector<Flow*> all;
+  all.reserve(sharing_count_);
+  for (auto& [id, flow] : flows_) {
+    if (flow.sharing) all.push_back(&flow);
+  }
+  arm_completions(all);
+}
+
+void FlowNetwork::arm_completions(const std::vector<Flow*>& flows) {
+  // Invariant: every component has its earliest reserved key queued. That
+  // event is the first of the component's completions the engine reaches,
+  // and it fires under exactly the key a per-flow event would have had.
+  // Later keys stay reserved until a re-solve makes one the earliest.
+  ++mark_epoch_;
+  scratch_comps_.clear();
+  for (Flow* f : flows) {
+    if (!f->due.valid()) continue;
+    const ResourceId c = component_of(*f);
+    if (res_mark_[c] != mark_epoch_) {
+      res_mark_[c] = mark_epoch_;
+      scratch_comps_.push_back(c);
+      comp_first_[c] = f;
+      continue;
     }
+    const core::EventHandle& best = comp_first_[c]->due;
+    if (f->due.time < best.time || (f->due.time == best.time && f->due.id < best.id)) {
+      comp_first_[c] = f;
+    }
+  }
+  for (ResourceId c : scratch_comps_) {
+    Flow* f = comp_first_[c];
+    if (f->completion.valid()) continue;  // already queued
+    f->completion =
+        engine_.schedule_reserved(f->due, [this, id = f->id] { on_completion_event(id); });
   }
 }
 

@@ -45,9 +45,16 @@
 //     super-component; that is a pure performance matter, never a
 //     correctness one, because the weighted max-min allocation of
 //     disconnected flow sets decomposes exactly.
-//   * Completion events are per-flow: a re-solve reschedules only the flows
-//     whose rate actually changed (bitwise), tombstoning the superseded
-//     event in O(1) via core::Engine::cancel.
+//   * One queued completion event per component. Every flow with a rate
+//     keeps a *reserved* completion key (core::Engine::reserve_at): the
+//     instant anchor_t + remaining/rate plus the sequence number a per-flow
+//     event would have had. A re-solve re-reserves only the flows whose rate
+//     changed (bitwise), then queues the earliest key of each component it
+//     touched — one queue operation per change even when, on a saturated
+//     link, the change re-rates every flow. Because a queued event runs
+//     under exactly its per-flow key, completions (ties at equal instants
+//     included) interleave with every other event exactly as one event per
+//     flow would.
 //
 // Determinism: the bottleneck scan walks resources in ascending ResourceId
 // order and flows in ascending FlowId order, so tie-broken bottleneck
@@ -274,9 +281,15 @@ class FlowNetwork {
     bool sharing = false;  // false during the latency phase
     CompletionFn on_complete;
     ErrorFn on_error;
-    /// Pending completion event while sharing with rate > 0; superseded
-    /// events are cancelled (O(1) tombstone) before a reschedule.
+    /// Reserved completion key while sharing with rate > 0 (invalid
+    /// otherwise); re-reserved exactly when the rate changes.
+    core::EventHandle due{};
+    /// The queued completion event, when this flow holds one (then
+    /// completion.id == due.id). Each component queues at least its
+    /// earliest `due`; a superseded one is cancelled (O(1) tombstone).
     core::EventHandle completion{};
+    /// Index in its component's member list while sharing (incremental).
+    std::size_t member_slot = 0;
     // Span bookkeeping (obs/span.hpp): endpoints, demand and start time.
     NodeId src = 0;
     NodeId dst = 0;
@@ -294,13 +307,22 @@ class FlowNetwork {
   /// flow leaves — never on unrelated events.
   void settle(Flow& flow, double old_rate);
   /// Re-solve max-min shares for the dirty flow set (everything when
-  /// Config::incremental is off) and reschedule the completion event of
-  /// every flow whose rate changed.
+  /// Config::incremental is off), re-reserve the completion key of every
+  /// flow whose rate changed and re-arm the touched components.
   void resolve_and_reschedule();
   /// Fills scratch_members_ (ascending FlowId) and scratch_res_ (ascending
   /// ResourceId) with the flow set to re-solve and the resources whose
-  /// rates it determines.
-  void collect_dirty();
+  /// rates it determines. Returns true when it rebuilt the component
+  /// partition (see maybe_rebuild_components).
+  bool collect_dirty();
+  /// Queue the earliest reserved completion key of every component among
+  /// `flows`, which must hold whole components.
+  void arm_completions(const std::vector<Flow*>& flows);
+  /// Component a sharing flow belongs to (the whole network is one
+  /// component when Config::incremental is off).
+  ResourceId component_of(const Flow& flow) {
+    return cfg_.incremental ? dsu_find(flow.resources.front()) : 0;
+  }
   /// Weighted max-min over scratch_members_ / scratch_res_; updates
   /// Flow::rate and res_rate_. Deterministic by construction: both scans
   /// run in ascending id order.
@@ -316,8 +338,13 @@ class FlowNetwork {
   void dsu_unite(ResourceId a, ResourceId b);
   /// Union-find only ever merges; removals leave it over-merged (a stale
   /// super-component is re-solved — correct, just wider than needed). When
-  /// enough removals accumulate, rebuild the partition from live flows.
-  void maybe_rebuild_components();
+  /// enough flows have left since the last rebuild, rebuild the partition
+  /// from live flows. Returns true when it rebuilt.
+  bool maybe_rebuild_components();
+  /// Append a sharing flow to its component's member list / remove it
+  /// (O(1) swap-remove).
+  void add_member(Flow& flow);
+  void remove_member(Flow& flow);
 
   core::Engine& engine_;
   RouteProvider& routing_;
@@ -345,16 +372,21 @@ class FlowNetwork {
   std::uint64_t solves_ = 0;
   std::uint64_t flows_rerated_ = 0;
 
-  // Component tracking: parent pointers over resources, member flow ids per
-  // component root. Member lists may hold ids of flows that already left
-  // (filtered on use, compacted at rebuild).
+  // Component tracking: parent pointers over resources, and the live sharing
+  // flows of each component root, in no particular order (Flow::member_slot
+  // indexes them; std::map nodes never move, so the pointers stay valid).
+  struct Member {
+    FlowId id;
+    Flow* flow;
+  };
   std::vector<ResourceId> dsu_parent_;
-  std::unordered_map<ResourceId, std::vector<FlowId>> comp_members_;
-  std::size_t stale_members_ = 0;
+  std::unordered_map<ResourceId, std::vector<Member>> comp_members_;
+  std::size_t departed_ = 0;  // flows that left since the last rebuild
   std::vector<ResourceId> dirty_res_;
 
   // Per-solve scratch, reserved once and reused (no per-call allocation).
   std::vector<Flow*> scratch_members_;
+  std::vector<Member> scratch_sorted_;
   std::vector<double> scratch_old_rate_;
   std::vector<char> scratch_fixed_;
   std::vector<ResourceId> scratch_res_;
@@ -362,6 +394,8 @@ class FlowNetwork {
   std::vector<double> solve_wsum_;      // indexed by ResourceId
   std::vector<std::uint32_t> res_mark_;  // epoch stamps, indexed by ResourceId
   std::uint32_t mark_epoch_ = 0;
+  std::vector<Flow*> comp_first_;        // per-component earliest due, by root
+  std::vector<ResourceId> scratch_comps_;
 };
 
 }  // namespace lsds::net

@@ -163,7 +163,7 @@ Result run(core::Engine& engine, const Config& cfg) {
     topo.add_link(grid.site(static_cast<hosts::SiteId>(cfg.num_servers + c)).node(), hub,
                   cfg.client_bw, cfg.client_latency);
   }
-  grid.finalize(cfg.network);
+  grid.finalize();
   auto chaos = inject_failures(grid, cfg.failures);
 
   Result res;

@@ -130,7 +130,7 @@ core::Process job_process(core::Engine& eng, Ctx& ctx, hosts::SiteId exec_site, 
   auto& slots = *ctx.slots[exec_site];
   co_await slots.acquire(1);
   for (const auto& lfn : job.input_files) {
-    core::Condition fetched(eng);
+    core::Condition fetched(eng);  // one per fetch with this job as its only waiter
     fetch_input(eng, ctx, exec_site, lfn, fetched);
     co_await fetched.wait();
   }
@@ -210,7 +210,7 @@ Result run(core::Engine& engine, const Config& cfg) {
     topo.add_link(grid.site(static_cast<hosts::SiteId>(s)).node(), hub, cfg.site_bw,
                   cfg.site_latency);
   }
-  grid.finalize(cfg.network);
+  grid.finalize();
   auto chaos = inject_failures(grid, cfg.failures);
 
   middleware::ReplicaCatalog catalog(grid.routing());

@@ -25,7 +25,6 @@
 #include "core/engine.hpp"
 #include "hosts/storage.hpp"
 #include "middleware/failures.hpp"
-#include "net/flow.hpp"
 #include "stats/summary.hpp"
 
 namespace lsds::obs {
@@ -74,9 +73,6 @@ struct Config {
 
   /// Optional chaos: fail-resume outages on every site CPU and link.
   middleware::FailureSpec failures;
-
-  /// Flow-network solver selection (`[network] incremental` toggle).
-  net::FlowNetwork::Config network;
 };
 
 struct Result {

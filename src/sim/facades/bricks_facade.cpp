@@ -22,7 +22,6 @@ int run_bricks(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& re
   cfg.server_cores = static_cast<unsigned>(ini.get_int("bricks", "server_cores", 4));
   cfg.client_bw = ini.get_rate("bricks", "client_bw", 12.5e6);
   cfg.failures = facades::parse_resume_failures(ini);
-  cfg.network = facades::parse_network(ini);
   cfg.storage_sharing = facades::parse_storage(ini);
   const auto res = bricks::run(eng, cfg);
   std::printf("bricks: %llu jobs, mean response %.2f s, server util %.1f%%, makespan %.1f s\n",
@@ -41,7 +40,6 @@ void register_bricks_facade(FacadeRegistry& reg) {
   e.keys["bricks"] = {"clients",      "jobs_per_client", "interarrival", "mean_ops",
                       "input",        "output",          "server_cores", "client_bw"};
   e.keys["failures"] = facades::failures_keys();
-  e.keys["network"] = facades::network_keys();
   e.keys["storage"] = facades::storage_keys();
   reg.add(std::move(e));
 }

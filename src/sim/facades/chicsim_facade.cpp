@@ -21,7 +21,6 @@ int run_chicsim(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& r
   cfg.workload.num_jobs = static_cast<std::size_t>(ini.get_int("chicsim", "jobs", 400));
   cfg.workload.zipf_exponent = ini.get_double("chicsim", "zipf", 0.9);
   cfg.failures = facades::parse_resume_failures(ini);
-  cfg.network = facades::parse_network(ini);
   cfg.storage_sharing = facades::parse_storage(ini);
   const auto res = chicsim::run(eng, cfg);
   std::printf("chicsim(%s,%s): %llu jobs, mean response %.2f s, locality %.2f, network %s\n",
@@ -40,7 +39,6 @@ void register_chicsim_facade(FacadeRegistry& reg) {
   e.run = run_chicsim;
   e.keys["chicsim"] = {"sites", "job_policy", "data_policy", "jobs", "zipf"};
   e.keys["failures"] = facades::failures_keys();
-  e.keys["network"] = facades::network_keys();
   e.keys["storage"] = facades::storage_keys();
   reg.add(std::move(e));
 }

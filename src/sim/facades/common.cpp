@@ -42,14 +42,7 @@ hosts::ExecutionSpec parse_exec_spec(const util::IniConfig& ini) {
   hosts::ExecutionSpec spec = sim::parallel::parse_execution(
       ini, static_cast<std::uint64_t>(ini.get_int("scenario", "seed", 42)),
       parse_queue(ini.get_string("scenario", "queue", "heap")));
-  spec.network = parse_network(ini);  // per-LP flow networks inherit it
   return spec;
-}
-
-net::FlowNetwork::Config parse_network(const util::IniConfig& ini) {
-  net::FlowNetwork::Config cfg;
-  cfg.incremental = ini.get_bool("network", "incremental", cfg.incremental);
-  return cfg;
 }
 
 hosts::StorageSharing parse_storage(const util::IniConfig& ini) {
@@ -66,8 +59,6 @@ std::vector<std::string> failures_keys() {
 std::vector<std::string> execution_keys() {
   return {"mode", "threads", "lps", "partition", "lookahead"};
 }
-
-std::vector<std::string> network_keys() { return {"incremental"}; }
 
 std::vector<std::string> storage_keys() { return {"sharing"}; }
 

@@ -30,12 +30,6 @@ middleware::FailureSpec parse_resume_failures(const util::IniConfig& ini);
 /// Parse the [execution] section against the [scenario] determinism knobs.
 hosts::ExecutionSpec parse_exec_spec(const util::IniConfig& ini);
 
-/// `[network]` section: `incremental = true|false` selects the component-
-/// incremental max-min solver (default) vs the full reference solver. Both
-/// produce byte-identical traces; the toggle exists for A/B performance
-/// comparisons and as a big red switch.
-net::FlowNetwork::Config parse_network(const util::IniConfig& ini);
-
 /// `[storage]` section: `sharing = fifo|maxmin` selects the contention
 /// model for every storage device of the scenario's sites. fifo (default)
 /// is the busy-until head, byte-identical to the pre-storage-resource
@@ -46,7 +40,6 @@ hosts::StorageSharing parse_storage(const util::IniConfig& ini);
 /// Declared-key lists for strict validation (FacadeRegistry::Entry::keys).
 std::vector<std::string> failures_keys();
 std::vector<std::string> execution_keys();
-std::vector<std::string> network_keys();
 std::vector<std::string> storage_keys();
 
 /// Match `value` against an enum's candidate list by its to_string name,

@@ -51,7 +51,6 @@ void register_gridsim_facade(FacadeRegistry& reg) {
   e.run = run_gridsim;
   e.keys["gridsim"] = {"jobs", "budget", "deadline", "strategy"};
   e.keys["execution"] = facades::execution_keys();
-  e.keys["network"] = facades::network_keys();
   reg.add(std::move(e));
 }
 

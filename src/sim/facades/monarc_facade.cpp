@@ -26,7 +26,6 @@ int run_monarc(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& re
   cfg.t2_fraction = ini.get_double("monarc", "t2_fraction", 0.3);
   cfg.archive_to_tape = ini.get_bool("monarc", "archive", false);
   cfg.failures = facades::parse_resume_failures(ini);
-  cfg.network = facades::parse_network(ini);
   cfg.storage_sharing = facades::parse_storage(ini);
 
   const auto exec = facades::parse_exec_spec(ini);
@@ -64,7 +63,6 @@ void register_monarc_facade(FacadeRegistry& reg) {
   e.keys["monarc"] = {"t1",       "link",     "files",    "file_size", "interval",
                       "analysis", "t2_per_t1", "t2_fraction", "archive"};
   e.keys["failures"] = facades::failures_keys();
-  e.keys["network"] = facades::network_keys();
   e.keys["storage"] = facades::storage_keys();
   e.keys["execution"] = facades::execution_keys();
   reg.add(std::move(e));

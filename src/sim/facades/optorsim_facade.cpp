@@ -27,7 +27,6 @@ int run_optorsim(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& 
   cfg.workload.file_bytes = {apps::SizeDist::kConstant,
                              ini.get_size("optorsim", "file_size", 50e6), 0};
   cfg.failures = facades::parse_resume_failures(ini);
-  cfg.network = facades::parse_network(ini);
   cfg.storage_sharing = facades::parse_storage(ini);
   cfg.zones = static_cast<std::size_t>(ini.get_int("optorsim", "zones", 0));
   cfg.zone_backbone_bw = ini.get_rate("optorsim", "zone_backbone_bw", cfg.zone_backbone_bw);
@@ -55,7 +54,6 @@ void register_optorsim_facade(FacadeRegistry& reg) {
                         "interarrival", "file_size",   "zones",
                         "zone_backbone_bw", "zone_backbone_latency"};
   e.keys["failures"] = facades::failures_keys();
-  e.keys["network"] = facades::network_keys();
   e.keys["storage"] = facades::storage_keys();
   reg.add(std::move(e));
 }

@@ -125,7 +125,7 @@ int run_platform(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& 
     provider = std::make_unique<net::ZoneRouting>(*zone);
   }
 
-  net::FlowNetwork fnet(eng, *provider, facades::parse_network(ini));
+  net::FlowNetwork fnet(eng, *provider);
   net::TransferService xfer(eng, fnet);
 
   const auto flows = static_cast<std::size_t>(ini.get_int("platform", "flows", 64));
@@ -167,7 +167,6 @@ void register_platform_facade(FacadeRegistry& reg) {
   e.keys["platform"] = {"zone",     "hosts",   "children",           "parents",
                         "bandwidth", "latency", "backbone_bandwidth", "backbone_latency",
                         "up",        "flows",   "bytes"};
-  e.keys["network"] = facades::network_keys();
   reg.add(std::move(e));
 }
 

@@ -18,7 +18,6 @@ int run_simg(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& repo
   cfg.mode = ini.get_string("simg", "mode", "runtime") == "compile-time"
                  ? simg::SchedulingMode::kCompileTime
                  : simg::SchedulingMode::kRuntime;
-  cfg.network = facades::parse_network(ini);
   const auto res = simg::run(eng, cfg);
   std::printf("simg(%s): %llu tasks, makespan %.2f s\n", to_string(cfg.mode),
               static_cast<unsigned long long>(res.tasks), res.makespan);
@@ -33,7 +32,6 @@ void register_simg_facade(FacadeRegistry& reg) {
   e.name = "simg";
   e.run = run_simg;
   e.keys["simg"] = {"workers", "tasks", "estimate_error", "mode"};
-  e.keys["network"] = facades::network_keys();
   reg.add(std::move(e));
 }
 

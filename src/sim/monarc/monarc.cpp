@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "core/process.hpp"
@@ -26,7 +25,24 @@ struct Ctx {
   double last_delivery = 0;
   // Per-T1 replica arrival bookkeeping for the analysis activities.
   std::vector<std::map<std::size_t, double>> arrived;  // file idx -> time
-  std::vector<std::unique_ptr<core::Condition>> arrival_cond;
+  // Per-T1 analysis jobs parked until a file lands, keyed by file index, so
+  // an arrival wakes only the jobs that wait for that file: behind a
+  // saturated link the parked jobs grow with the files, and waking them all
+  // at every arrival makes the run quadratic.
+  std::vector<std::map<std::size_t, core::Condition>> waiting;
+
+  /// Suspends until file `file_idx` has landed at T1 `t1`.
+  core::Condition::WaitAwaiter wait_for(core::Engine& eng, std::size_t t1, std::size_t file_idx) {
+    return waiting[t1].try_emplace(file_idx, eng).first->second.wait();
+  }
+  /// Wakes the jobs waiting for `file_idx` at `t1`, in the order they began
+  /// to wait.
+  void notify_arrival(std::size_t t1, std::size_t file_idx) {
+    const auto it = waiting[t1].find(file_idx);
+    if (it == waiting[t1].end()) return;
+    it->second.notify_all();
+    waiting[t1].erase(it);
+  }
 
   void record_backlog(core::Engine& eng) {
     const double b = produced_bytes - delivered_bytes;
@@ -54,7 +70,7 @@ core::Process replicate_file(core::Engine& eng, Ctx& ctx, std::size_t file_idx,
       ctx.res->replication_lag.add(eng.now() - produced_at);
       ctx.record_backlog(eng);
       ctx.arrived[t1][file_idx] = eng.now();
-      ctx.arrival_cond[t1]->notify_all();
+      ctx.notify_arrival(t1, file_idx);
     }
   };
   for (std::size_t t1 = 0; t1 < ctx.cfg->num_t1; ++t1) {
@@ -92,9 +108,7 @@ core::Process t2_analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, hosts::Si
                           std::size_t file_idx, double submit_at) {
   co_await core::delay(eng, submit_at - eng.now());
   const double t_submit = eng.now();
-  while (!ctx.arrived[t1].count(file_idx)) {
-    co_await ctx.arrival_cond[t1]->wait();
-  }
+  if (!ctx.arrived[t1].count(file_idx)) co_await ctx.wait_for(eng, t1, file_idx);
   auto& parent = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
   auto& t2 = ctx.grid->site(t2_site);
   co_await transfer(ctx.grid->net(), parent.node(), t2.node(), ctx.cfg->file_bytes);
@@ -112,9 +126,7 @@ core::Process analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, std::size_t 
                        double submit_at) {
   co_await core::delay(eng, submit_at - eng.now());
   const double t_submit = eng.now();
-  while (!ctx.arrived[t1].count(file_idx)) {
-    co_await ctx.arrival_cond[t1]->wait();
-  }
+  if (!ctx.arrived[t1].count(file_idx)) co_await ctx.wait_for(eng, t1, file_idx);
   auto& site = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
   const auto job_id =
       static_cast<hosts::JobId>(1 + t1 * ctx.cfg->num_files + file_idx);
@@ -176,7 +188,7 @@ Result run(core::Engine& engine, const Config& cfg) {
                     grid.site(t2).node(), cfg.t1_t2_bandwidth, cfg.t1_t2_latency);
     }
   }
-  grid.finalize(cfg.network);
+  grid.finalize();
   auto chaos = inject_failures(grid, cfg.failures);
   grid.net().track_link(0);  // first T0-T1 link
 
@@ -188,9 +200,7 @@ Result run(core::Engine& engine, const Config& cfg) {
   ctx.grid = &grid;
   ctx.res = &res;
   ctx.arrived.resize(cfg.num_t1);
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    ctx.arrival_cond.push_back(std::make_unique<core::Condition>(engine));
-  }
+  ctx.waiting.resize(cfg.num_t1);
 
   production(engine, ctx);
 

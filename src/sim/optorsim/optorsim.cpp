@@ -74,7 +74,7 @@ core::Process job_process(core::Engine& eng, Ctx& ctx, hosts::SiteId site_id, ho
   const double t0 = eng.now();
 
   for (const auto& lfn : job.input_files) {
-    core::Condition fetched(eng);
+    core::Condition fetched(eng);  // one per fetch with this job as its only waiter
     fetch_input(eng, ctx, site_id, lfn, fetched);
     co_await fetched.wait();
   }
@@ -145,7 +145,7 @@ Result run(core::Engine& engine, const Config& cfg) {
           static_cast<net::NodeId>(tree->child_offset(z) + s / cfg.zones);
       grid.add_site_at(specs[s], node);
     }
-    grid.finalize_with(*zone_routing, cfg.network);
+    grid.finalize_with(*zone_routing);
   } else {
     // Classic OptorSim topology: a star around a hub router.
     for (const auto& s : specs) grid.add_site(s);
@@ -155,7 +155,7 @@ Result run(core::Engine& engine, const Config& cfg) {
       topo.add_link(grid.site(static_cast<hosts::SiteId>(s)).node(), hub, cfg.site_bw,
                     cfg.site_latency);
     }
-    grid.finalize(cfg.network);
+    grid.finalize();
   }
   auto chaos = inject_failures(grid, cfg.failures);
 

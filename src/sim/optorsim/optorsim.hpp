@@ -60,9 +60,6 @@ struct Config {
 
   /// Optional chaos: fail-resume outages on every site CPU and link.
   middleware::FailureSpec failures;
-
-  /// Flow-network solver selection (`[network] incremental` toggle).
-  net::FlowNetwork::Config network;
 };
 
 struct Result {

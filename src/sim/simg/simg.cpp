@@ -126,7 +126,7 @@ Result run(core::Engine& engine, const Config& cfg) {
     workers.push_back(n);
   }
   net::Routing routing(topo);
-  net::FlowNetwork fnet(engine, routing, cfg.network);
+  net::FlowNetwork fnet(engine, routing);
 
   Result res;
   res.per_worker.assign(cfg.num_workers, 0);

@@ -22,7 +22,6 @@
 #include <cstdint>
 
 #include "core/engine.hpp"
-#include "net/flow.hpp"
 #include "stats/summary.hpp"
 
 namespace lsds::obs {
@@ -43,8 +42,6 @@ struct Config {
   /// sees (0 = perfect estimates; 0.5 = +/-50% uniform noise).
   double estimate_error = 0.3;
   double task_input_bytes = 1e6;
-  /// Flow-network solver selection (`[network] incremental` toggle).
-  net::FlowNetwork::Config network;
   /// Worker speeds interpolate linearly from fastest to slowest:
   /// speed_i in [speed_min, speed_max].
   double speed_min = 500;

@@ -100,6 +100,50 @@ TEST(Engine, CancelAtCurrentTimeStillWorks) {
   EXPECT_EQ(eng.tombstone_count(), 0u);  // tombstone consumed at pop
 }
 
+TEST(Engine, ReservedEventRunsAtItsReservationPosition) {
+  // A reservation takes its place in the (time, seq) order when it is made,
+  // not when it is queued: here it runs before an event queued earlier for
+  // the same instant, and it counts as scheduled only once queued.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    core::Engine eng(core::Engine::Config{.queue = kind});
+    std::vector<int> order;
+    const core::EventHandle key = eng.reserve_at(2.0);
+    const core::EventHandle dropped = eng.reserve_at(1.0);  // never queued
+    eng.schedule_at(2.0, [&] { order.push_back(2); });
+    eng.schedule_at(1.0, [&] {
+      EXPECT_EQ(eng.stats().scheduled, 2u);
+      const auto h = eng.schedule_reserved(key, [&] { order.push_back(1); });
+      EXPECT_EQ(h.id, key.id);
+      EXPECT_EQ(eng.stats().scheduled, 3u);
+    });
+    eng.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2})) << core::to_string(kind);
+    EXPECT_DOUBLE_EQ(dropped.time, 1.0);
+    EXPECT_EQ(eng.stats().executed, 3u);
+    EXPECT_EQ(eng.pending(), 0u);
+  }
+}
+
+TEST(Engine, ReservedEventIsCancellableOnceQueued) {
+  core::Engine eng;
+  bool ran = false;
+  const auto key = eng.reserve_at(1.0);
+  const auto h = eng.schedule_reserved(key, [&] { ran = true; });
+  EXPECT_TRUE(eng.cancel(h));
+  eng.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(eng.tombstone_count(), 0u);
+}
+
+TEST(Engine, ReservationClampsAndQuantizesLikeScheduleAt) {
+  core::Engine eng(core::Engine::Config{.time_quantum = 0.5});
+  eng.schedule_at(3.0, [] {});
+  eng.run();
+  EXPECT_DOUBLE_EQ(eng.reserve_at(1.0).time, 3.0);  // past: clamped to now
+  EXPECT_EQ(eng.stats().past_clamped, 1u);
+  EXPECT_DOUBLE_EQ(eng.reserve_at(3.2).time, 3.5);  // rounded up to the quantum
+}
+
 TEST(Engine, DoubleCancelReturnsFalse) {
   core::Engine eng;
   auto h = eng.schedule_at(1.0, [] {});

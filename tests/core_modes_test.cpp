@@ -1,6 +1,7 @@
 // Time-driven and trace-driven DES modes, and the parallel engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -467,7 +468,7 @@ TEST(ParallelEngine, EventBudgetZeroMeansUnlimited) {
   cfg.num_threads = 2;
   cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
-  int n = 0;
+  std::atomic<int> n = 0;  // both LP threads count into it
   for (int i = 0; i < 200; ++i) eng.lp(i % 2).schedule_at(0.1 * i, [&n] { ++n; });
   EXPECT_NO_THROW(eng.run_until(100.0));
   EXPECT_EQ(n, 200);
@@ -480,7 +481,7 @@ TEST(ParallelEngine, HonestModelsUnderBudgetUnaffected) {
   cfg.lookahead = 1.0;
   cfg.max_events = 1000;
   core::ParallelEngine eng(cfg);
-  int n = 0;
+  std::atomic<int> n = 0;  // both LP threads count into it
   for (int i = 0; i < 100; ++i) eng.lp(i % 2).schedule_at(0.1 * i, [&n] { ++n; });
   const auto stats = eng.run_until(100.0);
   EXPECT_EQ(n, 100);

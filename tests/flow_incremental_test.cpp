@@ -8,8 +8,11 @@
 // the equal-fair-share tie-break regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -332,4 +335,150 @@ TEST(FlowIncremental, RebuildUnderChurnStaysDifferentialClean) {
     return trace;
   };
   EXPECT_EQ(run_churn(false), run_churn(true));
+}
+
+// --- one completion event per component --------------------------------------
+
+namespace {
+
+// Completions tied with each other and with unrelated events at the same
+// instants, on power-of-two capacities and sizes so every instant is exact.
+// Returns "<what>@<time>" tokens in execution order.
+std::string tie_order_trace(core::QueueKind kind, bool incremental) {
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  const auto c = topo.add_node("c");
+  topo.add_link(a, b, 768, 0);   // link 0
+  topo.add_link(b, c, 1024, 0);  // link 1
+  core::Engine eng(core::Engine::Config{kind, 3, 0, 0});
+  net::Routing routing(topo);
+  net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
+  std::string out;
+  const auto mark = [&out, &eng](const char* what) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%s@%.17g ", what, eng.now());
+    out += buf;
+  };
+  const auto done = [&mark](const char* name) {
+    return [&mark, name](net::FlowId) { mark(name); };
+  };
+  net::FlowId f6 = 0;
+  eng.schedule_at(2.0, [&] { mark("u0"); });  // queued before any flow exists
+  eng.schedule_at(0.0, [&] {
+    // link 0: three flows at 256 B/s; f1 and f2 tie at t = 2.
+    fnet.start_flow(a, b, 512, done("f1"));
+    fnet.start_flow(a, b, 512, done("f2"));
+    fnet.start_flow(a, b, 1536, [&](net::FlowId) {
+      mark("f3");
+      fnet.start_flow(a, c, 256, done("f5"));  // joins both links
+    });
+    // link 1, its own component: ends at t = 1, tied with u2.
+    fnet.start_flow(b, c, 1024, [&](net::FlowId) {
+      mark("f4");
+      f6 = fnet.start_flow(b, c, 4096, done("f6"));
+    });
+  });
+  eng.schedule_at(0.5, [&] {
+    eng.schedule_at(1.0, [&] { mark("u2"); });  // queued after f4's key
+    eng.schedule_at(2.0, [&] { mark("u1"); });  // between f1's key and f2's re-key
+  });
+  eng.schedule_at(3.0, [&] {
+    mark("u3");
+    fnet.cancel(f6);
+  });
+  eng.run();
+  return out;
+}
+
+}  // namespace
+
+// Per-component completion events must run completions in exactly the order
+// per-flow events did: each queued event carries the key a per-flow event
+// would have had. The expected string was recorded with one completion event
+// per flow; it holds for every queue kind and for both solvers.
+TEST(FlowCompletion, TieOrderMatchesPerFlowEvents) {
+  const std::string expected =
+      "f4@1 u2@1 u0@2 f1@2 u1@2 f2@2 u3@3 f3@3.333333333333333 f5@3.6666666666666665 ";
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    for (bool incremental : {false, true}) {
+      EXPECT_EQ(tie_order_trace(kind, incremental), expected)
+          << core::to_string(kind) << " incremental " << incremental;
+    }
+  }
+}
+
+// A saturated link re-rates every flow at every arrival and departure. With
+// one completion event per component that costs one queue operation, not one
+// per flow: per-flow events scheduled about n^2/2 events for this ramp.
+TEST(FlowCompletion, SaturatedLinkQueuesOneEventPerChange) {
+  constexpr std::size_t kFlows = 200;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  topo.add_link(a, b, 1e6, 0.001);
+  for (bool incremental : {false, true}) {
+    core::Engine eng;
+    net::Routing routing(topo);
+    net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
+    std::size_t done = 0;
+    std::size_t peak_pending = 0;
+    for (std::size_t k = 0; k < kFlows; ++k) {
+      eng.schedule_at(0.01 * static_cast<double>(k), [&] {
+        peak_pending = std::max(peak_pending, eng.pending());
+        fnet.start_flow(a, b, 1e6, [&done](net::FlowId) { ++done; });
+      });
+    }
+    eng.run();
+    EXPECT_EQ(done, kFlows);
+    // Per flow: its start, its activation, and at most one schedule + one
+    // cancel of the component's event per activation and per completion.
+    EXPECT_LE(eng.stats().scheduled, 4 * kFlows) << "incremental " << incremental;
+    EXPECT_LE(eng.stats().cancelled, 2 * kFlows) << "incremental " << incremental;
+    // The pending set holds the remaining starts plus O(1) flow events.
+    EXPECT_LE(peak_pending, kFlows + 2) << "incremental " << incremental;
+  }
+}
+
+// A component rebuild can split an over-merged component whose one queued
+// event belongs to the other part. A bridging flow merges links 0 and 1 and
+// leaves; a fail-stop outage of link 0 then aborts enough flows at once to
+// force a rebuild. The long flow on link 1 has been re-rated since it was
+// last its component's earliest, and nothing dirties link 1 again: it must
+// still complete, at the full solver's instant.
+TEST(FlowCompletion, RebuildReArmsSplitComponents) {
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto h = topo.add_node("h", net::NodeKind::kRouter);
+  const auto b = topo.add_node("b");
+  topo.add_link(a, h, 1000, 0.001);  // link 0
+  topo.add_link(h, b, 1000, 0.001);  // link 1
+  auto run = [&](bool incremental) {
+    core::Engine eng;
+    net::Routing routing(topo);
+    net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
+    fnet.set_failure_semantics(core::FailureSemantics::kFailStop);
+    Trace trace;
+    const auto log = [&trace, &eng](char what) {
+      return [&trace, &eng, what](net::FlowId id) { trace.emplace_back(what, id, bits(eng.now())); };
+    };
+    net::FlowId bridge = 0;
+    eng.schedule_at(0.0, [&] {
+      fnet.start_flow(h, b, 1e5, log('C'));  // the long flow, link 1 only
+      bridge = fnet.start_flow(a, b, 1e9, log('C'));
+    });
+    eng.schedule_at(0.2, [&] {
+      for (int k = 0; k < 70; ++k) fnet.start_flow_checked(a, h, 1e3, log('C'), log('E'));
+    });
+    eng.schedule_at(0.5, [&] { fnet.cancel(bridge); });
+    eng.schedule_at(2.0, [&] { fnet.set_link_up(0, false); });
+    eng.run();
+    return trace;
+  };
+  const Trace full = run(false);
+  const Trace inc = run(true);
+  ASSERT_EQ(full.size(), 71u);  // 70 aborts, then the long flow
+  EXPECT_EQ(std::get<0>(full.back()), 'C');
+  EXPECT_EQ(std::get<1>(full.back()), 1u);
+  EXPECT_EQ(full, inc);
 }

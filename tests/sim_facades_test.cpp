@@ -416,6 +416,39 @@ TEST(Monarc, ThreeTierHierarchyRuns) {
   EXPECT_GT(res.t2_delays.mean(), res.analysis_delays.mean());
 }
 
+// An arrival wakes only the jobs waiting for that file, and the flow layer
+// queues one completion event per component, so the event count per job
+// stays flat as the backlog grows. Waking every waiting job at every arrival,
+// with per-flow completion events, took ~25 executed and 50-63 scheduled
+// events per job here. The model results are the ones that design produced,
+// bit for bit, T2 jobs included (several of them wait on one file).
+TEST(Monarc, SaturatedStudyEventsPerJobStayFlatAndResultsUnchanged) {
+  struct Want {
+    std::size_t t2_per_t1;
+    double makespan, t2_delay;
+    std::size_t t2_jobs;
+  };
+  for (const Want& want : {Want{0, 1940.402228578404, 0, 0},
+                           Want{2, 3425.2309763649055, 1412.8623635821009, 116}}) {
+    Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = 1});
+    auto cfg = monarc_config(2.5);
+    cfg.num_files = 60;
+    cfg.run_analysis = true;
+    cfg.t2_per_t1 = want.t2_per_t1;
+    cfg.t2_fraction = 0.5;
+    const auto res = lsds::sim::monarc::run(eng, cfg);
+    EXPECT_EQ(res.makespan, want.makespan);
+    EXPECT_EQ(res.replication_lag.mean(), 740.04999999999973);
+    EXPECT_EQ(res.analysis_delays.mean(), 730.28607684176268);
+    EXPECT_EQ(res.t2_delays.mean(), want.t2_delay);
+    EXPECT_EQ(res.t2_jobs, want.t2_jobs);
+    ASSERT_EQ(res.analysis_jobs, 120u);
+    const double jobs = static_cast<double>(res.analysis_jobs + res.t2_jobs);
+    EXPECT_LT(static_cast<double>(eng.stats().executed) / jobs, 8.0);
+    EXPECT_LT(static_cast<double>(eng.stats().scheduled) / jobs, 8.0);
+  }
+}
+
 TEST(Monarc, AnalysisWaitsForReplicas) {
   Engine slow({.queue = core::QueueKind::kBinaryHeap, .seed = 1});
   auto cfg = monarc_config(2.5);
