@@ -195,8 +195,8 @@ std::uint64_t Engine::run_until(SimTime t_end) {
   return n;
 }
 
-std::uint64_t Engine::run_window(SimTime t_end, bool inclusive) {
-  std::uint64_t n = 0;
+SimTime Engine::run_window(SimTime t_end, bool inclusive) {
+  SimTime next = kInfTime;
   while (!stopped_ && !queue_->empty()) {
     EventRecord ev = pop_record();
     auto it = tombstones_.find(ev.seq);
@@ -205,15 +205,16 @@ std::uint64_t Engine::run_window(SimTime t_end, bool inclusive) {
       continue;
     }
     if (inclusive ? (ev.time > t_end) : (ev.time >= t_end)) {
+      next = ev.time;
       push_record(std::move(ev));
       break;
     }
     execute(ev);
-    ++n;
     if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
   }
-  if (!stopped_ && now_ < t_end) now_ = t_end;
-  return n;
+  if (stopped_) return queue_->min_time();
+  if (now_ < t_end) now_ = t_end;
+  return next;
 }
 
 RngStream& Engine::rng(const std::string& name) {

@@ -108,8 +108,10 @@ class Engine {
   /// then advance the clock to t_end. This is the drain primitive of the
   /// conservative parallel engine: window k covers [k*L, (k+1)*L), so events
   /// that land exactly on the boundary belong to the *next* window — except
-  /// in the final window, which is closed. Returns events executed.
-  std::uint64_t run_window(SimTime t_end, bool inclusive);
+  /// in the final window, which is closed. Returns the time of the earliest
+  /// event left pending (kInfTime when drained), which the drain loop reads
+  /// off the first event past the window at no extra cost.
+  SimTime run_window(SimTime t_end, bool inclusive);
 
   /// Timestamp of the earliest pending event, or kInfTime when drained.
   SimTime next_event_time() const { return queue_->min_time(); }

@@ -2,15 +2,42 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace lsds::core {
+
+namespace {
+
+// Busy-wait rounds before a waiting thread blocks in std::atomic::wait. A
+// window with a handful of events lasts microseconds, far less than a futex
+// sleep/wake round trip, so waiters poll first and only sleep through long
+// pauses (the caller building the next window's inboxes, or idle engines).
+// With more threads than hardware threads a spinning waiter only steals the
+// core a working thread needs, so then nobody spins.
+constexpr int kSpinRounds = 4096;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
 
 ParallelEngine::ParallelEngine(Config cfg)
     : cfg_(cfg),
       inboxes_(cfg.num_lps),
       inbox_mu_(cfg.num_lps),
-      pool_(cfg.num_threads) {
-  assert(cfg.num_lps > 0 && cfg.lookahead > 0);
+      errors_(cfg.num_lps) {
+  if (cfg.num_lps == 0) throw std::invalid_argument("ParallelEngine: num_lps must be >= 1");
+  if (!(cfg.lookahead > 0)) {
+    throw std::invalid_argument("ParallelEngine: lookahead must be > 0 (got " +
+                                std::to_string(cfg.lookahead) + ")");
+  }
   lps_.reserve(cfg.num_lps);
   for (unsigned i = 0; i < cfg.num_lps; ++i) {
     // Per-LP seeds derived from the master seed; stable across thread counts.
@@ -18,9 +45,29 @@ ParallelEngine::ParallelEngine(Config cfg)
     for (unsigned k = 0; k <= i; ++k) splitmix64(s);
     lps_.emplace_back(new Lp(*this, i, cfg, s));
   }
+  busy_.reserve(cfg.num_lps);
+  // More threads than LPs would never find work.
+  const unsigned threads = std::min(std::max(cfg.num_threads, 1u), cfg.num_lps);
+  const unsigned cores = std::thread::hardware_concurrency();
+  spin_rounds_ = cores == 0 || threads <= cores ? kSpinRounds : 0;
+  helpers_.reserve(threads - 1);
+  try {
+    for (unsigned i = 1; i < threads; ++i) helpers_.emplace_back([this] { helper_loop(); });
+  } catch (...) {
+    stop_helpers();  // a failed thread start must not leave the others running
+    throw;
+  }
 }
 
-ParallelEngine::~ParallelEngine() = default;
+ParallelEngine::~ParallelEngine() { stop_helpers(); }
+
+void ParallelEngine::stop_helpers() {
+  if (helpers_.empty()) return;
+  stopping_.store(true);
+  ticket_.store(++epoch_ << 32);
+  ticket_.notify_all();
+  for (std::thread& t : helpers_) t.join();
+}
 
 ParallelEngine::Lp::Lp(ParallelEngine& parent, unsigned index, const Config& cfg,
                        std::uint64_t seed)
@@ -61,30 +108,29 @@ void ParallelEngine::Lp::send(unsigned dst_lp, SimTime t, EventFn fn) {
     t = parent_.window_end_;
     parent_.la_violations_.fetch_add(1, std::memory_order_relaxed);
   }
-  CrossMessage msg{t, index_, next_seq_++, std::move(fn)};
-  {
-    std::lock_guard lock(parent_.inbox_mu_[dst_lp]);
-    parent_.inboxes_[dst_lp].push_back(std::move(msg));
-  }
+  // Only a window shared with helpers has concurrent senders.
+  std::unique_lock lock(parent_.inbox_mu_[dst_lp], std::defer_lock);
+  if (parent_.dispatched_) lock.lock();
+  parent_.inboxes_[dst_lp].push_back(CrossMessage{t, index_, next_seq_++, std::move(fn)});
   // cross_messages is tallied at delivery time (single-threaded phase).
 }
 
-bool ParallelEngine::Lp::has_pending() const {
-  return engine_ ? engine_->pending() > 0 : !queue_->empty();
-}
-
-SimTime ParallelEngine::Lp::next_time() const {
-  return engine_ ? engine_->next_event_time() : queue_->min_time();
+void ParallelEngine::Lp::refresh_next() {
+  next_ = engine_ ? engine_->next_event_time() : queue_->min_time();
 }
 
 void ParallelEngine::Lp::run_window(SimTime window_end, bool final_window) {
   if (engine_) {
-    engine_->run_window(window_end, final_window);
+    next_ = engine_->run_window(window_end, final_window);
     return;
   }
+  next_ = kInfTime;
   while (!queue_->empty()) {
     const SimTime t = queue_->min_time();
-    if (final_window ? (t > window_end) : (t >= window_end)) break;
+    if (final_window ? (t > window_end) : (t >= window_end)) {
+      next_ = t;
+      break;
+    }
     EventRecord ev = queue_->pop();
     now_ = ev.time;
     ++executed_;
@@ -105,9 +151,11 @@ void ParallelEngine::deliver_inboxes() {
       return a.src_seq < b.src_seq;
     });
     stats_.cross_messages += inbox.size();
-    for (CrossMessage& m : inbox) {
-      lps_[dst]->schedule_at(m.time, std::move(m.fn));
-    }
+    Lp& lp = *lps_[dst];
+    // Sends clamp to the window end, which no LP clock has passed, so
+    // delivery never clamps and the earliest message is the new bound.
+    lp.next_ = std::min(lp.next_, inbox.front().time);
+    for (CrossMessage& m : inbox) lp.schedule_at(m.time, std::move(m.fn));
     inbox.clear();
   }
 }
@@ -127,18 +175,74 @@ ParallelEngine::Stats ParallelEngine::snapshot_stats() {
   return stats_;
 }
 
+void ParallelEngine::run_lp(Lp& lp) {
+  try {
+    lp.run_window(window_end_, final_window_);
+  } catch (...) {
+    errors_[lp.index()] = std::current_exception();
+  }
+}
+
+std::uint64_t ParallelEngine::claim_lps() {
+  std::uint64_t t = ticket_.load(std::memory_order_acquire);
+  while (static_cast<std::uint32_t>(t) != 0) {
+    // A successful CAS proves the window is still open (its countdown
+    // cannot finish without this LP), so busy_ and the window bounds read
+    // below are the ones the caller published with the ticket.
+    if (!ticket_.compare_exchange_weak(t, t - 1, std::memory_order_acquire)) continue;
+    const auto n = static_cast<unsigned>(busy_.size());
+    run_lp(*busy_[static_cast<std::uint32_t>(t) - 1]);
+    if (done_.fetch_add(1, std::memory_order_release) + 1 == n) done_.notify_one();
+    --t;
+  }
+  return t;
+}
+
+void ParallelEngine::helper_loop() {
+  for (;;) {
+    // Check for the stop only after claiming: claim_lps() may itself have
+    // read the stop ticket, which never changes again, and stopping_ is set
+    // before that ticket is published.
+    const std::uint64_t seen = claim_lps();
+    if (stopping_.load()) return;
+    for (int i = 0; i < spin_rounds_ && ticket_.load(std::memory_order_relaxed) == seen; ++i) {
+      cpu_relax();
+    }
+    ticket_.wait(seen, std::memory_order_acquire);
+  }
+}
+
+void ParallelEngine::dispatch_window() {
+  const auto n = static_cast<unsigned>(busy_.size());
+  done_.store(0, std::memory_order_relaxed);
+  ticket_.store((++epoch_ << 32) | n, std::memory_order_release);
+  ticket_.notify_all();
+  claim_lps();
+  unsigned d = done_.load(std::memory_order_acquire);
+  if (d == n) return;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < spin_rounds_ && d != n; ++i) {
+    cpu_relax();
+    d = done_.load(std::memory_order_acquire);
+  }
+  while (d != n) {
+    done_.wait(d, std::memory_order_acquire);
+    d = done_.load(std::memory_order_acquire);
+  }
+  stats_.barrier_wait_s +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 ParallelEngine::Stats ParallelEngine::run_until(SimTime t_end) {
-  // Per-LP exception slots: an LP thread that trips its event budget (or any
-  // model exception) parks it here; the barrier makes the writes visible and
-  // the caller thread rethrows the lowest-index one — deterministic no
-  // matter which worker ran the LP.
-  std::vector<std::exception_ptr> lp_errors(lps_.size());
+  // Events may have been scheduled directly since the last call.
+  for (auto& lp : lps_) lp->refresh_next();
+  std::fill(errors_.begin(), errors_.end(), nullptr);
   for (;;) {
     // Conservative time advance: the next window starts at the earliest
     // pending event anywhere — empty stretches of virtual time cost no
     // windows (and no barriers).
     SimTime next = kInfTime;
-    for (auto& lp : lps_) next = std::min(next, lp->next_time());
+    for (auto& lp : lps_) next = std::min(next, lp->next_);
     if (next == kInfTime) break;  // drained
     if (next > t_end) {
       window_start_ = t_end;
@@ -147,28 +251,28 @@ ParallelEngine::Stats ParallelEngine::run_until(SimTime t_end) {
     window_start_ = std::max(window_start_, next);
 
     window_end_ = std::min(window_start_ + cfg_.lookahead, t_end);
-    const bool final_window = (window_end_ >= t_end);
+    final_window_ = (window_end_ >= t_end);
 
-    // Only LPs with work inside the window are dispatched; an idle LP's
-    // clock lags harmlessly (it jumps forward when it next executes).
+    // Only LPs with work inside the window run; an idle LP's clock lags
+    // harmlessly (it jumps forward when it next executes).
+    busy_.clear();
     for (auto& lp : lps_) {
-      if (final_window ? (lp->next_time() > window_end_) : (lp->next_time() >= window_end_)) {
-        continue;
+      if (final_window_ ? (lp->next_ <= window_end_) : (lp->next_ < window_end_)) {
+        busy_.push_back(lp.get());
       }
-      Lp* p = lp.get();
-      const SimTime we = window_end_;
-      pool_.submit([p, we, final_window, &lp_errors] {
-        try {
-          p->run_window(we, final_window);
-        } catch (...) {
-          lp_errors[p->index()] = std::current_exception();
-        }
-      });
     }
-    pool_.wait_idle();  // barrier
+    dispatched_ = !helpers_.empty() && busy_.size() > 1;
+    if (dispatched_) {
+      dispatch_window();
+    } else {
+      ++stats_.inline_windows;
+      for (Lp* lp : busy_) run_lp(*lp);
+    }
 
-    for (const std::exception_ptr& ep : lp_errors) {
-      if (ep) std::rethrow_exception(ep);
+    // An LP that threw (budget trip or model exception) parked it; the
+    // lowest index wins, whichever thread ran it.
+    for (Lp* lp : busy_) {
+      if (errors_[lp->index()]) std::rethrow_exception(errors_[lp->index()]);
     }
 
     deliver_inboxes();  // single-threaded phase

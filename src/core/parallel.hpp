@@ -14,7 +14,7 @@
 // barrier-synchronous variant of the null-message idea of Misra 1986):
 //
 //   window k covers [T_k, T_k + L)  where L = lookahead
-//   1. all LPs drain their events inside the window, in parallel;
+//   1. every LP with an event inside the window drains it;
 //   2. barrier;
 //   3. cross-LP messages (which must arrive >= one window later — that is
 //      what lookahead means) are injected into destination queues in a
@@ -22,6 +22,18 @@
 //   4. T_{k+1} starts at the earliest pending event time (never earlier
 //      than the end of window k) — sparse stretches of virtual time cost
 //      no windows.
+//
+// The thread that calls run_until() executes LPs itself. With one thread,
+// or when only one LP has work in the window, it runs the busy LPs inline in
+// ascending index with no synchronization at all. Otherwise the
+// num_threads - 1 helper threads started by the constructor join it: the
+// caller publishes the window as an epoch-stamped ticket, the helpers wake
+// on it (std::atomic wait/notify after a short spin), every participant
+// claims busy LPs from the ticket, and the caller waits at an atomic
+// completion countdown. A window allocates nothing. Each LP caches its next
+// event time (read off the event run_window() stops at, lowered on inbox
+// delivery), so choosing the next window and the busy LPs costs one pass
+// over cached values instead of a queue minimum search per LP.
 //
 // An LP is either *raw* (a bare event queue, the PHOLD-style usage) or
 // *engine-hosted* (Config::hosted_engines): each LP owns a full
@@ -32,13 +44,16 @@
 //
 // Determinism: cross-window messages are sorted by (time, src_lp, src_seq)
 // before injection, so for a fixed seed the result is independent of thread
-// scheduling. Tests assert equality against a sequential reference run.
+// scheduling and of the order in which LPs run inside a window. Tests assert
+// equality against a sequential reference run.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -46,16 +61,15 @@
 #include "core/event_queue.hpp"
 #include "core/rng.hpp"
 #include "core/sim_time.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lsds::core {
 
 class ParallelEngine {
  public:
   struct Config {
-    unsigned num_lps = 4;
-    unsigned num_threads = 2;
-    double lookahead = 1.0;  // window length; cross-LP latency lower bound
+    unsigned num_lps = 4;      // >= 1
+    unsigned num_threads = 2;  // caller + helpers; 0 counts as 1
+    double lookahead = 1.0;    // window length (> 0); cross-LP latency lower bound
     QueueKind queue = QueueKind::kBinaryHeap;
     std::uint64_t seed = 42;
     /// When true every LP hosts a full core::Engine (per-LP clock, named
@@ -71,6 +85,8 @@ class ParallelEngine {
     std::uint64_t max_events = 0;
   };
 
+  /// Throws std::invalid_argument when num_lps is 0 or lookahead is not
+  /// > 0 (zero and NaN included): such a window loop would never advance.
   explicit ParallelEngine(Config cfg);
   ~ParallelEngine();
 
@@ -108,11 +124,12 @@ class ParallelEngine {
     Lp(ParallelEngine& parent, unsigned index, const Config& cfg, std::uint64_t seed);
 
     /// Drain events with time < window_end (<= when final). Sets now_ to
-    /// window_end afterwards.
+    /// window_end and next_ to the first event left pending afterwards.
     void run_window(SimTime window_end, bool final_window);
 
-    bool has_pending() const;
-    SimTime next_time() const;  // kInfTime when drained
+    /// Recompute next_ from the queue (events may have been scheduled
+    /// between run_until() calls).
+    void refresh_next();
 
     ParallelEngine& parent_;
     unsigned index_;
@@ -122,6 +139,7 @@ class ParallelEngine {
     EventId next_seq_ = 1;
     std::uint64_t executed_ = 0;
     std::uint64_t max_events_ = 0;  // raw-mode budget (hosted: engine enforces)
+    SimTime next_ = kInfTime;       // cached next event time; kInfTime when drained
     RngStream rng_;
   };
 
@@ -138,6 +156,12 @@ class ParallelEngine {
     /// clamped — the local analogue of lookahead_violations. A correct
     /// model schedules into its own future; tests assert this stays 0.
     std::uint64_t past_clamped = 0;
+    /// Windows the caller thread ran alone, with no hand-off to helpers:
+    /// every window when num_threads == 1, else those with one busy LP.
+    std::uint64_t inline_windows = 0;
+    /// Wall-clock seconds the caller waited at the barrier for helpers,
+    /// summed over handed-off windows only (inline windows read no clock).
+    double barrier_wait_s = 0;
     /// Events executed by each LP — the load-balance profile. Rolled up
     /// into a stats summary by the model layer (hosts::ParallelGrid).
     std::vector<std::uint64_t> per_lp_events;
@@ -158,17 +182,41 @@ class ParallelEngine {
 
   void deliver_inboxes();
   Stats snapshot_stats();
+  /// Run one busy LP's window, parking any exception in errors_.
+  void run_lp(Lp& lp);
+  /// Hand the busy LPs to the helpers and claim alongside them until the
+  /// completion countdown reaches zero.
+  void dispatch_window();
+  /// Claim and run busy LPs of the published ticket until none is left.
+  /// Returns the last ticket value seen.
+  std::uint64_t claim_lps();
+  void helper_loop();
+  /// Publish the stop ticket and join every helper.
+  void stop_helpers();
 
   Config cfg_;
   std::vector<std::unique_ptr<Lp>> lps_;
   std::vector<std::vector<CrossMessage>> inboxes_;  // per destination LP
   std::vector<std::mutex> inbox_mu_;
-  util::ThreadPool pool_;
   SimTime window_start_ = 0;
   SimTime window_end_ = 0;
+  // Window state, written by the caller before the window runs.
+  bool final_window_ = false;
+  bool dispatched_ = false;  // helpers may run LPs: inbox pushes must lock
+  std::vector<Lp*> busy_;    // LPs with work in the window, ascending index
+  std::vector<std::exception_ptr> errors_;  // per LP, rethrown lowest first
+  // Handed-off windows: ticket_ = (epoch << 32) | busy LPs not yet claimed.
+  // A claim is a CAS that decrements the low half, so every claim is taken
+  // from the window open at that moment; done_ counts finished LPs.
+  std::atomic<std::uint64_t> ticket_{0};
+  std::atomic<unsigned> done_{0};
+  std::atomic<bool> stopping_{false};
+  std::uint64_t epoch_ = 0;  // caller-only
+  int spin_rounds_ = 0;      // polls before a waiter blocks
   Stats stats_;
   std::atomic<std::uint64_t> la_violations_{0};  // incremented from LP threads
   std::atomic<std::uint64_t> past_clamped_{0};   // raw-mode clamps, LP threads
+  std::vector<std::thread> helpers_;  // last: they use every member above
 };
 
 }  // namespace lsds::core

@@ -49,6 +49,10 @@ void CalendarQueue::push(EventRecord ev) {
     const double day = std::floor(ev.time / width_);
     bucket_top_ = (day + 1.0) * width_;
   }
+  // resize() re-anchors on last_prio_, so it must stay a lower bound on
+  // every pending time: a later resize with a narrower width would
+  // otherwise anchor past this event's new day and return it late.
+  if (ev.time < last_prio_) last_prio_ = ev.time;
   insert_sorted(buckets_[bucket_of(ev.time)], std::move(ev));
   ++size_;
   if (size_ > grow_threshold_) resize(buckets_.size() * 2);

@@ -46,7 +46,7 @@ class CalendarQueue final : public EventQueue {
   double width_ = 1.0;          // bucket width in seconds
   std::size_t last_bucket_ = 0; // where the last dequeue left off
   double bucket_top_ = 1.0;     // upper time edge of last_bucket_'s window
-  double last_prio_ = 0.0;      // timestamp of last dequeued event
+  double last_prio_ = 0.0;      // last dequeued time, lowered by earlier pushes
   std::size_t shrink_threshold_ = 0;
   std::size_t grow_threshold_ = 0;
 };

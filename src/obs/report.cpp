@@ -75,6 +75,8 @@ void RunReport::add_execution(const hosts::ExecutionReport& report) {
   ex.set("partition", net::to_string(report.partition));
   ex.set("lookahead_s", report.lookahead);
   ex.set("windows", report.engine.windows);
+  ex.set("inline_windows", report.engine.inline_windows);
+  ex.set("barrier_wait_s", report.engine.barrier_wait_s);
   ex.set("events", report.engine.events);
   ex.set("cross_messages", report.engine.cross_messages);
   ex.set("past_clamped", report.engine.past_clamped);

@@ -15,8 +15,18 @@ hosts::ExecutionSpec parse_execution(const util::IniConfig& ini, std::uint64_t s
   } else if (mode != "serial") {
     throw util::ConfigError("unknown execution mode: " + mode + " (serial|parallel)");
   }
-  spec.threads = static_cast<unsigned>(ini.get_int("execution", "threads", 4));
-  spec.lps = static_cast<unsigned>(ini.get_int("execution", "lps", 0));
+  // Checked before the unsigned cast: -1 would otherwise ask for ~4e9.
+  const long long threads = ini.get_int("execution", "threads", 4);
+  if (threads < 1) {
+    throw util::ConfigError("[execution] threads must be >= 1 (got " + std::to_string(threads) +
+                            ")");
+  }
+  const long long lps = ini.get_int("execution", "lps", 0);
+  if (lps < 0) {
+    throw util::ConfigError("[execution] lps must be >= 0 (got " + std::to_string(lps) + ")");
+  }
+  spec.threads = static_cast<unsigned>(threads);
+  spec.lps = static_cast<unsigned>(lps);
   const std::string part = ini.get_string("execution", "partition", "metis-ish");
   if (part == "metis-ish" || part == "topology") {
     spec.partition = net::PartitionScheme::kTopology;
@@ -39,15 +49,18 @@ std::string describe(const hosts::ExecutionReport& rep) {
   }
   return util::strformat(
       "execution: parallel, %u LPs on %u threads, partition=%s, lookahead=%.4g s\n"
-      "  %llu windows, %llu events, %llu cross-LP msgs, %llu lookahead violations, "
-      "%llu past clamps\n"
+      "  %llu windows (%llu inline), %llu events, %llu cross-LP msgs, "
+      "%llu lookahead violations, %llu past clamps\n"
+      "  barrier wait %.3g s\n"
       "  per-LP events: mean %.0f, min %.0f, max %.0f (imbalance %.2f)\n",
       rep.lps, rep.threads, net::to_string(rep.partition), rep.lookahead,
       static_cast<unsigned long long>(rep.engine.windows),
+      static_cast<unsigned long long>(rep.engine.inline_windows),
       static_cast<unsigned long long>(rep.engine.events),
       static_cast<unsigned long long>(rep.engine.cross_messages),
       static_cast<unsigned long long>(rep.engine.lookahead_violations),
-      static_cast<unsigned long long>(rep.engine.past_clamped), rep.lp_events.mean(),
+      static_cast<unsigned long long>(rep.engine.past_clamped), rep.engine.barrier_wait_s,
+      rep.lp_events.mean(),
       rep.lp_events.min(), rep.lp_events.max(), rep.imbalance());
 }
 

@@ -23,12 +23,14 @@ namespace lsds::sim::parallel {
 
 /// Parse the `[execution]` section. `seed` and `queue` come from the
 /// `[scenario]` section (one source of truth for determinism knobs).
+/// Throws util::ConfigError for threads < 1 or lps < 0.
 hosts::ExecutionSpec parse_execution(const util::IniConfig& ini, std::uint64_t seed,
                                      core::QueueKind queue);
 
 /// One-paragraph human-readable execution report: mode, LPs/threads,
-/// partition scheme, effective lookahead, window/message counters and the
-/// per-LP load balance rolled up from Stats::per_lp_events.
+/// partition scheme, effective lookahead, window/message counters, inline
+/// windows and barrier wait, and the per-LP load balance rolled up from
+/// Stats::per_lp_events.
 std::string describe(const hosts::ExecutionReport& rep);
 
 }  // namespace lsds::sim::parallel

@@ -1,8 +1,9 @@
 // Fixed-size worker pool.
 //
-// Used by the parallel simulation engine (core/parallel) to host logical
-// processes and by bench drivers to run parameter sweeps. Tasks are
-// fire-and-forget; `wait_idle` provides a quiescence barrier.
+// Used by experiment campaigns (exp::Campaign) to run replications and by
+// bench drivers to run parameter sweeps; the parallel simulation engine
+// (core/parallel) runs its windows on its own persistent helpers instead.
+// Tasks are fire-and-forget; `wait_idle` provides a quiescence barrier.
 #pragma once
 
 #include <condition_variable>

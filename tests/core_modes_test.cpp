@@ -1,13 +1,20 @@
 // Time-driven and trace-driven DES modes, and the parallel engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <filesystem>
+#include <functional>
+#include <initializer_list>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/hash.hpp"
 #include "core/parallel.hpp"
 #include "core/time_driven.hpp"
 #include "core/trace.hpp"
@@ -486,4 +493,233 @@ TEST(ParallelEngine, HonestModelsUnderBudgetUnaffected) {
   const auto stats = eng.run_until(100.0);
   EXPECT_EQ(n, 100);
   EXPECT_EQ(stats.events, 100u);
+}
+
+// --- configuration validation -----------------------------------------------
+
+TEST(ParallelEngine, RejectsZeroLps) {
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 0;
+  EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
+}
+
+TEST(ParallelEngine, RejectsZeroNegativeAndNanLookahead) {
+  // A window that does not move forward would make run_until loop forever.
+  for (double la : {0.0, -1.0, std::nan("")}) {
+    core::ParallelEngine::Config cfg;
+    cfg.lookahead = la;
+    EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument) << la;
+  }
+}
+
+// --- window loop: inline path, persistent helpers, next-time cache ----------
+
+TEST(ParallelEngine, InfiniteLookaheadRunsOneClosedWindow) {
+  // The serial-fallback shape: an unbounded window and horizon is one final
+  // (closed) window that drains every LP, raw and hosted alike.
+  for (bool hosted : {false, true}) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 2;
+    cfg.num_threads = 2;
+    cfg.lookahead = core::kInfTime;
+    cfg.hosted_engines = hosted;
+    core::ParallelEngine eng(cfg);
+    eng.lp(0).schedule_at(1.0, [] {});
+    eng.lp(1).schedule_at(2.0, [] {});
+    eng.lp(1).schedule_at(3.0, [] {});
+    const auto stats = eng.run_until(core::kInfTime);
+    EXPECT_EQ(stats.events, 3u) << hosted;
+    EXPECT_EQ(stats.windows, 1u) << hosted;
+  }
+}
+
+namespace {
+
+// PHOLD on one engine driven through successive run_until() horizons.
+// Returns, per LP, the FNV-1a digest of every hop's (time, destination) in
+// execution order, followed by the engine's window and event totals.
+std::vector<std::uint64_t> phold_digests(unsigned num_threads, bool hosted,
+                                         std::initializer_list<double> horizons,
+                                         std::uint64_t seed) {
+  constexpr unsigned kLps = 6;
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = kLps;
+  cfg.num_threads = num_threads;
+  cfg.lookahead = 1.0;
+  cfg.seed = seed;
+  cfg.hosted_engines = hosted;
+  // Hosted LPs requeue the first event past each window and then receive
+  // earlier deliveries: the calendar queue's hardest pattern.
+  cfg.queue = hosted ? core::QueueKind::kCalendarQueue : core::QueueKind::kBinaryHeap;
+  core::ParallelEngine eng(cfg);
+  std::vector<core::StateHash> digest(kLps);  // slot i touched by LP i only
+
+  std::function<void(unsigned)> hop = [&](unsigned lp_idx) {
+    auto& lp = eng.lp(lp_idx);
+    const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, kLps - 1));
+    const double t = lp.now() + cfg.lookahead + lp.rng().exponential(0.5);
+    digest[lp_idx].mix(lp.now()).mix(static_cast<std::uint64_t>(dst));
+    if (dst == lp_idx) {
+      lp.schedule_at(t, [&hop, dst] { hop(dst); });
+    } else {
+      lp.send(dst, t, [&hop, dst] { hop(dst); });
+    }
+  };
+  for (unsigned i = 0; i < kLps; ++i) {
+    for (int m = 0; m < 4; ++m) eng.lp(i).schedule_at(0.0, [&hop, i] { hop(i); });
+  }
+  core::ParallelEngine::Stats stats;
+  for (double t_end : horizons) stats = eng.run_until(t_end);
+  EXPECT_EQ(stats.lookahead_violations, 0u);
+  EXPECT_EQ(stats.past_clamped, 0u);
+  std::vector<std::uint64_t> out;
+  for (const auto& d : digest) out.push_back(d.value());
+  out.push_back(stats.windows);
+  out.push_back(stats.events);
+  return out;
+}
+
+}  // namespace
+
+TEST(ParallelEngine, HostedDeterministicAcrossThreadCounts) {
+  const auto one = phold_digests(1, true, {60.0}, 5);
+  EXPECT_EQ(one, phold_digests(2, true, {60.0}, 5));
+  EXPECT_EQ(one, phold_digests(4, true, {60.0}, 5));
+  // Hosted and raw LPs run the same model on the same per-LP streams.
+  EXPECT_EQ(one, phold_digests(4, false, {60.0}, 5));
+}
+
+TEST(ParallelEngine, RunUntilResumesWithPersistentHelpers) {
+  // Two calls on one 4-thread engine: the helpers started by the constructor
+  // serve both, and the second call continues exactly where the first
+  // stopped — same hops as one call, and the same as the inline 1-thread run.
+  const auto split = phold_digests(4, false, {17.5, 60.0}, 9);
+  EXPECT_EQ(split, phold_digests(1, false, {17.5, 60.0}, 9));
+  const auto whole = phold_digests(4, false, {60.0}, 9);
+  const std::size_t hops = whole.size() - 2;  // per-LP digests, then windows, events
+  EXPECT_TRUE(std::equal(split.begin(), split.begin() + hops, whole.begin()));
+  EXPECT_EQ(split.back(), whole.back());
+}
+
+TEST(ParallelEngine, EventsScheduledBetweenRunsAreSeen) {
+  // The next-time cache is rebuilt at each run_until(): an event scheduled
+  // directly between calls, earlier than anything the LP had pending, runs
+  // at its own time.
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 3;
+  cfg.num_threads = 4;
+  cfg.lookahead = 1.0;
+  cfg.hosted_engines = true;
+  core::ParallelEngine eng(cfg);
+  std::vector<double> ran;  // LP 2 only
+  eng.lp(2).schedule_at(50.0, [&] { ran.push_back(eng.lp(2).now()); });
+  eng.lp(0).schedule_at(1.0, [] {});
+  eng.lp(1).schedule_at(1.5, [] {});
+  eng.run_until(10.0);
+  EXPECT_TRUE(ran.empty());
+  eng.lp(2).engine()->schedule_at(12.0, [&] { ran.push_back(eng.lp(2).now()); });
+  const auto stats = eng.run_until(100.0);
+  EXPECT_EQ(ran, (std::vector<double>{12.0, 50.0}));
+  EXPECT_EQ(stats.events, 4u);
+}
+
+TEST(ParallelEngine, LowestIndexExceptionRethrownAtEveryThreadCount) {
+  // LPs 1 and 2 both fail in the first window, one by tripping the event
+  // budget and one with a model exception. Whichever has the lower index is
+  // rethrown, on the inline 1-thread path as on the handed-off one.
+  for (unsigned threads : {1u, 4u}) {
+    for (bool budget_first : {true, false}) {
+      core::ParallelEngine::Config cfg;
+      cfg.num_lps = 3;
+      cfg.num_threads = threads;
+      cfg.lookahead = 1.0;
+      cfg.max_events = 50;
+      core::ParallelEngine eng(cfg);
+      const unsigned spinner = budget_first ? 1 : 2;
+      const unsigned thrower = budget_first ? 2 : 1;
+      std::function<void()> spin = [&] { eng.lp(spinner).schedule_in(0, spin); };
+      eng.lp(spinner).schedule_at(0, spin);
+      eng.lp(thrower).schedule_at(0.5, [] { throw std::logic_error("model bug"); });
+      eng.lp(0).schedule_at(0.5, [] {});
+      bool budget = false;
+      bool model = false;
+      try {
+        eng.run_until(10.0);
+      } catch (const core::EventBudgetExceeded&) {
+        budget = true;
+      } catch (const std::logic_error&) {
+        model = true;
+      }
+      EXPECT_EQ(budget, budget_first) << threads << " threads";
+      EXPECT_EQ(model, !budget_first) << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelEngine, IdleEnginesStartAndStopHelpersCleanly) {
+  // Helpers are persistent threads: constructing and destroying engines that
+  // never run must neither hang nor leave threads behind.
+  const auto thread_count = [] {
+    std::size_t n = 0;
+    std::error_code ec;
+    for (auto it = std::filesystem::directory_iterator("/proc/self/task", ec);
+         !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = thread_count();
+  for (int i = 0; i < 200; ++i) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 4;
+    cfg.num_threads = 4;
+    auto eng = std::make_unique<core::ParallelEngine>(cfg);
+    if (i % 50 == 0) {
+      EXPECT_EQ(eng->run_until(10.0).windows, 0u);
+    }
+  }
+  // One engine's helpers would be 3 threads; the slack of 1 absorbs the
+  // background thread a sanitizer runtime may start or retire meanwhile.
+  EXPECT_LE(thread_count(), before + 1);  // 0 <= 1 where /proc is absent
+}
+
+TEST(ParallelEngine, EnginesStopRightAfterHandedOffWindows) {
+  // A helper can still be claiming when run_until() returns and the engine
+  // is destroyed at once; it must see the stop, never wait on it. More
+  // threads than cores get helpers preempted inside that gap.
+  for (int i = 0; i < 2000; ++i) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 16;
+    cfg.num_threads = 16;
+    core::ParallelEngine eng(cfg);
+    for (unsigned lp = 0; lp < 16; ++lp) {
+      for (int k = 0; k < 3; ++k) eng.lp(lp).schedule_at(k, [] {});
+    }
+    ASSERT_EQ(eng.run_until(10.0).events, 48u);
+  }
+}
+
+TEST(ParallelEngine, InlineWindowsAndBarrierWaitReported) {
+  // One thread: every window is inline and the barrier clock is never read.
+  const auto run = [](unsigned threads) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 2;
+    cfg.num_threads = threads;
+    cfg.lookahead = 1.0;
+    core::ParallelEngine eng(cfg);
+    for (int i = 0; i < 20; ++i) {
+      eng.lp(0).schedule_at(i, [] {});
+      if (i % 2 == 0) eng.lp(1).schedule_at(i + 0.5, [] {});
+    }
+    return eng.run_until(100.0);
+  };
+  const auto one = run(1);
+  EXPECT_EQ(one.windows, 20u);
+  EXPECT_EQ(one.inline_windows, 20u);
+  EXPECT_EQ(one.barrier_wait_s, 0.0);
+  // Two threads: the 10 windows where both LPs have work are handed off.
+  const auto two = run(2);
+  EXPECT_EQ(two.windows, 20u);
+  EXPECT_EQ(two.inline_windows, 10u);
+  EXPECT_GE(two.barrier_wait_s, 0.0);
 }

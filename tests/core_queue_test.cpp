@@ -216,6 +216,49 @@ TEST_P(QueueTest, NonMonotonePushAfterPop) {
   EXPECT_TRUE(q->empty());
 }
 
+TEST_P(QueueTest, WindowedRequeueFuzzMatchesReference) {
+  // The conservative parallel engine's per-LP pattern, fuzzed: drain every
+  // event below a window end, pop the first event past it and requeue it,
+  // then deliver a batch of messages at or after the window end — often
+  // earlier than the requeued event, and sometimes enough of them to resize
+  // the calendar (new bucket width, cursor re-anchored). The pop sequence
+  // must equal a binary heap's.
+  for (std::uint64_t seed = 2020; seed < 2028; ++seed) {
+    auto q = make();
+    auto ref = core::make_event_queue(core::QueueKind::kBinaryHeap);
+    core::RngStream rng(seed);
+    core::EventId seq = 0;
+    const auto push_both = [&](double t) {
+      q->push({t, seq, nullptr});
+      ref->push({t, seq, nullptr});
+      ++seq;
+    };
+    for (int i = 0; i < 8; ++i) push_both(rng.uniform(0.0, 40.0));
+    double window_end = 0;
+    for (int window = 0; window < 400; ++window) {
+      window_end += rng.uniform(0.1, 3.0);
+      while (!ref->empty() && ref->min_time() < window_end) {
+        const auto want = ref->pop();
+        ASSERT_FALSE(q->empty());
+        const auto got = q->pop();
+        ASSERT_EQ(got.seq, want.seq) << "seed " << seed << " window " << window
+                                     << ": want t=" << want.time << ", got t=" << got.time;
+      }
+      if (!q->empty()) {
+        auto past = q->pop();
+        auto want = ref->pop();
+        ASSERT_EQ(past.seq, want.seq) << "seed " << seed << " window " << window;
+        ref->push(std::move(want));
+        q->push(std::move(past));
+      }
+      const auto batch =
+          rng.uniform_int(0, 9) == 0 ? rng.uniform_int(20, 80) : rng.uniform_int(0, 4);
+      for (std::int64_t k = 0; k < batch; ++k) push_both(window_end + rng.exponential(5.0));
+    }
+    EXPECT_EQ(q->size(), ref->size()) << "seed " << seed;
+  }
+}
+
 TEST_P(QueueTest, NameIsStable) {
   auto q = make();
   EXPECT_STREQ(q->name(), core::to_string(GetParam()));

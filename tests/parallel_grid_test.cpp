@@ -12,6 +12,7 @@
 #include <atomic>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "hosts/parallel_grid.hpp"
 #include "sim/parallel/bag_model.hpp"
@@ -323,6 +324,25 @@ TEST(ExecutionIni, DefaultsToSerialAndRejectsUnknown) {
                lsds::util::ConfigError);
 }
 
+TEST(ExecutionIni, RejectsNegativeCounts) {
+  // Negative counts used to wrap through the unsigned cast: threads = -1
+  // asked for 4,294,967,295 threads. Each must fail fast, naming its key.
+  const std::pair<const char*, const char*> bad[] = {
+      {"threads = -1\n", "threads"}, {"threads = 0\n", "threads"}, {"lps = -1\n", "lps"}};
+  for (const auto& [line, key] : bad) {
+    const auto ini = lsds::util::IniConfig::parse(std::string("[execution]\nmode = parallel\n") + line);
+    try {
+      parallel::parse_execution(ini, 1, lsds::core::QueueKind::kBinaryHeap);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const lsds::util::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+    }
+  }
+  // lps = 0 (one LP per thread) stays valid.
+  const auto ok = lsds::util::IniConfig::parse("[execution]\nthreads = 1\nlps = 0\n");
+  EXPECT_EQ(parallel::parse_execution(ok, 1, lsds::core::QueueKind::kBinaryHeap).lps, 0u);
+}
+
 TEST(ExecutionIni, DescribeCoversBothModes) {
   const auto cfg = small_tier();
   const auto serial = parallel::run_tier(cfg, {});
@@ -331,4 +351,6 @@ TEST(ExecutionIni, DescribeCoversBothModes) {
   const auto text = parallel::describe(p.exec);
   EXPECT_NE(text.find("parallel"), std::string::npos);
   EXPECT_NE(text.find("lookahead"), std::string::npos);
+  EXPECT_NE(text.find("inline"), std::string::npos);
+  EXPECT_NE(text.find("barrier wait"), std::string::npos);
 }
