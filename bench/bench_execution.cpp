@@ -13,8 +13,8 @@
 // conservative ParallelEngine at 1, 2, 4 and 8 threads. The calling thread
 // runs LPs itself; extra threads are persistent helpers that join windows
 // with more than one busy LP. With ~2 events per LP per window the rows
-// mostly measure the cost of synchronization, not speedup; the event counts
-// demonstrate the decomposition is identical.
+// mostly measure the cost of synchronization, not speedup. The bench exits 1
+// unless the event, window and cross-LP counts agree across thread counts.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -208,15 +208,20 @@ int main() {
         .cell(o.events).cell(std::string("-")).cell(std::string("-"))
         .cell(o.events / o.wall_ms);
   }
+  bool phold_identical = true;
+  Outcome first;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     const auto o = run_parallel(threads);
     t.row().cell(std::string("parallel LP")).cell(std::uint64_t{threads}).cell(o.wall_ms)
         .cell(o.events).cell(o.windows).cell(o.cross).cell(o.events / o.wall_ms);
+    if (threads == 1) first = o;
+    phold_identical = phold_identical && o.events == first.events &&
+                      o.windows == first.windows && o.cross == first.cross;
   }
   std::printf("%s\n", t.render().c_str());
-  std::printf("determinism: parallel event totals are identical across thread counts\n"
-              "(asserted in tests/core_modes_test.cpp), the property that makes the\n"
-              "threaded tier usable for science.\n\n");
+  std::printf("determinism: parallel event, window and cross-LP totals %s across thread\n"
+              "counts, the property that makes the threaded tier usable for science.\n\n",
+              phold_identical ? "are identical" : "DIFFER");
 
   std::printf("== Parallel Grid: LHC tier scenario, serial vs parallel (sites x threads) ==\n");
   std::printf("4 LPs, topology-derived lookahead; every parallel cell differentially\n"
@@ -253,5 +258,5 @@ int main() {
               "thread) run on the caller with no hand-off; the others wake helpers and\n"
               "wait `barrier` ms for them in total. The `identical` column is the\n"
               "point: the decomposition changes wall time only.\n");
-  return all_identical ? 0 : 1;
+  return phold_identical && all_identical ? 0 : 1;
 }

@@ -173,31 +173,16 @@ void Engine::run() {
 }
 
 std::uint64_t Engine::run_until(SimTime t_end) {
-  std::uint64_t n = 0;
-  while (!stopped_ && !queue_->empty()) {
-    // Pop/inspect/requeue rather than polling min_time(): min_time() is
-    // O(buckets) for the calendar queue, while one extra push is O(1).
-    EventRecord ev = pop_record();
-    auto it = tombstones_.find(ev.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;
-    }
-    if (ev.time > t_end) {
-      push_record(std::move(ev));
-      break;
-    }
-    execute(ev);
-    ++n;
-    if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
-  }
-  if (!stopped_ && now_ < t_end) now_ = t_end;
-  return n;
+  const std::uint64_t before = stats_.executed;
+  run_window(t_end, /*inclusive=*/true);
+  return stats_.executed - before;
 }
 
 SimTime Engine::run_window(SimTime t_end, bool inclusive) {
   SimTime next = kInfTime;
   while (!stopped_ && !queue_->empty()) {
+    // Pop/inspect/requeue rather than polling min_time(): min_time() is
+    // O(buckets) for the calendar queue, while one extra push is O(1).
     EventRecord ev = pop_record();
     auto it = tombstones_.find(ev.seq);
     if (it != tombstones_.end()) {

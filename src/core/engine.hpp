@@ -58,9 +58,6 @@ class Engine {
 
   explicit Engine(Config cfg);
   Engine() : Engine(Config{}) {}
-  [[deprecated("use Engine(Engine::Config{.queue = ..., .seed = ...}) — Config is the one "
-               "extension point for engine options")]]
-  Engine(QueueKind queue, std::uint64_t seed) : Engine(Config{queue, seed, 0, 0}) {}
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -100,8 +97,8 @@ class Engine {
   /// Run until the pending set drains or stop() is called.
   void run();
 
-  /// Run all events with time <= t_end, then advance the clock to t_end.
-  /// Returns the number of events executed.
+  /// Run all events with time <= t_end, then advance the clock to t_end
+  /// (run_window with a closed end). Returns the number of events executed.
   std::uint64_t run_until(SimTime t_end);
 
   /// Run all events with time strictly below `t_end` (<= when `inclusive`),

@@ -1,7 +1,6 @@
 #include "core/parallel.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -71,33 +70,22 @@ void ParallelEngine::stop_helpers() {
 
 ParallelEngine::Lp::Lp(ParallelEngine& parent, unsigned index, const Config& cfg,
                        std::uint64_t seed)
-    : parent_(parent), index_(index), max_events_(cfg.max_events), rng_(seed) {
-  if (cfg.hosted_engines) {
-    Engine::Config ecfg;
-    ecfg.queue = cfg.queue;
-    ecfg.seed = seed;
-    ecfg.max_events = cfg.max_events;  // per-LP budget, enforced by run_window
-    engine_ = std::make_unique<Engine>(ecfg);
-  } else {
-    queue_ = make_event_queue(cfg.queue);
-  }
-}
+    : parent_(parent),
+      index_(index),
+      // max_events is the per-LP budget, enforced by Engine::run_window.
+      engine_(Engine::Config{.queue = cfg.queue, .seed = seed, .max_events = cfg.max_events}),
+      rng_(seed) {}
 
 void ParallelEngine::Lp::schedule_at(SimTime t, EventFn fn) {
-  if (engine_) {
-    // The hosted engine clamps and counts past times itself.
-    engine_->schedule_at(t, std::move(fn));
-    return;
-  }
-  if (t < now_) {
-    t = now_;
-    parent_.past_clamped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  queue_->push(EventRecord{t, next_seq_++, std::move(fn)});
+  engine_.schedule_at(t, std::move(fn));
 }
 
 void ParallelEngine::Lp::send(unsigned dst_lp, SimTime t, EventFn fn) {
-  assert(dst_lp < parent_.num_lps());
+  if (dst_lp >= parent_.num_lps()) {
+    throw std::out_of_range("ParallelEngine::Lp::send: dst_lp " + std::to_string(dst_lp) +
+                            " out of range (num_lps() = " +
+                            std::to_string(parent_.num_lps()) + ")");
+  }
   if (dst_lp == index_) {
     schedule_at(t, std::move(fn));
     return;
@@ -113,31 +101,6 @@ void ParallelEngine::Lp::send(unsigned dst_lp, SimTime t, EventFn fn) {
   if (parent_.dispatched_) lock.lock();
   parent_.inboxes_[dst_lp].push_back(CrossMessage{t, index_, next_seq_++, std::move(fn)});
   // cross_messages is tallied at delivery time (single-threaded phase).
-}
-
-void ParallelEngine::Lp::refresh_next() {
-  next_ = engine_ ? engine_->next_event_time() : queue_->min_time();
-}
-
-void ParallelEngine::Lp::run_window(SimTime window_end, bool final_window) {
-  if (engine_) {
-    next_ = engine_->run_window(window_end, final_window);
-    return;
-  }
-  next_ = kInfTime;
-  while (!queue_->empty()) {
-    const SimTime t = queue_->min_time();
-    if (final_window ? (t > window_end) : (t >= window_end)) {
-      next_ = t;
-      break;
-    }
-    EventRecord ev = queue_->pop();
-    now_ = ev.time;
-    ++executed_;
-    ev.fn();
-    if (max_events_ && executed_ >= max_events_) throw EventBudgetExceeded(max_events_);
-  }
-  now_ = window_end;
 }
 
 void ParallelEngine::deliver_inboxes() {
@@ -162,22 +125,21 @@ void ParallelEngine::deliver_inboxes() {
 
 ParallelEngine::Stats ParallelEngine::snapshot_stats() {
   stats_.events = 0;
+  stats_.past_clamped = 0;
   stats_.per_lp_events.clear();
   for (auto& lp : lps_) {
-    stats_.events += lp->events_executed();
-    stats_.per_lp_events.push_back(lp->events_executed());
+    const Engine::Stats& es = lp->engine_.stats();
+    stats_.events += es.executed;
+    stats_.past_clamped += es.past_clamped;
+    stats_.per_lp_events.push_back(es.executed);
   }
   stats_.lookahead_violations = la_violations_.load(std::memory_order_relaxed);
-  stats_.past_clamped = past_clamped_.load(std::memory_order_relaxed);
-  for (auto& lp : lps_) {
-    if (lp->engine_) stats_.past_clamped += lp->engine_->stats().past_clamped;
-  }
   return stats_;
 }
 
 void ParallelEngine::run_lp(Lp& lp) {
   try {
-    lp.run_window(window_end_, final_window_);
+    lp.next_ = lp.engine_.run_window(window_end_, final_window_);
   } catch (...) {
     errors_[lp.index()] = std::current_exception();
   }
@@ -235,7 +197,7 @@ void ParallelEngine::dispatch_window() {
 
 ParallelEngine::Stats ParallelEngine::run_until(SimTime t_end) {
   // Events may have been scheduled directly since the last call.
-  for (auto& lp : lps_) lp->refresh_next();
+  for (auto& lp : lps_) lp->next_ = lp->engine_.next_event_time();
   std::fill(errors_.begin(), errors_.end(), nullptr);
   for (;;) {
     // Conservative time advance: the next window starts at the earliest

@@ -9,7 +9,7 @@
 // simulation community" (Fujimoto 1993) because it is hard to get right.
 //
 // ParallelEngine is the threaded middle ground: the model is partitioned
-// into logical processes (LPs), each owning a private clock and pending set.
+// into logical processes (LPs), each owning a private core::Engine.
 // Synchronization is conservative with fixed lookahead windows (a
 // barrier-synchronous variant of the null-message idea of Misra 1986):
 //
@@ -35,11 +35,13 @@
 // delivery), so choosing the next window and the busy LPs costs one pass
 // over cached values instead of a queue minimum search per LP.
 //
-// An LP is either *raw* (a bare event queue, the PHOLD-style usage) or
-// *engine-hosted* (Config::hosted_engines): each LP owns a full
-// core::Engine, so the entire entity/process model layer — CpuResource,
-// StorageDevice, coroutine processes — runs unmodified inside a partition.
-// Engine-hosted LPs are what hosts::ParallelGrid builds on to partition
+// Every LP hosts a full core::Engine, and a window is one call of its
+// Engine::run_window(), the one drain loop of the event kernel. Budgets,
+// past-time clamps, cancellation and the whole entity/process model layer —
+// CpuResource, StorageDevice, coroutine processes — therefore behave inside
+// a partition exactly as on the sequential engine. Models either schedule
+// through the Lp (schedule_at/send/rng, the PHOLD-style usage) or take the
+// Lp's engine(), which is what hosts::ParallelGrid builds on to partition
 // Sites across LPs.
 //
 // Determinism: cross-window messages are sorted by (time, src_lp, src_seq)
@@ -71,11 +73,7 @@ class ParallelEngine {
     unsigned num_threads = 2;  // caller + helpers; 0 counts as 1
     double lookahead = 1.0;    // window length (> 0); cross-LP latency lower bound
     QueueKind queue = QueueKind::kBinaryHeap;
-    std::uint64_t seed = 42;
-    /// When true every LP hosts a full core::Engine (per-LP clock, named
-    /// RNG streams, entity registry) instead of a bare event queue, so the
-    /// model layer runs unmodified inside each partition.
-    bool hosted_engines = false;
+    std::uint64_t seed = 42;  // per-LP engine and Lp::rng() seeds derive from it
     /// Per-LP event budget, the parallel twin of Engine::Config::max_events:
     /// when > 0, an LP that executes this many events throws
     /// EventBudgetExceeded, which run_until() rethrows on the caller thread
@@ -93,11 +91,12 @@ class ParallelEngine {
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  /// One logical process: a private clock + pending set.
+  /// One logical process: a private engine (clock, pending set, named RNG
+  /// streams, entity registry) plus the cross-LP send path.
   class Lp {
    public:
     unsigned index() const { return index_; }
-    SimTime now() const { return engine_ ? engine_->now() : now_; }
+    SimTime now() const { return engine_.now(); }
 
     /// Schedule a local event (same LP). `t` below the clock is clamped to
     /// the clock and counted (ParallelEngine::Stats::past_clamped).
@@ -106,40 +105,27 @@ class ParallelEngine {
 
     /// Send an event to another LP. The delivery time must respect the
     /// lookahead: t >= end of the current window. Violations are clamped
-    /// and counted (ParallelEngine::Stats::lookahead_violations).
+    /// and counted (ParallelEngine::Stats::lookahead_violations). Throws
+    /// std::out_of_range when dst_lp >= num_lps().
     void send(unsigned dst_lp, SimTime t, EventFn fn);
 
     /// Per-LP deterministic stream.
     RngStream& rng() { return rng_; }
 
-    /// The hosted engine (Config::hosted_engines only; else nullptr).
-    Engine* engine() { return engine_.get(); }
+    /// The LP's engine, for models built on the entity/process layer.
+    Engine& engine() { return engine_; }
 
-    std::uint64_t events_executed() const {
-      return engine_ ? engine_->stats().executed : executed_;
-    }
+    std::uint64_t events_executed() const { return engine_.stats().executed; }
 
    private:
     friend class ParallelEngine;
     Lp(ParallelEngine& parent, unsigned index, const Config& cfg, std::uint64_t seed);
 
-    /// Drain events with time < window_end (<= when final). Sets now_ to
-    /// window_end and next_ to the first event left pending afterwards.
-    void run_window(SimTime window_end, bool final_window);
-
-    /// Recompute next_ from the queue (events may have been scheduled
-    /// between run_until() calls).
-    void refresh_next();
-
     ParallelEngine& parent_;
     unsigned index_;
-    SimTime now_ = 0;
-    std::unique_ptr<EventQueue> queue_;   // raw mode
-    std::unique_ptr<Engine> engine_;      // hosted mode
-    EventId next_seq_ = 1;
-    std::uint64_t executed_ = 0;
-    std::uint64_t max_events_ = 0;  // raw-mode budget (hosted: engine enforces)
-    SimTime next_ = kInfTime;       // cached next event time; kInfTime when drained
+    Engine engine_;
+    EventId next_seq_ = 1;     // src_seq of cross-LP sends
+    SimTime next_ = kInfTime;  // cached next event time; kInfTime when drained
     RngStream rng_;
   };
 
@@ -152,9 +138,10 @@ class ParallelEngine {
     std::uint64_t events = 0;
     std::uint64_t cross_messages = 0;
     std::uint64_t lookahead_violations = 0;
-    /// Lp::schedule_at calls whose timestamp was below the LP clock and got
-    /// clamped — the local analogue of lookahead_violations. A correct
-    /// model schedules into its own future; tests assert this stays 0.
+    /// Local schedules (through the Lp or its engine) whose timestamp was
+    /// below the LP clock and got clamped, summed over the LP engines — the
+    /// local analogue of lookahead_violations. A correct model schedules
+    /// into its own future; tests assert this stays 0.
     std::uint64_t past_clamped = 0;
     /// Windows the caller thread ran alone, with no hand-off to helpers:
     /// every window when num_threads == 1, else those with one busy LP.
@@ -215,7 +202,6 @@ class ParallelEngine {
   int spin_rounds_ = 0;      // polls before a waiter blocks
   Stats stats_;
   std::atomic<std::uint64_t> la_violations_{0};  // incremented from LP threads
-  std::atomic<std::uint64_t> past_clamped_{0};   // raw-mode clamps, LP threads
   std::vector<std::thread> helpers_;  // last: they use every member above
 };
 

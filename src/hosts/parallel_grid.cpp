@@ -85,12 +85,11 @@ void ParallelGrid::finalize() {
   pcfg.lookahead = lookahead_;
   pcfg.queue = spec_.queue;
   pcfg.seed = spec_.seed;
-  pcfg.hosted_engines = true;
   pe_ = std::make_unique<core::ParallelEngine>(pcfg);
 
   sites_.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    sites_.push_back(std::make_unique<Site>(*pe_->lp(owner_[i]).engine(),
+    sites_.push_back(std::make_unique<Site>(pe_->lp(owner_[i]).engine(),
                                             static_cast<SiteId>(i), nodes_[i], specs_[i]));
   }
   chan_busy_.assign(specs_.size(), {});
@@ -112,7 +111,7 @@ void ParallelGrid::finalize() {
   flow_nets_.reserve(lps);
   for (unsigned lp = 0; lp < lps; ++lp) {
     flow_nets_.push_back(
-        std::make_unique<net::FlowNetwork>(*pe_->lp(lp).engine(), *provider_, spec_.network));
+        std::make_unique<net::FlowNetwork>(pe_->lp(lp).engine(), *provider_, spec_.network));
   }
 
   // Per-LP storage ownership: a site's max-min devices register with its

@@ -4,9 +4,9 @@
 // scale that serial execution "can not be a reality" (the paper's execution
 // axis). ParallelGrid is the threaded counterpart: sites — each with its
 // CPU farm, storage and local model state — are partitioned across the LPs
-// of a core::ParallelEngine (engine-hosted mode, one full core::Engine per
-// LP), and every cross-site interaction travels through the deterministic
-// cross-LP message path.
+// of a core::ParallelEngine (one full core::Engine per LP), and every
+// cross-site interaction travels through the deterministic cross-LP message
+// path.
 //
 // The lookahead is not a config knob: it is *derived from the topology* as
 // the minimum path latency between any two sites in different partitions
@@ -113,7 +113,7 @@ class ParallelGrid {
   Site& site(SiteId id) { return *sites_[id]; }
   unsigned lp_of(SiteId id) const { return owner_[id]; }
   unsigned num_lps() const { return pe_->num_lps(); }
-  core::Engine& engine_of(SiteId id) { return *pe_->lp(owner_[id]).engine(); }
+  core::Engine& engine_of(SiteId id) { return pe_->lp(owner_[id]).engine(); }
   net::RouteProvider& routing() { return *provider_; }
   /// Flow network of the LP owning `id` — flow-level (max-min shared)
   /// transfers between sites of the SAME partition, driven from events on

@@ -187,6 +187,45 @@ TEST(Engine, RunUntilIsInclusive) {
   EXPECT_EQ(count, 1);
 }
 
+TEST(Engine, RunUntilHonoursStopTombstonesAndHorizonOnEveryQueue) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng(core::Engine::Config{.queue = kind});
+    std::vector<double> ran;
+    const auto record = [&] { ran.push_back(eng.now()); };
+    eng.schedule_at(1.0, record);
+    eng.schedule_at(2.0, [&] {
+      record();
+      eng.stop();
+    });
+    eng.schedule_at(3.0, record);
+    eng.schedule_at(4.0, record);
+
+    // stop() mid-horizon: the count covers the stopping event, and the
+    // clock stays there instead of jumping to t_end.
+    EXPECT_EQ(eng.run_until(10.0), 2u);
+    EXPECT_DOUBLE_EQ(eng.now(), 2.0);
+    EXPECT_EQ(eng.pending(), 2u);
+    eng.clear_stop();
+
+    // A cancelled event exactly at t_end is consumed but not counted; the
+    // first event past t_end stays pending.
+    eng.cancel(eng.schedule_at(5.0, record));
+    eng.schedule_at(5.5, record);
+    EXPECT_EQ(eng.run_until(5.0), 2u);
+    EXPECT_DOUBLE_EQ(eng.now(), 5.0);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+    EXPECT_EQ(eng.pending(), 1u);
+
+    // The next call runs it.
+    EXPECT_EQ(eng.run_until(6.0), 1u);
+    EXPECT_DOUBLE_EQ(eng.now(), 6.0);
+    EXPECT_EQ(ran, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.5}));
+    EXPECT_EQ(eng.stats().executed, 5u);
+    EXPECT_EQ(eng.stats().cancelled, 1u);
+  }
+}
+
 TEST(Engine, StopHaltsRun) {
   core::Engine eng;
   int count = 0;

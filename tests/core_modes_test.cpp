@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -280,14 +281,21 @@ TEST(ParallelEngine, PastSchedulesClampedAndCounted) {
   cfg.num_threads = 1;
   cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
-  double ran_at = -1;
+  std::vector<double> ran_at;  // LP 0 only
+  int received = 0;
   eng.lp(0).schedule_at(5.0, [&] {
-    // Schedule into the LP's own past: clamped to now, counted in stats.
-    eng.lp(0).schedule_at(2.0, [&] { ran_at = eng.lp(0).now(); });
+    // Schedule into the LP's own past, through the Lp and through its
+    // engine: both clamped to now, both counted in stats.
+    eng.lp(0).schedule_at(2.0, [&] { ran_at.push_back(eng.lp(0).now()); });
+    eng.lp(0).engine().schedule_at(1.0, [&] { ran_at.push_back(eng.lp(0).now()); });
+    eng.lp(0).send(1, 10.0, [&] { ++received; });
   });
-  const auto stats = eng.run_until(10.0);
-  EXPECT_EQ(stats.past_clamped, 1u);
-  EXPECT_DOUBLE_EQ(ran_at, 5.0);
+  const auto stats = eng.run_until(20.0);
+  EXPECT_EQ(stats.past_clamped, 2u);
+  EXPECT_EQ(ran_at, (std::vector<double>{5.0, 5.0}));
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(stats.cross_messages, 1u);
+  EXPECT_EQ(stats.events, 4u);
 }
 
 TEST(ParallelEngine, HostedEnginesCountPastClamps) {
@@ -295,12 +303,10 @@ TEST(ParallelEngine, HostedEnginesCountPastClamps) {
   cfg.num_lps = 2;
   cfg.num_threads = 2;
   cfg.lookahead = 1.0;
-  cfg.hosted_engines = true;
   core::ParallelEngine eng(cfg);
-  ASSERT_NE(eng.lp(0).engine(), nullptr);
   int ran = 0;
-  eng.lp(0).schedule_at(3.0, [&] {
-    eng.lp(0).schedule_at(1.0, [&] { ++ran; });  // past: clamped by the engine
+  eng.lp(0).engine().schedule_at(3.0, [&] {
+    eng.lp(0).engine().schedule_at(1.0, [&] { ++ran; });  // past: clamped by the engine
     eng.lp(0).send(1, 10.0, [&] { ++ran; });
   });
   const auto stats = eng.run_until(20.0);
@@ -440,14 +446,14 @@ TEST(ParallelEngine, FuzzedCrossSendsClampedSortedAndThreadInvariant) {
 }
 
 TEST(ParallelEngine, EventBudgetThrowsInRawMode) {
+  // Spinning through the Lp's own schedule_in, as a model written against
+  // the Lp interface does.
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
   cfg.lookahead = 1.0;
   cfg.max_events = 50;
   core::ParallelEngine eng(cfg);
-  // LP 1 spins on zero-delay self-rescheduling (the model bug the watchdog
-  // exists for); LP 0 stays honest.
   std::function<void()> spin = [&] { eng.lp(1).schedule_in(0, spin); };
   eng.lp(1).schedule_at(0, spin);
   eng.lp(0).schedule_at(0.5, [] {});
@@ -455,17 +461,17 @@ TEST(ParallelEngine, EventBudgetThrowsInRawMode) {
 }
 
 TEST(ParallelEngine, EventBudgetThrowsInHostedMode) {
+  // Spinning straight through the LP's engine, as a hosted facade does.
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
   cfg.lookahead = 1.0;
-  cfg.hosted_engines = true;
   cfg.max_events = 50;
   core::ParallelEngine eng(cfg);
-  core::Engine* lp1 = eng.lp(1).engine();
-  std::function<void()> spin = [&, lp1] { lp1->schedule_in(0, spin); };
-  lp1->schedule_at(0, spin);
-  eng.lp(0).engine()->schedule_at(0.5, [] {});
+  core::Engine& lp1 = eng.lp(1).engine();
+  std::function<void()> spin = [&] { lp1.schedule_in(0, spin); };
+  lp1.schedule_at(0, spin);
+  eng.lp(0).engine().schedule_at(0.5, [] {});
   EXPECT_THROW(eng.run_until(10.0), core::EventBudgetExceeded);
 }
 
@@ -516,21 +522,18 @@ TEST(ParallelEngine, RejectsZeroNegativeAndNanLookahead) {
 
 TEST(ParallelEngine, InfiniteLookaheadRunsOneClosedWindow) {
   // The serial-fallback shape: an unbounded window and horizon is one final
-  // (closed) window that drains every LP, raw and hosted alike.
-  for (bool hosted : {false, true}) {
-    core::ParallelEngine::Config cfg;
-    cfg.num_lps = 2;
-    cfg.num_threads = 2;
-    cfg.lookahead = core::kInfTime;
-    cfg.hosted_engines = hosted;
-    core::ParallelEngine eng(cfg);
-    eng.lp(0).schedule_at(1.0, [] {});
-    eng.lp(1).schedule_at(2.0, [] {});
-    eng.lp(1).schedule_at(3.0, [] {});
-    const auto stats = eng.run_until(core::kInfTime);
-    EXPECT_EQ(stats.events, 3u) << hosted;
-    EXPECT_EQ(stats.windows, 1u) << hosted;
-  }
+  // (closed) window that drains every LP.
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 2;
+  cfg.num_threads = 2;
+  cfg.lookahead = core::kInfTime;
+  core::ParallelEngine eng(cfg);
+  eng.lp(0).schedule_at(1.0, [] {});
+  eng.lp(1).schedule_at(2.0, [] {});
+  eng.lp(1).schedule_at(3.0, [] {});
+  const auto stats = eng.run_until(core::kInfTime);
+  EXPECT_EQ(stats.events, 3u);
+  EXPECT_EQ(stats.windows, 1u);
 }
 
 namespace {
@@ -538,7 +541,7 @@ namespace {
 // PHOLD on one engine driven through successive run_until() horizons.
 // Returns, per LP, the FNV-1a digest of every hop's (time, destination) in
 // execution order, followed by the engine's window and event totals.
-std::vector<std::uint64_t> phold_digests(unsigned num_threads, bool hosted,
+std::vector<std::uint64_t> phold_digests(unsigned num_threads,
                                          std::initializer_list<double> horizons,
                                          std::uint64_t seed) {
   constexpr unsigned kLps = 6;
@@ -547,10 +550,9 @@ std::vector<std::uint64_t> phold_digests(unsigned num_threads, bool hosted,
   cfg.num_threads = num_threads;
   cfg.lookahead = 1.0;
   cfg.seed = seed;
-  cfg.hosted_engines = hosted;
-  // Hosted LPs requeue the first event past each window and then receive
-  // earlier deliveries: the calendar queue's hardest pattern.
-  cfg.queue = hosted ? core::QueueKind::kCalendarQueue : core::QueueKind::kBinaryHeap;
+  // LPs requeue the first event past each window and then receive earlier
+  // deliveries: the calendar queue's hardest pattern.
+  cfg.queue = core::QueueKind::kCalendarQueue;
   core::ParallelEngine eng(cfg);
   std::vector<core::StateHash> digest(kLps);  // slot i touched by LP i only
 
@@ -582,20 +584,24 @@ std::vector<std::uint64_t> phold_digests(unsigned num_threads, bool hosted,
 }  // namespace
 
 TEST(ParallelEngine, HostedDeterministicAcrossThreadCounts) {
-  const auto one = phold_digests(1, true, {60.0}, 5);
-  EXPECT_EQ(one, phold_digests(2, true, {60.0}, 5));
-  EXPECT_EQ(one, phold_digests(4, true, {60.0}, 5));
-  // Hosted and raw LPs run the same model on the same per-LP streams.
-  EXPECT_EQ(one, phold_digests(4, false, {60.0}, 5));
+  // Per-LP hop digests, then windows (57) and events (993), recorded before
+  // the bare-queue LP mode was removed: it and engine-hosted LPs both
+  // produced exactly these values.
+  const std::vector<std::uint64_t> pinned = {
+      0x7e8334a0113dba6dull, 0xae9d2cc726c6a80dull, 0xa108c19de3f0a046ull,
+      0xe60f5b0315267f0full, 0x7421006615ea66ceull, 0x5666031b739e05cbull, 57, 993};
+  for (unsigned threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(phold_digests(threads, {60.0}, 5), pinned) << threads << " threads";
+  }
 }
 
 TEST(ParallelEngine, RunUntilResumesWithPersistentHelpers) {
   // Two calls on one 4-thread engine: the helpers started by the constructor
   // serve both, and the second call continues exactly where the first
   // stopped — same hops as one call, and the same as the inline 1-thread run.
-  const auto split = phold_digests(4, false, {17.5, 60.0}, 9);
-  EXPECT_EQ(split, phold_digests(1, false, {17.5, 60.0}, 9));
-  const auto whole = phold_digests(4, false, {60.0}, 9);
+  const auto split = phold_digests(4, {17.5, 60.0}, 9);
+  EXPECT_EQ(split, phold_digests(1, {17.5, 60.0}, 9));
+  const auto whole = phold_digests(4, {60.0}, 9);
   const std::size_t hops = whole.size() - 2;  // per-LP digests, then windows, events
   EXPECT_TRUE(std::equal(split.begin(), split.begin() + hops, whole.begin()));
   EXPECT_EQ(split.back(), whole.back());
@@ -609,7 +615,6 @@ TEST(ParallelEngine, EventsScheduledBetweenRunsAreSeen) {
   cfg.num_lps = 3;
   cfg.num_threads = 4;
   cfg.lookahead = 1.0;
-  cfg.hosted_engines = true;
   core::ParallelEngine eng(cfg);
   std::vector<double> ran;  // LP 2 only
   eng.lp(2).schedule_at(50.0, [&] { ran.push_back(eng.lp(2).now()); });
@@ -617,7 +622,7 @@ TEST(ParallelEngine, EventsScheduledBetweenRunsAreSeen) {
   eng.lp(1).schedule_at(1.5, [] {});
   eng.run_until(10.0);
   EXPECT_TRUE(ran.empty());
-  eng.lp(2).engine()->schedule_at(12.0, [&] { ran.push_back(eng.lp(2).now()); });
+  eng.lp(2).engine().schedule_at(12.0, [&] { ran.push_back(eng.lp(2).now()); });
   const auto stats = eng.run_until(100.0);
   EXPECT_EQ(ran, (std::vector<double>{12.0, 50.0}));
   EXPECT_EQ(stats.events, 4u);
@@ -652,6 +657,29 @@ TEST(ParallelEngine, LowestIndexExceptionRethrownAtEveryThreadCount) {
       }
       EXPECT_EQ(budget, budget_first) << threads << " threads";
       EXPECT_EQ(model, !budget_first) << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelEngine, SendToMissingLpThrowsOutOfRange) {
+  // Both LPs 1 and 2 send past the last LP in the first window; the lower
+  // index's exception is rethrown, naming its destination and num_lps().
+  for (unsigned threads : {1u, 4u}) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 3;
+    cfg.num_threads = threads;
+    cfg.lookahead = 1.0;
+    core::ParallelEngine eng(cfg);
+    eng.lp(0).schedule_at(0.5, [] {});
+    eng.lp(1).schedule_at(0.5, [&] { eng.lp(1).send(3, 5.0, [] {}); });
+    eng.lp(2).schedule_at(0.5, [&] { eng.lp(2).send(7, 5.0, [] {}); });
+    try {
+      eng.run_until(10.0);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::out_of_range& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("dst_lp 3 "), std::string::npos) << what;
+      EXPECT_NE(what.find("num_lps() = 3"), std::string::npos) << what;
     }
   }
 }
