@@ -62,8 +62,17 @@ std::uint32_t Engine::event_tag(EventId id) const {
   return it == tags_.end() ? 0 : it->second;
 }
 
+void Engine::set_probe(EngineProbe* probe) {
+  const std::uint32_t stride = probe ? probe->queue_stride() : 1;
+  assert(stride != 0 && (stride & (stride - 1)) == 0 && "queue_stride() must be a power of two");
+  probe_ = probe;
+  queue_mask_ = stride - 1;
+  pushes_ = 0;
+  pops_ = 0;
+}
+
 EventRecord Engine::pop_record() {
-  if (!probe_) return queue_->pop();
+  if (!probe_ || (++pops_ & queue_mask_) != 0) return queue_->pop();
   const auto w0 = std::chrono::steady_clock::now();
   EventRecord rec = queue_->pop();
   probe_->on_queue_pop(elapsed_ns(w0));
@@ -71,7 +80,7 @@ EventRecord Engine::pop_record() {
 }
 
 void Engine::push_record(EventRecord rec) {
-  if (!probe_) {
+  if (!probe_ || (++pushes_ & queue_mask_) != 0) {
     queue_->push(std::move(rec));
     return;
   }

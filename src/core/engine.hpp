@@ -185,8 +185,10 @@ class Engine {
 
   /// Attach (or detach with nullptr) the observation probe (core/probe.hpp).
   /// The probe must outlive the engine or be detached first. Independent of
-  /// the trace hook, so tests can trace an observed engine.
-  void set_probe(EngineProbe* probe) { probe_ = probe; }
+  /// the trace hook, so tests can trace an observed engine. Reads the
+  /// probe's queue_stride() (a power of two) and restarts the push/pop
+  /// sampling counts.
+  void set_probe(EngineProbe* probe);
   EngineProbe* probe() const { return probe_; }
 
   // --- entity registry (core/entity.hpp) -----------------------------------
@@ -206,7 +208,8 @@ class Engine {
 
  private:
   SimTime quantize(SimTime t) const;
-  /// queue_->pop() / push() with wall-clock timing when a probe is attached.
+  /// queue_->pop() / push(), wall-clock timed on every stride-th operation
+  /// when a probe is attached.
   EventRecord pop_record();
   void push_record(EventRecord rec);
   /// step() with the choice hook installed: collect the timestamp tie,
@@ -232,6 +235,9 @@ class Engine {
   std::unordered_map<EventId, std::uint32_t> tags_;
   std::vector<EventId> tied_scratch_;  // choice-point id list, reused
   EngineProbe* probe_ = nullptr;
+  std::uint64_t queue_mask_ = 0;  // probe's queue_stride() - 1
+  std::uint64_t pushes_ = 0;      // pushes / pops since set_probe, for the stride
+  std::uint64_t pops_ = 0;
   std::vector<Entity*> entities_;  // slot = id; nullptr after unregister
   std::unordered_set<void*> coroutines_;
 };

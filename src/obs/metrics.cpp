@@ -6,35 +6,50 @@
 
 namespace lsds::obs {
 
+double& MetricsRegistry::counter_ref(const std::string& name) {
+  const auto [it, created] = counters_.try_emplace(name, 0.0);
+  if (created) sampled_counters_.push_back({&it->second, &series_[name]});
+  return it->second;
+}
+
+stats::Accumulator& MetricsRegistry::timer_ref(const std::string& name) { return timers_[name]; }
+
 void MetricsRegistry::bump(const std::string& name, double amount) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_[name] += amount;
+  const auto guard = lock();
+  counter_ref(name) += amount;
 }
 
 double MetricsRegistry::counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto guard = lock();
   auto it = counters_.find(name);
   return it == counters_.end() ? 0.0 : it->second;
 }
 
 void MetricsRegistry::gauge(const std::string& name, GaugeFn pull) {
-  std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = std::move(pull);
+  const auto guard = lock();
+  for (Gauge& g : gauges_) {
+    if (g.name == name) {
+      g.pull = std::move(pull);
+      return;
+    }
+  }
+  gauges_.push_back({name, std::move(pull), &series_[name]});
+}
+
+void MetricsRegistry::drop_gauge(const std::string& name) {
+  const auto guard = lock();
+  std::erase_if(gauges_, [&](const Gauge& g) { return g.name == name; });
 }
 
 void MetricsRegistry::time(const std::string& name, double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  timers_[name].add(seconds);
+  const auto guard = lock();
+  timer_ref(name).add(seconds);
 }
 
 void MetricsRegistry::sample(double t) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, pull] : gauges_) {
-    series_[name].record(t, pull());
-  }
-  for (const auto& [name, value] : counters_) {
-    series_[name].record(t, value);
-  }
+  const auto guard = lock();
+  for (const Gauge& g : gauges_) g.series->record(t, g.pull());
+  for (const SampledCounter& c : sampled_counters_) c.series->record(t, *c.value);
 }
 
 void MetricsRegistry::advance_slow(double t) {
@@ -47,7 +62,7 @@ void MetricsRegistry::advance_slow(double t) {
 }
 
 Json MetricsRegistry::to_json(double t_end) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const auto guard = lock();
   Json out = Json::object();
   out.set("sample_interval_s", sample_interval_);
   Json& counters = out["counters"];
@@ -55,27 +70,26 @@ Json MetricsRegistry::to_json(double t_end) const {
   for (const auto& [name, value] : counters_) counters.set(name, value);
   Json& timers = out["timers"];
   timers = Json::object();
-  for (const auto& [name, set] : timers_) {
+  for (const auto& [name, acc] : timers_) {
     Json t = Json::object();
-    t.set("count", static_cast<std::uint64_t>(set.count()));
-    t.set("mean_s", set.mean());
-    t.set("min_s", set.min());
-    t.set("max_s", set.max());
-    t.set("stddev_s", set.stddev());
+    t.set("count", acc.count());
+    t.set("mean_s", acc.mean());
+    t.set("min_s", acc.min());
+    t.set("max_s", acc.max());
+    t.set("stddev_s", acc.stddev());
     timers.set(name, std::move(t));
   }
   Json& series = out["series"];
   series = Json::object();
   for (const auto& [name, ts] : series_) {
+    if (ts.empty()) continue;  // instrument created since the last sample
     Json s = Json::object();
     s.set("samples", static_cast<std::uint64_t>(ts.size()));
-    if (!ts.empty()) {
-      const double last_t = ts.points().back().t;
-      s.set("last_t", last_t);
-      s.set("last", ts.points().back().v);
-      s.set("max", ts.max_value());
-      s.set("time_weighted_mean", ts.time_weighted_mean(t_end > last_t ? t_end : last_t));
-    }
+    const double last_t = ts.points().back().t;
+    s.set("last_t", last_t);
+    s.set("last", ts.points().back().v);
+    s.set("max", ts.max_value());
+    s.set("time_weighted_mean", ts.time_weighted_mean(t_end > last_t ? t_end : last_t));
     series.set(name, std::move(s));
   }
   return out;

@@ -1,6 +1,7 @@
 #include "obs/observability.hpp"
 
 #include <string>
+#include <utility>
 
 #include "obs/report.hpp"
 #include "util/ini.hpp"
@@ -16,6 +17,11 @@ Options parse_options(const util::IniConfig& ini) {
   o.trace_events = ini.get_bool("observability", "trace_events", false);
   return o;
 }
+
+namespace {
+constexpr const char* kPendingGauge = "engine.pending_events";
+constexpr const char* kProcessesGauge = "engine.live_processes";
+}  // namespace
 
 Observability::Observability(Options opts)
     : opts_(std::move(opts)), metrics_(opts_.sample_interval) {
@@ -33,6 +39,8 @@ Observability::~Observability() {
 void Observability::detach() {
   if (!engine_) return;
   engine_->set_probe(nullptr);
+  metrics_.drop_gauge(kPendingGauge);
+  metrics_.drop_gauge(kProcessesGauge);
   engine_ = nullptr;
 }
 
@@ -40,10 +48,8 @@ void Observability::attach(core::Engine& engine) {
   if (!opts_.enabled) return;
   engine_ = &engine;
   engine.set_probe(this);
-  metrics_.gauge("engine.pending_events", [&engine] {
-    return static_cast<double>(engine.pending());
-  });
-  metrics_.gauge("engine.live_processes", [&engine] {
+  metrics_.gauge(kPendingGauge, [&engine] { return static_cast<double>(engine.pending()); });
+  metrics_.gauge(kProcessesGauge, [&engine] {
     return static_cast<double>(engine.live_processes());
   });
   profiler_.start();
@@ -53,15 +59,29 @@ void Observability::on_span(const Span& s) {
   // Standard span-derived instruments: per-kind completion counters, moved
   // quantities and duration timers. Feeds both serial and parallel runs
   // (LP threads publish concurrently; the registry and sink are locked).
-  const std::string kind(s.kind);
-  metrics_.bump("span." + kind + "." + s.status);
-  if (kind == "flow") {
-    metrics_.bump("net.bytes_moved", s.quantity);
-  } else if (kind == "job") {
-    metrics_.bump("cpu.ops_done", s.quantity);
+  {
+    const auto lock = metrics_.lock();
+    const SpanSlot& slot = span_slot(s);
+    *slot.count += 1;
+    if (slot.quantity) *slot.quantity += s.quantity;
+    slot.duration->add(s.t1 - s.t0);
   }
-  metrics_.time("span." + kind + ".duration_s", s.t1 - s.t0);
   if (sink_) sink_->record_span(s);
+}
+
+const Observability::SpanSlot& Observability::span_slot(const Span& s) {
+  for (const SpanSlot& slot : span_slots_) {
+    if (slot.kind == s.kind && slot.status == s.status) return slot;
+  }
+  const std::string kind(s.kind);
+  SpanSlot slot{kind, s.status, &metrics_.counter_ref("span." + kind + "." + s.status), nullptr,
+                &metrics_.timer_ref("span." + kind + ".duration_s")};
+  if (kind == "flow") {
+    slot.quantity = &metrics_.counter_ref("net.bytes_moved");
+  } else if (kind == "job") {
+    slot.quantity = &metrics_.counter_ref("cpu.ops_done");
+  }
+  return span_slots_.emplace_back(std::move(slot));
 }
 
 void Observability::on_event(core::SimTime t, core::EventId seq) {

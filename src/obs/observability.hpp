@@ -20,10 +20,17 @@
 // The facade is also the span-bus subscriber: every substrate span feeds
 // the trace sink (when a trace path is set) and the registry's standard
 // counters/timers (flow.completed, job.done, span duration timers, ...).
+//
+// Cheap enough to leave on: the engine times one queue push in every
+// EngineProfiler::kQueueStride pushes (and one pop in as many pops), metric samples
+// update pre-resolved series, and a span updates instruments resolved on
+// the first span of its (kind, status).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/probe.hpp"
@@ -71,8 +78,9 @@ class Observability final : public core::EngineProbe {
   /// disabled. The engine must outlive this object or be detached first.
   void attach(core::Engine& engine);
 
-  /// Remove the probe from the attached engine (if any). Call before the
-  /// engine is destroyed when it does not outlive this object.
+  /// Remove the probe and the engine gauges from the attached engine (if
+  /// any); the gauge series recorded so far stay. Call before the engine is
+  /// destroyed when it does not outlive this object.
   void detach();
 
   /// Stop the wall clock, take final samples, and populate the report's
@@ -89,9 +97,22 @@ class Observability final : public core::EngineProbe {
   void on_event(core::SimTime t, core::EventId seq) override;
   void on_queue_push(std::uint64_t ns, std::size_t pending) override;
   void on_queue_pop(std::uint64_t ns) override;
+  std::uint32_t queue_stride() const override { return profiler_.queue_stride(); }
 
  private:
+  /// The instruments one (span kind, status) pair updates.
+  struct SpanSlot {
+    std::string kind;
+    std::string status;
+    double* count;
+    double* quantity;  // nullptr: the kind moves no tracked quantity
+    stats::Accumulator* duration;
+  };
+
   void on_span(const Span& s);
+  /// The slot for `s`, resolved on the first span of its kind and status.
+  /// Caller holds the metrics lock.
+  const SpanSlot& span_slot(const Span& s);
 
   Options opts_;
   MetricsRegistry metrics_;
@@ -99,6 +120,7 @@ class Observability final : public core::EngineProbe {
   std::unique_ptr<TraceSink> sink_;
   core::Engine* engine_ = nullptr;
   bool bus_subscribed_ = false;
+  std::vector<SpanSlot> span_slots_;  // guarded by the metrics lock
 };
 
 }  // namespace lsds::obs

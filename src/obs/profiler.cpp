@@ -32,6 +32,7 @@ void EngineProfiler::ingest(const core::Engine& engine) {
   have_engine_ = true;
   engine_stats_ = engine.stats();
   queue_name_ = engine.queue_name();
+  if (engine.probe()) applied_stride_ = engine.probe()->queue_stride();
   if (events_ == 0) events_ = engine_stats_.executed;
 }
 
@@ -80,6 +81,7 @@ Json EngineProfiler::to_json() const {
   out.set("events", events_);
   out.set("events_per_sec", events_per_sec());
   out.set("last_event_time_s", last_event_time_);
+  out.set("queue_sample_stride", applied_stride_);
   if (push_ns_.count() > 0) out.set("queue_push_ns", acc_json(push_ns_));
   if (pop_ns_.count() > 0) out.set("queue_pop_ns", acc_json(pop_ns_));
   if (pending_.count() > 0) out.set("pending_depth", acc_json(pending_));

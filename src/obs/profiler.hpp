@@ -10,6 +10,14 @@
 // The profiler *is* a core::EngineProbe; attach with engine.set_probe(&p).
 // It observes wall time only — it never touches simulated time, so an
 // observed run's event trace is identical to an unobserved one.
+//
+// Queue timings are sampled: attached directly, the profiler asks the engine
+// for kQueueStride, so queue_push_ns, queue_pop_ns and pending_depth
+// summarize one push (or pop) in every N and their `count` is the number of
+// sampled operations, not the total. The JSON states N as
+// queue_sample_stride: the stride of the probe attached to the engine at
+// ingest(), which differs from kQueueStride when a probe attached in front
+// of this one forwards to it.
 #pragma once
 
 #include <chrono>
@@ -35,6 +43,9 @@ class EngineProfiler final : public core::EngineProbe {
   /// Stop the wall clock (idempotent; finalize calls it).
   void stop();
 
+  /// Queue-timing stride the profiler asks for (see core/probe.hpp).
+  static constexpr std::uint32_t kQueueStride = 64;
+
   EngineProfiler() { start(); }
 
   // --- core::EngineProbe ----------------------------------------------------
@@ -42,10 +53,12 @@ class EngineProfiler final : public core::EngineProbe {
   void on_event(core::SimTime t, core::EventId seq) override;
   void on_queue_push(std::uint64_t ns, std::size_t pending) override;
   void on_queue_pop(std::uint64_t ns) override;
+  std::uint32_t queue_stride() const override { return kQueueStride; }
 
   // --- rollups --------------------------------------------------------------
 
-  /// Final engine counters (scheduled/executed/cancelled/past_clamped).
+  /// Final engine counters (scheduled/executed/cancelled/past_clamped), and
+  /// the queue stride of the engine's attached probe, if any.
   void ingest(const core::Engine& engine);
   /// Parallel-execution rollup: windows, cross-LP messages, per-LP window
   /// occupancy (events per window per LP) and past_clamped.
@@ -65,6 +78,7 @@ class EngineProfiler final : public core::EngineProbe {
  private:
   using Clock = std::chrono::steady_clock;
 
+  std::uint32_t applied_stride_ = kQueueStride;  // reported queue_sample_stride
   Clock::time_point wall_start_{};
   Clock::time_point wall_stop_{};
   bool running_ = false;

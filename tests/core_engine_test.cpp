@@ -2,11 +2,13 @@
 // determinism across queue structures and across runs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/entity.hpp"
+#include "core/probe.hpp"
 
 namespace core = lsds::core;
 
@@ -336,6 +338,82 @@ INSTANTIATE_TEST_SUITE_P(AllStructures, EngineQueueDeterminism,
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });
+
+// --- probe queue-timing stride ---------------------------------------------
+
+namespace {
+
+class CountingProbe final : public core::EngineProbe {
+ public:
+  explicit CountingProbe(std::uint32_t stride) : stride_(stride) {}
+  void on_event(core::SimTime, core::EventId) override {}
+  void on_queue_push(std::uint64_t, std::size_t) override { ++pushes; }
+  void on_queue_pop(std::uint64_t) override { ++pops; }
+  std::uint32_t queue_stride() const override { return stride_; }
+
+  std::uint64_t pushes = 0;
+  std::uint64_t pops = 0;
+
+ private:
+  std::uint32_t stride_;
+};
+
+// The cascade model, observed, stopped at a horizon so that pushes and pops
+// differ (requeued boundary events, events left pending). Returns the number
+// of events left pending.
+std::size_t run_probed(core::QueueKind kind, core::EngineProbe& probe) {
+  core::Engine eng({.queue = kind, .seed = 5});
+  eng.set_probe(&probe);
+  auto& rng = eng.rng("cascade");
+  int budget = 3000;
+  std::function<void()> node = [&] {
+    if (--budget <= 0) return;
+    const int kids = static_cast<int>(rng.uniform_int(0, 2));
+    for (int i = 0; i < kids + 1; ++i) {
+      auto h = eng.schedule_in(rng.exponential(1.0), node);
+      if (rng.uniform_int(0, 9) == 0) eng.cancel(h);
+    }
+  };
+  for (int i = 0; i < 10; ++i) eng.schedule_at(0.0, node);
+  for (int step = 1; step <= 24; ++step) eng.run_until(0.25 * step);
+  eng.set_probe(nullptr);
+  return eng.pending();
+}
+
+}  // namespace
+
+TEST(EngineProbe, QueueStrideSamplesPushesAndPopsSeparately) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    CountingProbe every(1);
+    const std::size_t pending = run_probed(kind, every);
+    ASSERT_GT(pending, 0u);
+    EXPECT_EQ(every.pushes - every.pops, pending);
+    ASSERT_GT(every.pops, 64u * 10);
+
+    CountingProbe sampled(64);
+    run_probed(kind, sampled);
+    EXPECT_EQ(sampled.pushes, every.pushes / 64);
+    EXPECT_EQ(sampled.pops, every.pops / 64);
+  }
+}
+
+TEST(EngineProbe, DefaultProbeSeesEveryQueueOperation) {
+  struct DefaultProbe final : core::EngineProbe {
+    void on_event(core::SimTime, core::EventId) override {}
+    void on_queue_push(std::uint64_t, std::size_t) override { ++pushes; }
+    void on_queue_pop(std::uint64_t) override { ++pops; }
+    std::uint64_t pushes = 0;
+    std::uint64_t pops = 0;
+  } probe;
+  EXPECT_EQ(probe.queue_stride(), 1u);
+  core::Engine eng;
+  eng.set_probe(&probe);
+  for (int i = 0; i < 100; ++i) eng.schedule_at(i, [] {});
+  eng.run();
+  EXPECT_EQ(probe.pushes, 100u);
+  EXPECT_EQ(probe.pops, 100u);
+}
 
 // --- named RNG streams -----------------------------------------------------
 

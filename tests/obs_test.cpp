@@ -9,11 +9,14 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/hash.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
@@ -21,6 +24,7 @@
 #include "obs/span.hpp"
 #include "sim/chaos/chaos.hpp"
 #include "sim/gridsim/gridsim.hpp"
+#include "sim/monarc/monarc.hpp"
 #include "util/ini.hpp"
 
 namespace {
@@ -287,6 +291,173 @@ TEST(RunReport, EndToEndGridsimReportIsFinite) {
   ASSERT_NE(report.root().find("metrics"), nullptr);
   ASSERT_NE(report.root().find("profiler"), nullptr);
   expect_finite(report.root(), "root");
+}
+
+// --- pinned model report ---------------------------------------------------
+
+std::string hex64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t digest(const obs::Json& j) {
+  return core::StateHash().mix(std::string_view(j.dump(0))).value();
+}
+
+// An observed MONARC study at 30 Gbps with tape archiving: every span kind
+// the LHC benchmark's observed workload publishes, at 200 files. The metrics
+// section (counters, timers, sampled series) and the engine rollup are
+// model results, so they are pinned as digests of their JSON: a faster
+// observability layer must report exactly what the original one did.
+TEST(RunReport, ObservedMonarcReportIsPinned) {
+  sim::monarc::Config cfg;
+  cfg.num_t1 = 4;
+  cfg.t0_t1_bandwidth = 30e9 / 8;
+  cfg.num_files = 200;
+  cfg.file_bytes = 20e9;
+  cfg.production_interval = 40;
+  cfg.run_analysis = true;
+  cfg.archive_to_tape = true;
+  cfg.storage_sharing = hosts::StorageSharing::kFifo;
+
+  core::Engine eng({.queue = core::QueueKind::kCalendarQueue, .seed = 7});
+  obs::Options opts;
+  opts.enabled = true;
+  obs::Observability o(opts);
+  o.attach(eng);
+  const auto res = sim::monarc::run(eng, cfg);
+  obs::RunReport report;
+  res.to_report(report);
+  o.finalize(eng, report);
+
+  const obs::Json* metrics = report.root().find("metrics");
+  const obs::Json* engine = report.root().find("profiler")->find("engine");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(engine->find("executed")->as_int(), static_cast<std::int64_t>(eng.stats().executed));
+  EXPECT_EQ(metrics->find("counters")->find("span.flow.done")->as_double(), 800.0);
+  const auto pinned = [](const obs::Json& j, const char* want) {
+    EXPECT_EQ(hex64(digest(j)), want) << j.dump(0);
+  };
+  pinned(*metrics->find("counters"), "fc01d1d140166560");
+  pinned(*metrics->find("timers"), "d43a41e31499ddbb");
+  pinned(*metrics->find("series"), "8624c01cbbe965f5");
+  pinned(*metrics, "67e23bf7bf513555");
+  pinned(*engine, "a6b0a075c55f5bba");
+}
+
+// --- sampled queue timing ----------------------------------------------------
+
+// Forwards every callback to `next` and keeps the default stride of 1, like
+// a profiling probe attached in front of the observability layer.
+class ForwardingProbe final : public core::EngineProbe {
+ public:
+  explicit ForwardingProbe(core::EngineProbe& next) : next_(next) {}
+  void on_event(core::SimTime t, core::EventId seq) override { next_.on_event(t, seq); }
+  void on_queue_push(std::uint64_t ns, std::size_t pending) override {
+    next_.on_queue_push(ns, pending);
+  }
+  void on_queue_pop(std::uint64_t ns) override { next_.on_queue_pop(ns); }
+
+ private:
+  core::EngineProbe& next_;
+};
+
+// The report states the stride the engine applied: the profiler's own when
+// the observability layer is attached directly, 1 when a probe in front of
+// it forwards every queue operation.
+TEST(EngineProfiler, ReportsTheQueueStrideTheEngineApplied) {
+  for (const bool forwarded : {false, true}) {
+    SCOPED_TRACE(forwarded ? "forwarded" : "direct");
+    core::Engine eng;
+    obs::Options opts;
+    opts.enabled = true;
+    obs::Observability o(opts);
+    o.attach(eng);
+    ForwardingProbe front(o);
+    if (forwarded) eng.set_probe(&front);
+    for (int i = 0; i < 1000; ++i) eng.schedule_at(i, [] {});
+    eng.run();
+    obs::RunReport report;
+    o.finalize(eng, report);
+    const obs::Json* prof = report.root().find("profiler");
+    const std::int64_t stride = forwarded ? 1 : obs::EngineProfiler::kQueueStride;
+    EXPECT_EQ(prof->find("queue_sample_stride")->as_int(), stride);
+    EXPECT_EQ(prof->find("queue_push_ns")->find("count")->as_int(), 1000 / stride);
+    EXPECT_EQ(prof->find("queue_pop_ns")->find("count")->as_int(), 1000 / stride);
+  }
+}
+
+// --- lifecycle and concurrency ----------------------------------------------
+
+TEST(ObservabilityLifecycle, DetachDropsEngineGaugesAndKeepsTheirSeries) {
+  obs::Options opts;
+  opts.enabled = true;
+  obs::Observability o(opts);
+  double t_end = 0;
+  std::size_t samples = 0;
+  {
+    auto eng = std::make_unique<core::Engine>(core::Engine::Config{.seed = 5});
+    o.attach(*eng);
+    for (int i = 1; i <= 10; ++i) eng->schedule_at(i, [] {});
+    eng->run();
+    t_end = eng->now();
+    samples = o.metrics().series().at("engine.pending_events").size();
+    o.detach();
+  }  // the engine is gone: finalize must not poll its gauges
+  obs::RunReport report;
+  o.finalize(report, t_end + 5);
+  const obs::Json* series = report.root().find("metrics")->find("series");
+  for (const char* name : {"engine.pending_events", "engine.live_processes"}) {
+    const obs::Json* s = series->find(name);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_EQ(s->find("samples")->as_int(), static_cast<std::int64_t>(samples)) << name;
+    EXPECT_EQ(s->find("last_t")->as_double(), t_end) << name;
+  }
+}
+
+// Parallel LP threads publish spans concurrently; every one must be counted
+// and timed exactly once (run under TSan in CI).
+TEST(ObservabilityConcurrency, ConcurrentSpansAreCountedExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kSpans = 10000;
+  obs::Options opts;
+  opts.enabled = true;
+  obs::Observability o(opts);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      const auto& bus = obs::SpanBus::global();
+      for (int i = 0; i < kSpans; ++i) {
+        obs::Span s;
+        s.kind = i % 2 ? "flow" : "job";
+        s.status = i % 3 ? "done" : "aborted";
+        s.id = static_cast<std::uint64_t>(t * kSpans + i);
+        s.t1 = 0.5;
+        s.quantity = 2;
+        bus.publish(s);
+        s.kind = i % 2 ? "job" : "flow";
+        bus.publish(s);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  obs::RunReport report;
+  o.finalize(report, 1.0);
+  const obs::Json* m = report.root().find("metrics");
+  const obs::Json* counters = m->find("counters");
+  const double per_kind = kThreads * kSpans;
+  const double aborted = kThreads * ((kSpans + 2) / 3);
+  for (const std::string kind : {"flow", "job"}) {
+    EXPECT_EQ(counters->find("span." + kind + ".done")->as_double(), per_kind - aborted);
+    EXPECT_EQ(counters->find("span." + kind + ".aborted")->as_double(), aborted);
+    const obs::Json* timer = m->find("timers")->find("span." + kind + ".duration_s");
+    EXPECT_EQ(timer->find("count")->as_int(), static_cast<std::int64_t>(per_kind));
+    EXPECT_EQ(timer->find("mean_s")->as_double(), 0.5);
+  }
+  EXPECT_EQ(counters->find("net.bytes_moved")->as_double(), 2 * per_kind);
+  EXPECT_EQ(counters->find("cpu.ops_done")->as_double(), 2 * per_kind);
 }
 
 }  // namespace
