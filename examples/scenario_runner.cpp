@@ -8,10 +8,14 @@
 // See examples/scenarios/*.ini for the format. The [scenario] section picks
 // the facade (resolved through sim::FacadeRegistry), seed and event-queue
 // structure; the facade-named section holds its parameters (rates/sizes/
-// durations accept units: 2.5Gbps, 20GB, 40s). `strict = true` rejects
-// unknown keys with a near-miss suggestion. The [observability] section (or
-// a --report= override) turns on the metrics/trace/profiler layer and
+// durations accept units: 2.5Gbps, 20GB, 40s). The [observability] section
+// (or a --report= override) turns on the metrics/trace/profiler layer and
 // writes a structured RunReport JSON.
+//
+// Key validation is always on: the facade parses its sections before
+// anything runs, and any key or section that no code read — a typo, or a
+// leftover `strict` key — fails with a near-miss suggestion. Campaign mode
+// never reads [observability], so a campaign scenario may not have one.
 //
 // A scenario with a [sweep] or [campaign] section (or a --campaign flag)
 // runs in *campaign mode* instead: the parameter grid is expanded, every
@@ -131,7 +135,7 @@ int main(int argc, char** argv) {
   }
   try {
     const std::string source = flags.positional()[0];
-    const auto ini = util::IniConfig::load(source);
+    auto ini = util::IniConfig::load(source);
     const std::string facade = ini.get_string("scenario", "facade", "");
 
     sim::register_builtin_facades();
@@ -142,10 +146,6 @@ int main(int argc, char** argv) {
                    facade.c_str(), util::join(reg.names(), ", ").c_str());
       return 2;
     }
-    if (ini.get_bool("scenario", "strict", false)) {
-      sim::validate_scenario_keys(ini, *entry);
-    }
-
     const auto sections = ini.sections();
     const bool has_campaign_cfg =
         std::find(sections.begin(), sections.end(), "campaign") != sections.end() ||
@@ -155,12 +155,14 @@ int main(int argc, char** argv) {
     }
 
     core::Engine::Config ecfg;
-    ecfg.seed = static_cast<std::uint64_t>(ini.get_int("scenario", "seed", 42));
+    ecfg.seed = ini.get_count("scenario", "seed", 42);
     const std::string queue = ini.get_string("scenario", "queue", "heap");
     ecfg.queue = sim::facades::parse_queue(queue);
-    core::Engine engine(ecfg);
-
     obs::Options oopts = obs::parse_options(ini);
+    const auto study = entry->parse(ini);
+    ini.reject_unread();
+
+    core::Engine engine(ecfg);
     if (flags.has("report")) {
       // A --report= flag forces observability on and overrides the path.
       oopts.enabled = true;
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
     report.set_scenario(facade, ecfg.seed, queue, source);
     report.echo_config(ini);
 
-    const int rc = entry->run(engine, ini, report);
+    const int rc = study(engine, report);
 
     if (observability.enabled()) {
       observability.finalize(engine, report);

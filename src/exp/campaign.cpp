@@ -95,28 +95,11 @@ void extract_metrics(const obs::Json& result, RepOutcome& out) {
 }  // namespace
 
 CampaignSpec CampaignSpec::parse(const util::IniConfig& ini) {
-  // Validate the raw integers BEFORE the size_t casts: `replications = -3`
-  // must be rejected, not wrapped into 18 quintillion replications.
-  const long long replications = ini.get_int("campaign", "replications", 5);
-  if (replications < 1) {
-    throw util::ConfigError("[campaign] replications must be >= 1 (got " +
-                            std::to_string(replications) + ")");
-  }
-  const long long warmup = ini.get_int("campaign", "warmup", 0);
-  if (warmup < 0) {
-    throw util::ConfigError("[campaign] warmup must be >= 0 (got " + std::to_string(warmup) +
-                            ")");
-  }
-  const long long workers = ini.get_int("campaign", "workers", 1);
-  if (workers < 0) {
-    throw util::ConfigError("[campaign] workers must be >= 0 (got " + std::to_string(workers) +
-                            ")");
-  }
   CampaignSpec spec;
-  spec.replications = static_cast<std::size_t>(replications);
-  spec.warmup = static_cast<std::size_t>(warmup);
+  spec.replications = ini.get_count("campaign", "replications", 5, 1);
+  spec.warmup = ini.get_count("campaign", "warmup", 0);
   spec.confidence = ini.get_double("campaign", "confidence", 0.95);
-  spec.workers = static_cast<unsigned>(workers);
+  spec.workers = static_cast<unsigned>(ini.get_count("campaign", "workers", 1));
   spec.timing = ini.get_bool("campaign", "timing", false);
   if (spec.warmup >= spec.replications) {
     throw util::ConfigError("[campaign] warmup (" + std::to_string(spec.warmup) +
@@ -148,7 +131,7 @@ Campaign::Campaign(util::IniConfig base) : base_(std::move(base)) {
   facade_ = base_.get_string("scenario", "facade", "");
   queue_name_ = base_.get_string("scenario", "queue", "heap");
   queue_ = sim::facades::parse_queue(queue_name_);
-  base_seed_ = static_cast<std::uint64_t>(base_.get_int("scenario", "seed", 42));
+  base_seed_ = base_.get_count("scenario", "seed", 42);
   seeds_.resize(spec_.replications);
   for (std::size_t r = 0; r < spec_.replications; ++r) {
     seeds_[r] = substream_seed(base_seed_, r);
@@ -172,18 +155,6 @@ std::vector<RepOutcome> Campaign::run_slots(std::size_t begin, std::size_t end,
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
 
-  // One INI per covered point, built up front; replications share it
-  // read-only.
-  const std::size_t p_lo = begin / n_reps;
-  const std::size_t p_hi = end == begin ? p_lo : (end - 1) / n_reps + 1;
-  std::vector<util::IniConfig> point_inis;
-  point_inis.reserve(p_hi - p_lo);
-  for (std::size_t p = p_lo; p < p_hi; ++p) {
-    util::IniConfig ini = base_;
-    sweep_.apply(p, ini);
-    point_inis.push_back(std::move(ini));
-  }
-
   // Pre-sized outcome grid: each task writes its own slot, so scheduling
   // order cannot leak into the result.
   std::vector<RepOutcome> outcomes(end - begin);
@@ -192,15 +163,23 @@ std::vector<RepOutcome> Campaign::run_slots(std::size_t begin, std::size_t end,
   for (std::size_t slot = begin; slot < end; ++slot) {
     const std::size_t p = slot / n_reps;
     const std::size_t r = slot % n_reps;
-    pool.submit([this, &point_inis, &outcomes, begin, p_lo, slot, p, r] {
+    pool.submit([this, &outcomes, begin, slot, p, r] {
       RepOutcome& out = outcomes[slot - begin];
       try {
+        // A private point INI per slot: reads mark keys, and slots run
+        // concurrently. It inherits the marks of the keys the constructor
+        // read ([scenario], [sweep], [campaign]), so reject_unread() flags
+        // only what neither the campaign nor the facade knows.
+        util::IniConfig ini = base_;
+        sweep_.apply(p, ini);
+        const auto study = entry_->parse(ini);
+        ini.reject_unread();
         core::Engine::Config ecfg;
         ecfg.queue = queue_;
         ecfg.seed = seeds_[r];
         core::Engine engine(ecfg);
         obs::RunReport report;
-        out.rc = entry_->run(engine, point_inis[p - p_lo], report);
+        out.rc = study(engine, report);
         extract_metrics(report.result(), out);
       } catch (const std::exception& e) {
         out.rc = -1;

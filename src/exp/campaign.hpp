@@ -141,7 +141,9 @@ class Campaign {
  public:
   /// Parse [scenario]/[sweep]/[campaign] out of `base` and resolve the
   /// facade in the global registry (register_builtin_facades() is called).
-  /// Throws util::ConfigError on an unknown facade or a bad spec.
+  /// Throws util::ConfigError on an unknown facade or a bad spec. Keys
+  /// `base` was already asked for stay known: a caller that reads more of
+  /// the [campaign] section (DistConfig::parse) does so before this.
   explicit Campaign(util::IniConfig base);
 
   const CampaignSpec& spec() const { return spec_; }
@@ -170,9 +172,11 @@ class Campaign {
 
   /// Execute slots [begin, end) of the point-major (point, replication)
   /// grid in-process on `threads` threads (0 = hardware concurrency) and
-  /// return their outcomes (slot begin+i at index i). Replication failures
-  /// are recorded per-slot, never thrown — surfacing them deterministically
-  /// is aggregate()'s job. Facade stdout/stderr are silenced for the
+  /// return their outcomes (slot begin+i at index i). Each slot parses its
+  /// point INI through the facade and rejects unread keys before it runs.
+  /// Replication failures — a bad or unknown key included — are recorded
+  /// per-slot, never thrown; surfacing them deterministically is
+  /// aggregate()'s job. Facade stdout/stderr are silenced for the
   /// duration and restored on every path.
   std::vector<RepOutcome> run_slots(std::size_t begin, std::size_t end, unsigned threads) const;
 

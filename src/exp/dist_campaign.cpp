@@ -31,28 +31,13 @@ namespace fs = std::filesystem;
 
 DistConfig DistConfig::parse(const util::IniConfig& ini) {
   DistConfig cfg;
-  const long long distribute = ini.get_int("campaign", "distribute", 0);
-  if (distribute < 0) {
-    throw util::ConfigError("[campaign] distribute must be >= 0 (got " +
-                            std::to_string(distribute) + ")");
-  }
-  cfg.processes = static_cast<unsigned>(distribute);
-  const long long shard_size = ini.get_int("campaign", "shard_size", 1);
-  if (shard_size < 1) {
-    throw util::ConfigError("[campaign] shard_size must be >= 1 (got " +
-                            std::to_string(shard_size) + ")");
-  }
-  cfg.shard_size = static_cast<std::size_t>(shard_size);
+  cfg.processes = static_cast<unsigned>(ini.get_count("campaign", "distribute", 0));
+  cfg.shard_size = ini.get_count("campaign", "shard_size", 1, 1);
   cfg.timeout_sec = ini.get_duration("campaign", "timeout", cfg.timeout_sec);
   if (!(cfg.timeout_sec > 0) || !std::isfinite(cfg.timeout_sec)) {
     throw util::ConfigError("[campaign] timeout must be a positive finite duration");
   }
-  const long long retries = ini.get_int("campaign", "retries", 2);
-  if (retries < 0) {
-    throw util::ConfigError("[campaign] retries must be >= 0 (got " + std::to_string(retries) +
-                            ")");
-  }
-  cfg.retries = static_cast<unsigned>(retries);
+  cfg.retries = static_cast<unsigned>(ini.get_count("campaign", "retries", 2));
   cfg.partial_dir = ini.get_string("campaign", "partial_dir", "");
   cfg.keep_partials = ini.get_bool("campaign", "keep_partials", false);
 
@@ -393,6 +378,9 @@ int run_campaign_worker(const util::Flags& flags) {
       throw std::runtime_error("--campaign-worker needs --scenario=<ini>");
     }
     const auto ini = util::IniConfig::load(scenario);
+    // Parsed only so its keys count as read: the coordinator ships the
+    // scenario with its [campaign] distribution keys intact.
+    DistConfig::parse(ini);
     Campaign campaign(ini);
 
     const long long begin = flags.get_int("shard-begin", -1);

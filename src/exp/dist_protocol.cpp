@@ -53,7 +53,9 @@ std::string grid_signature(const Campaign& campaign) {
       "timeout",  "retries",     "partial_dir", "keep_partials",
       "hosts",
   };
-  const util::IniConfig& base = campaign.base();
+  // A copy: reading marks keys, and the campaign's own marks must stay the
+  // ones its slots check against.
+  const util::IniConfig base = campaign.base();
   for (const std::string& section : base.sections()) {
     canon += '\x1d';  // section separator
     field(section);

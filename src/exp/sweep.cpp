@@ -33,6 +33,12 @@ SweepSpec SweepSpec::parse(const util::IniConfig& ini) {
     }
     SweepAxis axis;
     axis.section = name.substr(0, dot);
+    if (axis.section == "scenario" || axis.section == "campaign" || axis.section == "sweep" ||
+        axis.section == "observability") {
+      throw util::ConfigError("[sweep] " + name + ": cannot sweep the runner-owned [" +
+                              axis.section +
+                              "] section (seeds and queue are campaign-controlled)");
+    }
     axis.key = name.substr(dot + 1);
     axis.values = split_values(*ini.get("sweep", name), name);
     spec.axes_.push_back(std::move(axis));

@@ -35,7 +35,10 @@ struct SweepAxis {
 class SweepSpec {
  public:
   /// Parse the `[sweep]` section (empty spec when absent). Throws
-  /// util::ConfigError on a key without a '.' or an empty value list.
+  /// util::ConfigError on a key without a '.', an empty value list, or a
+  /// target in the runner-owned [scenario]/[campaign]/[sweep]/
+  /// [observability] sections. A target key no facade reads is not caught
+  /// here: it fails the point INI's IniConfig::reject_unread().
   static SweepSpec parse(const util::IniConfig& ini);
 
   const std::vector<SweepAxis>& axes() const { return axes_; }

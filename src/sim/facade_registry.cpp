@@ -1,11 +1,6 @@
 #include "sim/facade_registry.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
-
-#include "util/ini.hpp"
-#include "util/strings.hpp"
 
 namespace lsds::sim {
 
@@ -50,73 +45,6 @@ void register_builtin_facades() {
     return true;
   }();
   (void)once;
-}
-
-void validate_scenario_keys(const util::IniConfig& ini, const FacadeRegistry::Entry& entry) {
-  // Runner-owned sections, known to every scenario.
-  static const std::map<std::string, std::vector<std::string>> kRunnerKeys = {
-      {"scenario", {"facade", "seed", "queue", "strict"}},
-      {"observability", {"enabled", "report", "trace", "sample_interval", "trace_events"}},
-      {"campaign",
-       {"replications", "warmup", "confidence", "workers", "timing", "distribute", "shard_size",
-        "timeout", "retries", "partial_dir", "hosts", "keep_partials"}},
-  };
-
-  for (const std::string& section : ini.sections()) {
-    if (section == "sweep") {
-      // Sweep keys are `section.key` references; each must resolve to a key
-      // the facade (or the runner) declares — a sweep over a typo'd key
-      // would silently run the base scenario N times.
-      for (const std::string& name : ini.keys("sweep")) {
-        const auto dot = name.find('.');
-        if (dot == std::string::npos || dot == 0 || dot + 1 == name.size()) {
-          throw util::ConfigError("[sweep] " + name +
-                                  ": sweep keys must be of the form section.key");
-        }
-        const std::string tsec = name.substr(0, dot);
-        const std::string tkey = name.substr(dot + 1);
-        if (tsec == "scenario" || tsec == "campaign" || tsec == "sweep" ||
-            tsec == "observability") {
-          throw util::ConfigError("[sweep] " + name + ": cannot sweep the runner-owned [" +
-                                  tsec + "] section (seeds and queue are campaign-controlled)");
-        }
-        auto it = entry.keys.find(tsec);
-        if (it == entry.keys.end()) {
-          throw util::ConfigError("[sweep] " + name + ": facade '" + entry.name +
-                                  "' declares no [" + tsec + "] section (strict mode)");
-        }
-        const auto& tknown = it->second;
-        if (std::find(tknown.begin(), tknown.end(), tkey) == tknown.end()) {
-          throw util::ConfigError("[sweep] " + name + ": unknown key '" + tkey + "' in [" +
-                                  tsec + "] (strict mode)");
-        }
-      }
-      continue;
-    }
-    const std::vector<std::string>* known = nullptr;
-    if (auto it = kRunnerKeys.find(section); it != kRunnerKeys.end()) known = &it->second;
-    if (auto it = entry.keys.find(section); it != entry.keys.end()) known = &it->second;
-    if (!known) {
-      throw util::ConfigError("[" + section + "]: unknown section for facade '" + entry.name +
-                              "' (strict mode)");
-    }
-    for (const std::string& key : ini.keys(section)) {
-      if (std::find(known->begin(), known->end(), key) != known->end()) continue;
-      // Near-miss suggestion: closest declared key within edit distance 2.
-      std::string best;
-      std::size_t best_d = std::numeric_limits<std::size_t>::max();
-      for (const std::string& cand : *known) {
-        const std::size_t d = util::edit_distance(key, cand);
-        if (d < best_d) {
-          best_d = d;
-          best = cand;
-        }
-      }
-      std::string msg = "[" + section + "] " + key + ": unknown key (strict mode)";
-      if (best_d <= 2) msg += " — did you mean '" + best + "'?";
-      throw util::ConfigError(msg);
-    }
-  }
 }
 
 }  // namespace lsds::sim

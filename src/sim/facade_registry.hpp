@@ -1,12 +1,14 @@
 // Facade registry: the one dispatch table from `[scenario] facade = <name>`
 // to a runnable study.
 //
-// Each facade registers an Entry — name, a run function with the uniform
-// signature (engine, scenario INI, run report), and the INI keys it
-// understands. The scenario runner resolves the facade by name instead of
-// an if-chain, an unknown name lists what IS registered, and strict key
-// validation ([scenario] strict = true) rejects typo'd keys with a
-// near-miss suggestion.
+// Each facade registers an Entry — a name and a parse function that reads
+// every INI key the facade knows and returns the study, which holds its
+// configuration by value and never touches the INI again. Callers parse,
+// then call util::IniConfig::reject_unread(), then run: the keys the parse
+// function asked for are the facade's key list, so a typo'd key fails with
+// a near-miss suggestion before anything runs. The scenario runner
+// resolves the facade by name instead of an if-chain, and an unknown name
+// lists what IS registered.
 //
 // Registration is explicit (register_builtin_facades() calls one function
 // per src/sim/facades/*_facade.cpp) rather than static-initializer magic:
@@ -33,18 +35,17 @@ namespace lsds::sim {
 
 class FacadeRegistry {
  public:
-  /// Run the facade described by `ini` on `engine`, filling the report's
-  /// "result" (and, where it applies, "dependability" / "execution")
-  /// sections. Returns a process exit code.
-  using RunFn = std::function<int(core::Engine&, const util::IniConfig&, obs::RunReport&)>;
+  /// A parsed study: run it on `engine`, filling the report's "result"
+  /// (and, where it applies, "dependability" / "execution") sections.
+  /// Returns a process exit code.
+  using Study = std::function<int(core::Engine&, obs::RunReport&)>;
+  /// Read the facade's keys from the scenario INI (throws
+  /// util::ConfigError on a malformed value) and return its study.
+  using ParseFn = std::function<Study(const util::IniConfig&)>;
 
   struct Entry {
     std::string name;
-    RunFn run;
-    /// Known keys per INI section this facade consumes (its own section,
-    /// [failures], [execution], ...). Strict validation checks against
-    /// these plus the runner-owned sections.
-    std::map<std::string, std::vector<std::string>> keys;
+    ParseFn parse;
   };
 
   /// Throws std::invalid_argument when `e.name` is already registered.
@@ -75,11 +76,5 @@ void register_p2p_facade(FacadeRegistry& reg);
 
 /// Register every built-in facade into the global registry. Idempotent.
 void register_builtin_facades();
-
-/// Strict key validation: every key in `ini` must be consumed by the runner
-/// ([scenario], [observability]) or declared by `entry`. Throws
-/// util::ConfigError naming the first unknown key, with a "did you mean"
-/// suggestion when a declared key is within edit distance 2.
-void validate_scenario_keys(const util::IniConfig& ini, const FacadeRegistry::Entry& entry);
 
 }  // namespace lsds::sim

@@ -13,12 +13,12 @@ namespace lsds::sim {
 
 namespace {
 
-int run_chaos(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
+FacadeRegistry::Study parse_chaos(const util::IniConfig& ini) {
   chaos::Config cfg;
-  cfg.num_hosts = static_cast<std::size_t>(ini.get_int("chaos", "hosts", 8));
-  cfg.cores = static_cast<unsigned>(ini.get_int("chaos", "cores", 1));
+  cfg.num_hosts = ini.get_count("chaos", "hosts", 8);
+  cfg.cores = static_cast<unsigned>(ini.get_count("chaos", "cores", 1));
   cfg.cpu_speed = ini.get_double("chaos", "cpu_speed", 1000);
-  cfg.num_jobs = static_cast<std::size_t>(ini.get_int("chaos", "jobs", 1000));
+  cfg.num_jobs = ini.get_count("chaos", "jobs", 1000);
   cfg.mean_ops = ini.get_double("chaos", "mean_ops", 2000);
 
   const std::string h = ini.get_string("chaos", "heuristic", "fifo");
@@ -28,42 +28,31 @@ int run_chaos(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& rep
   facades::parse_enum("recovery policy", policy, middleware::kAllRecoveryPolicies,
                       cfg.recovery.policy);
   cfg.recovery.backoff_base = ini.get_duration("failures", "backoff", cfg.recovery.backoff_base);
-  cfg.recovery.max_attempts =
-      static_cast<std::size_t>(ini.get_int("failures", "max_attempts", 0));
+  cfg.recovery.max_attempts = ini.get_count("failures", "max_attempts", 0);
   cfg.recovery.blacklist_duration =
       ini.get_duration("failures", "blacklist", cfg.recovery.blacklist_duration);
   cfg.recovery.checkpoint_interval_ops =
       ini.get_double("failures", "checkpoint_interval_ops", cfg.mean_ops / 4);
   cfg.recovery.checkpoint_overhead_ops =
       ini.get_double("failures", "checkpoint_overhead_ops", cfg.mean_ops / 50);
-  cfg.recovery.replicas = static_cast<std::size_t>(ini.get_int("failures", "replicas", 2));
+  cfg.recovery.replicas = ini.get_count("failures", "replicas", 2);
   cfg.failures = facades::parse_failures(ini);
 
-  const auto res = chaos::run(eng, cfg);
-  std::printf("chaos(%s/%s): %llu done, %llu lost, %llu kills, makespan %.1f s\n",
-              middleware::to_string(cfg.heuristic), policy.c_str(),
-              static_cast<unsigned long long>(res.completed),
-              static_cast<unsigned long long>(res.lost),
-              static_cast<unsigned long long>(res.kills), res.makespan);
-  std::printf("%s", res.dependability.report(res.makespan).c_str());
-  res.to_report(report);
-  return res.lost == 0 ? 0 : 1;
+  return [cfg, policy](core::Engine& eng, obs::RunReport& report) {
+    const auto res = chaos::run(eng, cfg);
+    std::printf("chaos(%s/%s): %llu done, %llu lost, %llu kills, makespan %.1f s\n",
+                middleware::to_string(cfg.heuristic), policy.c_str(),
+                static_cast<unsigned long long>(res.completed),
+                static_cast<unsigned long long>(res.lost),
+                static_cast<unsigned long long>(res.kills), res.makespan);
+    std::printf("%s", res.dependability.report(res.makespan).c_str());
+    res.to_report(report);
+    return res.lost == 0 ? 0 : 1;
+  };
 }
 
 }  // namespace
 
-void register_chaos_facade(FacadeRegistry& reg) {
-  FacadeRegistry::Entry e;
-  e.name = "chaos";
-  e.run = run_chaos;
-  e.keys["chaos"] = {"hosts", "cores", "cpu_speed", "jobs", "mean_ops", "heuristic"};
-  auto failures = facades::failures_keys();
-  for (const char* k : {"policy", "backoff", "max_attempts", "blacklist",
-                        "checkpoint_interval_ops", "checkpoint_overhead_ops", "replicas"}) {
-    failures.push_back(k);
-  }
-  e.keys["failures"] = std::move(failures);
-  reg.add(std::move(e));
-}
+void register_chaos_facade(FacadeRegistry& reg) { reg.add({"chaos", parse_chaos}); }
 
 }  // namespace lsds::sim

@@ -11,36 +11,30 @@ namespace lsds::sim {
 
 namespace {
 
-int run_chicsim(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
+FacadeRegistry::Study parse_chicsim(const util::IniConfig& ini) {
   chicsim::Config cfg;
-  cfg.num_sites = static_cast<std::size_t>(ini.get_int("chicsim", "sites", 6));
+  cfg.num_sites = ini.get_count("chicsim", "sites", 6);
   const std::string jp = ini.get_string("chicsim", "job_policy", "job-data-present");
   facades::parse_enum("job policy", jp, chicsim::kAllJobPolicies, cfg.job_policy);
   const std::string dp = ini.get_string("chicsim", "data_policy", "data-cache");
   facades::parse_enum("data policy", dp, chicsim::kAllDataPolicies, cfg.data_policy);
-  cfg.workload.num_jobs = static_cast<std::size_t>(ini.get_int("chicsim", "jobs", 400));
+  cfg.workload.num_jobs = ini.get_count("chicsim", "jobs", 400);
   cfg.workload.zipf_exponent = ini.get_double("chicsim", "zipf", 0.9);
   cfg.failures = facades::parse_resume_failures(ini);
   cfg.storage_sharing = facades::parse_storage(ini);
-  const auto res = chicsim::run(eng, cfg);
-  std::printf("chicsim(%s,%s): %llu jobs, mean response %.2f s, locality %.2f, network %s\n",
-              jp.c_str(), dp.c_str(), static_cast<unsigned long long>(res.jobs),
-              res.response_times.mean(), res.locality(),
-              util::format_size(res.network_bytes).c_str());
-  res.to_report(report);
-  return 0;
+  return [cfg, jp, dp](core::Engine& eng, obs::RunReport& report) {
+    const auto res = chicsim::run(eng, cfg);
+    std::printf("chicsim(%s,%s): %llu jobs, mean response %.2f s, locality %.2f, network %s\n",
+                jp.c_str(), dp.c_str(), static_cast<unsigned long long>(res.jobs),
+                res.response_times.mean(), res.locality(),
+                util::format_size(res.network_bytes).c_str());
+    res.to_report(report);
+    return 0;
+  };
 }
 
 }  // namespace
 
-void register_chicsim_facade(FacadeRegistry& reg) {
-  FacadeRegistry::Entry e;
-  e.name = "chicsim";
-  e.run = run_chicsim;
-  e.keys["chicsim"] = {"sites", "job_policy", "data_policy", "jobs", "zipf"};
-  e.keys["failures"] = facades::failures_keys();
-  e.keys["storage"] = facades::storage_keys();
-  reg.add(std::move(e));
-}
+void register_chicsim_facade(FacadeRegistry& reg) { reg.add({"chicsim", parse_chicsim}); }
 
 }  // namespace lsds::sim

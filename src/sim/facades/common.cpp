@@ -39,10 +39,8 @@ middleware::FailureSpec parse_resume_failures(const util::IniConfig& ini) {
 }
 
 hosts::ExecutionSpec parse_exec_spec(const util::IniConfig& ini) {
-  hosts::ExecutionSpec spec = sim::parallel::parse_execution(
-      ini, static_cast<std::uint64_t>(ini.get_int("scenario", "seed", 42)),
-      parse_queue(ini.get_string("scenario", "queue", "heap")));
-  return spec;
+  return sim::parallel::parse_execution(ini, 0,
+                                        parse_queue(ini.get_string("scenario", "queue", "heap")));
 }
 
 hosts::StorageSharing parse_storage(const util::IniConfig& ini) {
@@ -51,15 +49,5 @@ hosts::StorageSharing parse_storage(const util::IniConfig& ini) {
   if (s == "maxmin") return hosts::StorageSharing::kMaxMin;
   throw util::ConfigError("unknown storage sharing: " + s + " (fifo|maxmin)");
 }
-
-std::vector<std::string> failures_keys() {
-  return {"enabled", "mtbf", "mttr", "horizon", "weibull_shape", "links", "semantics"};
-}
-
-std::vector<std::string> execution_keys() {
-  return {"mode", "threads", "lps", "partition", "lookahead"};
-}
-
-std::vector<std::string> storage_keys() { return {"sharing"}; }
 
 }  // namespace lsds::sim::facades

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "hosts/parallel_grid.hpp"
@@ -27,7 +26,9 @@ middleware::FailureSpec parse_failures(const util::IniConfig& ini);
 /// `semantics = stop`.
 middleware::FailureSpec parse_resume_failures(const util::IniConfig& ini);
 
-/// Parse the [execution] section against the [scenario] determinism knobs.
+/// Parse the [execution] section and `[scenario] queue`. The seed is left
+/// for the study to take from its engine, so every campaign replication of
+/// a parallel-mode scenario runs its own substream.
 hosts::ExecutionSpec parse_exec_spec(const util::IniConfig& ini);
 
 /// `[storage]` section: `sharing = fifo|maxmin` selects the contention
@@ -36,11 +37,6 @@ hosts::ExecutionSpec parse_exec_spec(const util::IniConfig& ini);
 /// framework; maxmin registers the heads as solver capacity resources so
 /// disk and link constraints are solved jointly.
 hosts::StorageSharing parse_storage(const util::IniConfig& ini);
-
-/// Declared-key lists for strict validation (FacadeRegistry::Entry::keys).
-std::vector<std::string> failures_keys();
-std::vector<std::string> execution_keys();
-std::vector<std::string> storage_keys();
 
 /// Match `value` against an enum's candidate list by its to_string name,
 /// assigning `out` on a hit; otherwise throw ConfigError naming the bad

@@ -29,15 +29,14 @@ std::vector<double> parse_double_list(const std::string& raw, const char* what) 
   return out;
 }
 
-int run_explore(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
+FacadeRegistry::Study parse_explore(const util::IniConfig& ini) {
   explore::Config cfg;
   // The explorer builds a fresh engine per interleaving; mirror the
   // runner's [scenario] knobs instead of using `eng` (see explore.hpp).
-  cfg.engine.seed = eng.seed();
   cfg.engine.queue = facades::parse_queue(ini.get_string("scenario", "queue", "heap"));
 
   auto& scn = cfg.scenario;
-  scn.hosts = static_cast<std::size_t>(ini.get_int("explore", "hosts", 2));
+  scn.hosts = ini.get_count("explore", "hosts", 2);
   scn.speed = ini.get_double("explore", "speed", 1);
   if (const std::string ops = ini.get_string("explore", "job_ops", ""); !ops.empty()) {
     scn.job_ops = parse_double_list(ops, "explore.job_ops");
@@ -64,9 +63,8 @@ int run_explore(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& r
       ini.get_double("explore", "checkpoint_interval_ops", rec.checkpoint_interval_ops);
   rec.checkpoint_overhead_ops =
       ini.get_double("explore", "checkpoint_overhead_ops", rec.checkpoint_overhead_ops);
-  rec.replicas = static_cast<std::size_t>(ini.get_int("explore", "replicas", rec.replicas));
-  rec.max_attempts =
-      static_cast<std::size_t>(ini.get_int("explore", "max_attempts", rec.max_attempts));
+  rec.replicas = ini.get_count("explore", "replicas", rec.replicas);
+  rec.max_attempts = ini.get_count("explore", "max_attempts", rec.max_attempts);
 
   if (const std::string p = ini.get_string("explore", "policy", "all"); p != "all") {
     middleware::RecoveryPolicyKind policy{};
@@ -88,53 +86,26 @@ int run_explore(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& r
   }
 
   auto& mc = cfg.explore;
-  mc.max_depth = static_cast<std::size_t>(ini.get_int("explore", "max_depth", 0));
-  mc.max_states =
-      static_cast<std::uint64_t>(ini.get_int("explore", "max_states",
-                                             static_cast<long long>(mc.max_states)));
-  mc.step_budget =
-      static_cast<std::uint64_t>(ini.get_int("explore", "step_budget",
-                                             static_cast<long long>(mc.step_budget)));
+  mc.max_depth = ini.get_count("explore", "max_depth", 0);
+  mc.max_states = ini.get_count("explore", "max_states", mc.max_states);
+  mc.step_budget = ini.get_count("explore", "step_budget", mc.step_budget);
   mc.sleep_sets = ini.get_bool("explore", "sleep_sets", mc.sleep_sets);
   mc.hash_pruning = ini.get_bool("explore", "hash_pruning", mc.hash_pruning);
   mc.stop_at_first = ini.get_bool("explore", "stop_at_first", mc.stop_at_first);
 
-  const auto res = explore::run(cfg);
-  res.to_report(report, cfg);
-  std::printf("explore: %zu polic%s checked — %s\n", res.policies.size(),
-              res.policies.size() == 1 ? "y" : "ies", res.ok() ? "all verified" : "VIOLATIONS");
-  return res.ok() ? 0 : 1;
+  return [cfg](core::Engine& eng, obs::RunReport& report) {
+    explore::Config seeded = cfg;
+    seeded.engine.seed = eng.seed();
+    const auto res = explore::run(seeded);
+    res.to_report(report, seeded);
+    std::printf("explore: %zu polic%s checked — %s\n", res.policies.size(),
+                res.policies.size() == 1 ? "y" : "ies", res.ok() ? "all verified" : "VIOLATIONS");
+    return res.ok() ? 0 : 1;
+  };
 }
 
 }  // namespace
 
-void register_explore_facade(FacadeRegistry& reg) {
-  FacadeRegistry::Entry e;
-  e.name = "explore";
-  e.run = run_explore;
-  e.keys["explore"] = {"hosts",
-                       "speed",
-                       "job_ops",
-                       "heuristic",
-                       "fault_time",
-                       "repair_after",
-                       "fault_choices",
-                       "fault_choice",
-                       "backoff",
-                       "blacklist",
-                       "checkpoint_interval_ops",
-                       "checkpoint_overhead_ops",
-                       "replicas",
-                       "max_attempts",
-                       "policy",
-                       "invariants",
-                       "max_depth",
-                       "max_states",
-                       "step_budget",
-                       "sleep_sets",
-                       "hash_pruning",
-                       "stop_at_first"};
-  reg.add(std::move(e));
-}
+void register_explore_facade(FacadeRegistry& reg) { reg.add({"explore", parse_explore}); }
 
 }  // namespace lsds::sim

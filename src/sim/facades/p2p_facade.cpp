@@ -20,6 +20,7 @@
 // stabilization, not by an omniscient rebuild); the facade rejects the
 // combination churn != none, protocol = false. Routing is ZoneTree-backed
 // (O(1) route memory), so the facade scales to million-peer populations.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -40,87 +41,100 @@ namespace {
 
 std::string hex64(std::uint64_t v) { return util::strformat("%016llx", (unsigned long long)v); }
 
-int run_p2p(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
-  const std::string overlay = ini.get_string("p2p", "overlay", "chord");
-  if (overlay != "chord" && overlay != "gnutella") {
-    throw util::ConfigError("unknown overlay: " + overlay + " (chord|gnutella)");
-  }
-  const auto peers = static_cast<std::size_t>(ini.get_int("p2p", "peers", 1024));
-  if (peers < 2) throw util::ConfigError("[p2p] peers: need at least 2, got " +
-                                         std::to_string(peers));
-  auto sites = static_cast<std::size_t>(ini.get_int("p2p", "sites", 16));
-  if (sites == 0) throw util::ConfigError("[p2p] sites: must be positive");
-  if (sites > peers) sites = peers;
+// Every key of [p2p], read whatever the overlay and churn model, so a key
+// is accepted exactly when the facade knows it.
+struct P2pConfig {
+  std::string overlay;
+  std::size_t peers = 0;
+  std::size_t sites = 0;
+  net::ClusterSpec site;  // link shape of every site; hosts set per site
+  bool churn_on = false;
+  p2p::ChurnSpec churn;
+  p2p::TrafficSpec traffic;
+  std::uint32_t m = 0;  // chord
+  bool protocol = false;
+  double period = 0;
+  std::size_t degree = 0;  // gnutella
+  std::size_t objects = 0;
+};
 
-  // Platform: `sites` clusters under one backbone, peers spread evenly.
-  net::ZoneTree tree;
-  const double bw = ini.get_double("p2p", "bandwidth", 1e8);
-  const double lat = ini.get_double("p2p", "latency", 5e-3);
-  const double bb_bw = ini.get_double("p2p", "backbone_bandwidth", 1e10);
-  const double bb_lat = ini.get_double("p2p", "backbone_latency", 2e-2);
-  const std::size_t base = peers / sites;
-  const std::size_t extra = peers % sites;
-  for (std::size_t s = 0; s < sites; ++s) {
-    net::ClusterSpec spec;
-    spec.hosts = base + (s < extra ? 1 : 0);
-    spec.host_bandwidth = bw;
-    spec.host_latency = lat;
-    spec.backbone_bandwidth = bb_bw;
-    spec.backbone_latency = bb_lat;
-    tree.add_child(std::make_unique<net::ClusterZone>(spec), bb_bw, bb_lat);
+P2pConfig parse_config(const util::IniConfig& ini) {
+  P2pConfig c;
+  c.overlay = ini.get_string("p2p", "overlay", "chord");
+  if (c.overlay != "chord" && c.overlay != "gnutella") {
+    throw util::ConfigError("unknown overlay: " + c.overlay + " (chord|gnutella)");
   }
-  net::ZoneRouting routing(tree);
+  c.peers = ini.get_count("p2p", "peers", 1024, 2);
+  c.sites = std::min(ini.get_count("p2p", "sites", 16, 1), c.peers);
+  c.site.host_bandwidth = ini.get_double("p2p", "bandwidth", 1e8);
+  c.site.host_latency = ini.get_double("p2p", "latency", 5e-3);
+  c.site.backbone_bandwidth = ini.get_double("p2p", "backbone_bandwidth", 1e10);
+  c.site.backbone_latency = ini.get_double("p2p", "backbone_latency", 2e-2);
 
   const double horizon = ini.get_duration("p2p", "horizon", 60.0);
   if (!(horizon > 0) || !std::isfinite(horizon)) {
     throw util::ConfigError("[p2p] horizon: must be positive and finite");
   }
 
-  p2p::ChurnSpec churn;
   const std::string churn_kind = ini.get_string("p2p", "churn", "none");
-  const bool churn_on = churn_kind != "none";
-  if (churn_on) {
-    if (churn_kind == "exponential") {
-      churn.lifetime_model = p2p::ChurnSpec::Lifetime::kExponential;
-    } else if (churn_kind == "weibull") {
-      churn.lifetime_model = p2p::ChurnSpec::Lifetime::kWeibull;
-    } else {
-      throw util::ConfigError("unknown churn: " + churn_kind + " (none|exponential|weibull)");
-    }
-    churn.mean_lifetime = ini.get_duration("p2p", "mean_lifetime", 300.0);
-    churn.weibull_shape = ini.get_double("p2p", "weibull_shape", 1.5);
-    churn.mean_downtime = ini.get_duration("p2p", "mean_downtime", 30.0);
-    churn.horizon = horizon;
-    churn.validate();
+  c.churn_on = churn_kind != "none";
+  if (churn_kind == "weibull") {
+    c.churn.lifetime_model = p2p::ChurnSpec::Lifetime::kWeibull;
+  } else if (c.churn_on && churn_kind != "exponential") {
+    throw util::ConfigError("unknown churn: " + churn_kind + " (none|exponential|weibull)");
   }
+  c.churn.mean_lifetime = ini.get_duration("p2p", "mean_lifetime", 300.0);
+  c.churn.weibull_shape = ini.get_double("p2p", "weibull_shape", 1.5);
+  c.churn.mean_downtime = ini.get_duration("p2p", "mean_downtime", 30.0);
+  c.churn.horizon = horizon;
+  if (c.churn_on) c.churn.validate();
 
-  p2p::TrafficSpec traffic;
-  traffic.rate = ini.get_double("p2p", "lookup_rate", 100.0);
-  traffic.ttl = static_cast<std::size_t>(ini.get_int("p2p", "ttl", 6));
-  traffic.horizon = horizon;
-  traffic.validate();
+  c.traffic.rate = ini.get_double("p2p", "lookup_rate", 100.0);
+  c.traffic.ttl = ini.get_count("p2p", "ttl", 6);
+  c.traffic.horizon = horizon;
+  c.traffic.validate();
+
+  c.m = static_cast<std::uint32_t>(ini.get_count("p2p", "m", 32));
+  c.protocol = ini.get_bool("p2p", "protocol", c.churn_on);
+  c.period = ini.get_duration("p2p", "stabilize_period", 5.0);
+  if (c.overlay == "chord" && c.churn_on && !c.protocol) {
+    throw util::ConfigError(
+        "[p2p] churn without protocol mode: a failed peer can only be healed by "
+        "stabilization; set protocol = true");
+  }
+  c.degree = ini.get_count("p2p", "degree", 4);
+  c.objects = ini.get_count("p2p", "objects", 64, 1);
+  return c;
+}
+
+int run_p2p(const P2pConfig& c, core::Engine& eng, obs::RunReport& report) {
+  const std::size_t peers = c.peers;
+  const std::size_t sites = c.sites;
+
+  // Platform: `sites` clusters under one backbone, peers spread evenly.
+  net::ZoneTree tree;
+  const std::size_t base = peers / sites;
+  const std::size_t extra = peers % sites;
+  for (std::size_t s = 0; s < sites; ++s) {
+    net::ClusterSpec spec = c.site;
+    spec.hosts = base + (s < extra ? 1 : 0);
+    tree.add_child(std::make_unique<net::ClusterZone>(spec), spec.backbone_bandwidth,
+                   spec.backbone_latency);
+  }
+  net::ZoneRouting routing(tree);
 
   std::uint64_t digest = 0;
-  if (overlay == "chord") {
-    const auto m = static_cast<std::uint32_t>(ini.get_int("p2p", "m", 32));
-    const bool protocol = ini.get_bool("p2p", "protocol", churn_on);
-    if (churn_on && !protocol) {
-      throw util::ConfigError(
-          "[p2p] churn without protocol mode: a failed peer can only be healed by "
-          "stabilization; set protocol = true");
-    }
-    const double period = ini.get_duration("p2p", "stabilize_period", 5.0);
-
-    p2p::ChordNetwork chord(eng, routing, m);
+  if (c.overlay == "chord") {
+    p2p::ChordNetwork chord(eng, routing, c.m);
     chord.reserve(peers);
     for (std::size_t i = 0; i < peers; ++i) chord.add_peer(tree.host(i));
     chord.build();
-    if (protocol) chord.enable_protocol_mode(period, horizon);
+    if (c.protocol) chord.enable_protocol_mode(c.period, c.traffic.horizon);
 
-    p2p::ChordLookupTraffic gen(eng, chord, traffic);
+    p2p::ChordLookupTraffic gen(eng, chord, c.traffic);
     std::unique_ptr<p2p::ChordChurn> churner;
-    if (churn_on) {
-      churner = std::make_unique<p2p::ChordChurn>(eng, chord, churn);
+    if (c.churn_on) {
+      churner = std::make_unique<p2p::ChordChurn>(eng, chord, c.churn);
       churner->start();
     }
     gen.start();
@@ -155,20 +169,16 @@ int run_p2p(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& repor
   }
 
   // gnutella
-  const auto degree = static_cast<std::size_t>(ini.get_int("p2p", "degree", 4));
-  const auto objects = static_cast<std::size_t>(ini.get_int("p2p", "objects", 64));
-  if (objects == 0) throw util::ConfigError("[p2p] objects: must be positive");
-
   p2p::GnutellaNetwork gnet(eng, routing);
   gnet.reserve(peers);
   for (std::size_t i = 0; i < peers; ++i) gnet.add_peer(tree.host(i));
-  gnet.build_random_overlay(degree, eng.rng("p2p.overlay"));
+  gnet.build_random_overlay(c.degree, eng.rng("p2p.overlay"));
 
   // Catalog: objects placed on rng-drawn peers; searches draw from it.
   std::vector<std::uint64_t> catalog;
-  catalog.reserve(objects);
+  catalog.reserve(c.objects);
   auto& place_rng = eng.rng("p2p.objects");
-  for (std::size_t i = 0; i < objects; ++i) {
+  for (std::size_t i = 0; i < c.objects; ++i) {
     const std::string name = "obj-" + std::to_string(i);
     const auto holder = static_cast<std::size_t>(
         place_rng.uniform_int(0, static_cast<std::int64_t>(peers) - 1));
@@ -176,10 +186,10 @@ int run_p2p(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& repor
     catalog.push_back(p2p::GnutellaNetwork::hash_name(name));
   }
 
-  p2p::GnutellaSearchTraffic gen(eng, gnet, traffic, std::move(catalog));
+  p2p::GnutellaSearchTraffic gen(eng, gnet, c.traffic, std::move(catalog));
   std::unique_ptr<p2p::GnutellaChurn> churner;
-  if (churn_on) {
-    churner = std::make_unique<p2p::GnutellaChurn>(eng, gnet, churn, degree);
+  if (c.churn_on) {
+    churner = std::make_unique<p2p::GnutellaChurn>(eng, gnet, c.churn, c.degree);
     churner->start();
   }
   gen.start();
@@ -214,20 +224,14 @@ int run_p2p(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& repor
   return gen.issued() > 0 && gnet.size() > 0 ? 0 : 1;
 }
 
+FacadeRegistry::Study parse_p2p(const util::IniConfig& ini) {
+  return [c = parse_config(ini)](core::Engine& eng, obs::RunReport& report) {
+    return run_p2p(c, eng, report);
+  };
+}
+
 }  // namespace
 
-void register_p2p_facade(FacadeRegistry& reg) {
-  FacadeRegistry::Entry e;
-  e.name = "p2p";
-  e.run = run_p2p;
-  e.keys["p2p"] = {"overlay",       "peers",         "sites",
-                   "m",             "bandwidth",     "latency",
-                   "backbone_bandwidth", "backbone_latency",
-                   "protocol",      "stabilize_period", "horizon",
-                   "churn",         "mean_lifetime", "weibull_shape",
-                   "mean_downtime", "lookup_rate",   "degree",
-                   "ttl",           "objects"};
-  reg.add(std::move(e));
-}
+void register_p2p_facade(FacadeRegistry& reg) { reg.add({"p2p", parse_p2p}); }
 
 }  // namespace lsds::sim

@@ -60,9 +60,8 @@ std::vector<std::uint32_t> parse_u32_list(const std::string& raw, const char* wh
 // Per-level link parameters: a scalar broadcasts to all levels.
 std::vector<double> per_level(const util::IniConfig& ini, const char* key, double def,
                               std::size_t levels) {
-  std::vector<double> v = ini.has("platform", key)
-                              ? parse_list(ini.get_string("platform", key, ""), key)
-                              : std::vector<double>{def};
+  const auto raw = ini.get("platform", key);
+  std::vector<double> v = raw ? parse_list(*raw, key) : std::vector<double>{def};
   if (v.size() == 1) v.assign(levels, v[0]);
   if (v.size() != levels) {
     throw util::ConfigError("[platform] " + std::string(key) + ": expected 1 or " +
@@ -71,50 +70,66 @@ std::vector<double> per_level(const util::IniConfig& ini, const char* key, doubl
   return v;
 }
 
-std::unique_ptr<net::Zone> build_zone(const util::IniConfig& ini, const std::string& shape) {
-  const auto hosts = static_cast<std::size_t>(ini.get_int("platform", "hosts", 64));
-  const double bw = ini.get_double("platform", "bandwidth", 1e9);
-  const double lat = ini.get_double("platform", "latency", 1e-4);
-  if (shape == "star") {
-    return std::make_unique<net::StarZone>(net::StarSpec{hosts, bw, lat});
+// Every [platform] key, read whatever the zone, so a key is accepted
+// exactly when the facade knows it. Only the spec of `shape` is used.
+struct PlatformConfig {
+  std::string kind;   // the `zone` key
+  std::string shape;  // star | cluster | fat-tree
+  net::StarSpec star;
+  net::ClusterSpec cluster;
+  net::FatTreeSpec fat_tree;
+  std::size_t flows = 0;
+  double bytes = 0;
+};
+
+PlatformConfig parse_config(const util::IniConfig& ini) {
+  PlatformConfig c;
+  c.kind = ini.get_string("platform", "zone", "cluster");
+  // zone = flat is the control arm: same shape, flat-graph Dijkstra routing.
+  c.shape = c.kind != "flat" ? c.kind
+            : ini.has("platform", "children") ? "fat-tree"
+            : ini.has("platform", "backbone_bandwidth") || !ini.has("platform", "hosts")
+                ? "cluster"
+                : "star";
+  if (c.shape != "star" && c.shape != "cluster" && c.shape != "fat-tree") {
+    throw util::ConfigError("unknown zone: " + c.kind + " (star|cluster|fat-tree|flat)");
   }
-  if (shape == "cluster") {
-    net::ClusterSpec s;
-    s.hosts = hosts;
-    s.host_bandwidth = bw;
-    s.host_latency = lat;
-    s.backbone_bandwidth = ini.get_double("platform", "backbone_bandwidth", 10e9);
-    s.backbone_latency = ini.get_double("platform", "backbone_latency", 1e-3);
-    return std::make_unique<net::ClusterZone>(s);
+
+  c.star.hosts = c.cluster.hosts = ini.get_count("platform", "hosts", 64);
+  c.cluster.backbone_bandwidth = ini.get_double("platform", "backbone_bandwidth", 10e9);
+  c.cluster.backbone_latency = ini.get_double("platform", "backbone_latency", 1e-3);
+  c.fat_tree.children = parse_u32_list(ini.get_string("platform", "children", "4,4"), "children");
+  c.fat_tree.parents = parse_u32_list(ini.get_string("platform", "parents", "1,2"), "parents");
+  const std::string up = ini.get_string("platform", "up", "lowest");
+  if (up == "dmodk") {
+    c.fat_tree.up = net::FatTreeSpec::UpPolicy::kDmodK;
+  } else if (up != "lowest") {
+    throw util::ConfigError("unknown up policy: " + up + " (lowest|dmodk)");
   }
-  if (shape == "fat-tree") {
-    net::FatTreeSpec s;
-    s.children = parse_u32_list(ini.get_string("platform", "children", "4,4"), "children");
-    s.parents = parse_u32_list(ini.get_string("platform", "parents", "1,2"), "parents");
-    s.bandwidth = per_level(ini, "bandwidth", bw, s.children.size());
-    s.latency = per_level(ini, "latency", lat, s.children.size());
-    const std::string up = ini.get_string("platform", "up", "lowest");
-    if (up == "dmodk") {
-      s.up = net::FatTreeSpec::UpPolicy::kDmodK;
-    } else if (up != "lowest") {
-      throw util::ConfigError("unknown up policy: " + up + " (lowest|dmodk)");
-    }
-    return std::make_unique<net::FatTreeZone>(s);
+  // `bandwidth`/`latency` are scalars, or per-level lists for fat-tree.
+  if (c.shape == "fat-tree") {
+    c.fat_tree.bandwidth = per_level(ini, "bandwidth", 1e9, c.fat_tree.children.size());
+    c.fat_tree.latency = per_level(ini, "latency", 1e-4, c.fat_tree.children.size());
+  } else {
+    c.star.bandwidth = c.cluster.host_bandwidth = ini.get_double("platform", "bandwidth", 1e9);
+    c.star.latency = c.cluster.host_latency = ini.get_double("platform", "latency", 1e-4);
   }
-  throw util::ConfigError("unknown zone: " + shape + " (star|cluster|fat-tree|flat)");
+
+  c.flows = ini.get_count("platform", "flows", 64);
+  c.bytes = ini.get_double("platform", "bytes", 1e8);
+  return c;
 }
 
-int run_platform(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
-  const std::string kind = ini.get_string("platform", "zone", "cluster");
-  // zone = flat is the control arm: same shape, flat-graph Dijkstra routing.
-  const bool flat = kind == "flat";
-  const std::string shape =
-      flat ? (ini.has("platform", "children") ? "fat-tree"
-              : ini.has("platform", "backbone_bandwidth") || !ini.has("platform", "hosts")
-                  ? "cluster"
-                  : "star")
-           : kind;
-  const std::unique_ptr<net::Zone> zone = build_zone(ini, shape);
+std::unique_ptr<net::Zone> build_zone(const PlatformConfig& c) {
+  if (c.shape == "star") return std::make_unique<net::StarZone>(c.star);
+  if (c.shape == "cluster") return std::make_unique<net::ClusterZone>(c.cluster);
+  return std::make_unique<net::FatTreeZone>(c.fat_tree);
+}
+
+int run_platform(const PlatformConfig& c, core::Engine& eng, obs::RunReport& report) {
+  const bool flat = c.kind == "flat";
+  const std::string& shape = c.shape;
+  const std::unique_ptr<net::Zone> zone = build_zone(c);
 
   std::unique_ptr<net::Topology> topo;        // flat arm only
   std::unique_ptr<net::RouteProvider> provider;
@@ -128,8 +143,8 @@ int run_platform(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& 
   net::FlowNetwork fnet(eng, *provider);
   net::TransferService xfer(eng, fnet);
 
-  const auto flows = static_cast<std::size_t>(ini.get_int("platform", "flows", 64));
-  const double bytes = ini.get_double("platform", "bytes", 1e8);
+  const std::size_t flows = c.flows;
+  const double bytes = c.bytes;
   auto& rng = eng.rng("platform.pairs");
   eng.schedule_at(0.0, [&] {
     const auto n = static_cast<std::int64_t>(zone->host_count());
@@ -149,7 +164,7 @@ int run_platform(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& 
 
   report.set_result_core(xfer.completed(), makespan, xfer.bytes_completed());
   auto& res = report.result();
-  res["zone"] = kind;
+  res["zone"] = c.kind;
   res["shape"] = shape;
   res["hosts"] = zone->host_count();
   res["nodes"] = zone->node_count();
@@ -158,16 +173,14 @@ int run_platform(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& 
   return xfer.completed() == flows ? 0 : 1;
 }
 
+FacadeRegistry::Study parse_platform(const util::IniConfig& ini) {
+  return [c = parse_config(ini)](core::Engine& eng, obs::RunReport& report) {
+    return run_platform(c, eng, report);
+  };
+}
+
 }  // namespace
 
-void register_platform_facade(FacadeRegistry& reg) {
-  FacadeRegistry::Entry e;
-  e.name = "platform";
-  e.run = run_platform;
-  e.keys["platform"] = {"zone",     "hosts",   "children",           "parents",
-                        "bandwidth", "latency", "backbone_bandwidth", "backbone_latency",
-                        "up",        "flows",   "bytes"};
-  reg.add(std::move(e));
-}
+void register_platform_facade(FacadeRegistry& reg) { reg.add({"platform", parse_platform}); }
 
 }  // namespace lsds::sim

@@ -10,29 +10,27 @@ namespace lsds::sim {
 
 namespace {
 
-int run_simg(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
+constexpr simg::SchedulingMode kModes[] = {simg::SchedulingMode::kRuntime,
+                                           simg::SchedulingMode::kCompileTime};
+
+FacadeRegistry::Study parse_simg(const util::IniConfig& ini) {
   simg::Config cfg;
-  cfg.num_workers = static_cast<std::size_t>(ini.get_int("simg", "workers", 4));
-  cfg.num_tasks = static_cast<std::size_t>(ini.get_int("simg", "tasks", 64));
+  cfg.num_workers = ini.get_count("simg", "workers", 4);
+  cfg.num_tasks = ini.get_count("simg", "tasks", 64);
   cfg.estimate_error = ini.get_double("simg", "estimate_error", 0.3);
-  cfg.mode = ini.get_string("simg", "mode", "runtime") == "compile-time"
-                 ? simg::SchedulingMode::kCompileTime
-                 : simg::SchedulingMode::kRuntime;
-  const auto res = simg::run(eng, cfg);
-  std::printf("simg(%s): %llu tasks, makespan %.2f s\n", to_string(cfg.mode),
-              static_cast<unsigned long long>(res.tasks), res.makespan);
-  res.to_report(report);
-  return 0;
+  facades::parse_enum("scheduling mode", ini.get_string("simg", "mode", "runtime"), kModes,
+                      cfg.mode);
+  return [cfg](core::Engine& eng, obs::RunReport& report) {
+    const auto res = simg::run(eng, cfg);
+    std::printf("simg(%s): %llu tasks, makespan %.2f s\n", to_string(cfg.mode),
+                static_cast<unsigned long long>(res.tasks), res.makespan);
+    res.to_report(report);
+    return 0;
+  };
 }
 
 }  // namespace
 
-void register_simg_facade(FacadeRegistry& reg) {
-  FacadeRegistry::Entry e;
-  e.name = "simg";
-  e.run = run_simg;
-  e.keys["simg"] = {"workers", "tasks", "estimate_error", "mode"};
-  reg.add(std::move(e));
-}
+void register_simg_facade(FacadeRegistry& reg) { reg.add({"simg", parse_simg}); }
 
 }  // namespace lsds::sim

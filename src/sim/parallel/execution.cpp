@@ -15,18 +15,8 @@ hosts::ExecutionSpec parse_execution(const util::IniConfig& ini, std::uint64_t s
   } else if (mode != "serial") {
     throw util::ConfigError("unknown execution mode: " + mode + " (serial|parallel)");
   }
-  // Checked before the unsigned cast: -1 would otherwise ask for ~4e9.
-  const long long threads = ini.get_int("execution", "threads", 4);
-  if (threads < 1) {
-    throw util::ConfigError("[execution] threads must be >= 1 (got " + std::to_string(threads) +
-                            ")");
-  }
-  const long long lps = ini.get_int("execution", "lps", 0);
-  if (lps < 0) {
-    throw util::ConfigError("[execution] lps must be >= 0 (got " + std::to_string(lps) + ")");
-  }
-  spec.threads = static_cast<unsigned>(threads);
-  spec.lps = static_cast<unsigned>(lps);
+  spec.threads = static_cast<unsigned>(ini.get_count("execution", "threads", 4, 1));
+  spec.lps = static_cast<unsigned>(ini.get_count("execution", "lps", 0));
   const std::string part = ini.get_string("execution", "partition", "metis-ish");
   if (part == "metis-ish" || part == "topology") {
     spec.partition = net::PartitionScheme::kTopology;

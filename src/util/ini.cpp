@@ -12,14 +12,29 @@ namespace lsds::util {
 
 namespace {
 
-// Strips a trailing comment that is not inside quotes.
-std::string_view strip_comment(std::string_view line) {
-  bool in_quote = false;
+// Strips a trailing comment that is not inside quotes; `in_quote` is the
+// quote state the scan starts in.
+std::string_view strip_comment(std::string_view line, bool in_quote = false) {
   for (size_t i = 0; i < line.size(); ++i) {
     if (line[i] == '"') in_quote = !in_quote;
     if (!in_quote && (line[i] == ';' || line[i] == '#')) return line.substr(0, i);
   }
   return line;
+}
+
+// The candidate closest to `name` within edit distance 2, or "".
+template <typename Names>
+std::string near_miss(const std::string& name, const Names& candidates) {
+  std::string best;
+  std::size_t best_d = 3;
+  for (const std::string& cand : candidates) {
+    const std::size_t d = edit_distance(name, cand);
+    if (d < best_d) {
+      best_d = d;
+      best = cand;
+    }
+  }
+  return best;
 }
 
 std::string unquote(std::string_view v) {
@@ -41,6 +56,10 @@ IniConfig IniConfig::parse(std::string_view text) {
     ++lineno;
     std::string_view line = trim(strip_comment(raw));
     if (line.empty()) continue;
+    if (line.find('\r') != std::string_view::npos) {
+      // dump() could not write it back: the format is line-based.
+      throw ConfigError(strformat("ini: line %zu: carriage return inside a line", lineno));
+    }
     if (line.front() == '[') {
       if (line.back() != ']') {
         throw ConfigError(strformat("ini: line %zu: unterminated section header", lineno));
@@ -96,20 +115,25 @@ const std::string* IniConfig::find(const std::string& section, const std::string
   return &kit->second;
 }
 
+const std::string* IniConfig::read(const std::string& section, const std::string& key) const {
+  read_[section].insert(key);
+  return find(section, key);
+}
+
 std::optional<std::string> IniConfig::get(const std::string& section, const std::string& key) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return std::nullopt;
   return *v;
 }
 
 std::string IniConfig::get_string(const std::string& section, const std::string& key,
                                   std::string def) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   return v ? *v : def;
 }
 
 double IniConfig::get_double(const std::string& section, const std::string& key, double def) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return def;
   double out = 0;
   if (!parse_double(*v, out)) {
@@ -121,7 +145,7 @@ double IniConfig::get_double(const std::string& section, const std::string& key,
 
 long long IniConfig::get_int(const std::string& section, const std::string& key,
                              long long def) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return def;
   long long out = 0;
   if (!parse_long(*v, out)) {
@@ -131,8 +155,18 @@ long long IniConfig::get_int(const std::string& section, const std::string& key,
   return out;
 }
 
+std::size_t IniConfig::get_count(const std::string& section, const std::string& key,
+                                 std::size_t def, std::size_t min) const {
+  const long long v = get_int(section, key, static_cast<long long>(def));
+  if (v < 0 || static_cast<unsigned long long>(v) < min) {
+    throw ConfigError(strformat("[%s] %s must be >= %zu (got %lld)", section.c_str(), key.c_str(),
+                                min, v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 bool IniConfig::get_bool(const std::string& section, const std::string& key, bool def) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return def;
   bool out = false;
   if (!parse_bool(*v, out)) {
@@ -144,7 +178,7 @@ bool IniConfig::get_bool(const std::string& section, const std::string& key, boo
 
 double IniConfig::get_size(const std::string& section, const std::string& key,
                            double def_bytes) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return def_bytes;
   double out = 0;
   if (!parse_size(*v, out)) {
@@ -156,7 +190,7 @@ double IniConfig::get_size(const std::string& section, const std::string& key,
 
 double IniConfig::get_rate(const std::string& section, const std::string& key,
                            double def_bps) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return def_bps;
   double out = 0;
   if (!parse_rate(*v, out)) {
@@ -168,7 +202,7 @@ double IniConfig::get_rate(const std::string& section, const std::string& key,
 
 double IniConfig::get_duration(const std::string& section, const std::string& key,
                                double def_sec) const {
-  const std::string* v = find(section, key);
+  const std::string* v = read(section, key);
   if (!v) return def_sec;
   double out = 0;
   if (!parse_duration(*v, out)) {
@@ -195,13 +229,23 @@ std::string IniConfig::dump() const {
                                     "line-based format cannot represent",
                                     section.c_str(), key.c_str()));
       }
-      // Quote values the parser would otherwise mangle: comment starters,
-      // surrounding whitespace (space or tab), or an empty value.
-      const bool needs_quotes =
-          v.empty() || v.find(';') != std::string::npos || v.find('#') != std::string::npos ||
-          std::isspace(static_cast<unsigned char>(v.front())) != 0 ||
-          std::isspace(static_cast<unsigned char>(v.back())) != 0 || v.front() == '"';
-      out += key + " = " + (needs_quotes ? "\"" + v + "\"" : v) + "\n";
+      // strip_comment's quote state runs across the whole line, so a '"'
+      // in the key flips how the value's comment starters are read.
+      const bool in_quote = std::count(key.begin(), key.end(), '"') % 2 == 1;
+      auto survives_comment_strip = [&v](bool q) { return strip_comment(v, q).size() == v.size(); };
+      // Write the value bare unless the parser would mangle it: an empty
+      // value, surrounding whitespace, outer quotes unquote() would strip,
+      // or a comment starter strip_comment would cut at.
+      const bool bare = !v.empty() && std::isspace(static_cast<unsigned char>(v.front())) == 0 &&
+                        std::isspace(static_cast<unsigned char>(v.back())) == 0 &&
+                        !(v.size() >= 2 && v.front() == '"' && v.back() == '"') &&
+                        survives_comment_strip(in_quote);
+      if (!bare && !survives_comment_strip(!in_quote)) {
+        throw ConfigError(strformat("ini: [%s] %s: value has comment starters both inside and "
+                                    "outside quotes, which the format cannot represent",
+                                    section.c_str(), key.c_str()));
+      }
+      out += key + " = " + (bare ? v : "\"" + v + "\"") + "\n";
     }
   };
   // Keys set before any [section] header live in the global section and
@@ -219,6 +263,27 @@ void IniConfig::save(const std::string& path) const {
   if (!f) throw ConfigError("ini: cannot open " + path + " for writing");
   f << dump();
   if (!f.flush()) throw ConfigError("ini: write to " + path + " failed");
+}
+
+void IniConfig::reject_unread() const {
+  std::vector<std::string> read_sections;
+  for (const auto& entry : read_) read_sections.push_back(entry.first);
+  for (const std::string& section : section_order_) {
+    auto rit = read_.find(section);
+    if (rit == read_.end()) {
+      std::string msg = "[" + section + "]: unknown section";
+      const std::string hint = near_miss(section, read_sections);
+      if (!hint.empty()) msg += " — did you mean [" + hint + "]?";
+      throw ConfigError(msg);
+    }
+    for (const std::string& key : keys(section)) {
+      if (rit->second.count(key)) continue;
+      std::string msg = "[" + section + "] " + key + ": unknown key";
+      const std::string hint = near_miss(key, rit->second);
+      if (!hint.empty()) msg += " — did you mean '" + hint + "'?";
+      throw ConfigError(msg);
+    }
+  }
 }
 
 std::vector<std::string> IniConfig::sections() const { return section_order_; }

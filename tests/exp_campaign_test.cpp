@@ -5,8 +5,10 @@
 #include <set>
 #include <string>
 
+#include "core/engine.hpp"
 #include "exp/campaign.hpp"
 #include "exp/sweep.hpp"
+#include "obs/report.hpp"
 #include "sim/facade_registry.hpp"
 #include "util/ini.hpp"
 
@@ -243,28 +245,85 @@ TEST(Campaign, UnknownFacadeThrows) {
   EXPECT_THROW(exp::Campaign{ini}, util::ConfigError);
 }
 
-// --- strict validation of the campaign sections ------------------------------
+// --- key validation of the campaign sections --------------------------------
+
+namespace {
+
+/// The campaign's diagnostic, or "" when every replication succeeded.
+std::string campaign_error(const std::string& text) {
+  try {
+    exp::Campaign campaign(util::IniConfig::parse(text));
+    campaign.run();
+    return "";
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+}
+
+}  // namespace
 
 TEST(CampaignStrict, SweepKeysValidateAgainstFacadeDeclarations) {
-  sim::register_builtin_facades();
-  const auto* entry = sim::FacadeRegistry::global().find("bricks");
+  EXPECT_EQ(campaign_error("[scenario]\nfacade = bricks\n"
+                           "[sweep]\nbricks.clients = 2,4\n"
+                           "[campaign]\nreplications = 3\n"),
+            "");
+
+  // A typo'd sweep target is a key the facade never reads in the point INI.
+  const std::string typo =
+      campaign_error("[scenario]\nfacade = bricks\n[sweep]\nbricks.clyents = 2,4\n");
+  EXPECT_NE(typo.find("[bricks] clyents: unknown key — did you mean 'clients'?"),
+            std::string::npos)
+      << typo;
+
+  // Seeds and queue belong to the campaign, not to the grid.
+  EXPECT_THROW(exp::Campaign{util::IniConfig::parse(
+                   "[scenario]\nfacade = bricks\n[sweep]\nscenario.seed = 1,2\n")},
+               util::ConfigError);
+
+  const std::string bad_campaign_key =
+      campaign_error("[scenario]\nfacade = bricks\n[campaign]\nreplicas = 3\n");
+  EXPECT_NE(bad_campaign_key.find("[campaign] replicas: unknown key"), std::string::npos)
+      << bad_campaign_key;
+
+  // Campaign mode never reads [observability].
+  const std::string observed =
+      campaign_error("[scenario]\nfacade = bricks\n[observability]\nenabled = true\n");
+  EXPECT_NE(observed.find("[observability]: unknown section"), std::string::npos) << observed;
+}
+
+TEST(Campaign, ParallelModeReplicationsRunTheirOwnSubstream) {
+  // [execution] mode = parallel builds its own engines from a seed; each
+  // replication must take its substream seed, not the [scenario] one.
+  const std::string scenario =
+      "[gridsim]\njobs = 40\nstrategy = time\n"
+      "[execution]\nmode = parallel\nthreads = 2\npartition = round-robin\n";
+  exp::Campaign campaign(util::IniConfig::parse(
+      "[scenario]\nfacade = gridsim\nseed = 7\n" + scenario + "[campaign]\nreplications = 3\n"));
+  const auto outcomes = campaign.run_slots(0, campaign.run_count(), 1);
+
+  const auto* entry = sim::FacadeRegistry::global().find("gridsim");
   ASSERT_NE(entry, nullptr);
+  std::set<double> makespans;
+  for (std::size_t r = 0; r < outcomes.size(); ++r) {
+    ASSERT_EQ(outcomes[r].rc, 0) << outcomes[r].error;
+    // The standalone run scenario_runner makes at that seed.
+    const std::uint64_t seed = exp::substream_seed(7, r);
+    const auto ini = util::IniConfig::parse("[scenario]\nfacade = gridsim\nseed = " +
+                                            std::to_string(seed) + "\n" + scenario);
+    const auto study = entry->parse(ini);
+    lsds::core::Engine::Config ecfg;
+    ecfg.seed = seed;
+    lsds::core::Engine engine(ecfg);
+    lsds::obs::RunReport report;
+    ASSERT_EQ(study(engine, report), 0);
+    const double standalone = report.result()["makespan"].as_double();
 
-  const auto good = util::IniConfig::parse(
-      "[scenario]\nfacade = bricks\n"
-      "[sweep]\nbricks.clients = 2,4\n"
-      "[campaign]\nreplications = 3\n");
-  EXPECT_NO_THROW(sim::validate_scenario_keys(good, *entry));
-
-  const auto typo = util::IniConfig::parse(
-      "[scenario]\nfacade = bricks\n[sweep]\nbricks.clyents = 2,4\n");
-  EXPECT_THROW(sim::validate_scenario_keys(typo, *entry), util::ConfigError);
-
-  const auto seed_sweep = util::IniConfig::parse(
-      "[scenario]\nfacade = bricks\n[sweep]\nscenario.seed = 1,2\n");
-  EXPECT_THROW(sim::validate_scenario_keys(seed_sweep, *entry), util::ConfigError);
-
-  const auto bad_campaign_key = util::IniConfig::parse(
-      "[scenario]\nfacade = bricks\n[campaign]\nreplicas = 3\n");
-  EXPECT_THROW(sim::validate_scenario_keys(bad_campaign_key, *entry), util::ConfigError);
+    double replicated = -1;
+    for (const auto& [name, value] : outcomes[r].metrics) {
+      if (name == "makespan") replicated = value;
+    }
+    EXPECT_EQ(replicated, standalone) << "replication " << r;
+    makespans.insert(replicated);
+  }
+  EXPECT_GT(makespans.size(), 1u) << "every replication ran the same seed";
 }

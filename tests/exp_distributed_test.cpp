@@ -394,6 +394,30 @@ TEST(DistributedCampaign, ResumeRecomputesStaleAndMissingPartials) {
   fs::remove_all(dir);
 }
 
+TEST(DistributedCampaign, WorkersAcceptEveryCampaignKey) {
+  // The coordinator ships the scenario with its [campaign] section intact,
+  // so a worker must know every key it holds. Every key is set except
+  // `hosts`, which needs ssh targets.
+  const fs::path dir = scratch_dir("all_keys");
+  auto ini = campaign_ini();
+  ini.set("campaign", "warmup", "1");
+  ini.set("campaign", "confidence", "0.95");
+  ini.set("campaign", "workers", "2");
+  ini.set("campaign", "timing", "false");
+  ini.set("campaign", "distribute", "2");
+  ini.set("campaign", "shard_size", "2");
+  ini.set("campaign", "timeout", "60s");
+  ini.set("campaign", "retries", "1");
+  ini.set("campaign", "partial_dir", dir.string());
+  ini.set("campaign", "keep_partials", "true");
+  // As scenario_runner does: DistConfig reads its keys before the campaign
+  // copies the INI.
+  const exp::DistConfig cfg = exp::DistConfig::parse(ini);
+  const std::string distributed = exp::DistributedCampaign(ini, cfg).run().to_json_string();
+  EXPECT_EQ(distributed, exp::Campaign(ini).run().to_json_string());
+  fs::remove_all(dir);
+}
+
 // --- replication failures stay deterministic ---------------------------------
 
 TEST(DistributedCampaign, ReplicationFailureDiagnosticMatchesInProcess) {

@@ -1,10 +1,17 @@
 // FacadeRegistry: name -> runnable-study dispatch, duplicate rejection, and
-// strict INI key validation with near-miss suggestions.
+// INI key validation (the facade's reads are its key list) with near-miss
+// suggestions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "exp/campaign.hpp"
+#include "exp/dist_campaign.hpp"
+#include "obs/observability.hpp"
 #include "sim/facade_registry.hpp"
 #include "util/ini.hpp"
 
@@ -21,7 +28,7 @@ TEST(FacadeRegistry, AllBuiltinsResolve) {
     const auto* entry = reg.find(name);
     ASSERT_NE(entry, nullptr) << name;
     EXPECT_EQ(entry->name, name);
-    EXPECT_TRUE(static_cast<bool>(entry->run)) << name;
+    EXPECT_TRUE(static_cast<bool>(entry->parse)) << name;
   }
 }
 
@@ -52,49 +59,133 @@ TEST(FacadeRegistry, DuplicateRegistrationThrows) {
   EXPECT_THROW(sim::register_simg_facade(reg), std::invalid_argument);
 }
 
-// --- strict key validation --------------------------------------------------
+// --- key validation: the parser's reads are the key list --------------------
 
 sim::FacadeRegistry::Entry demo_entry() {
-  sim::FacadeRegistry::Entry e;
-  e.name = "demo";
-  e.keys["demo"] = {"hosts", "jobs", "mean_ops"};
-  return e;
+  return {"demo", [](const util::IniConfig& ini) -> sim::FacadeRegistry::Study {
+            ini.get_count("demo", "hosts", 1);
+            ini.get_count("demo", "jobs", 1);
+            ini.get_double("demo", "mean_ops", 1);
+            return [](core::Engine&, obs::RunReport&) { return 0; };
+          }};
+}
+
+/// What scenario_runner does before a single run: its own [scenario] and
+/// [observability] reads, the facade's parse, then the unread-key check.
+void parse_single_run(const util::IniConfig& ini, const sim::FacadeRegistry::Entry& entry) {
+  ini.get_string("scenario", "facade", "");
+  ini.get_count("scenario", "seed", 42);
+  ini.get_string("scenario", "queue", "heap");
+  obs::parse_options(ini);
+  entry.parse(ini);
+  ini.reject_unread();
 }
 
 TEST(StrictKeys, AcceptsDeclaredAndRunnerKeys) {
   const auto ini = util::IniConfig::parse(
-      "[scenario]\nfacade = demo\nseed = 1\nstrict = true\n"
+      "[scenario]\nfacade = demo\nseed = 1\n"
       "[observability]\nenabled = true\n"
       "[demo]\nhosts = 4\njobs = 10\n");
-  EXPECT_NO_THROW(sim::validate_scenario_keys(ini, demo_entry()));
+  EXPECT_NO_THROW(parse_single_run(ini, demo_entry()));
+
+  // The old opt-in is now an unknown key like any other.
+  const auto leftover = util::IniConfig::parse("[scenario]\nfacade = demo\nstrict = true\n");
+  EXPECT_THROW(parse_single_run(leftover, demo_entry()), util::ConfigError);
 }
 
 TEST(StrictKeys, UnknownKeySuggestsNearMiss) {
   const auto ini = util::IniConfig::parse("[demo]\nhots = 4\n");
   try {
-    sim::validate_scenario_keys(ini, demo_entry());
+    parse_single_run(ini, demo_entry());
     FAIL() << "expected ConfigError";
-  } catch (const std::exception& e) {
+  } catch (const util::ConfigError& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("hots"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("hosts"), std::string::npos) << msg;  // the suggestion
+    EXPECT_NE(msg.find("did you mean 'hosts'"), std::string::npos) << msg;
   }
 }
 
 TEST(StrictKeys, UnknownSectionRejected) {
   const auto ini = util::IniConfig::parse("[demos]\nhosts = 4\n");
-  EXPECT_THROW(sim::validate_scenario_keys(ini, demo_entry()), std::exception);
+  try {
+    parse_single_run(ini, demo_entry());
+    FAIL() << "expected ConfigError";
+  } catch (const util::ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("[demos]: unknown section"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("did you mean [demo]"), std::string::npos) << msg;
+  }
 }
 
 TEST(StrictKeys, FarTypoGetsNoSuggestion) {
   const auto ini = util::IniConfig::parse("[demo]\nzzzzzzzz = 4\n");
   try {
-    sim::validate_scenario_keys(ini, demo_entry());
+    parse_single_run(ini, demo_entry());
     FAIL() << "expected ConfigError";
-  } catch (const std::exception& e) {
+  } catch (const util::ConfigError& e) {
     const std::string msg = e.what();
+    EXPECT_NE(msg.find("zzzzzzzz"), std::string::npos) << msg;
     EXPECT_EQ(msg.find("did you mean"), std::string::npos) << msg;
   }
+}
+
+// Every scenario users copy must pass the always-on check, campaign points
+// included, without running any study.
+TEST(StrictKeys, EveryShippedScenarioParses) {
+  sim::register_builtin_facades();
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(LSDS_SCENARIO_DIR)) {
+    if (f.path().extension() == ".ini") files.push_back(f.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_EQ(files.size(), 15u);
+  for (const auto& path : files) {
+    SCOPED_TRACE(path.filename().string());
+    const auto ini = util::IniConfig::load(path.string());
+    const auto* entry =
+        sim::FacadeRegistry::global().find(ini.get_string("scenario", "facade", ""));
+    ASSERT_NE(entry, nullptr);
+    const auto sections = ini.sections();
+    const bool campaign = std::find(sections.begin(), sections.end(), "campaign") !=
+                              sections.end() ||
+                          std::find(sections.begin(), sections.end(), "sweep") != sections.end();
+    if (!campaign) {
+      EXPECT_NO_THROW(parse_single_run(ini, *entry));
+      continue;
+    }
+    // The runner's campaign reads, then what Campaign::run_slots does per
+    // slot before it runs the study.
+    exp::DistConfig::parse(ini);
+    const exp::Campaign c(ini);
+    for (std::size_t p = 0; p < c.point_count(); ++p) {
+      util::IniConfig point = c.base();
+      c.sweep().apply(p, point);
+      entry->parse(point);
+      EXPECT_NO_THROW(point.reject_unread()) << "point " << p;
+    }
+  }
+}
+
+// --- no silent enum fallbacks -------------------------------------------------
+
+void expect_rejected(const char* facade, const std::string& text, const char* accepted) {
+  sim::register_builtin_facades();
+  const auto* entry = sim::FacadeRegistry::global().find(facade);
+  ASSERT_NE(entry, nullptr);
+  try {
+    entry->parse(util::IniConfig::parse(text));
+    FAIL() << "accepted: " << text;
+  } catch (const util::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(accepted), std::string::npos) << e.what();
+  }
+}
+
+TEST(FacadeRegistry, GridsimUnknownStrategyIsRejected) {
+  expect_rejected("gridsim", "[gridsim]\nstrategy = tiem\n", "tiem (cost|time)");
+}
+
+TEST(FacadeRegistry, SimgUnknownModeIsRejected) {
+  expect_rejected("simg", "[simg]\nmode = compiletime\n", "compiletime (runtime|compile-time)");
 }
 
 }  // namespace

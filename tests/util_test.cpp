@@ -1,8 +1,17 @@
-// Unit tests for the util library: strings, units, ini, flags, thread pool.
+// Unit tests for the util library: strings, units, ini (fuzzed too), flags,
+// thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/rng.hpp"
 
 #include "util/flags.hpp"
 #include "util/ini.hpp"
@@ -218,6 +227,100 @@ TEST(Ini, OrderPreserved) {
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], "z");
   EXPECT_EQ(keys[1], "a");
+}
+
+TEST(Ini, RejectUnreadTracksGetterReads) {
+  const auto cfg = u::IniConfig::parse("[a]\nx = 1\nfiels = 2\n[b]\nz = 3\n");
+  // has() records nothing; a getter records its key, absent or not.
+  EXPECT_TRUE(cfg.has("a", "fiels"));
+  cfg.get_int("a", "x", 0);
+  cfg.get_int("a", "files", 0);
+  try {
+    cfg.reject_unread();
+    FAIL() << "expected ConfigError";
+  } catch (const u::ConfigError& e) {
+    EXPECT_STREQ(e.what(), "[a] fiels: unknown key — did you mean 'files'?");
+  }
+  cfg.get_string("a", "fiels");
+  EXPECT_THROW(cfg.reject_unread(), u::ConfigError);  // [b] was never read
+
+  // A copy carries the marks along; reads on the copy stay its own.
+  const u::IniConfig copy = cfg;
+  copy.get_int("b", "z", 0);
+  EXPECT_NO_THROW(copy.reject_unread());
+  EXPECT_THROW(cfg.reject_unread(), u::ConfigError);
+}
+
+// Seeded mutation fuzzing of the reader every scenario goes through: byte
+// flips, insertions and truncations of the shipped scenarios either fail
+// with ConfigError or yield a config that survives dump() and reparsing.
+TEST(Ini, FuzzedScenariosParseOrThrowAndRoundTrip) {
+  std::vector<std::string> corpus;
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(LSDS_SCENARIO_DIR)) {
+    if (f.path().extension() == ".ini") files.push_back(f.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    corpus.push_back(ss.str());
+  }
+  ASSERT_FALSE(corpus.empty());
+
+  // Bytes the format gives meaning to, so mutations hit the parser's edges.
+  const std::string special = "[]=;#\"\r\n \t";
+  lsds::core::RngStream rng(0x1d5f0221u);
+  auto byte = [&]() -> char {
+    if (rng.uniform() < 0.5) {
+      return special[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(special.size()) - 1))];
+    }
+    return static_cast<char>(rng.uniform_int(0, 255));
+  };
+  int accepted = 0;
+  for (int it = 0; it < 4000; ++it) {
+    std::string text = corpus[static_cast<std::size_t>(it) % corpus.size()];
+    const auto edits = rng.uniform_int(1, 8);
+    for (std::int64_t e = 0; e < edits && !text.empty(); ++e) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+          text.resize(pos);
+          break;
+        case 1:
+        case 2:
+        case 3:
+          text.insert(pos, 1, byte());
+          break;
+        default:
+          text[pos] = byte();
+          break;
+      }
+    }
+    u::IniConfig cfg;
+    try {
+      cfg = u::IniConfig::parse(text);
+    } catch (const u::ConfigError&) {
+      continue;
+    }
+    ++accepted;
+    std::string dumped;
+    ASSERT_NO_THROW(dumped = cfg.dump()) << ::testing::PrintToString(text);
+    const auto back = u::IniConfig::parse(dumped);
+    ASSERT_EQ(back.dump(), dumped) << ::testing::PrintToString(text);
+    ASSERT_EQ(back.sections(), cfg.sections());
+    for (const std::string& section : cfg.sections()) {
+      ASSERT_EQ(back.keys(section), cfg.keys(section));
+      for (const std::string& key : cfg.keys(section)) {
+        ASSERT_EQ(back.get(section, key), cfg.get(section, key))
+            << "[" << section << "] " << key << " of " << ::testing::PrintToString(text);
+      }
+    }
+  }
+  EXPECT_GT(accepted, 100);  // the loop must exercise the round trip, not only errors
 }
 
 // --- flags -------------------------------------------------------------

@@ -371,7 +371,7 @@ TEST(ZonePlumbing, ParallelGridOnZoneTreeMatchesSerial) {
 
 // The `[platform]` facade: both arms of the zone-vs-flat A/B must produce
 // identical results (same seed, same shape, different route provider), and
-// the registry must expose + strictly validate the section.
+// the registry must expose the section and leave a typo'd key unread.
 TEST(PlatformFacade, ZoneAndFlatArmsAgreeBitForBit) {
   sim::register_builtin_facades();
   const auto* entry = sim::FacadeRegistry::global().find("platform");
@@ -380,9 +380,11 @@ TEST(PlatformFacade, ZoneAndFlatArmsAgreeBitForBit) {
     const auto ini = util::IniConfig::parse(
         std::string("[platform]\nzone = ") + zone_kind +
         "\nchildren = 4,4\nparents = 1,2\nflows = 32\nbytes = 1e7\n");
+    const auto study = entry->parse(ini);
+    EXPECT_NO_THROW(ini.reject_unread());
     core::Engine eng(core::Engine::Config{core::QueueKind::kBinaryHeap, 7, 0, 0});
     obs::RunReport report;
-    EXPECT_EQ(entry->run(eng, ini, report), 0);
+    EXPECT_EQ(study(eng, report), 0);
     return std::make_pair(bits(report.result()["makespan"].as_double()),
                           bits(report.result()["bytes_moved"].as_double()));
   };
@@ -392,13 +394,12 @@ TEST(PlatformFacade, ZoneAndFlatArmsAgreeBitForBit) {
   EXPECT_EQ(zoned.second, flat.second);
   EXPECT_GT(flat.second, 0u);  // bytes actually moved
 
-  // Strict key validation covers the new section.
+  // Key validation covers the section: the parser never asks for a typo.
   const auto typo = util::IniConfig::parse("[platform]\nzome = star\n");
-  EXPECT_THROW(sim::validate_scenario_keys(typo, *entry), std::exception);
+  entry->parse(typo);
+  EXPECT_THROW(typo.reject_unread(), util::ConfigError);
   const auto bad_zone = util::IniConfig::parse("[platform]\nzone = mesh\n");
-  core::Engine eng;
-  obs::RunReport report;
-  EXPECT_THROW(entry->run(eng, bad_zone, report), util::ConfigError);
+  EXPECT_THROW(entry->parse(bad_zone), util::ConfigError);
 }
 
 // Million-host construction cost smoke (the bench measures the real sweep):
