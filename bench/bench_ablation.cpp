@@ -166,7 +166,7 @@ int main() {
   row("coroutines", coro);
   std::printf("%s\n", ta.render().c_str());
 
-  std::printf("B. O(1) tombstone cancellation — 500k scheduled events:\n\n");
+  std::printf("B. O(1) lazy cancellation — 500k scheduled events:\n\n");
   lsds::stats::AsciiTable tb({"cancel ratio", "wall [ms]", "executed", "ns per scheduled"});
   for (double frac : {0.0, 0.25, 0.5, 0.9}) {
     const auto o = run_cancels(frac);
@@ -179,10 +179,10 @@ int main() {
   std::printf("%s\n", tb.render().c_str());
   std::printf("takeaway: the process-oriented (active-object) layer costs a ~2x\n"
               "constant factor over raw events — the price MONARC 2 paid for its\n"
-              "natural modeling style. Tombstoning makes the cancel call itself O(1),\n"
-              "but corpses still traverse the queue and every pop pays a tombstone\n"
-              "lookup, so heavy cancellation costs ~2x per scheduled event — still\n"
-              "far better than eager removal, which is O(n) per cancel in most\n"
-              "structures and would dominate at these rates.\n");
+              "natural modeling style. Seq-stamped slots make the cancel call itself\n"
+              "O(1) and free the body at once; dead keys still traverse the queue, but\n"
+              "skipping one at pop is a single stamp compare, so the cost per scheduled\n"
+              "event stays flat as the cancel ratio rises — unlike eager removal, which\n"
+              "is O(n) per cancel in most structures and would dominate at these rates.\n");
   return 0;
 }

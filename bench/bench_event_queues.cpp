@@ -42,11 +42,11 @@ void bench_hold(benchmark::State& state, bool skewed) {
   double fill_t = 0;
   for (std::size_t i = 0; i < size; ++i) {
     fill_t += increment() * 0.01;
-    q->push({fill_t, seq++, nullptr});
+    q->push({fill_t, seq++});
   }
   for (auto _ : state) {
     auto ev = q->pop();
-    q->push({ev.time + increment(), seq++, nullptr});
+    q->push({ev.time + increment(), seq++});
     benchmark::DoNotOptimize(q);
   }
   state.SetLabel(core::to_string(kind));
@@ -69,7 +69,7 @@ void bench_ramp(benchmark::State& state) {
     auto q = core::make_event_queue(kind);
     state.ResumeTiming();
     core::EventId seq = 1;
-    for (std::size_t i = 0; i < size; ++i) q->push({rng.uniform(0, 1e6), seq++, nullptr});
+    for (std::size_t i = 0; i < size; ++i) q->push({rng.uniform(0, 1e6), seq++});
     while (!q->empty()) benchmark::DoNotOptimize(q->pop());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

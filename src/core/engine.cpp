@@ -50,11 +50,35 @@ EventHandle Engine::reserve_at(SimTime t) {
 }
 
 EventHandle Engine::schedule_reserved(const EventHandle& key, EventFn fn) {
-  assert(key.valid() && key.id < next_seq_ && key.time >= now_);
+  assert(key.valid() && key.id < next_seq_ && key.time >= now_ && key.slot == kNoSlot);
   if (tags_enabled_ && exec_tag_ != 0) tags_[key.id] = exec_tag_;
-  push_record(EventRecord{key.time, key.id, std::move(fn)});
+  const std::uint32_t i = acquire_slot();
+  Slot& s = slot(i);
+  s.fn = std::move(fn);
+  s.seq = key.id;
+  push_record(EventRecord{key.time, key.id, i});
   ++stats_.scheduled;
-  return key;
+  return EventHandle{key.id, key.time, i};
+}
+
+std::uint32_t Engine::acquire_slot() {
+  if (!free_.empty()) {
+    const std::uint32_t i = free_.back();
+    free_.pop_back();
+    return i;
+  }
+  if ((slot_count_ & kPageMask) == 0) {
+    assert(slot_count_ < kNoSlot - kPageMask && "event slab exhausted");
+    pages_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kPageBits));
+  }
+  return slot_count_++;
+}
+
+void Engine::release_slot(std::uint32_t i) {
+  Slot& s = slot(i);
+  s.fn = nullptr;
+  s.seq = 0;
+  free_.push_back(i);
 }
 
 std::uint32_t Engine::event_tag(EventId id) const {
@@ -74,89 +98,87 @@ void Engine::set_probe(EngineProbe* probe) {
 EventRecord Engine::pop_record() {
   if (!probe_ || (++pops_ & queue_mask_) != 0) return queue_->pop();
   const auto w0 = std::chrono::steady_clock::now();
-  EventRecord rec = queue_->pop();
+  const EventRecord rec = queue_->pop();
   probe_->on_queue_pop(elapsed_ns(w0));
   return rec;
 }
 
 void Engine::push_record(EventRecord rec) {
   if (!probe_ || (++pushes_ & queue_mask_) != 0) {
-    queue_->push(std::move(rec));
+    queue_->push(rec);
     return;
   }
   const auto w0 = std::chrono::steady_clock::now();
-  queue_->push(std::move(rec));
+  queue_->push(rec);
   probe_->on_queue_push(elapsed_ns(w0), queue_->size());
 }
 
 bool Engine::cancel(const EventHandle& h) {
-  if (!h.valid() || h.id >= next_seq_) return false;
-  // A handle whose time is strictly in the past has already fired (or been
-  // skipped): the clock only reaches t by draining every event at t' < t.
-  // Accepting it would inflate stats_.cancelled and leave a tombstone that
-  // no pop ever consumes.
-  if (h.time < now_) return false;
-  if (!tombstones_.insert(h.id).second) return false;  // already cancelled
+  // The slot's stamp is the whole check: it matches only while the event is
+  // queued. It is 0 (or another event's seq) once the event runs, is
+  // cancelled or the slot is reused, and a reservation owns no slot.
+  if (!h.valid() || h.slot >= slot_count_ || slot(h.slot).seq != h.id) return false;
+  release_slot(h.slot);
+  if (tags_enabled_) tags_.erase(h.id);
+  ++dead_keys_;
   ++stats_.cancelled;
   return true;
 }
 
-void Engine::execute(EventRecord& ev) {
+void Engine::execute(const EventRecord& ev) {
   assert(ev.time + kTimeEpsilon >= now_ && "event queue returned an event out of order");
   now_ = ev.time;
   if (trace_hook_) trace_hook_(ev.time, ev.seq);
   if (probe_) probe_->on_event(ev.time, ev.seq);
   ++stats_.executed;
+  // Run the body in place: pages never move, so events it schedules cannot
+  // relocate it. Unstamping first makes the running event uncancellable.
+  Slot& s = slot(ev.slot);
+  s.seq = 0;
   if (tags_enabled_) {
-    // Events scheduled by ev.fn() inherit ev's tag unless a TagScope
+    // Events scheduled by the body inherit ev's tag unless a TagScope
     // overrides it; the tag entry retires with the event.
     exec_tag_ = event_tag(ev.seq);
-    ev.fn();
+    s.fn();
     exec_tag_ = 0;
     tags_.erase(ev.seq);
-    return;
+  } else {
+    s.fn();
   }
-  ev.fn();
+  release_slot(ev.slot);
 }
 
-bool Engine::step() {
-  if (choice_hook_) return step_with_choice();
+bool Engine::pop_live(EventRecord& out) {
   while (!queue_->empty()) {
-    EventRecord ev = pop_record();
-    auto it = tombstones_.find(ev.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;  // cancelled; skip silently
-    }
-    execute(ev);
-    return true;
+    out = pop_record();
+    if (slot(out.slot).seq == out.seq) return true;
+    --dead_keys_;  // cancelled; skip silently
   }
   return false;
 }
 
+bool Engine::step() {
+  if (choice_hook_) return step_with_choice();
+  EventRecord ev;
+  if (!pop_live(ev)) return false;
+  execute(ev);
+  return true;
+}
+
 bool Engine::step_with_choice() {
-  // Pop the minimum event, consuming tombstones.
   EventRecord first;
-  for (;;) {
-    if (queue_->empty()) return false;
-    first = pop_record();
-    auto it = tombstones_.find(first.seq);
-    if (it == tombstones_.end()) break;
-    tombstones_.erase(it);
-  }
+  if (!pop_live(first)) return false;
   // Collect every further live event tied at the same timestamp. The pop
   // order is ascending (time, seq) for every queue kind, so the tie set is
   // presented in seq order — the engine's default execution order.
-  std::vector<EventRecord> tied;
-  tied.push_back(std::move(first));
-  while (!queue_->empty() && queue_->min_time() == tied.front().time) {
-    EventRecord next = pop_record();
-    auto it = tombstones_.find(next.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;
+  std::vector<EventRecord> tied{first};
+  while (!queue_->empty() && queue_->min_time() == first.time) {
+    const EventRecord next = pop_record();
+    if (slot(next.slot).seq == next.seq) {
+      tied.push_back(next);
+    } else {
+      --dead_keys_;
     }
-    tied.push_back(std::move(next));
   }
   std::size_t pick = 0;
   if (tied.size() > 1) {
@@ -169,7 +191,7 @@ bool Engine::step_with_choice() {
   // Requeue the not-chosen ties with their original seq, so the remaining
   // order (and cancellability) is exactly as if they had never been popped.
   for (std::size_t i = 0; i < tied.size(); ++i) {
-    if (i != pick) push_record(std::move(tied[i]));
+    if (i != pick) push_record(tied[i]);
   }
   execute(tied[pick]);
   return true;
@@ -189,18 +211,13 @@ std::uint64_t Engine::run_until(SimTime t_end) {
 
 SimTime Engine::run_window(SimTime t_end, bool inclusive) {
   SimTime next = kInfTime;
-  while (!stopped_ && !queue_->empty()) {
-    // Pop/inspect/requeue rather than polling min_time(): min_time() is
-    // O(buckets) for the calendar queue, while one extra push is O(1).
-    EventRecord ev = pop_record();
-    auto it = tombstones_.find(ev.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;
-    }
+  EventRecord ev;
+  // Pop/inspect/requeue rather than polling min_time(): min_time() is
+  // O(buckets) for the calendar queue, while one extra push is O(1).
+  while (!stopped_ && pop_live(ev)) {
     if (inclusive ? (ev.time > t_end) : (ev.time >= t_end)) {
       next = ev.time;
-      push_record(std::move(ev));
+      push_record(ev);
       break;
     }
     execute(ev);

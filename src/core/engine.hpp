@@ -88,8 +88,10 @@ class Engine {
   /// call. Returns the now-cancellable handle.
   EventHandle schedule_reserved(const EventHandle& key, EventFn fn);
 
-  /// O(1) cancellation. Returns false if the event already ran or was
-  /// already cancelled.
+  /// O(1) cancellation: frees the event's slot at once and leaves its key
+  /// queued, to be skipped when it surfaces. Returns false (and counts
+  /// nothing) if the event already ran, is running, was already cancelled,
+  /// or `h` is an unqueued reservation.
   bool cancel(const EventHandle& h);
 
   // --- execution --------------------------------------------------------
@@ -132,8 +134,9 @@ class Engine {
   };
   const Stats& stats() const { return stats_; }
   std::size_t pending() const { return queue_->size(); }
-  /// Cancelled-but-not-yet-popped events (diagnostic; should drain to 0).
-  std::size_t tombstone_count() const { return tombstones_.size(); }
+  /// Keys of cancelled events still queued (diagnostic; drains to 0 as
+  /// they surface).
+  std::size_t tombstone_count() const { return dead_keys_; }
   const char* queue_name() const { return queue_->name(); }
 
   // --- randomness ---------------------------------------------------------
@@ -207,17 +210,40 @@ class Engine {
   std::size_t live_processes() const { return coroutines_.size(); }
 
  private:
+  /// One slab slot: an event body and the seq of the event that owns it
+  /// (0 while free or running). A queued key is live iff its seq matches.
+  struct alignas(64) Slot {
+    EventFn fn;
+    EventId seq = 0;
+  };
+  static_assert(sizeof(Slot) == 64);
+  /// Slots live in fixed pages that never move, so a body runs in place
+  /// while the events it schedules grow the slab.
+  static constexpr std::uint32_t kPageBits = 10;
+  static constexpr std::uint32_t kPageMask = (1u << kPageBits) - 1;
+
   SimTime quantize(SimTime t) const;
+  Slot& slot(std::uint32_t i) { return pages_[i >> kPageBits][i & kPageMask]; }
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t i);
   /// queue_->pop() / push(), wall-clock timed on every stride-th operation
   /// when a probe is attached.
   EventRecord pop_record();
   void push_record(EventRecord rec);
+  /// Pop keys until a live one surfaces, consuming dead keys on the way.
+  /// Returns false when the queue drains first.
+  bool pop_live(EventRecord& out);
   /// step() with the choice hook installed: collect the timestamp tie,
   /// let the strategy pick, requeue the rest.
   bool step_with_choice();
-  /// Run `ev` with trace/probe/tag bookkeeping (shared by both step paths).
-  void execute(EventRecord& ev);
+  /// Run the live event `ev` in place in its slot with trace/probe/tag
+  /// bookkeeping, then free the slot (shared by every drain path).
+  void execute(const EventRecord& ev);
 
+  std::vector<std::unique_ptr<Slot[]>> pages_;
+  std::uint32_t slot_count_ = 0;     // slots handed out so far, across pages
+  std::vector<std::uint32_t> free_;  // released slots, reused LIFO
+  std::size_t dead_keys_ = 0;        // queued keys whose slot was cancelled
   std::unique_ptr<EventQueue> queue_;
   SimTime now_ = 0;
   EventId next_seq_ = 1;  // 0 is the invalid handle id
@@ -226,7 +252,6 @@ class Engine {
   std::uint64_t seed_;
   double quantum_;
   std::uint64_t max_events_;
-  std::unordered_set<EventId> tombstones_;
   std::map<std::string, RngStream> streams_;
   TraceHook trace_hook_;
   ChoiceFn choice_hook_;

@@ -23,15 +23,18 @@ using EventId = std::uint64_t;
 /// the engine hot path: callables that are trivially copyable and fit the
 /// inline buffer (the overwhelmingly common case — a captured `this` plus a
 /// couple of ids) are stored in place, so schedule/pop never touches the
-/// heap for them, and moving a record through a queue is a memcpy. Larger
-/// or non-trivial callables (e.g. lambdas owning a std::function callback)
+/// heap for them, and moving one is a memcpy. Larger, over-aligned or
+/// non-trivial callables (e.g. lambdas owning a std::function callback)
 /// fall back to a heap box whose move is a pointer steal. Move-only, which
 /// also lets events own move-only resources — something std::function
 /// forbids.
+///
+/// 56 bytes: the inline buffer plus one pointer to a static {invoke,
+/// destroy} table, so an engine slab slot (fn + owning seq) is one 64-byte
+/// cache line.
 class EventFn {
  public:
-  /// Inline capacity: enough for several captured pointers/ids. EventRecord
-  /// stays cache-friendly (time + seq + fn = 80 bytes).
+  /// Inline capacity: enough for several captured pointers/ids.
   static constexpr std::size_t kInlineCapacity = 48;
 
   EventFn() noexcept = default;
@@ -44,12 +47,11 @@ class EventFn {
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(inline_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
     } else {
-      heap_ = new Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-      destroy_ = [](void* p) { delete static_cast<Fn*>(p); };
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &kBoxedOps<Fn>;
     }
   }
 
@@ -65,46 +67,54 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
   ~EventFn() { reset(); }
 
-  void operator()() { invoke_(destroy_ ? heap_ : static_cast<void*>(inline_)); }
-  explicit operator bool() const noexcept { return invoke_ != nullptr; }
+  void operator()() { ops_->invoke(storage_); }
+  explicit operator bool() const noexcept { return ops_ != nullptr; }
 
  private:
+  struct Ops {
+    void (*invoke)(void* storage);
+    void (*destroy)(void* storage);  // null for inline (trivially destructible) callables
+  };
+
   template <typename Fn>
   static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(void*) &&
            std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
   }
 
+  template <typename Fn>
+  static constexpr Ops kInlineOps{[](void* p) { (*static_cast<Fn*>(p))(); }, nullptr};
+  template <typename Fn>
+  static constexpr Ops kBoxedOps{[](void* p) { (**static_cast<Fn**>(p))(); },
+                                 [](void* p) { delete *static_cast<Fn**>(p); }};
+
   void reset() noexcept {
-    if (destroy_) destroy_(heap_);
-    invoke_ = nullptr;
-    destroy_ = nullptr;
+    if (ops_ && ops_->destroy) ops_->destroy(storage_);
+    ops_ = nullptr;
   }
 
+  // Both representations are trivially relocatable: an inline callable is
+  // trivially copyable, a boxed one is a pointer in storage_.
   void steal(EventFn& other) noexcept {
-    invoke_ = other.invoke_;
-    destroy_ = other.destroy_;
-    if (destroy_) {
-      heap_ = other.heap_;
-    } else if (invoke_) {
-      std::memcpy(inline_, other.inline_, kInlineCapacity);
-    }
-    other.invoke_ = nullptr;
-    other.destroy_ = nullptr;
+    ops_ = other.ops_;
+    if (ops_) std::memcpy(storage_, other.storage_, kInlineCapacity);
+    other.ops_ = nullptr;
   }
 
-  union {
-    alignas(std::max_align_t) unsigned char inline_[kInlineCapacity];
-    void* heap_;
-  };
-  void (*invoke_)(void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;  // non-null iff heap-boxed
+  alignas(void*) unsigned char storage_[kInlineCapacity];
+  const Ops* ops_ = nullptr;
 };
+static_assert(sizeof(EventFn) == 56);
 
+/// Sentinel slot of a key that owns no body (a reservation not yet queued).
+inline constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+/// One pending-set entry: the key every queue orders by, plus the engine
+/// slab slot that holds the event's body. Queues never see the body.
 struct EventRecord {
   SimTime time = 0;
   EventId seq = 0;  // engine-assigned, unique (assigned in schedule order)
-  EventFn fn;
+  std::uint32_t slot = kNoSlot;
 
   /// Total order: earlier time first, then earlier schedule order.
   friend bool operator<(const EventRecord& a, const EventRecord& b) {
@@ -112,30 +122,20 @@ struct EventRecord {
     return a.seq < b.seq;
   }
 };
-
-/// Key-only view used by queue implementations for comparisons.
-struct EventKey {
-  SimTime time;
-  EventId seq;
-  friend bool operator<(const EventKey& a, const EventKey& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-  friend bool operator==(const EventKey& a, const EventKey& b) {
-    return a.time == b.time && a.seq == b.seq;
-  }
-};
-
-inline EventKey key_of(const EventRecord& ev) { return {ev.time, ev.seq}; }
+static_assert(sizeof(EventRecord) <= 24);
 
 /// Cancellation handle returned by Engine::schedule_*.
 ///
-/// Cancellation is O(1): the engine tombstones the id and skips the record
-/// when it surfaces — the optimization the paper lists under "optimizations
-/// adopted in the design of the simulation engine".
+/// Cancellation is O(1): the body lives in an engine slab slot stamped with
+/// the owning event's seq. Cancel frees the slot at once; the key stays
+/// queued and is skipped when it surfaces, because its seq no longer
+/// matches the slot's stamp — the optimization the paper lists under
+/// "optimizations adopted in the design of the simulation engine". Seqs are
+/// unique, so a stale handle can never cancel the slot's next occupant.
 struct EventHandle {
   EventId id = 0;
   SimTime time = 0;
+  std::uint32_t slot = kNoSlot;  // kNoSlot for a reservation (not cancellable)
   bool valid() const { return id != 0; }
 };
 

@@ -25,14 +25,16 @@
 
 namespace lsds::core {
 
+/// A container of event keys: the engine keeps event bodies in its own slab
+/// (core/engine.hpp), so a queue only orders and moves 24-byte records.
 class EventQueue {
  public:
   virtual ~EventQueue() = default;
 
-  /// Insert an event. `seq` values must be unique.
+  /// Insert an event key. `seq` values must be unique.
   virtual void push(EventRecord ev) = 0;
 
-  /// Remove and return the minimum event. Precondition: !empty().
+  /// Remove and return the minimum key. Precondition: !empty().
   virtual EventRecord pop() = 0;
 
   /// Timestamp of the minimum event, or kInfTime when empty.

@@ -1,17 +1,17 @@
 #include "core/queues/binary_heap.hpp"
 
-#include <utility>
+#include <utility>  // std::swap
 
 namespace lsds::core {
 
 void BinaryHeapQueue::push(EventRecord ev) {
-  heap_.push_back(std::move(ev));
+  heap_.push_back(ev);
   sift_up(heap_.size() - 1);
 }
 
 EventRecord BinaryHeapQueue::pop() {
-  EventRecord top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  const EventRecord top = heap_.front();
+  heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
   return top;

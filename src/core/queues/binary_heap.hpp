@@ -1,7 +1,7 @@
 // Implicit binary min-heap over a contiguous vector — the O(log n) default.
 //
-// Hand-rolled rather than std::priority_queue so that pop can move the
-// closure out of the heap instead of copying it, and so min_time is O(1).
+// Hand-rolled rather than std::priority_queue so that pop returns the key
+// directly and min_time is O(1).
 #pragma once
 
 #include <vector>

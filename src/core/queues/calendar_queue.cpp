@@ -9,6 +9,7 @@ namespace lsds::core {
 namespace {
 constexpr std::size_t kMinBuckets = 2;
 constexpr std::size_t kSampleSize = 25;
+constexpr std::size_t kMaxCostPerOp = 4;
 }  // namespace
 
 CalendarQueue::CalendarQueue() {
@@ -27,14 +28,47 @@ std::size_t CalendarQueue::bucket_of(SimTime t) const {
   return static_cast<std::size_t>(n % buckets_.size());
 }
 
-void CalendarQueue::insert_sorted(Bucket& b, EventRecord ev) {
-  auto it = b.end();
-  while (it != b.begin()) {
-    auto prev = std::prev(it);
-    if (!(ev < *prev)) break;
-    it = prev;
+std::uint32_t CalendarQueue::alloc_node() {
+  if (free_ != kNil) {
+    const std::uint32_t n = free_;
+    free_ = node(n).next;
+    return n;
   }
-  b.insert(it, std::move(ev));
+  if ((node_count_ & kPageMask) == 0) {
+    pages_.push_back(std::make_unique_for_overwrite<Node[]>(std::size_t{1} << kPageBits));
+  }
+  return node_count_++;
+}
+
+std::size_t CalendarQueue::insert_sorted(Bucket& b, std::uint32_t n) {
+  Node& nd = node(n);
+  const EventRecord key = nd.key();
+  if (b.head == kNil || !(key < node(b.tail).key())) {  // empty, or at or past the tail
+    nd.next = kNil;
+    (b.head == kNil ? b.head : node(b.tail).next) = n;
+    b.tail = n;
+    return 0;
+  }
+  if (key < node(b.head).key()) {
+    nd.next = b.head;
+    b.head = n;
+    return 0;
+  }
+  std::size_t passed = 1;
+  std::uint32_t prev = b.head;
+  for (; !(key < node(node(prev).next).key()); ++passed) prev = node(prev).next;
+  nd.next = node(prev).next;
+  node(prev).next = n;
+  return passed;
+}
+
+void CalendarQueue::account(std::size_t cost) {
+  window_cost_ += cost;
+  if (++window_ops_ < buckets_.size()) return;
+  const bool too_slow = window_cost_ > kMaxCostPerOp * window_ops_;
+  window_ops_ = 0;
+  window_cost_ = 0;
+  if (too_slow) resize(buckets_.size());
 }
 
 void CalendarQueue::push(EventRecord ev) {
@@ -53,21 +87,25 @@ void CalendarQueue::push(EventRecord ev) {
   // every pending time: a later resize with a narrower width would
   // otherwise anchor past this event's new day and return it late.
   if (ev.time < last_prio_) last_prio_ = ev.time;
-  insert_sorted(buckets_[bucket_of(ev.time)], std::move(ev));
+  const std::uint32_t n = alloc_node();
+  node(n) = Node{ev.time, ev.seq, ev.slot, kNil};
+  const std::size_t passed = insert_sorted(buckets_[bucket_of(ev.time)], n);
   ++size_;
-  if (size_ > grow_threshold_) resize(buckets_.size() * 2);
+  if (size_ > grow_threshold_) {
+    resize(buckets_.size() * 2);
+  } else {
+    account(passed);
+  }
 }
 
-bool CalendarQueue::locate_min(std::size_t& bucket_out, bool& via_direct_scan) const {
-  if (size_ == 0) return false;
+std::size_t CalendarQueue::locate_min(std::size_t& bucket_out) const {
   std::size_t i = last_bucket_;
   double top = bucket_top_;
   for (std::size_t walked = 0; walked < buckets_.size(); ++walked) {
     const Bucket& b = buckets_[i];
-    if (!b.empty() && b.front().time < top) {
+    if (b.head != kNil && node(b.head).time < top) {
       bucket_out = i;
-      via_direct_scan = false;
-      return true;
+      return walked;
     }
     i = (i + 1) % buckets_.size();
     top += width_;
@@ -75,46 +113,47 @@ bool CalendarQueue::locate_min(std::size_t& bucket_out, bool& via_direct_scan) c
   // Rare fallback: the next event lies beyond this calendar year. Direct scan.
   std::size_t best = buckets_.size();
   for (std::size_t j = 0; j < buckets_.size(); ++j) {
-    if (buckets_[j].empty()) continue;
-    if (best == buckets_.size() || buckets_[j].front() < buckets_[best].front()) best = j;
+    if (buckets_[j].head == kNil) continue;
+    if (best == buckets_.size() ||
+        node(buckets_[j].head).key() < node(buckets_[best].head).key()) {
+      best = j;
+    }
   }
   bucket_out = best;
-  via_direct_scan = true;
-  return true;
+  return buckets_.size();
 }
 
 EventRecord CalendarQueue::pop() {
   std::size_t i = 0;
-  bool direct = false;
-  locate_min(i, direct);
+  const std::size_t walked = locate_min(i);
   Bucket& b = buckets_[i];
-  EventRecord ev = std::move(b.front());
-  b.pop_front();
+  const std::uint32_t n = b.head;
+  const EventRecord ev = node(n).key();
+  b.head = node(n).next;
+  if (b.head == kNil) b.tail = kNil;
+  node(n).next = free_;
+  free_ = n;
   --size_;
 
+  // Anchor the year on the dequeued event's day: the window the walk found
+  // it in, or (after a direct scan) the day it lies beyond the year in.
   last_bucket_ = i;
   last_prio_ = ev.time;
-  if (direct) {
-    // Re-anchor the year on the dequeued event's day.
-    const double day = std::floor(ev.time / width_);
-    bucket_top_ = (day + 1.0) * width_;
-  } else {
-    // Advance bucket_top_ to the window in which we found the event.
-    const double day = std::floor(ev.time / width_);
-    bucket_top_ = (day + 1.0) * width_;
-  }
+  bucket_top_ = (std::floor(ev.time / width_) + 1.0) * width_;
 
   if (buckets_.size() > kMinBuckets && size_ < shrink_threshold_) {
     resize(buckets_.size() / 2);
+  } else {
+    account(walked);
   }
   return ev;
 }
 
 SimTime CalendarQueue::min_time() const {
+  if (size_ == 0) return kInfTime;
   std::size_t i = 0;
-  bool direct = false;
-  if (!locate_min(i, direct)) return kInfTime;
-  return buckets_[i].front().time;
+  locate_min(i);
+  return node(buckets_[i].head).time;
 }
 
 double CalendarQueue::estimate_width() const {
@@ -126,7 +165,7 @@ double CalendarQueue::estimate_width() const {
   std::vector<SimTime> times;
   times.reserve(size_);
   for (const Bucket& b : buckets_) {
-    for (const EventRecord& ev : b) times.push_back(ev.time);
+    for (std::uint32_t n = b.head; n != kNil; n = node(n).next) times.push_back(node(n).time);
   }
   const std::size_t k = std::min<std::size_t>(kSampleSize, times.size());
   std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(k - 1),
@@ -153,10 +192,14 @@ void CalendarQueue::resize(std::size_t new_nbuckets) {
   width_ = new_width;
   grow_threshold_ = 2 * new_nbuckets;
   shrink_threshold_ = new_nbuckets / 2;
+  window_ops_ = 0;
+  window_cost_ = 0;
 
-  for (Bucket& b : old) {
-    for (EventRecord& ev : b) {
-      insert_sorted(buckets_[bucket_of(ev.time)], std::move(ev));
+  for (const Bucket& b : old) {
+    for (std::uint32_t n = b.head; n != kNil;) {
+      const std::uint32_t next = node(n).next;
+      insert_sorted(buckets_[bucket_of(node(n).time)], n);
+      n = next;
     }
   }
   // Re-anchor the dequeue cursor on the last dequeued priority.

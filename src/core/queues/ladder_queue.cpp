@@ -1,6 +1,7 @@
 #include "core/queues/ladder_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -44,14 +45,10 @@ void LadderQueue::push(EventRecord ev) {
       }
     }
   }
-  // 3) Near future -> Bottom (sorted insert).
-  auto it = bottom_.end();
-  while (it != bottom_.begin()) {
-    auto prev = std::prev(it);
-    if (!(ev < *prev)) break;
-    it = prev;
-  }
-  bottom_.insert(it, std::move(ev));
+  // 3) Near future -> Bottom (sorted insert, descending).
+  const auto it = std::upper_bound(bottom_.begin(), bottom_.end(), ev,
+                                   [](const EventRecord& a, const EventRecord& b) { return b < a; });
+  bottom_.insert(it, ev);
 }
 
 void LadderQueue::spawn_rung(std::vector<EventRecord> events, double start, double end) {
@@ -85,14 +82,11 @@ void LadderQueue::transfer_top_to_ladder() {
 }
 
 void LadderQueue::sort_into_bottom(std::vector<EventRecord> events) {
+  // Only pop() advances the ladder, and only once Bottom has drained.
+  assert(bottom_.empty());
   std::sort(events.begin(), events.end(),
-            [](const EventRecord& a, const EventRecord& b) { return a < b; });
-  // Merge into (usually empty) bottom_.
-  auto it = bottom_.begin();
-  for (EventRecord& ev : events) {
-    while (it != bottom_.end() && *it < ev) ++it;
-    bottom_.insert(it, std::move(ev));
-  }
+            [](const EventRecord& a, const EventRecord& b) { return b < a; });
+  bottom_ = std::move(events);
 }
 
 bool LadderQueue::advance_ladder() {
@@ -139,15 +133,15 @@ EventRecord LadderQueue::pop() {
       // After a transfer the ladder is non-empty iff there were Top events.
     }
   }
-  EventRecord ev = std::move(bottom_.front());
-  bottom_.pop_front();
+  const EventRecord ev = bottom_.back();
+  bottom_.pop_back();
   --size_;
   return ev;
 }
 
 SimTime LadderQueue::min_time() const {
   SimTime best = kInfTime;
-  if (!bottom_.empty()) best = bottom_.front().time;
+  if (!bottom_.empty()) best = bottom_.back().time;
   for (const auto& rung : ladder_) {
     for (std::size_t i = rung.cur; i < rung.buckets.size(); ++i) {
       for (const auto& ev : rung.buckets[i]) best = std::min(best, ev.time);

@@ -8,7 +8,8 @@
 //   Top    — unsorted spill area for far-future events (O(1) append);
 //   Ladder — rungs of progressively finer buckets, created on demand when
 //            Top or an oversized bucket is split;
-//   Bottom — a small sorted list from which events are actually dequeued.
+//   Bottom — a small sorted vector, kept descending so that the next event
+//            to dequeue is popped off its back.
 //
 // This implementation follows the paper's algorithm with the standard
 // simplifications: a bucket whose events are all simultaneous (or the
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <list>
 #include <vector>
 
 #include "core/event_queue.hpp"
@@ -59,7 +59,7 @@ class LadderQueue final : public EventQueue {
   double top_start_ = 0;  // events with time >= top_start_ go to Top
 
   std::vector<Rung> ladder_;
-  std::list<EventRecord> bottom_;  // sorted ascending
+  std::vector<EventRecord> bottom_;  // sorted descending: the minimum is at the back
 
   std::size_t size_ = 0;
   static constexpr std::size_t kBottomThreshold = 50;

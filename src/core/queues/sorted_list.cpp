@@ -1,28 +1,23 @@
 #include "core/queues/sorted_list.hpp"
 
-#include <utility>
+#include <algorithm>
 
 namespace lsds::core {
 
 void SortedListQueue::push(EventRecord ev) {
-  // Scan from the back: new events usually belong near the tail.
-  auto it = list_.end();
-  while (it != list_.begin()) {
-    auto prev = std::prev(it);
-    if (!(ev < *prev)) break;
-    it = prev;
-  }
-  list_.insert(it, std::move(ev));
+  const auto it = std::upper_bound(keys_.begin(), keys_.end(), ev,
+                                   [](const EventRecord& a, const EventRecord& b) { return b < a; });
+  keys_.insert(it, ev);
 }
 
 EventRecord SortedListQueue::pop() {
-  EventRecord ev = std::move(list_.front());
-  list_.pop_front();
+  const EventRecord ev = keys_.back();
+  keys_.pop_back();
   return ev;
 }
 
 SimTime SortedListQueue::min_time() const {
-  return list_.empty() ? kInfTime : list_.front().time;
+  return keys_.empty() ? kInfTime : keys_.back().time;
 }
 
 }  // namespace lsds::core

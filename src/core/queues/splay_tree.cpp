@@ -1,7 +1,5 @@
 #include "core/queues/splay_tree.hpp"
 
-#include <utility>
-
 namespace lsds::core {
 
 SplayTreeQueue::~SplayTreeQueue() { free_subtree(root_); }
@@ -79,7 +77,7 @@ SplayTreeQueue::Node* SplayTreeQueue::leftmost(Node* n) const {
 }
 
 void SplayTreeQueue::push(EventRecord ev) {
-  Node* node = new Node{std::move(ev)};
+  Node* node = new Node{ev};
   if (!root_) {
     root_ = min_ = node;
     size_ = 1;
@@ -110,7 +108,7 @@ void SplayTreeQueue::push(EventRecord ev) {
 
 EventRecord SplayTreeQueue::pop() {
   Node* m = min_;
-  EventRecord ev = std::move(m->ev);
+  const EventRecord ev = m->ev;
   splay(m);  // bring the minimum to the root; it has no left child there
   Node* right = m->right;
   if (right) right->parent = nullptr;

@@ -519,7 +519,7 @@ void FlowNetwork::resolve_and_reschedule() {
     if (f->rate == scratch_old_rate_[i]) continue;
     settle(*f, scratch_old_rate_[i]);
     if (f->completion.valid()) {
-      engine_.cancel(f->completion);  // O(1) tombstone; skipped at pop
+      engine_.cancel(f->completion);  // O(1); the dead key is skipped at pop
       f->completion = {};
     }
     f->due = f->rate > 0 ? engine_.reserve_at(engine_.now() + f->remaining / f->rate)

@@ -286,7 +286,8 @@ class FlowNetwork {
     core::EventHandle due{};
     /// The queued completion event, when this flow holds one (then
     /// completion.id == due.id). Each component queues at least its
-    /// earliest `due`; a superseded one is cancelled (O(1) tombstone).
+    /// earliest `due`; a superseded one is cancelled (O(1): its slot is
+    /// freed and its key skipped when it surfaces).
     core::EventHandle completion{};
     /// Index in its component's member list while sharing (incremental).
     std::size_t member_slot = 0;

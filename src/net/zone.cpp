@@ -218,9 +218,12 @@ std::size_t ZoneTree::add_child(std::unique_ptr<Zone> child, double backbone_ban
                                 double backbone_latency) {
   if (!(backbone_bandwidth > 0)) throw std::invalid_argument("ZoneTree: bandwidth must be > 0");
   if (!(backbone_latency >= 0)) throw std::invalid_argument("ZoneTree: latency must be >= 0");
+  const auto c = static_cast<std::uint32_t>(children_.size());
   node_off_.push_back(total_nodes_);
   link_off_.push_back(total_links_);
   host_off_.push_back(total_hosts_);
+  node_child_.insert(node_child_.end(), child->node_count(), c);
+  link_child_.insert(link_child_.end(), child->link_count(), c);
   total_nodes_ += child->node_count();
   total_links_ += child->link_count();
   total_hosts_ += child->host_count();
@@ -233,8 +236,7 @@ std::size_t ZoneTree::add_child(std::unique_ptr<Zone> child, double backbone_ban
 std::size_t ZoneTree::child_of(NodeId n) const {
   assert(n < node_count());
   if (n >= total_nodes_) return children_.size();  // root router
-  const auto it = std::upper_bound(node_off_.begin(), node_off_.end(), static_cast<std::size_t>(n));
-  return static_cast<std::size_t>(it - node_off_.begin()) - 1;
+  return node_child_[n];
 }
 
 NodeId ZoneTree::host(std::size_t i) const {
@@ -252,15 +254,13 @@ bool ZoneTree::is_host(NodeId n) const {
 
 double ZoneTree::link_bandwidth(LinkId id) const {
   if (id >= total_links_) return bb_bandwidth_[id - total_links_];
-  const auto it = std::upper_bound(link_off_.begin(), link_off_.end(), static_cast<std::size_t>(id));
-  const std::size_t c = static_cast<std::size_t>(it - link_off_.begin()) - 1;
+  const std::size_t c = link_child_[id];
   return children_[c]->link_bandwidth(id - static_cast<LinkId>(link_off_[c]));
 }
 
 double ZoneTree::link_latency(LinkId id) const {
   if (id >= total_links_) return bb_latency_[id - total_links_];
-  const auto it = std::upper_bound(link_off_.begin(), link_off_.end(), static_cast<std::size_t>(id));
-  const std::size_t c = static_cast<std::size_t>(it - link_off_.begin()) - 1;
+  const std::size_t c = link_child_[id];
   return children_[c]->link_latency(id - static_cast<LinkId>(link_off_[c]));
 }
 
@@ -270,8 +270,7 @@ std::pair<NodeId, NodeId> ZoneTree::link_ends(LinkId id) const {
     const std::size_t c = id - total_links_;
     return {static_cast<NodeId>(node_off_[c] + children_[c]->gateway()), gateway()};
   }
-  const auto it = std::upper_bound(link_off_.begin(), link_off_.end(), static_cast<std::size_t>(id));
-  const std::size_t c = static_cast<std::size_t>(it - link_off_.begin()) - 1;
+  const std::size_t c = link_child_[id];
   const auto [a, b] = children_[c]->link_ends(id - static_cast<LinkId>(link_off_[c]));
   return {static_cast<NodeId>(node_off_[c] + a), static_cast<NodeId>(node_off_[c] + b)};
 }

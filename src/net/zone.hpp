@@ -238,7 +238,8 @@ class FatTreeZone final : public Zone {
 /// link blocks come first (in child order), then one backbone link per
 /// child. Cross-child routes are src-child segment to its gateway, two
 /// backbone hops, then gateway-to-dst segment — the composition the
-/// invariance tests assert.
+/// invariance tests assert. A per-node and a per-link child index (4 bytes
+/// each, filled by add_child) make child_of and the link lookups O(1).
 class ZoneTree final : public Zone {
  public:
   ZoneTree() = default;
@@ -272,6 +273,7 @@ class ZoneTree final : public Zone {
   std::vector<std::unique_ptr<Zone>> children_;
   std::vector<double> bb_bandwidth_, bb_latency_;
   std::vector<std::size_t> node_off_, link_off_, host_off_;  // per child
+  std::vector<std::uint32_t> node_child_, link_child_;  // owning child per node / link
   std::size_t total_nodes_ = 0, total_links_ = 0, total_hosts_ = 0;
 };
 

@@ -1,9 +1,12 @@
 // Engine semantics: ordering, cancellation, run_until, stop, quantum,
 // determinism across queue structures and across runs.
 #include <gtest/gtest.h>
+#include <algorithm>
 
 #include <functional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -100,6 +103,48 @@ TEST(Engine, CancelAtCurrentTimeStillWorks) {
   eng.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(eng.tombstone_count(), 0u);  // tombstone consumed at pop
+}
+
+TEST(Engine, CancelOfRunningEventReturnsFalse) {
+  // Regression: an event cancelling itself while it runs was accepted,
+  // counted, and left a dead key that no pop would ever consume.
+  core::Engine eng;
+  core::EventHandle self;
+  bool cancelled = true;
+  self = eng.schedule_at(1.0, [&] { cancelled = eng.cancel(self); });
+  eng.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(eng.stats().executed, 1u);
+  EXPECT_EQ(eng.stats().cancelled, 0u);
+  EXPECT_EQ(eng.tombstone_count(), 0u);
+}
+
+TEST(Engine, CancelOfEventFiredAtCurrentInstantReturnsFalse) {
+  // Same bug, one event later: the handle's time equals now(), but the
+  // event has already run.
+  core::Engine eng;
+  const auto first = eng.schedule_at(1.0, [] {});
+  bool cancelled = true;
+  eng.schedule_at(1.0, [&] { cancelled = eng.cancel(first); });
+  eng.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(eng.stats().executed, 2u);
+  EXPECT_EQ(eng.stats().cancelled, 0u);
+  EXPECT_EQ(eng.tombstone_count(), 0u);
+}
+
+TEST(Engine, UnqueuedReservationIsNotCancellable) {
+  // Regression: cancelling a reserve_at() key before schedule_reserved()
+  // returned true and then silently dropped the event queued under it.
+  core::Engine eng;
+  bool ran = false;
+  const auto key = eng.reserve_at(1.0);
+  EXPECT_FALSE(eng.cancel(key));
+  eng.schedule_reserved(key, [&] { ran = true; });
+  eng.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(eng.stats().cancelled, 0u);
+  EXPECT_EQ(eng.tombstone_count(), 0u);
 }
 
 TEST(Engine, ReservedEventRunsAtItsReservationPosition) {
@@ -338,6 +383,147 @@ INSTANTIATE_TEST_SUITE_P(AllStructures, EngineQueueDeterminism,
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });
+
+// --- slab slot reuse, fuzzed ----------------------------------------------
+
+namespace {
+
+using Trace = std::vector<std::pair<double, core::EventId>>;
+
+// A seeded mix of schedule, cancel (of live, fired, running and stale
+// handles, whose slot has often been handed to a newer event), reserve /
+// schedule_reserved and windowed runs that requeue the first key past each
+// window. Cancel must succeed exactly for queued events, so the bookkeeping
+// below mirrors the engine's and checks every return value. Returns the
+// executed (time, seq) trace.
+Trace run_slot_fuzz(core::QueueKind kind, std::uint64_t seed) {
+  enum class State : char { kQueued, kRunning, kRan, kCancelled, kReserved };
+  core::Engine eng({.queue = kind, .seed = seed});
+  auto& rng = eng.rng("slot-fuzz");
+  Trace trace;
+  std::vector<core::EventHandle> handles;  // every queued handle, in issue order
+  std::vector<core::EventHandle> reserved;  // keys not queued yet
+  std::unordered_map<core::EventId, State> state;
+  std::unordered_map<std::uint32_t, core::EventId> slot_owner;  // slot -> queued event
+  std::uint64_t cancels = 0, stale_slot_cancels = 0;
+  int budget = 4000;
+  eng.set_trace_hook([&](double t, core::EventId id) {
+    trace.emplace_back(t, id);
+    EXPECT_EQ(state[id], State::kQueued) << "seq " << id << " ran but was not queued";
+    state[id] = State::kRunning;
+  });
+
+  std::function<void()> body;
+  const auto issue = [&](core::EventHandle h) {
+    EXPECT_NE(h.slot, core::kNoSlot);
+    state[h.id] = State::kQueued;
+    slot_owner[h.slot] = h.id;
+    handles.push_back(h);
+  };
+  const auto try_cancel = [&](const core::EventHandle& h) {
+    // A stale handle whose slot now holds another queued event: the engine
+    // must refuse it and leave the occupant to run (the final state check
+    // catches an occupant that never ran).
+    const auto it = slot_owner.find(h.slot);
+    if (it != slot_owner.end() && it->second != h.id && state[it->second] == State::kQueued) {
+      ++stale_slot_cancels;
+    }
+    const bool expect = state[h.id] == State::kQueued;
+    const bool got = eng.cancel(h);
+    EXPECT_EQ(got, expect) << "seq " << h.id << " slot " << h.slot;
+    if (got) {
+      ++cancels;
+      state[h.id] = State::kCancelled;
+      slot_owner.erase(h.slot);
+    }
+  };
+  const auto act = [&] {
+    const auto ops = rng.uniform_int(1, 5);
+    for (std::int64_t op = 0; op < ops; ++op) {
+      switch (rng.uniform_int(0, 7)) {
+        case 0:
+        case 1:
+        case 6:
+        case 7:  // schedule, sometimes at this very instant
+          if (budget-- > 0) {
+            const double dt = rng.uniform_int(0, 3) == 0 ? 0.0 : rng.exponential(1.0);
+            issue(eng.schedule_in(dt, body));
+          }
+          break;
+        case 2:  // cancel any handle ever issued: live, fired, cancelled or stale
+          if (!handles.empty()) {
+            try_cancel(handles[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1))]);
+          }
+          break;
+        case 3:  // cancel one of the newest handles, mostly still queued
+          if (!handles.empty()) {
+            const auto back = std::min<std::int64_t>(3, static_cast<std::int64_t>(handles.size()) - 1);
+            try_cancel(handles[handles.size() - 1 - static_cast<std::size_t>(rng.uniform_int(0, back))]);
+          }
+          break;
+        case 4:  // reserve a key; an unqueued reservation is not cancellable
+          if (budget-- > 0) {
+            const auto key = eng.reserve_at(eng.now() + rng.exponential(2.0));
+            state[key.id] = State::kReserved;
+            EXPECT_FALSE(eng.cancel(key));
+            reserved.push_back(key);
+          }
+          break;
+        case 5:  // queue a reservation, or drop it once its time has passed
+          if (!reserved.empty()) {
+            const core::EventHandle key = reserved.front();
+            reserved.erase(reserved.begin());
+            if (key.time >= eng.now()) issue(eng.schedule_reserved(key, body));
+          }
+          break;
+      }
+    }
+  };
+  body = [&] {
+    const core::EventId self = trace.back().second;
+    act();
+    // The running event cannot cancel itself.
+    for (const auto& h : handles) {
+      if (h.id == self) {
+        EXPECT_FALSE(eng.cancel(h));
+        break;
+      }
+    }
+    state[self] = State::kRan;
+  };
+
+  for (int i = 0; i < 16; ++i) act();
+  double t = 0;
+  while (eng.pending() > 0) {
+    t += rng.uniform(0.05, 2.0);
+    eng.run_window(t, rng.uniform_int(0, 1) == 1);
+    act();
+  }
+  EXPECT_EQ(eng.tombstone_count(), 0u);
+  EXPECT_EQ(eng.stats().cancelled, cancels);
+  EXPECT_EQ(eng.stats().executed, trace.size());
+  EXPECT_GT(cancels, 100u);
+  EXPECT_GT(stale_slot_cancels, 10u);
+  for (const auto& [id, st] : state) {
+    EXPECT_TRUE(st == State::kRan || st == State::kCancelled || st == State::kReserved)
+        << "seq " << id;
+  }
+  return trace;
+}
+
+}  // namespace
+
+TEST(EngineSlab, SlotReuseFuzzAgreesAcrossQueueKinds) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Trace ref = run_slot_fuzz(core::QueueKind::kBinaryHeap, seed);
+    EXPECT_GT(ref.size(), 1000u);
+    for (core::QueueKind kind : core::kAllQueueKinds) {
+      SCOPED_TRACE(core::to_string(kind));
+      EXPECT_EQ(run_slot_fuzz(kind, seed), ref) << "seed " << seed;
+    }
+  }
+}
 
 // --- probe queue-timing stride ---------------------------------------------
 

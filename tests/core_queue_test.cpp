@@ -45,7 +45,7 @@ TEST_P(QueueTest, EmptyInitially) {
 
 TEST_P(QueueTest, SingleElement) {
   auto q = make();
-  q->push({3.5, 1, nullptr});
+  q->push({3.5, 1});
   EXPECT_EQ(q->size(), 1u);
   EXPECT_DOUBLE_EQ(q->min_time(), 3.5);
   auto ev = q->pop();
@@ -60,7 +60,7 @@ TEST_P(QueueTest, PushThenPopAllSorted) {
   std::vector<PopRecord> expected;
   for (core::EventId i = 1; i <= 1000; ++i) {
     const double t = rng.uniform(0, 1e6);
-    q->push({t, i, nullptr});
+    q->push({t, i});
     expected.push_back({t, i});
   }
   std::sort(expected.begin(), expected.end(), [](const PopRecord& a, const PopRecord& b) {
@@ -77,7 +77,7 @@ TEST_P(QueueTest, PushThenPopAllSorted) {
 
 TEST_P(QueueTest, FifoAmongSimultaneous) {
   auto q = make();
-  for (core::EventId i = 1; i <= 100; ++i) q->push({7.0, i, nullptr});
+  for (core::EventId i = 1; i <= 100; ++i) q->push({7.0, i});
   for (core::EventId i = 1; i <= 100; ++i) {
     auto ev = q->pop();
     EXPECT_EQ(ev.seq, i);
@@ -89,13 +89,13 @@ TEST_P(QueueTest, HoldModelNeverDecreases) {
   auto q = make();
   core::RngStream rng(777);
   core::EventId seq = 1;
-  for (int i = 0; i < 64; ++i) q->push({rng.exponential(10.0), seq++, nullptr});
+  for (int i = 0; i < 64; ++i) q->push({rng.exponential(10.0), seq++});
   double last = -1;
   for (int i = 0; i < 20000; ++i) {
     auto ev = q->pop();
     EXPECT_GE(ev.time, last) << "non-monotonic pop at step " << i;
     last = ev.time;
-    q->push({ev.time + rng.exponential(10.0), seq++, nullptr});
+    q->push({ev.time + rng.exponential(10.0), seq++});
   }
   EXPECT_EQ(q->size(), 64u);
 }
@@ -106,13 +106,13 @@ TEST_P(QueueTest, HoldModelSkewedIncrements) {
   auto q = make();
   core::RngStream rng(4242);
   core::EventId seq = 1;
-  for (int i = 0; i < 128; ++i) q->push({rng.pareto(0.01, 1.2), seq++, nullptr});
+  for (int i = 0; i < 128; ++i) q->push({rng.pareto(0.01, 1.2), seq++});
   double last = -1;
   for (int i = 0; i < 20000; ++i) {
     auto ev = q->pop();
     ASSERT_GE(ev.time, last);
     last = ev.time;
-    q->push({ev.time + rng.pareto(0.01, 1.2), seq++, nullptr});
+    q->push({ev.time + rng.pareto(0.01, 1.2), seq++});
   }
 }
 
@@ -123,7 +123,7 @@ TEST_P(QueueTest, GrowShrinkCycles) {
   double clock = 0;
   for (int cycle = 0; cycle < 5; ++cycle) {
     // Grow to 2000 pending, then drain to 10, always pushing >= clock.
-    while (q->size() < 2000) q->push({clock + rng.exponential(1.0), seq++, nullptr});
+    while (q->size() < 2000) q->push({clock + rng.exponential(1.0), seq++});
     while (q->size() > 10) {
       auto ev = q->pop();
       ASSERT_GE(ev.time, clock);
@@ -140,8 +140,8 @@ TEST_P(QueueTest, SimultaneousBurstsMixedWithSpread) {
   double clock = 0;
   for (int round = 0; round < 50; ++round) {
     const double barrier = clock + 1.0;
-    for (int i = 0; i < 40; ++i) q->push({barrier, seq++, nullptr});
-    for (int i = 0; i < 10; ++i) q->push({clock + rng.uniform(0.0, 1.0), seq++, nullptr});
+    for (int i = 0; i < 40; ++i) q->push({barrier, seq++});
+    for (int i = 0; i < 10; ++i) q->push({clock + rng.uniform(0.0, 1.0), seq++});
     // Drain half.
     for (int i = 0; i < 25; ++i) {
       auto ev = q->pop();
@@ -162,7 +162,7 @@ TEST_P(QueueTest, MinTimeMatchesPop) {
   auto q = make();
   core::RngStream rng(5150);
   core::EventId seq = 1;
-  for (int i = 0; i < 300; ++i) q->push({rng.uniform(0, 100), seq++, nullptr});
+  for (int i = 0; i < 300; ++i) q->push({rng.uniform(0, 100), seq++});
   while (!q->empty()) {
     const double mt = q->min_time();
     auto ev = q->pop();
@@ -180,8 +180,8 @@ TEST_P(QueueTest, CrossImplementationEquivalence) {
   for (int i = 0; i < 97; ++i) {
     const double t = rng_a.uniform(0, 50);
     rng_b.uniform(0, 50);
-    q->push({t, seq, nullptr});
-    ref->push({t, seq, nullptr});
+    q->push({t, seq});
+    ref->push({t, seq});
     ++seq;
   }
   for (int i = 0; i < 5000; ++i) {
@@ -191,8 +191,8 @@ TEST_P(QueueTest, CrossImplementationEquivalence) {
     ASSERT_EQ(a.seq, b.seq) << "step " << i;
     const double nt = a.time + rng_a.exponential(3.0);
     rng_b.exponential(3.0);
-    q->push({nt, seq, nullptr});
-    ref->push({nt, seq, nullptr});
+    q->push({nt, seq});
+    ref->push({nt, seq});
     ++seq;
   }
 }
@@ -204,11 +204,11 @@ TEST_P(QueueTest, NonMonotonePushAfterPop) {
   // to stay anchored on the far-future day and return events in bucket
   // order instead of time order.
   auto q = make();
-  q->push({100.0, 0, nullptr});
+  q->push({100.0, 0});
   auto far = q->pop();
-  q->push(std::move(far));      // requeue beyond the horizon
-  q->push({30.0, 2, nullptr});  // earlier than the last popped priority
-  q->push({21.0, 3, nullptr});
+  q->push(std::move(far));  // requeue beyond the horizon
+  q->push({30.0, 2});  // earlier than the last popped priority
+  q->push({21.0, 3});
   EXPECT_DOUBLE_EQ(q->min_time(), 21.0);
   EXPECT_DOUBLE_EQ(q->pop().time, 21.0);
   EXPECT_DOUBLE_EQ(q->pop().time, 30.0);
@@ -229,8 +229,8 @@ TEST_P(QueueTest, WindowedRequeueFuzzMatchesReference) {
     core::RngStream rng(seed);
     core::EventId seq = 0;
     const auto push_both = [&](double t) {
-      q->push({t, seq, nullptr});
-      ref->push({t, seq, nullptr});
+      q->push({t, seq});
+      ref->push({t, seq});
       ++seq;
     };
     for (int i = 0; i < 8; ++i) push_both(rng.uniform(0.0, 40.0));

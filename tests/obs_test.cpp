@@ -110,6 +110,82 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(obs::Json::parse("{1: 2}"), std::runtime_error);
 }
 
+// Seeded mutation fuzzing of the parser that reads worker partials: byte
+// flips, insertions and truncations of a RunReport and of a partial message
+// either throw or parse into a document that round-trips through dump().
+TEST(JsonParse, FuzzedDocumentsParseOrThrowAndRoundTrip) {
+  // An observed model run's report, minus its wall-clock profiler section so
+  // that the corpus (and with it every mutation) is the same on every run.
+  core::Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = 5});
+  obs::Options opts;
+  opts.enabled = true;
+  obs::Observability o(opts);
+  o.attach(eng);
+  sim::gridsim::Config cfg;
+  cfg.num_jobs = 8;
+  const auto res = sim::gridsim::run(eng, cfg);
+  obs::RunReport report;
+  report.set_scenario("gridsim", 5, "heap", "fuzz.ini");
+  report.echo_config(util::IniConfig::parse("[gridsim]\njobs = 8\n"));
+  res.to_report(report);
+  o.finalize(eng, report);
+  obs::Json doc = obs::Json::object();
+  for (const auto& [key, value] : report.root().members()) {
+    if (key != "profiler") doc.set(key, value);
+  }
+  const std::vector<std::string> corpus = {
+      doc.dump(),
+      R"({"schema": "lsds.campaign_partial/1", "signature": "c0ffee0123456789",)"
+      R"( "shard": {"id": 3, "begin": 6, "end": 8}, "slots": [)"
+      R"({"rc": 0, "error": "", "metrics": [["makespan", 104.5], ["jobs", 40], ["u", 1e-308]]},)"
+      R"( {"rc": 1, "error": "bad \"input\"\n\u00e9", "metrics": [["nan", NaN], ["inf", -Infinity]]}]})",
+  };
+
+  // Bytes the grammar gives meaning to, so mutations hit the parser's edges.
+  const std::string special = "{}[]:,\"\\-+.eE0123456789tfnNI \n";
+  core::RngStream rng(0x750f22u);
+  auto byte = [&]() -> char {
+    if (rng.uniform() < 0.5) {
+      return special[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(special.size()) - 1))];
+    }
+    return static_cast<char>(rng.uniform_int(0, 255));
+  };
+  int accepted = 0;
+  for (int it = 0; it < 3000; ++it) {
+    std::string text = corpus[static_cast<std::size_t>(it) % corpus.size()];
+    const auto edits = rng.uniform_int(1, 8);
+    for (std::int64_t e = 0; e < edits && !text.empty(); ++e) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+          text.resize(pos);
+          break;
+        case 1:
+        case 2:
+        case 3:
+          text.insert(pos, 1, byte());
+          break;
+        default:
+          text[pos] = byte();
+          break;
+      }
+    }
+    obs::Json parsed;
+    try {
+      parsed = obs::Json::parse(text);
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    ++accepted;
+    const std::string dumped = parsed.dump();
+    ASSERT_EQ(obs::Json::parse(dumped).dump(), dumped) << ::testing::PrintToString(text);
+  }
+  // Single-byte edits to whitespace or digits leave valid JSON behind.
+  EXPECT_GT(accepted, 100);
+}
+
 // --- MetricsRegistry --------------------------------------------------------
 
 TEST(Metrics, CountersGaugesTimers) {

@@ -28,7 +28,7 @@ class QueueAdversarial : public ::testing::TestWithParam<core::QueueKind> {
 
 TEST_P(QueueAdversarial, AllSimultaneous) {
   auto q = make();
-  for (core::EventId i = 1; i <= 5000; ++i) q->push({42.0, i, nullptr});
+  for (core::EventId i = 1; i <= 5000; ++i) q->push({42.0, i});
   for (core::EventId i = 1; i <= 5000; ++i) {
     auto ev = q->pop();
     ASSERT_EQ(ev.seq, i);
@@ -43,7 +43,7 @@ TEST_P(QueueAdversarial, HugeTimeJumps) {
   core::EventId seq = 1;
   double base = 0;
   for (int cluster = 0; cluster < 20; ++cluster) {
-    for (int i = 0; i < 50; ++i) q->push({base + rng.uniform(0, 1e-3), seq++, nullptr});
+    for (int i = 0; i < 50; ++i) q->push({base + rng.uniform(0, 1e-3), seq++});
     base += 1e9;  // jump ~30 years
   }
   double last = -1;
@@ -60,7 +60,7 @@ TEST_P(QueueAdversarial, DecreasingDensity) {
   core::EventId seq = 1;
   double t = 1e-6;
   for (int i = 0; i < 3000; ++i) {
-    q->push({t, seq++, nullptr});
+    q->push({t, seq++});
     t *= 1.01;
   }
   double last = -1;
@@ -75,13 +75,13 @@ TEST_P(QueueAdversarial, InterleavedNearAndFar) {
   // Hold loop that alternates +epsilon and +huge increments.
   auto q = make();
   core::EventId seq = 1;
-  q->push({0.0, seq++, nullptr});
+  q->push({0.0, seq++});
   double last = -1;
   for (int i = 0; i < 4000; ++i) {
     auto ev = q->pop();
     ASSERT_GE(ev.time, last);
     last = ev.time;
-    q->push({ev.time + ((i % 2) ? 1e-9 : 1e6), seq++, nullptr});
+    q->push({ev.time + ((i % 2) ? 1e-9 : 1e6), seq++});
   }
 }
 
