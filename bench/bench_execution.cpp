@@ -14,7 +14,9 @@
 // runs LPs itself; extra threads are persistent helpers that join windows
 // with more than one busy LP. With ~2 events per LP per window the rows
 // mostly measure the cost of synchronization, not speedup. The bench exits 1
-// unless the event, window and cross-LP counts agree across thread counts.
+// with a FAIL line unless the event, window and cross-LP counts agree across
+// thread counts and every parallel tier trace matches its serial reference.
+// The tier sweep goes to BENCH_parallel.json.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "core/engine.hpp"
 #include "core/parallel.hpp"
 #include "sim/parallel/tier_model.hpp"
@@ -29,6 +32,7 @@
 #include "util/strings.hpp"
 
 namespace core = lsds::core;
+namespace obs = lsds::obs;
 
 namespace {
 
@@ -166,30 +170,28 @@ std::vector<TierCell> run_tier_sweep(std::size_t num_t1, std::size_t t2_per_t1) 
   return cells;
 }
 
-void emit_json(const std::vector<TierCell>& cells, const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) return;
-  std::fprintf(f, "{\n  \"benchmark\": \"parallel_tier_sweep\",\n");
-  std::fprintf(f, "  \"hardware_threads\": %u,\n  \"cells\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const TierCell& c = cells[i];
-    std::fprintf(f,
-                 "    {\"sites\": %zu, \"mode\": \"%s\", \"threads\": %u, "
-                 "\"wall_ms\": %.3f, \"speedup\": %.3f, \"events\": %llu, "
-                 "\"windows\": %llu, \"inline_windows\": %llu, \"barrier_wait_ms\": %.3f, "
-                 "\"cross_messages\": %llu, \"lookahead_s\": %g, "
-                 "\"identical_to_serial\": %s}%s\n",
-                 c.sites, c.threads == 0 ? "serial" : "parallel",
-                 c.threads == 0 ? 1 : c.threads, c.wall_ms, c.speedup,
-                 static_cast<unsigned long long>(c.events),
-                 static_cast<unsigned long long>(c.windows),
-                 static_cast<unsigned long long>(c.inline_windows), c.barrier_wait_ms,
-                 static_cast<unsigned long long>(c.cross), c.lookahead,
-                 c.identical ? "true" : "false", i + 1 < cells.size() ? "," : "");
+obs::Json record(const std::vector<TierCell>& cells) {
+  auto doc = obs::Json::object();
+  doc.set("benchmark", "parallel_tier_sweep");
+  doc.set("hardware_threads", std::thread::hardware_concurrency());
+  auto& arr = doc["cells"] = obs::Json::array();
+  for (const TierCell& c : cells) {
+    auto o = obs::Json::object();
+    o.set("sites", c.sites);
+    o.set("mode", c.threads == 0 ? "serial" : "parallel");
+    o.set("threads", c.threads == 0 ? 1 : c.threads);
+    o.set("wall_ms", c.wall_ms);
+    o.set("speedup", c.speedup);
+    o.set("events", c.events);
+    o.set("windows", c.windows);
+    o.set("inline_windows", c.inline_windows);
+    o.set("barrier_wait_ms", c.barrier_wait_ms);
+    o.set("cross_messages", c.cross);
+    o.set("lookahead_s", c.lookahead);
+    o.set("identical_to_serial", c.identical);
+    arr.push(std::move(o));
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  return doc;
 }
 
 }  // namespace
@@ -251,12 +253,14 @@ int main() {
     }
   }
   std::printf("%s\n", sweep.render().c_str());
-  emit_json(all, "BENCH_parallel.json");
-  std::printf("wrote BENCH_parallel.json\n");
+  lsds::bench::SelfCheck check;
+  check.expect(phold_identical, "PHOLD totals differ across thread counts");
+  check.expect(all_identical, "a parallel tier trace differs from its serial reference");
+  check.write(record(all), "BENCH_parallel.json");
   std::printf("NOTE: at ~2 events per window the parallel rows measure windowed-run\n"
               "synchronization, not speedup: `inline` windows (one busy LP, or one\n"
               "thread) run on the caller with no hand-off; the others wake helpers and\n"
               "wait `barrier` ms for them in total. The `identical` column is the\n"
               "point: the decomposition changes wall time only.\n");
-  return phold_identical && all_identical ? 0 : 1;
+  return check.ok ? 0 : 1;
 }

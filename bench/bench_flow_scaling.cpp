@@ -15,19 +15,20 @@
 // event count is workload-controlled, not rate-controlled).
 //
 // Both solvers run the identical script; the final model state (every flow's
-// rate, bit-for-bit, plus delivered bytes) is FNV-1a hashed and must match —
-// the bench is self-checking and exits non-zero on divergence. Wall-clock,
-// solver work counters and the speedup go to BENCH_flow.json for
-// tools/check_bench.py.
+// rate, bit-for-bit, plus delivered bytes) is FNV-1a hashed. The bench is
+// self-checking and exits 1 with a FAIL line when the hashes diverge, when a
+// wall time is not finite and positive, or when the incremental solver is
+// slower than the full one on the largest point. Wall-clock, solver work
+// counters and the speedup go to BENCH_flow.json.
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "core/engine.hpp"
 #include "net/flow.hpp"
 #include "net/routing.hpp"
@@ -35,8 +36,11 @@
 
 namespace core = lsds::core;
 namespace net = lsds::net;
+namespace obs = lsds::obs;
 
 namespace {
+
+using namespace lsds::bench;
 
 constexpr std::size_t kClusters = 100;
 constexpr std::size_t kLeaves = 20;       // source leaves per cluster
@@ -45,20 +49,6 @@ constexpr double kAccessLat = 0.001;
 constexpr std::size_t kChurnOps = 2000;   // cancel/replace pairs
 constexpr double kFlowBytes = 1e15;       // never completes inside the horizon
 constexpr double kStagger = 1e-4;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 struct Outcome {
   double wall_ms = 0;
@@ -157,35 +147,31 @@ struct Point {
   bool identical = false;
 };
 
-void emit_json(const std::vector<Point>& points, const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) return;
-  std::fprintf(f, "{\n  \"benchmark\": \"flow_scaling\",\n");
-  std::fprintf(f, "  \"clusters\": %zu,\n  \"churn_ops\": %zu,\n  \"points\": [\n", kClusters,
-               kChurnOps);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(f,
-                 "    {\"flows\": %zu, \"full_wall_ms\": %.3f, \"incremental_wall_ms\": %.3f, "
-                 "\"speedup\": %.3f, \"full_hash\": \"%016" PRIx64 "\", "
-                 "\"incremental_hash\": \"%016" PRIx64 "\", \"identical\": %s, "
-                 "\"full_solves\": %llu, \"incremental_solves\": %llu, "
-                 "\"full_rerated\": %llu, \"incremental_rerated\": %llu, "
-                 "\"events\": %llu, \"scheduled\": %llu, \"cancelled\": %llu}%s\n",
-                 p.flows, p.full.wall_ms, p.inc.wall_ms,
-                 p.inc.wall_ms > 0 ? p.full.wall_ms / p.inc.wall_ms : 0.0, p.full.hash,
-                 p.inc.hash, p.identical ? "true" : "false",
-                 static_cast<unsigned long long>(p.full.solves),
-                 static_cast<unsigned long long>(p.inc.solves),
-                 static_cast<unsigned long long>(p.full.rerated),
-                 static_cast<unsigned long long>(p.inc.rerated),
-                 static_cast<unsigned long long>(p.inc.events),
-                 static_cast<unsigned long long>(p.inc.scheduled),
-                 static_cast<unsigned long long>(p.inc.cancelled),
-                 i + 1 < points.size() ? "," : "");
+obs::Json record(const std::vector<Point>& points) {
+  auto doc = obs::Json::object();
+  doc.set("benchmark", "flow_scaling");
+  doc.set("clusters", kClusters);
+  doc.set("churn_ops", kChurnOps);
+  auto& arr = doc["points"] = obs::Json::array();
+  for (const Point& p : points) {
+    auto pt = obs::Json::object();
+    pt.set("flows", p.flows);
+    pt.set("full_wall_ms", p.full.wall_ms);
+    pt.set("incremental_wall_ms", p.inc.wall_ms);
+    pt.set("speedup", p.inc.wall_ms > 0 ? p.full.wall_ms / p.inc.wall_ms : 0.0);
+    pt.set("full_hash", hex(p.full.hash));
+    pt.set("incremental_hash", hex(p.inc.hash));
+    pt.set("identical", p.identical);
+    pt.set("full_solves", p.full.solves);
+    pt.set("incremental_solves", p.inc.solves);
+    pt.set("full_rerated", p.full.rerated);
+    pt.set("incremental_rerated", p.inc.rerated);
+    pt.set("events", p.inc.events);
+    pt.set("scheduled", p.inc.scheduled);
+    pt.set("cancelled", p.inc.cancelled);
+    arr.push(std::move(pt));
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  return doc;
 }
 
 }  // namespace
@@ -204,27 +190,31 @@ int main(int argc, char** argv) {
 
   const auto topo = build_topology();
   std::vector<Point> points;
-  bool ok = true;
+  SelfCheck check;
   for (std::size_t n : sweep) {
     Point p;
     p.flows = n;
     p.full = run_point(topo, n, false);
     p.inc = run_point(topo, n, true);
     p.identical = p.full.hash == p.inc.hash;
-    ok = ok && p.identical;
     std::printf("%10zu  %12.1f  %12.1f  %7.1fx  %4llu/%-5llu  %s\n", n, p.full.wall_ms,
                 p.inc.wall_ms, p.inc.wall_ms > 0 ? p.full.wall_ms / p.inc.wall_ms : 0.0,
                 static_cast<unsigned long long>(p.full.rerated / 1000),
                 static_cast<unsigned long long>(p.inc.rerated / 1000),
                 p.identical ? "yes" : "NO  <-- DIVERGENCE");
     std::fflush(stdout);
+    check.expect(p.identical, "flows=%zu: full and incremental solvers diverged", n);
+    for (const double ms : {p.full.wall_ms, p.inc.wall_ms}) {
+      check.expect(std::isfinite(ms) && ms > 0, "flows=%zu: bad wall time %g ms", n, ms);
+    }
     points.push_back(p);
   }
-  emit_json(points, "BENCH_flow.json");
-  std::printf("\nwrote BENCH_flow.json\n");
-  if (!ok) {
-    std::printf("FAIL: full and incremental solvers diverged\n");
-    return 1;
-  }
-  return 0;
+  // The incremental path must not regress into overhead where it matters.
+  const Point& largest = points.back();
+  check.expect(largest.inc.wall_ms <= largest.full.wall_ms,
+               "flows=%zu: incremental (%.1f ms) slower than full (%.1f ms)", largest.flows,
+               largest.inc.wall_ms, largest.full.wall_ms);
+  std::printf("\n");
+  check.write(record(points), "BENCH_flow.json");
+  return check.ok ? 0 : 1;
 }

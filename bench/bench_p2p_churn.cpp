@@ -30,13 +30,16 @@
 //                    degradation as mean session lifetime shrinks.
 //   * million      — 1M live peers in protocol mode under churn on the
 //                    ladder queue, >= 1e6 pending events; --small skips it.
-// Results go to BENCH_p2p.json for tools/check_p2p_bench.py. The bench
-// exits non-zero if any self-check fails.
-#include <sys/resource.h>
-
+// Results go to BENCH_p2p.json. The bench judges its own run and exits 1
+// with a FAIL line if any self-check fails: besides the identities above,
+// resolution must be >= kMinResolveSpeedup everywhere and reach
+// kMinResolveSpeedupAtScale at >= 100k peers, the flat overlays must keep
+// >= kMinThroughputRatio of the map ones' ops/s, chord mean hops must not
+// shrink with population, and churn must kill peers whenever it is on.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -47,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "core/engine.hpp"
 #include "core/process.hpp"
 #include "core/rng.hpp"
@@ -58,28 +62,15 @@
 namespace core = lsds::core;
 namespace net = lsds::net;
 namespace p2p = lsds::p2p;
+namespace obs = lsds::obs;
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using namespace lsds::bench;
 
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-double rss_mb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
-}
+constexpr double kMinResolveSpeedup = 2.0;          // every resolve point
+constexpr double kMinResolveSpeedupAtScale = 10.0;  // best point at >= 100k peers
+constexpr double kMinThroughputRatio = 0.9;         // flat vs map ops/s
 
 using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point t0) {
@@ -997,92 +988,104 @@ MillionOut run_million() {
 
 // --- output -----------------------------------------------------------------
 
-void emit_json(const char* path, bool small, const std::vector<ResolvePoint>& resolve,
-               const std::vector<ThroughputPoint>& tp, const DiffOut& diff_flat,
-               const DiffOut& diff_map, bool diff_identical,
-               const std::vector<HashPoint>& hashes, bool hash_equal, bool deterministic,
-               const std::vector<ChurnPoint>& churn, const MillionOut* million) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"p2p_churn\",\n  \"small\": %s,\n",
-               small ? "true" : "false");
+obs::Json record(bool small, const std::vector<ResolvePoint>& resolve,
+                 const std::vector<ThroughputPoint>& tp, const DiffOut& diff_flat,
+                 const DiffOut& diff_map, bool diff_identical,
+                 const std::vector<HashPoint>& hashes, bool hash_equal, bool deterministic,
+                 const std::vector<ChurnPoint>& churn, const MillionOut* million) {
+  auto doc = obs::Json::object();
+  doc.set("benchmark", "p2p_churn");
+  doc.set("small", small);
 
-  std::fprintf(f, "  \"resolve\": [\n");
-  for (std::size_t i = 0; i < resolve.size(); ++i) {
-    const auto& r = resolve[i];
-    std::fprintf(f,
-                 "    {\"peers\": %zu, \"queries\": %zu, \"flat_ms\": %.3f, \"map_ms\": %.3f, "
-                 "\"speedup\": %.2f, \"match\": %s}%s\n",
-                 r.peers, r.queries, r.flat_ms, r.map_ms, r.speedup(),
-                 r.match ? "true" : "false", i + 1 < resolve.size() ? "," : "");
+  auto& res = doc["resolve"] = obs::Json::array();
+  for (const auto& r : resolve) {
+    auto o = obs::Json::object();
+    o.set("peers", r.peers);
+    o.set("queries", r.queries);
+    o.set("flat_ms", r.flat_ms);
+    o.set("map_ms", r.map_ms);
+    o.set("speedup", r.speedup());
+    o.set("match", r.match);
+    res.push(std::move(o));
   }
-  std::fprintf(f, "  ],\n");
 
-  std::fprintf(f, "  \"throughput\": [\n");
-  for (std::size_t i = 0; i < tp.size(); ++i) {
-    const auto& p = tp[i];
-    std::fprintf(f,
-                 "    {\"overlay\": \"%s\", \"impl\": \"%s\", \"peers\": %zu, \"ops\": %zu, "
-                 "\"build_ms\": %.1f, \"wall_ms\": %.1f, \"ops_per_s\": %.1f, \"ok\": %" PRIu64
-                 ", \"hops_total\": %" PRIu64 ", \"messages\": %" PRIu64 "}%s\n",
-                 p.overlay, p.impl, p.peers, p.ops, p.build_ms, p.wall_ms, p.ops_per_s(), p.ok,
-                 p.hops_total, p.messages, i + 1 < tp.size() ? "," : "");
+  auto& thr = doc["throughput"] = obs::Json::array();
+  for (const auto& p : tp) {
+    auto o = obs::Json::object();
+    o.set("overlay", p.overlay);
+    o.set("impl", p.impl);
+    o.set("peers", p.peers);
+    o.set("ops", p.ops);
+    o.set("build_ms", p.build_ms);
+    o.set("wall_ms", p.wall_ms);
+    o.set("ops_per_s", p.ops_per_s());
+    o.set("ok", p.ok);
+    o.set("hops_total", p.hops_total);
+    o.set("messages", p.messages);
+    thr.push(std::move(o));
   }
-  std::fprintf(f, "  ],\n");
 
-  std::fprintf(f,
-               "  \"diff_trace\": {\"peers\": 512, \"trace_flat\": \"%016" PRIx64
-               "\", \"trace_map\": \"%016" PRIx64 "\", \"executed\": %" PRIu64
-               ", \"lookups_ok\": %" PRIu64 ", \"lookups_failed\": %" PRIu64
-               ", \"identical\": %s},\n",
-               diff_flat.trace, diff_map.trace, diff_flat.executed, diff_flat.ok, diff_flat.fail,
-               diff_identical ? "true" : "false");
+  auto& diff = doc["diff_trace"] = obs::Json::object();
+  diff.set("peers", 512);
+  diff.set("trace_flat", hex(diff_flat.trace));
+  diff.set("trace_map", hex(diff_map.trace));
+  diff.set("executed", diff_flat.executed);
+  diff.set("lookups_ok", diff_flat.ok);
+  diff.set("lookups_failed", diff_flat.fail);
+  diff.set("identical", diff_identical);
 
-  std::fprintf(f, "  \"hash_points\": [\n");
-  for (std::size_t i = 0; i < hashes.size(); ++i) {
-    const auto& h = hashes[i];
-    std::fprintf(f,
-                 "    {\"queue\": \"%s\", \"digest\": \"%016" PRIx64 "\", \"trace\": \"%016" PRIx64
-                 "\", \"issued\": %" PRIu64 ", \"deaths\": %" PRIu64 "}%s\n",
-                 h.queue, h.digest, h.trace, h.issued, h.deaths,
-                 i + 1 < hashes.size() ? "," : "");
+  auto& hp = doc["hash_points"] = obs::Json::array();
+  for (const auto& h : hashes) {
+    auto o = obs::Json::object();
+    o.set("queue", h.queue);
+    o.set("digest", hex(h.digest));
+    o.set("trace", hex(h.trace));
+    o.set("issued", h.issued);
+    o.set("deaths", h.deaths);
+    hp.push(std::move(o));
   }
-  std::fprintf(f, "  ],\n  \"hash_equal\": %s,\n  \"deterministic\": %s,\n",
-               hash_equal ? "true" : "false", deterministic ? "true" : "false");
+  doc.set("hash_equal", hash_equal);
+  doc.set("deterministic", deterministic);
 
-  std::fprintf(f, "  \"churn\": [\n");
-  for (std::size_t i = 0; i < churn.size(); ++i) {
-    const auto& c = churn[i];
-    std::fprintf(f,
-                 "    {\"peers\": %zu, \"mean_lifetime\": %.0f, \"issued\": %" PRIu64
-                 ", \"failure_rate\": %.5f, \"mean_hops\": %.3f, \"mean_latency\": %.5f, "
-                 "\"deaths\": %" PRIu64 ", \"rebirths\": %" PRIu64 ", \"live\": %zu, "
-                 "\"events\": %" PRIu64 ", \"wall_ms\": %.1f, \"events_per_s\": %.0f, "
-                 "\"peak_pending\": %zu}%s\n",
-                 c.peers, c.mean_lifetime, c.issued, c.failure_rate, c.mean_hops, c.mean_latency,
-                 c.deaths, c.rebirths, c.live, c.events, c.wall_ms, c.events_per_s(),
-                 c.peak_pending, i + 1 < churn.size() ? "," : "");
+  auto& ch = doc["churn"] = obs::Json::array();
+  for (const auto& c : churn) {
+    auto o = obs::Json::object();
+    o.set("peers", c.peers);
+    o.set("mean_lifetime", c.mean_lifetime);
+    o.set("issued", c.issued);
+    o.set("failure_rate", c.failure_rate);
+    o.set("mean_hops", c.mean_hops);
+    o.set("mean_latency", c.mean_latency);
+    o.set("deaths", c.deaths);
+    o.set("rebirths", c.rebirths);
+    o.set("live", c.live);
+    o.set("events", c.events);
+    o.set("wall_ms", c.wall_ms);
+    o.set("events_per_s", c.events_per_s());
+    o.set("peak_pending", c.peak_pending);
+    ch.push(std::move(o));
   }
-  std::fprintf(f, "  ],\n");
 
   if (million) {
     const auto& m = *million;
-    std::fprintf(f,
-                 "  \"million\": {\"peers\": %zu, \"live\": %zu, \"peak_pending\": %zu, "
-                 "\"events\": %" PRIu64 ", \"issued\": %" PRIu64 ", \"deaths\": %" PRIu64
-                 ", \"rebirths\": %" PRIu64 ", \"build_ms\": %.0f, \"wall_ms\": %.0f, "
-                 "\"events_per_s\": %.0f, \"failure_rate\": %.5f, \"mean_hops\": %.3f, "
-                 "\"digest\": \"%016" PRIx64 "\", \"rss_mb\": %.1f},\n",
-                 m.peers, m.live, m.peak_pending, m.events, m.issued, m.deaths, m.rebirths,
-                 m.build_ms, m.wall_ms, m.events_per_s(), m.failure_rate, m.mean_hops, m.digest,
-                 m.rss);
+    auto& o = doc["million"] = obs::Json::object();
+    o.set("peers", m.peers);
+    o.set("live", m.live);
+    o.set("peak_pending", m.peak_pending);
+    o.set("events", m.events);
+    o.set("issued", m.issued);
+    o.set("deaths", m.deaths);
+    o.set("rebirths", m.rebirths);
+    o.set("build_ms", m.build_ms);
+    o.set("wall_ms", m.wall_ms);
+    o.set("events_per_s", m.events_per_s());
+    o.set("failure_rate", m.failure_rate);
+    o.set("mean_hops", m.mean_hops);
+    o.set("digest", hex(m.digest));
+    o.set("rss_mb", m.rss);
   }
-  std::fprintf(f, "  \"rss_mb\": %.1f\n}\n", rss_mb());
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  doc.set("rss_mb", rss_mb());
+  return doc;
 }
 
 }  // namespace
@@ -1119,24 +1122,34 @@ int main(int argc, char** argv) {
     std::printf("prefixes agree for %zu events (sizes %zu vs %zu)\n", n, sf.size(), sm.size());
     return a.trace == b.trace ? 0 : 1;
   }
-  bool ok = true;
+  SelfCheck check;
 
   // 1. Key resolution: the primitive the ring rewrite targets.
   std::vector<ResolvePoint> resolve;
+  double best_at_scale = 0;
   for (std::size_t peers : {std::size_t{100000}, std::size_t{1000000}}) {
     resolve.push_back(run_resolve(peers, 2000000));
     const auto& r = resolve.back();
     std::printf("resolve %7zu peers: flat %.0f ms, map %.0f ms -> %.1fx%s\n", r.peers, r.flat_ms,
                 r.map_ms, r.speedup(), r.match ? "" : "  [MISMATCH]");
-    if (!r.match) {
-      std::fprintf(stderr, "FAIL: resolve results differ at %zu peers\n", r.peers);
-      ok = false;
-    }
+    check.expect(r.match, "resolve results differ at %zu peers", r.peers);
+    check.expect(std::isfinite(r.speedup()) && r.speedup() >= kMinResolveSpeedup,
+                 "resolve @%zu: speedup %.2fx < %.0fx", r.peers, r.speedup(),
+                 kMinResolveSpeedup);
+    if (r.peers >= 100000) best_at_scale = std::max(best_at_scale, r.speedup());
   }
+  check.expect(best_at_scale >= kMinResolveSpeedupAtScale,
+               "no resolve point at >= 100k peers reached %.0fx (best %.2fx)",
+               kMinResolveSpeedupAtScale, best_at_scale);
 
   // 2. End-to-end throughput A/B. Behavior must be identical; speed is
   //    engine-bound, so the gate is "no regression", not a multiplier.
   std::vector<ThroughputPoint> tp;
+  auto check_ab = [&check](const ThroughputPoint& flat, const ThroughputPoint& map) {
+    check.expect(flat.ops_per_s() >= kMinThroughputRatio * map.ops_per_s(),
+                 "%s @%zu: flat %.0f ops/s regressed below %.1fx map (%.0f)", flat.overlay,
+                 flat.peers, flat.ops_per_s(), kMinThroughputRatio, map.ops_per_s());
+  };
   for (std::size_t peers : {std::size_t{10000}, std::size_t{100000}}) {
     const std::size_t lookups = 20000;
     tp.push_back(run_chord_flat(peers, lookups));
@@ -1146,21 +1159,17 @@ int main(int argc, char** argv) {
     std::printf("chord    %7zu peers: flat %.0f/s, map %.0f/s (%.2fx), hops %" PRIu64 "\n",
                 peers, a.ops_per_s(), b.ops_per_s(), a.ops_per_s() / b.ops_per_s(),
                 a.hops_total);
-    if (a.ok != lookups || b.ok != lookups || a.hops_total != b.hops_total ||
-        a.messages != b.messages) {
-      std::fprintf(stderr, "FAIL: chord A/B behavior differs at %zu peers\n", peers);
-      ok = false;
-    }
+    check.expect(a.ok == lookups && b.ok == lookups && a.hops_total == b.hops_total &&
+                     a.messages == b.messages,
+                 "chord A/B behavior differs at %zu peers", peers);
+    check_ab(a, b);
   }
   if (!small) {
     tp.push_back(run_chord_flat(1000000, 20000));
     const auto& p = tp.back();
     std::printf("chord    %7zu peers: flat %.0f/s (map impl skipped at this scale)\n", p.peers,
                 p.ops_per_s());
-    if (p.ok != p.ops) {
-      std::fprintf(stderr, "FAIL: chord 1M lookups lost (%" PRIu64 "/%zu ok)\n", p.ok, p.ops);
-      ok = false;
-    }
+    check.expect(p.ok == p.ops, "chord 1M lookups lost (%" PRIu64 "/%zu ok)", p.ok, p.ops);
   }
   {
     const std::size_t peers = 100000, searches = small ? 100 : 200;
@@ -1170,29 +1179,32 @@ int main(int argc, char** argv) {
     const auto& b = tp.back();
     std::printf("gnutella %7zu peers: flat %.1f/s, map %.1f/s (%.2fx), msgs %" PRIu64 "\n",
                 peers, a.ops_per_s(), b.ops_per_s(), a.ops_per_s() / b.ops_per_s(), a.messages);
-    if (a.ok != b.ok || a.hops_total != b.hops_total || a.messages != b.messages) {
-      std::fprintf(stderr, "FAIL: gnutella A/B behavior differs at %zu peers\n", peers);
-      ok = false;
-    }
+    check.expect(a.ok == b.ok && a.hops_total == b.hops_total && a.messages == b.messages,
+                 "gnutella A/B behavior differs at %zu peers", peers);
+    check_ab(a, b);
+  }
+  // Chord points run in ascending population: O(log n) routing means the
+  // mean hop count must not shrink as the ring grows.
+  double prev_hops = 0;
+  for (const auto& p : tp) {
+    if (std::strcmp(p.impl, "flat") != 0) continue;
+    check.expect(std::isfinite(p.ops_per_s()) && p.ops_per_s() > 0,
+                 "%s @%zu: bad flat ops_per_s", p.overlay, p.peers);
+    if (std::strcmp(p.overlay, "chord") != 0) continue;
+    const double hops = static_cast<double>(p.hops_total) /
+                        static_cast<double>(std::max<std::uint64_t>(p.ok, 1));
+    check.expect(hops >= prev_hops, "chord mean hops shrank with population (%.2f -> %.2f @%zu)",
+                 prev_hops, hops, p.peers);
+    prev_hops = hops;
   }
 
   // Determinism: rerun the smallest chord point; all counters must repeat.
-  bool deterministic = false;
-  {
-    const auto again = run_chord_flat(10000, 20000);
-    for (const auto& p : tp) {
-      if (p.peers == 10000 && std::strcmp(p.impl, "flat") == 0 &&
-          std::strcmp(p.overlay, "chord") == 0) {
-        deterministic = p.hops_total == again.hops_total && p.messages == again.messages &&
-                        p.digest == again.digest;
-      }
-    }
-    if (!deterministic) {
-      std::fprintf(stderr, "FAIL: chord flat rerun diverged\n");
-      ok = false;
-    }
-    std::printf("determinism re-pass: %s\n", deterministic ? "ok" : "DIVERGED");
-  }
+  const ThroughputPoint again = run_chord_flat(10000, 20000);
+  const ThroughputPoint& first = tp.front();  // chord, flat, 10k peers
+  const bool deterministic = first.hops_total == again.hops_total &&
+                             first.messages == again.messages && first.digest == again.digest;
+  std::printf("determinism re-pass: %s\n", deterministic ? "ok" : "DIVERGED");
+  check.expect(deterministic, "chord flat rerun diverged");
 
   // 3. Differential trace: seed impl vs rewrite, identical schedules.
   const DiffOut diff_flat = run_diff_scenario<p2p::ChordNetwork>();
@@ -1205,10 +1217,9 @@ int main(int argc, char** argv) {
   std::printf("diff trace: flat %016" PRIx64 " map %016" PRIx64 " (%" PRIu64 " events) %s\n",
               diff_flat.trace, diff_map.trace, diff_flat.executed,
               diff_identical ? "identical" : "DIVERGED");
-  if (!diff_identical) {
-    std::fprintf(stderr, "FAIL: seed-vs-rewrite trace diverged\n");
-    ok = false;
-  }
+  check.expect(diff_identical, "seed-vs-rewrite trace diverged");
+  check.expect(diff_flat.trace != 0 && diff_flat.executed != 0,
+               "differential scenario trace is empty");
 
   // 4. Cross-queue-kind hash equality on the churn stack.
   std::vector<HashPoint> hashes;
@@ -1220,10 +1231,8 @@ int main(int argc, char** argv) {
     std::printf("hash %-9s digest %016" PRIx64 " trace %016" PRIx64 "\n", h.queue, h.digest,
                 h.trace);
   }
-  if (!hash_equal) {
-    std::fprintf(stderr, "FAIL: digests differ across queue kinds\n");
-    ok = false;
-  }
+  check.expect(hash_equal, "digests differ across queue kinds");
+  check.expect(hashes.front().digest != 0, "zero state digest, overlay state was not hashed");
 
   // 5. E16 churn study: lookup degradation vs mean session lifetime.
   std::vector<ChurnPoint> churn;
@@ -1236,15 +1245,15 @@ int main(int argc, char** argv) {
                 ", %.0f ev/s\n",
                 c.mean_lifetime, c.failure_rate, c.mean_hops, c.mean_latency, c.deaths,
                 c.events_per_s());
-    if (c.failure_rate < 0 || c.failure_rate > 1 || c.issued == 0) {
-      std::fprintf(stderr, "FAIL: churn point life=%.0f implausible\n", c.mean_lifetime);
-      ok = false;
-    }
+    check.expect(c.failure_rate >= 0 && c.failure_rate <= 1 && c.issued > 0,
+                 "churn point life=%.0f implausible", c.mean_lifetime);
+    check.expect(c.mean_lifetime == 0 || c.deaths > 0,
+                 "churn life=%.0f: churn enabled but no deaths", c.mean_lifetime);
+    check.expect(std::isfinite(c.events_per_s()) && c.events_per_s() > 0,
+                 "churn life=%.0f: bad events_per_s", c.mean_lifetime);
   }
-  if (churn.back().failure_rate < churn.front().failure_rate) {
-    std::fprintf(stderr, "FAIL: heaviest churn did not raise the failure rate\n");
-    ok = false;
-  }
+  check.expect(churn.back().failure_rate >= churn.front().failure_rate,
+               "heaviest churn did not raise the failure rate");
 
   // 6. The million-peer point (full runs only).
   MillionOut million;
@@ -1255,18 +1264,13 @@ int main(int argc, char** argv) {
                 million.live, million.peers, million.peak_pending, million.events,
                 million.wall_ms / 1000.0, million.events_per_s(), million.failure_rate,
                 million.rss);
-    if (million.peak_pending < 1000000 || million.live == 0 || million.events == 0) {
-      std::fprintf(stderr, "FAIL: million-peer run did not meet the E16 operating point\n");
-      ok = false;
-    }
+    check.expect(million.peak_pending >= 1000000 && million.live > 0 && million.events > 0,
+                 "million-peer run did not meet the E16 operating point");
   }
 
-  emit_json("BENCH_p2p.json", small, resolve, tp, diff_flat, diff_map, diff_identical, hashes,
-            hash_equal, deterministic, churn, small ? nullptr : &million);
-  if (!ok) {
-    std::fprintf(stderr, "bench_p2p_churn: SELF-CHECK FAILED\n");
-    return 1;
-  }
-  std::printf("bench_p2p_churn: all self-checks passed\n");
-  return 0;
+  check.write(record(small, resolve, tp, diff_flat, diff_map, diff_identical, hashes, hash_equal,
+                     deterministic, churn, small ? nullptr : &million),
+              "BENCH_p2p.json");
+  std::printf("bench_p2p_churn: %s\n", check.ok ? "all self-checks passed" : "SELF-CHECK FAILED");
+  return check.ok ? 0 : 1;
 }

@@ -19,18 +19,24 @@
 //   * per stream count, maxmin-full and maxmin-incremental hashes must be
 //     EQUAL — the incremental solver is byte-identical under disk+link
 //     joint constraints;
+//   * per stream count, the fifo hash must DIFFER from the maxmin hash (the
+//     sharing model actually changes the trace), and the incremental solver
+//     must never re-rate more flows than the full one;
 //   * per arm, makespan must grow with the stream count (staging contention
-//     scales, it does not saturate away).
-// Results go to BENCH_storage.json for tools/check_storage_bench.py;
-// --small caps the sweep for CI, --large adds a 4096-stream point.
+//     scales, it does not saturate away); state hashes are non-zero, wall
+//     times and makespans finite and non-negative.
+// A failed check prints a FAIL line and the bench exits 1. Results go to
+// BENCH_storage.json; --small caps the sweep for CI, --large adds a
+// 4096-stream point.
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "core/engine.hpp"
 #include "hosts/site.hpp"
 #include "hosts/storage.hpp"
@@ -39,26 +45,15 @@
 namespace core = lsds::core;
 namespace net = lsds::net;
 namespace hosts = lsds::hosts;
+namespace obs = lsds::obs;
 
 namespace {
+
+using namespace lsds::bench;
 
 constexpr double kFileBytes = 1e8;    // 100 MB per staged file
 constexpr double kCadence = 0.5;      // stream arrivals, seconds apart
 constexpr std::size_t kDestinations = 4;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 struct ArmResult {
   std::uint64_t hash = 0;
@@ -135,24 +130,25 @@ struct Point {
   bool ok = false;
 };
 
-void emit_json(const std::vector<Point>& points, const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) return;
-  std::fprintf(f, "{\n  \"benchmark\": \"storage_staging\",\n");
-  std::fprintf(f, "  \"file_bytes\": %.0f,\n  \"destinations\": %zu,\n  \"points\": [\n",
-               kFileBytes, kDestinations);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(f,
-                 "    {\"streams\": %zu, \"arm\": \"%s\", \"wall_ms\": %.1f, "
-                 "\"makespan_s\": %.3f, \"delivered\": %" PRIu64 ", \"flows_rerated\": %" PRIu64
-                 ", \"state_hash\": \"%016" PRIx64 "\", \"ok\": %s}%s\n",
-                 p.streams, p.arm.c_str(), p.r.wall_ms, p.r.makespan, p.r.delivered,
-                 p.r.flows_rerated, p.r.hash, p.ok ? "true" : "false",
-                 i + 1 < points.size() ? "," : "");
+obs::Json record(const std::vector<Point>& points) {
+  auto doc = obs::Json::object();
+  doc.set("benchmark", "storage_staging");
+  doc.set("file_bytes", kFileBytes);
+  doc.set("destinations", kDestinations);
+  auto& arr = doc["points"] = obs::Json::array();
+  for (const Point& p : points) {
+    auto pt = obs::Json::object();
+    pt.set("streams", p.streams);
+    pt.set("arm", p.arm);
+    pt.set("wall_ms", p.r.wall_ms);
+    pt.set("makespan_s", p.r.makespan);
+    pt.set("delivered", p.r.delivered);
+    pt.set("flows_rerated", p.r.flows_rerated);
+    pt.set("state_hash", hex(p.r.hash));
+    pt.set("ok", p.ok);
+    arr.push(std::move(pt));
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  return doc;
 }
 
 }  // namespace
@@ -182,10 +178,9 @@ int main(int argc, char** argv) {
               "rerated", "self-check");
 
   std::vector<Point> points;
-  bool ok = true;
+  SelfCheck check;
   for (std::size_t streams : sweep) {
-    std::uint64_t maxmin_hash = 0;
-    bool have_maxmin = false;
+    ArmResult fifo, full;
     for (const Arm& arm : arms) {
       Point p;
       p.streams = streams;
@@ -194,18 +189,33 @@ int main(int argc, char** argv) {
       // Determinism re-pass: an identical run must reproduce the hash.
       const ArmResult again = run_arm(streams, arm.sharing, arm.incremental);
       p.ok = again.hash == p.r.hash && p.r.delivered == streams;
-      // Differential: both maxmin solvers must agree bit for bit.
-      if (arm.sharing == hosts::StorageSharing::kMaxMin) {
-        if (have_maxmin) p.ok = p.ok && p.r.hash == maxmin_hash;
-        maxmin_hash = p.r.hash;
-        have_maxmin = true;
+      if (arm.sharing == hosts::StorageSharing::kFifo) {
+        fifo = p.r;
+      } else if (!arm.incremental) {
+        full = p.r;
+      } else {
+        // Differential: both maxmin solvers must agree bit for bit, and the
+        // incremental one must not re-rate more flows than the full one.
+        p.ok = p.ok && p.r.hash == full.hash;
+        check.expect(p.r.flows_rerated <= full.flows_rerated,
+                     "streams=%zu: incremental re-rated more flows (%" PRIu64
+                     ") than full (%" PRIu64 ")",
+                     streams, p.r.flows_rerated, full.flows_rerated);
       }
-      ok = ok && p.ok;
       std::printf("%8zu  %20s  %12.1f  %10.1f  %12" PRIu64 "  %s\n", streams, arm.name,
                   p.r.makespan, p.r.wall_ms, p.r.flows_rerated, p.ok ? "hash" : "FAILED");
       std::fflush(stdout);
+      check.expect(p.ok, "%s@%zu: self-check failed", arm.name, streams);
+      check.expect(p.r.hash != 0, "%s@%zu: zero state hash", arm.name, streams);
+      for (const double v : {p.r.wall_ms, p.r.makespan}) {
+        check.expect(std::isfinite(v) && v >= 0, "%s@%zu: bad measurement %g", arm.name,
+                     streams, v);
+      }
       points.push_back(p);
     }
+    check.expect(fifo.hash != full.hash,
+                 "streams=%zu: fifo and maxmin hashes equal, the sharing model changed nothing",
+                 streams);
   }
 
   // Scaling check: within each arm, makespan grows with the stream count.
@@ -213,19 +223,13 @@ int main(int argc, char** argv) {
     double prev = 0;
     for (const Point& p : points) {
       if (p.arm != arm.name) continue;
-      if (p.r.makespan <= prev) {
-        std::printf("FAIL: %s makespan did not grow at %zu streams\n", arm.name, p.streams);
-        ok = false;
-      }
+      check.expect(p.r.makespan > prev, "%s makespan did not grow at %zu streams", arm.name,
+                   p.streams);
       prev = p.r.makespan;
     }
   }
 
-  emit_json(points, "BENCH_storage.json");
-  std::printf("\nwrote BENCH_storage.json\n");
-  if (!ok) {
-    std::printf("FAIL: storage staging self-check failed\n");
-    return 1;
-  }
-  return 0;
+  std::printf("\n");
+  check.write(record(points), "BENCH_storage.json");
+  return check.ok ? 0 : 1;
 }

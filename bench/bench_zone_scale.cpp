@@ -14,49 +14,39 @@
 //     against flat Dijkstra over the materialized topology;
 //   * every point's hash is recomputed in a second pass and must match
 //     (route computation is deterministic and side-effect free);
-// The bench exits non-zero on any mismatch. Results go to BENCH_zone.json
-// for tools/check_zone_bench.py; --small caps the sweep at 100k hosts for
-// CI, --large adds nothing (1M is already the top point).
-#include <sys/resource.h>
-
+//   * route hashes are non-zero and pairwise distinct (a constant hash would
+//     mean routes were not computed), host counts strictly ascend;
+//   * zone build cost does not grow with host count the way a flat graph
+//     would: every build stays under kMaxBuildMs, and the largest point's
+//     build + warm stays under kMaxTotalMs and its RSS under kMaxRssMb.
+// The bench exits 1 with a FAIL line on any failed check. Results go to
+// BENCH_zone.json; --small caps the sweep at 100k hosts for CI, --large
+// adds nothing (1M is already the top point).
 #include <chrono>
-#include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "net/zone.hpp"
 
 namespace net = lsds::net;
+namespace obs = lsds::obs;
 
 namespace {
 
+using namespace lsds::bench;
+
 constexpr std::size_t kRoutesSampled = 20000;
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t bits(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-double rss_mb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
-}
+constexpr double kMaxBuildMs = 1000;   // every point
+constexpr double kMaxTotalMs = 30000;  // build + warm, largest point
+constexpr double kMaxRssMb = 2048;     // largest point
 
 struct Shape {
   const char* name;
@@ -131,23 +121,26 @@ struct Point {
   bool ok = false;
 };
 
-void emit_json(const std::vector<Point>& points, const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (!f) return;
-  std::fprintf(f, "{\n  \"benchmark\": \"zone_scale\",\n");
-  std::fprintf(f, "  \"routes_sampled\": %zu,\n  \"points\": [\n", kRoutesSampled);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(f,
-                 "    {\"shape\": \"%s\", \"hosts\": %zu, \"nodes\": %zu, \"links\": %zu, "
-                 "\"build_ms\": %.3f, \"warm_ms\": %.3f, \"rss_mb\": %.1f, "
-                 "\"route_hash\": \"%016" PRIx64 "\", \"flat_checked\": %s, \"ok\": %s}%s\n",
-                 p.name.c_str(), p.hosts, p.nodes, p.links, p.build_ms, p.warm_ms, p.rss_mb,
-                 p.hash, p.flat_checked ? "true" : "false", p.ok ? "true" : "false",
-                 i + 1 < points.size() ? "," : "");
+obs::Json record(const std::vector<Point>& points) {
+  auto doc = obs::Json::object();
+  doc.set("benchmark", "zone_scale");
+  doc.set("routes_sampled", kRoutesSampled);
+  auto& arr = doc["points"] = obs::Json::array();
+  for (const Point& p : points) {
+    auto pt = obs::Json::object();
+    pt.set("shape", p.name);
+    pt.set("hosts", p.hosts);
+    pt.set("nodes", p.nodes);
+    pt.set("links", p.links);
+    pt.set("build_ms", p.build_ms);
+    pt.set("warm_ms", p.warm_ms);
+    pt.set("rss_mb", p.rss_mb);
+    pt.set("route_hash", hex(p.hash));
+    pt.set("flat_checked", p.flat_checked);
+    pt.set("ok", p.ok);
+    arr.push(std::move(pt));
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  return doc;
 }
 
 }  // namespace
@@ -169,7 +162,8 @@ int main(int argc, char** argv) {
               "rss [MB]", "self-check");
 
   std::vector<Point> points;
-  bool ok = true;
+  std::set<std::uint64_t> hashes;
+  SelfCheck check;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     Point p;
     p.name = sweep[i].name;
@@ -195,18 +189,32 @@ int main(int argc, char** argv) {
       p.flat_checked = true;
       p.ok = p.ok && flat_check(*zone, zr);
     }
-    ok = ok && p.ok;
 
     std::printf("%28s  %9zu  %10.2f  %10.1f  %8.1f  %s\n", p.name.c_str(), p.hosts, p.build_ms,
                 p.warm_ms, p.rss_mb, p.ok ? (p.flat_checked ? "flat+hash" : "hash") : "FAILED");
     std::fflush(stdout);
+    const char* shape = p.name.c_str();
+    check.expect(p.ok, "%s: zone routing self-check failed", shape);
+    check.expect(points.empty() || p.hosts > points.back().hosts,
+                 "%s: hosts not strictly ascending", shape);
+    for (const double v : {p.build_ms, p.warm_ms, p.rss_mb}) {
+      check.expect(std::isfinite(v) && v >= 0, "%s: bad measurement %g", shape, v);
+    }
+    check.expect(p.hash != 0, "%s: zero route hash, routes were not computed", shape);
+    check.expect(hashes.insert(p.hash).second, "%s: duplicate route hash %s", shape,
+                 hex(p.hash).c_str());
+    check.expect(p.build_ms <= kMaxBuildMs,
+                 "%s: build_ms %.1f > %.0f (zone build must not scale with host count)", shape,
+                 p.build_ms, kMaxBuildMs);
     points.push_back(p);
   }
-  emit_json(points, "BENCH_zone.json");
-  std::printf("\nwrote BENCH_zone.json\n");
-  if (!ok) {
-    std::printf("FAIL: zone routing self-check failed\n");
-    return 1;
-  }
-  return 0;
+  const Point& largest = points.back();
+  const double total_ms = largest.build_ms + largest.warm_ms;
+  check.expect(total_ms <= kMaxTotalMs, "%s: build+warm %.0f ms > %.0f ms", largest.name.c_str(),
+               total_ms, kMaxTotalMs);
+  check.expect(largest.rss_mb <= kMaxRssMb, "%s: rss %.0f MB > %.0f MB", largest.name.c_str(),
+               largest.rss_mb, kMaxRssMb);
+  std::printf("\n");
+  check.write(record(points), "BENCH_zone.json");
+  return check.ok ? 0 : 1;
 }

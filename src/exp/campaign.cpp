@@ -377,13 +377,6 @@ obs::Json CampaignResult::to_json() const {
 
 std::string CampaignResult::to_json_string(int indent) const { return to_json().dump(indent); }
 
-void CampaignResult::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("campaign: cannot open " + path + " for writing");
-  const std::string text = to_json_string();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-}
+void CampaignResult::write(const std::string& path) const { to_json().write_file(path); }
 
 }  // namespace lsds::exp

@@ -173,8 +173,10 @@ Topology Topology::from_text(std::string_view text) {
       const NodeId b = t.find_node(fields[2]);
       if (a == kInvalidNode || b == kInvalidNode) fail("link references unknown node");
       double bw = 0, lat = 0;
-      if (!util::parse_rate(fields[3], bw)) fail("bad bandwidth (need a unit, e.g. 1Gbps)");
-      if (!util::parse_duration(fields[4], lat)) fail("bad latency (e.g. 15ms)");
+      if (!util::parse_rate(fields[3], bw)) {
+        fail("bad bandwidth (need a positive rate with a unit, e.g. 1Gbps)");
+      }
+      if (!util::parse_duration(fields[4], lat)) fail("bad latency (need >= 0, e.g. 15ms)");
       t.add_link(a, b, bw, lat, fields.size() >= 6 ? fields[5] : "");
     } else {
       fail("expected 'node' or 'link'");

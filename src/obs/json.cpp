@@ -74,6 +74,8 @@ std::string Json::quote(std::string_view s) {
 std::string Json::number(double d) {
   if (std::isnan(d)) return "NaN";
   if (std::isinf(d)) return d > 0 ? "Infinity" : "-Infinity";
+  // "-0" would parse back as the integer 0; the fraction keeps it a double.
+  if (d == 0 && std::signbit(d)) return "-0.0";
   // Shortest representation that round-trips: try increasing precision.
   char buf[32];
   for (int prec = 6; prec <= 17; ++prec) {
@@ -152,6 +154,14 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
+void Json::write_file(const std::string& path) const {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) throw std::runtime_error("json: cannot open " + path + " for writing");
+  const std::string text = dump() + "\n";
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (std::fclose(f) != 0 || !written) throw std::runtime_error("json: cannot write " + path);
+}
+
 namespace {
 
 // Recursive-descent parser over the writer's dialect (strict JSON plus the
@@ -204,8 +214,17 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounded recursion: a hostile partial throws instead of
+        // overflowing the stack.
+        if (++depth_ > Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+        }
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (literal("true")) return Json(true);
@@ -377,6 +396,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -74,13 +74,19 @@ class Json {
   /// Serialize. indent > 0 pretty-prints; 0 emits one line.
   std::string dump(int indent = 2) const;
 
+  /// Write dump() and a newline to `path`. Throws std::runtime_error naming
+  /// the path when the file cannot be written.
+  void write_file(const std::string& path) const;
+
   /// Parse a JSON document produced by this writer (the distributed-campaign
   /// partial protocol round-trips through here). Accepts the writer's full
   /// dialect including the NaN / Infinity / -Infinity literals; integers
   /// without a fraction or exponent come back as kInt, everything else
   /// numeric as kDouble, so dump(parse(dump(x))) == dump(x). Throws
-  /// std::runtime_error with a byte offset on malformed input.
+  /// std::runtime_error with a byte offset on malformed input, including
+  /// arrays and objects nested deeper than kMaxDepth.
   static Json parse(std::string_view text);
+  static constexpr int kMaxDepth = 256;
 
   /// Escape + quote a string per JSON rules (shared with the JSONL sink).
   static std::string quote(std::string_view s);

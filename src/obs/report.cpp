@@ -1,8 +1,5 @@
 #include "obs/report.hpp"
 
-#include <cstdio>
-#include <stdexcept>
-
 #include "core/engine.hpp"
 #include "hosts/parallel_grid.hpp"
 #include "net/partition.hpp"
@@ -91,13 +88,6 @@ void RunReport::set_result_core(std::uint64_t jobs_done, double makespan, double
   r.set("bytes_moved", bytes_moved);
 }
 
-void RunReport::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("RunReport: cannot open " + path + " for writing");
-  const std::string text = to_json_string();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-}
+void RunReport::write(const std::string& path) const { root_.write_file(path); }
 
 }  // namespace lsds::obs

@@ -67,7 +67,8 @@ double Flags::get_rate(const std::string& name, double def) const {
   if (it == named_.end()) return def;
   double out = 0;
   if (!parse_rate(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second + "' is not a rate");
+    throw std::runtime_error("flag --" + name + ": '" + it->second +
+                             "' is not a positive rate");
   }
   return out;
 }
@@ -77,7 +78,8 @@ double Flags::get_size(const std::string& name, double def) const {
   if (it == named_.end()) return def;
   double out = 0;
   if (!parse_size(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second + "' is not a size");
+    throw std::runtime_error("flag --" + name + ": '" + it->second +
+                             "' is not a non-negative size");
   }
   return out;
 }
@@ -87,7 +89,8 @@ double Flags::get_duration(const std::string& name, double def) const {
   if (it == named_.end()) return def;
   double out = 0;
   if (!parse_duration(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second + "' is not a duration");
+    throw std::runtime_error("flag --" + name + ": '" + it->second +
+                             "' is not a non-negative duration");
   }
   return out;
 }

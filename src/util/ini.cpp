@@ -182,8 +182,8 @@ double IniConfig::get_size(const std::string& section, const std::string& key,
   if (!v) return def_bytes;
   double out = 0;
   if (!parse_size(*v, out)) {
-    throw ConfigError(strformat("ini: [%s] %s: '%s' is not a data size", section.c_str(),
-                                key.c_str(), v->c_str()));
+    throw ConfigError(strformat("ini: [%s] %s: '%s' is not a non-negative data size",
+                                section.c_str(), key.c_str(), v->c_str()));
   }
   return out;
 }
@@ -194,8 +194,8 @@ double IniConfig::get_rate(const std::string& section, const std::string& key,
   if (!v) return def_bps;
   double out = 0;
   if (!parse_rate(*v, out)) {
-    throw ConfigError(strformat("ini: [%s] %s: '%s' is not a data rate", section.c_str(),
-                                key.c_str(), v->c_str()));
+    throw ConfigError(strformat("ini: [%s] %s: '%s' is not a positive data rate",
+                                section.c_str(), key.c_str(), v->c_str()));
   }
   return out;
 }
@@ -206,8 +206,8 @@ double IniConfig::get_duration(const std::string& section, const std::string& ke
   if (!v) return def_sec;
   double out = 0;
   if (!parse_duration(*v, out)) {
-    throw ConfigError(strformat("ini: [%s] %s: '%s' is not a duration", section.c_str(),
-                                key.c_str(), v->c_str()));
+    throw ConfigError(strformat("ini: [%s] %s: '%s' is not a non-negative duration",
+                                section.c_str(), key.c_str(), v->c_str()));
   }
   return out;
 }

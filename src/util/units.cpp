@@ -44,7 +44,9 @@ bool parse_size(std::string_view s, double& bytes_out) {
   else if (suf == "mib") mult = kMiB;
   else if (suf == "gib") mult = kGiB;
   else return false;
-  bytes_out = num * mult;
+  const double bytes = num * mult;
+  if (!std::isfinite(bytes) || bytes < 0) return false;
+  bytes_out = bytes;
   return true;
 }
 
@@ -52,15 +54,18 @@ bool parse_rate(std::string_view s, double& bytes_per_sec_out) {
   double num = 0;
   std::string suf;
   if (!split_number_suffix(s, num, suf)) return false;
-  if (suf == "bps") bytes_per_sec_out = bps(num);
-  else if (suf == "kbps") bytes_per_sec_out = kbps(num);
-  else if (suf == "mbps") bytes_per_sec_out = mbps(num);
-  else if (suf == "gbps") bytes_per_sec_out = gbps(num);
-  else if (suf == "b/s") bytes_per_sec_out = num;
-  else if (suf == "kb/s") bytes_per_sec_out = num * kKB;
-  else if (suf == "mb/s") bytes_per_sec_out = num * kMB;
-  else if (suf == "gb/s") bytes_per_sec_out = num * kGB;
+  double rate = 0;
+  if (suf == "bps") rate = bps(num);
+  else if (suf == "kbps") rate = kbps(num);
+  else if (suf == "mbps") rate = mbps(num);
+  else if (suf == "gbps") rate = gbps(num);
+  else if (suf == "b/s") rate = num;
+  else if (suf == "kb/s") rate = num * kKB;
+  else if (suf == "mb/s") rate = num * kMB;
+  else if (suf == "gb/s") rate = num * kGB;
   else return false;
+  if (!std::isfinite(rate) || rate <= 0) return false;
+  bytes_per_sec_out = rate;
   return true;
 }
 
@@ -68,13 +73,16 @@ bool parse_duration(std::string_view s, double& seconds_out) {
   double num = 0;
   std::string suf;
   if (!split_number_suffix(s, num, suf)) return false;
-  if (suf.empty() || suf == "s") seconds_out = num;
-  else if (suf == "us") seconds_out = num * 1e-6;
-  else if (suf == "ms") seconds_out = num * 1e-3;
-  else if (suf == "m" || suf == "min") seconds_out = num * kMinute;
-  else if (suf == "h") seconds_out = num * kHour;
-  else if (suf == "d") seconds_out = num * kDay;
+  double seconds = 0;
+  if (suf.empty() || suf == "s") seconds = num;
+  else if (suf == "us") seconds = num * 1e-6;
+  else if (suf == "ms") seconds = num * 1e-3;
+  else if (suf == "m" || suf == "min") seconds = num * kMinute;
+  else if (suf == "h") seconds = num * kHour;
+  else if (suf == "d") seconds = num * kDay;
   else return false;
+  if (!std::isfinite(seconds) || seconds < 0) return false;
+  seconds_out = seconds;
   return true;
 }
 

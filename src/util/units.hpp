@@ -35,13 +35,16 @@ inline constexpr double kDay = 86400.0;
 // --- parsing ---------------------------------------------------------------
 
 /// Parse a data size such as "512MB", "1.5GiB", "1024" (bytes), "4kB".
-/// Returns false on malformed input.
+/// Returns false on malformed input and on negative or non-finite sizes.
 bool parse_size(std::string_view s, double& bytes_out);
 
 /// Parse a rate such as "2.5Gbps", "100Mbps", "10MB/s". Returns bytes/second.
+/// Returns false on malformed input and on rates that are not positive and
+/// finite: a zero-bandwidth link delivers nothing, silently.
 bool parse_rate(std::string_view s, double& bytes_per_sec_out);
 
 /// Parse a duration such as "10s", "5ms", "2h", "1.5d", "250us".
+/// Returns false on malformed input and on negative or non-finite durations.
 bool parse_duration(std::string_view s, double& seconds_out);
 
 // --- formatting ------------------------------------------------------------

@@ -67,6 +67,10 @@ TEST(Json, DoublesRoundTrip) {
   EXPECT_EQ(obs::Json::number(std::nan("")), "NaN");
 }
 
+TEST(Json, WriteFileThrowsWhenThePathIsNotWritable) {
+  EXPECT_THROW(obs::Json::object().write_file("/"), std::runtime_error);
+}
+
 TEST(JsonParse, DumpParseDumpIsIdentity) {
   // The distributed campaign protocol depends on parse(dump(x)).dump() ==
   // dump(x): partials travel between processes as printed JSON.
@@ -74,6 +78,7 @@ TEST(JsonParse, DumpParseDumpIsIdentity) {
   j.set("b", true);
   j.set("i", std::int64_t{-3});
   j.set("d", 1.0 / 3.0);
+  j.set("neg_zero", -0.0);  // must not come back as the integer 0
   j.set("s", "quote \" backslash \\ newline \n");
   j["nested"].set("tiny", 1e-308);
   j["arr"].push(1).push(0.1).push("x");
@@ -110,9 +115,33 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(obs::Json::parse("{1: 2}"), std::runtime_error);
 }
 
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // A 100 KB partial of open brackets must fail --resume with a message,
+  // not crash the coordinator.
+  const std::string arrays(50000, '[');
+  std::string objects;
+  for (int i = 0; i < 20000; ++i) objects += "{\"a\":";
+  for (const std::string& text : {arrays, objects}) {
+    try {
+      obs::Json::parse(text);
+      ADD_FAILURE() << "parsed " << text.size() << " bytes of nesting";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+      EXPECT_NE(what.find("at offset"), std::string::npos) << what;
+    }
+  }
+  // The limit itself still parses and round-trips.
+  const int d = obs::Json::kMaxDepth;
+  const std::string deepest = std::string(d, '[') + std::string(d, ']');
+  EXPECT_EQ(obs::Json::parse(deepest).dump(0), deepest);
+  EXPECT_THROW(obs::Json::parse("[" + deepest + "]"), std::runtime_error);
+}
+
 // Seeded mutation fuzzing of the parser that reads worker partials: byte
-// flips, insertions and truncations of a RunReport and of a partial message
-// either throw or parse into a document that round-trips through dump().
+// flips, insertions and truncations of a RunReport, of a partial message and
+// of a document nested to the depth limit either throw or parse into a
+// document that is a fixed point of dump/parse/dump.
 TEST(JsonParse, FuzzedDocumentsParseOrThrowAndRoundTrip) {
   // An observed model run's report, minus its wall-clock profiler section so
   // that the corpus (and with it every mutation) is the same on every run.
@@ -139,6 +168,9 @@ TEST(JsonParse, FuzzedDocumentsParseOrThrowAndRoundTrip) {
       R"( "shard": {"id": 3, "begin": 6, "end": 8}, "slots": [)"
       R"({"rc": 0, "error": "", "metrics": [["makespan", 104.5], ["jobs", 40], ["u", 1e-308]]},)"
       R"( {"rc": 1, "error": "bad \"input\"\n\u00e9", "metrics": [["nan", NaN], ["inf", -Infinity]]}]})",
+      R"({"zero": -0.0, "tiny": -0e-5, "deep": )" +
+          std::string(obs::Json::kMaxDepth - 1, '[') + "-0.0" +
+          std::string(obs::Json::kMaxDepth - 1, ']') + "}",
   };
 
   // Bytes the grammar gives meaning to, so mutations hit the parser's edges.
@@ -180,7 +212,9 @@ TEST(JsonParse, FuzzedDocumentsParseOrThrowAndRoundTrip) {
     }
     ++accepted;
     const std::string dumped = parsed.dump();
-    ASSERT_EQ(obs::Json::parse(dumped).dump(), dumped) << ::testing::PrintToString(text);
+    obs::Json again;
+    ASSERT_NO_THROW(again = obs::Json::parse(dumped)) << ::testing::PrintToString(text);
+    ASSERT_EQ(again.dump(), dumped) << ::testing::PrintToString(text);
   }
   // Single-byte edits to whitespace or digits leave valid JSON behind.
   EXPECT_GT(accepted, 100);

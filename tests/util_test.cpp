@@ -103,6 +103,12 @@ TEST(Units, ParseSize) {
   EXPECT_TRUE(u::parse_size("1024", v));
   EXPECT_DOUBLE_EQ(v, 1024.0);
   EXPECT_FALSE(u::parse_size("12 parsecs", v));
+  EXPECT_TRUE(u::parse_size("0", v));
+  EXPECT_EQ(v, 0);
+  // Negative and overflowing sizes are rejected and leave `v` untouched.
+  EXPECT_FALSE(u::parse_size("-1GB", v));
+  EXPECT_FALSE(u::parse_size("1e400", v));
+  EXPECT_EQ(v, 0);
 }
 
 TEST(Units, ParseRate) {
@@ -112,6 +118,11 @@ TEST(Units, ParseRate) {
   EXPECT_TRUE(u::parse_rate("100MB/s", v));
   EXPECT_DOUBLE_EQ(v, 100e6);
   EXPECT_FALSE(u::parse_rate("100", v));  // rate needs an explicit unit
+  // A rate must be positive and finite: a zero-rate link delivers nothing.
+  EXPECT_FALSE(u::parse_rate("0Gbps", v));
+  EXPECT_FALSE(u::parse_rate("-1Gbps", v));
+  EXPECT_FALSE(u::parse_rate("1e400MB/s", v));
+  EXPECT_DOUBLE_EQ(v, 100e6);
 }
 
 TEST(Units, ParseDuration) {
@@ -124,6 +135,10 @@ TEST(Units, ParseDuration) {
   EXPECT_DOUBLE_EQ(v, 10.0);
   EXPECT_TRUE(u::parse_duration("250us", v));
   EXPECT_DOUBLE_EQ(v, 250e-6);
+  EXPECT_FALSE(u::parse_duration("-40s", v));
+  EXPECT_FALSE(u::parse_duration("1e400d", v));
+  EXPECT_TRUE(u::parse_duration("0s", v));
+  EXPECT_EQ(v, 0);
 }
 
 TEST(Units, RateConstantsRoundTrip) {
