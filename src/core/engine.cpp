@@ -228,7 +228,7 @@ SimTime Engine::run_window(SimTime t_end, bool inclusive) {
   return next;
 }
 
-RngStream& Engine::rng(const std::string& name) {
+RngStream& Engine::rng(std::string_view name) {
   auto it = streams_.find(name);
   if (it == streams_.end()) {
     it = streams_.emplace(name, RngStream(seed_, name)).first;

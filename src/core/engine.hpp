@@ -18,6 +18,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -142,8 +143,9 @@ class Engine {
   // --- randomness ---------------------------------------------------------
 
   std::uint64_t seed() const { return seed_; }
-  /// Named stream; created on first use, stable thereafter.
-  RngStream& rng(const std::string& name);
+  /// Named stream; created on first use, stable thereafter. The lookup is
+  /// heterogeneous, so a string literal builds no temporary std::string.
+  RngStream& rng(std::string_view name);
 
   // --- determinism hook ---------------------------------------------------
 
@@ -252,7 +254,7 @@ class Engine {
   std::uint64_t seed_;
   double quantum_;
   std::uint64_t max_events_;
-  std::map<std::string, RngStream> streams_;
+  std::map<std::string, RngStream, std::less<>> streams_;
   TraceHook trace_hook_;
   ChoiceFn choice_hook_;
   bool tags_enabled_ = false;

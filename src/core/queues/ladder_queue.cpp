@@ -7,19 +7,27 @@
 
 namespace lsds::core {
 
-LadderQueue::LadderQueue() = default;
+LadderQueue::LadderQueue() { rungs_.reserve(kMaxRungs); }
 
 std::size_t LadderQueue::Rung::bucket_of(SimTime t) const {
   if (t <= start) return 0;
   auto i = static_cast<std::size_t>((t - start) / width);
-  return std::min(i, buckets.size() - 1);
+  return std::min(i, n - 1);
+}
+
+void LadderQueue::release(std::vector<EventRecord>& bucket) {
+  if (bucket.capacity() > kKeptBucketCapacity) {
+    std::vector<EventRecord>().swap(bucket);
+  } else {
+    bucket.clear();
+  }
 }
 
 void LadderQueue::push(EventRecord ev) {
   ++size_;
   const SimTime t = ev.time;
   // 1) Far future -> Top.
-  if (ladder_.empty() && bottom_.empty()) {
+  if (depth_ == 0 && bottom_.empty()) {
     // Everything funnels through Top when the rest is empty.
     top_.push_back(std::move(ev));
     top_min_ = std::min(top_min_, t);
@@ -34,7 +42,8 @@ void LadderQueue::push(EventRecord ev) {
   }
   // 2) Within the ladder's active range -> deepest rung that covers t,
   //    but never into a bucket that has already been drained.
-  for (auto& rung : ladder_) {
+  for (std::size_t d = 0; d < depth_; ++d) {
+    Rung& rung = rungs_[d];
     const double cur_edge = rung.start + rung.width * static_cast<double>(rung.cur);
     if (t >= cur_edge) {
       auto idx = rung.bucket_of(t);
@@ -51,58 +60,50 @@ void LadderQueue::push(EventRecord ev) {
   bottom_.insert(it, ev);
 }
 
-void LadderQueue::spawn_rung(std::vector<EventRecord> events, double start, double end) {
-  Rung rung;
+void LadderQueue::spawn_rung(const std::vector<EventRecord>& events, double start,
+                             double end) {
+  assert(depth_ < kMaxRungs);  // so rungs_ never outgrows its reserve
+  if (depth_ == rungs_.size()) rungs_.emplace_back();
+  Rung& rung = rungs_[depth_++];
   rung.start = start;
-  const std::size_t n = std::max<std::size_t>(events.size(), 1);
+  rung.n = std::max<std::size_t>(events.size(), 1);
   double span = end - start;
   if (span <= 0) span = 1e-9;
-  rung.width = span / static_cast<double>(n);
+  rung.width = span / static_cast<double>(rung.n);
   if (rung.width <= 0 || !std::isfinite(rung.width)) rung.width = 1e-9;
-  rung.buckets.resize(n);
+  if (rung.buckets.size() < rung.n) rung.buckets.resize(rung.n);
   rung.cur = 0;
-  for (EventRecord& ev : events) {
-    rung.buckets[rung.bucket_of(ev.time)].push_back(std::move(ev));
-  }
+  for (const EventRecord& ev : events) rung.buckets[rung.bucket_of(ev.time)].push_back(ev);
   rung.count = events.size();
-  ladder_.push_back(std::move(rung));
 }
 
 void LadderQueue::transfer_top_to_ladder() {
   if (top_.empty()) return;
   // New epoch: events later pushed beyond the old max spill into Top again.
   top_start_ = top_max_ + 1e-12;
-  std::vector<EventRecord> events = std::move(top_);
-  top_.clear();
   const double start = top_min_;
   const double end = top_max_;
   top_min_ = kInfTime;
   top_max_ = -kInfTime;
-  spawn_rung(std::move(events), start, end == start ? start + 1e-9 : end);
-}
-
-void LadderQueue::sort_into_bottom(std::vector<EventRecord> events) {
-  // Only pop() advances the ladder, and only once Bottom has drained.
-  assert(bottom_.empty());
-  std::sort(events.begin(), events.end(),
-            [](const EventRecord& a, const EventRecord& b) { return b < a; });
-  bottom_ = std::move(events);
+  spawn_rung(top_, start, end == start ? start + 1e-9 : end);
+  // Top is refilled only as the clock nears the new epoch's end; a kept
+  // buffer would sit resident, empty, beside the rung that now holds it all.
+  std::vector<EventRecord>().swap(top_);
 }
 
 bool LadderQueue::advance_ladder() {
-  while (!ladder_.empty()) {
-    Rung& rung = ladder_.back();
+  while (depth_ > 0) {
+    Rung& rung = rungs_[depth_ - 1];
     if (rung.count == 0) {
-      ladder_.pop_back();
+      --depth_;
       continue;
     }
-    while (rung.cur < rung.buckets.size() && rung.buckets[rung.cur].empty()) ++rung.cur;
-    if (rung.cur >= rung.buckets.size()) {
-      ladder_.pop_back();
+    while (rung.cur < rung.n && rung.buckets[rung.cur].empty()) ++rung.cur;
+    if (rung.cur >= rung.n) {
+      --depth_;
       continue;
     }
-    std::vector<EventRecord> bucket = std::move(rung.buckets[rung.cur]);
-    rung.buckets[rung.cur].clear();
+    std::vector<EventRecord>& bucket = rung.buckets[rung.cur];
     rung.count -= bucket.size();
     const double b_start = rung.start + rung.width * static_cast<double>(rung.cur);
     const double b_end = b_start + rung.width;
@@ -115,11 +116,17 @@ bool LadderQueue::advance_ladder() {
       return true;
     }();
 
-    if (bucket.size() > kBottomThreshold && ladder_.size() < kMaxRungs && !all_simultaneous) {
-      spawn_rung(std::move(bucket), b_start, b_end);
+    if (bucket.size() > kBottomThreshold && depth_ < kMaxRungs && !all_simultaneous) {
+      spawn_rung(bucket, b_start, b_end);
+      release(bucket);
       continue;  // drain the finer rung next
     }
-    sort_into_bottom(std::move(bucket));
+    // Only pop() advances the ladder, and only once Bottom has drained.
+    assert(bottom_.empty());
+    bottom_.assign(bucket.begin(), bucket.end());
+    release(bucket);
+    std::sort(bottom_.begin(), bottom_.end(),
+              [](const EventRecord& a, const EventRecord& b) { return b < a; });
     return true;
   }
   return false;
@@ -140,15 +147,22 @@ EventRecord LadderQueue::pop() {
 }
 
 SimTime LadderQueue::min_time() const {
-  SimTime best = kInfTime;
-  if (!bottom_.empty()) best = bottom_.back().time;
-  for (const auto& rung : ladder_) {
-    for (std::size_t i = rung.cur; i < rung.buckets.size(); ++i) {
-      for (const auto& ev : rung.buckets[i]) best = std::min(best, ev.time);
+  // Pop order is Bottom, then the innermost rung's next non-empty bucket,
+  // then the rungs outward, then Top: the first place holding an event
+  // holds the minimum.
+  if (!bottom_.empty()) return bottom_.back().time;
+  for (std::size_t d = depth_; d-- > 0;) {
+    const Rung& rung = rungs_[d];
+    if (rung.count == 0) continue;
+    for (std::size_t i = rung.cur; i < rung.n; ++i) {
+      const auto& bucket = rung.buckets[i];
+      if (bucket.empty()) continue;
+      SimTime best = kInfTime;
+      for (const auto& ev : bucket) best = std::min(best, ev.time);
+      return best;
     }
   }
-  for (const auto& ev : top_) best = std::min(best, ev.time);
-  return best;
+  return top_min_;
 }
 
 }  // namespace lsds::core

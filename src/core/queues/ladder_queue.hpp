@@ -15,6 +15,16 @@
 // simplifications: a bucket whose events are all simultaneous (or the
 // maximum rung depth) is sorted straight into Bottom instead of spawning
 // another rung.
+//
+// Storage is recycled, so a steady-state push/pop pair does not allocate.
+// A rung that empties stays in rungs_ and is reused, bucket array intact,
+// by the next spawn at its depth. Draining a bucket copies it into Bottom,
+// whose buffer is kept, and empties the bucket in place. A bucket index
+// covers a different time range in every epoch, though, so a kept buffer
+// would grow to the largest occupancy its index ever had (across the 50k
+// buckets of a 25k-peer Chord run that is ~1M events, 17 MB): a drained
+// bucket above kKeptBucketCapacity frees its buffer instead, and Top frees
+// its buffer when it moves to the ladder.
 #pragma once
 
 #include <cstddef>
@@ -39,31 +49,38 @@ class LadderQueue final : public EventQueue {
     double start = 0;        // time of bucket 0's left edge
     double width = 0;        // bucket width
     std::size_t cur = 0;     // next bucket index to drain
-    std::vector<std::vector<EventRecord>> buckets;
+    std::size_t n = 0;       // buckets in use; buckets.size() may be larger
+    std::vector<std::vector<EventRecord>> buckets;  // all empty outside [cur, n)
     std::size_t count = 0;   // events in this rung
 
     std::size_t bucket_of(SimTime t) const;
   };
 
+  /// Empty a drained bucket, keeping its buffer only if it is small.
+  static void release(std::vector<EventRecord>& bucket);
+  /// Make rungs_[depth_] the new innermost rung and copy `events` into it.
+  void spawn_rung(const std::vector<EventRecord>& events, double start, double end);
   void transfer_top_to_ladder();
-  /// Move the contents of `events` into a new rung appended to the ladder.
-  void spawn_rung(std::vector<EventRecord> events, double start, double end);
   /// Drain the next non-empty bucket of the innermost rung into Bottom
   /// (or a finer rung). Returns false when the ladder is empty.
   bool advance_ladder();
-  void sort_into_bottom(std::vector<EventRecord> events);
 
   std::vector<EventRecord> top_;  // unsorted
   double top_min_ = kInfTime;
   double top_max_ = -kInfTime;
   double top_start_ = 0;  // events with time >= top_start_ go to Top
 
-  std::vector<Rung> ladder_;
+  // rungs_[0, depth_) is the ladder, outermost first. A rung past depth_
+  // is spent but keeps its bucket array for the next spawn at its depth.
+  std::vector<Rung> rungs_;
+  std::size_t depth_ = 0;
+
   std::vector<EventRecord> bottom_;  // sorted descending: the minimum is at the back
 
   std::size_t size_ = 0;
   static constexpr std::size_t kBottomThreshold = 50;
   static constexpr std::size_t kMaxRungs = 8;
+  static constexpr std::size_t kKeptBucketCapacity = 8;
 };
 
 }  // namespace lsds::core

@@ -12,7 +12,11 @@
 namespace lsds::p2p {
 
 ChordNetwork::ChordNetwork(core::Engine& engine, net::RouteProvider& routing, std::uint32_t m)
-    : engine_(engine), routing_(routing), m_(m), ring_(m) {
+    : engine_(engine),
+      routing_(routing),
+      maint_rng_(engine.rng("chord.maintenance")),
+      m_(m),
+      ring_(m) {
   if (m_ < 1 || m_ > 63) {
     throw std::invalid_argument("ChordNetwork: m must be in [1, 63], got " + std::to_string(m_));
   }
@@ -117,16 +121,31 @@ void ChordNetwork::set_successor(PeerSlot self, PeerRef succ) {
 
 void ChordNetwork::build() {
   assert(!ring_.empty());
-  // Successor pointers + finger tables from the global ring view.
-  ring_.for_each([&](ChordId, RingIndex::Slot s) {
-    set_successor(s, ref_of(ring_.successor((id_[s] + 1) & mask_).slot));
-    finger_len_[s] = static_cast<std::uint8_t>(m_);
-    PeerRef* fingers = &finger_[std::size_t{s} * m_];
+  // Successor pointers + finger tables from the global ring view, in one
+  // ascending pass. Finger k of a peer is the first peer at or past
+  // id + 2^k. Unwrapped into two laps (the second lap's ids read 2^m
+  // higher; m <= 63 keeps them inside 64 bits), the ring lets that target
+  // only grow as the pass does, so each k keeps a cursor that moves
+  // forward only. It stops short of the peer's own second-lap copy, which
+  // lies past every target.
+  std::vector<RingIndex::Entry> ring;
+  ring.reserve(live_count_);
+  ring_.for_each([&](ChordId id, RingIndex::Slot s) { ring.push_back({id, s}); });
+  const std::size_t n = ring.size();
+  const ChordId lap = ChordId{1} << m_;
+  const auto unwrapped_id = [&](std::size_t j) { return j < n ? ring[j].id : ring[j - n].id + lap; };
+  std::size_t cursor[63] = {};
+  for (const RingIndex::Entry& peer : ring) {
+    finger_len_[peer.slot] = static_cast<std::uint8_t>(m_);
+    PeerRef* fingers = &finger_[std::size_t{peer.slot} * m_];
     for (std::uint32_t k = 0; k < m_; ++k) {
-      const ChordId start = (id_[s] + (ChordId{1} << k)) & mask_;
-      fingers[k] = ref_of(ring_.successor(start).slot);
+      const ChordId start = peer.id + (ChordId{1} << k);
+      std::size_t& j = cursor[k];
+      while (unwrapped_id(j) < start) ++j;
+      fingers[k] = ref_of(ring[j < n ? j : j - n].slot);
     }
-  });
+    set_successor(peer.slot, fingers[0]);
+  }
 }
 
 bool ChordNetwork::in_arc(ChordId x, ChordId a, ChordId b) const {
@@ -148,14 +167,24 @@ PeerIndex ChordNetwork::random_live_peer(core::RngStream& rng) const {
 ChordNetwork::PeerRef ChordNetwork::closest_preceding(PeerSlot from, ChordId key,
                                                       net::NodeId& node_out) const {
   const ChordId from_id = id_[from];
+  const ChordId last = (key - 1) & mask_;
   const PeerRef* fingers = &finger_[std::size_t{from} * m_];
+  // Low fingers often repeat one ref, and the verdict on a ref depends on
+  // the ref alone: skip a repeat of the ref just rejected. The arc test
+  // reads only the finger's id (a recycled slot's id belongs to its new
+  // incarnation, but the liveness test below then rejects it anyway);
+  // generation and liveness are loaded only for a candidate.
+  PeerRef rejected = kNilRef;
   for (std::size_t k = finger_len_[from]; k-- > 0;) {
     const PeerRef f = fingers[k];
-    if (!ref_alive(f) || ref_slot(f) == from) continue;
-    const ChordId f_id = id_[ref_slot(f)];
+    if (f == rejected) continue;
+    rejected = f;
+    const PeerSlot s = ref_slot(f);
+    assert(s < id_.size());  // fingers in use are never nil
+    const ChordId f_id = id_[s];
     // finger strictly inside (from_id, key): safe to jump.
-    if (in_arc(f_id, from_id, (key - 1) & mask_) && f_id != key) {
-      node_out = node_[ref_slot(f)];
+    if (s != from && in_arc(f_id, from_id, last) && f_id != key && ref_alive(f)) {
+      node_out = node_[s];
       return f;
     }
   }
@@ -190,7 +219,15 @@ std::uint32_t ChordNetwork::allocate_pending() {
   return lk;
 }
 
+void ChordNetwork::check_origin(PeerIndex origin, const char* what) const {
+  if (origin >= node_.size()) {
+    throw std::invalid_argument(std::string("ChordNetwork::") + what + ": origin " +
+                                std::to_string(origin) + " is out of range");
+  }
+}
+
 void ChordNetwork::lookup(PeerIndex origin, ChordId key, LookupFn done) {
+  check_origin(origin, "lookup");
   const std::uint32_t lk = allocate_pending();
   Pending& p = pending_[lk];
   p.key = key;
@@ -203,6 +240,7 @@ void ChordNetwork::lookup(PeerIndex origin, ChordId key, LookupFn done) {
 }
 
 void ChordNetwork::lookup_tagged(PeerIndex origin, ChordId key, std::uint64_t tag) {
+  check_origin(origin, "lookup_tagged");
   const std::uint32_t lk = allocate_pending();
   Pending& p = pending_[lk];
   p.key = key;
@@ -335,6 +373,12 @@ void ChordNetwork::enable_protocol_mode(double stabilize_period, double horizon)
 }
 
 PeerIndex ChordNetwork::join_via(net::NodeId node, PeerIndex bootstrap) {
+  // Checked before add_peer, which could recycle a dead bootstrap's slot
+  // for the newcomer itself.
+  if (!is_live(bootstrap)) {
+    throw std::invalid_argument("ChordNetwork::join_via: bootstrap " + std::to_string(bootstrap) +
+                                " is not live");
+  }
   const PeerIndex newcomer = add_peer(node);
   const PeerSlot nc = static_cast<PeerSlot>(newcomer);
   const PeerRef boot = ref_of(static_cast<PeerSlot>(bootstrap));
@@ -452,9 +496,8 @@ void ChordNetwork::fix_one_finger(PeerSlot self) {
 // byte-identical to the coroutine version.
 
 void ChordNetwork::start_maintenance(PeerSlot self) {
-  auto& rng = engine_.rng("chord.maintenance");
   // Desynchronize rounds across peers.
-  const double jitter = rng.uniform(0, stabilize_period_);
+  const double jitter = maint_rng_.uniform(0, stabilize_period_);
   const std::uint32_t gen = gen_[self];
   engine_.schedule_in(jitter, [this, self, gen] { maint_begin(self, gen); });
 }

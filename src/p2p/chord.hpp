@@ -94,7 +94,8 @@ class ChordNetwork {
   /// through stabilization timeouts. Throws like remove_peer.
   void fail_peer(PeerIndex peer);
   /// Protocol join: the newcomer finds its successor through `bootstrap`
-  /// and is integrated by subsequent stabilization rounds.
+  /// and is integrated by subsequent stabilization rounds. Throws
+  /// std::invalid_argument on an out-of-range or dead bootstrap.
   PeerIndex join_via(net::NodeId node, PeerIndex bootstrap);
 
   std::uint64_t stabilize_rounds() const { return stabilize_rounds_; }
@@ -128,7 +129,8 @@ class ChordNetwork {
   };
   using LookupFn = std::function<void(const LookupResult&)>;
 
-  /// Asynchronous recursive lookup from `origin`.
+  /// Asynchronous recursive lookup from `origin`. A dead origin fails the
+  /// lookup at once; an out-of-range one throws std::invalid_argument.
   void lookup(PeerIndex origin, ChordId key, LookupFn done);
 
   // Allocation-free bulk path: results are delivered to the installed
@@ -140,7 +142,7 @@ class ChordNetwork {
     handler_user_ = user;
   }
   /// Like lookup(), but the result goes to the lookup handler. No heap
-  /// allocation on any path.
+  /// allocation on any path. Throws like lookup().
   void lookup_tagged(PeerIndex origin, ChordId key, std::uint64_t tag);
 
   // --- statistics -----------------------------------------------------------
@@ -204,6 +206,7 @@ class ChordNetwork {
     LookupKind kind = LookupKind::kCallback;
   };
 
+  void check_origin(PeerIndex origin, const char* what) const;
   std::uint32_t allocate_pending();
   void start_lookup(std::uint32_t lk);
   /// One recursive-routing step at peer `at` (generation-checked).
@@ -234,6 +237,7 @@ class ChordNetwork {
 
   core::Engine& engine_;
   net::RouteProvider& routing_;
+  core::RngStream& maint_rng_;  // "chord.maintenance", resolved once
   std::uint32_t m_;
   ChordId mask_;
 

@@ -163,11 +163,35 @@ TEST_P(QueueTest, MinTimeMatchesPop) {
   core::RngStream rng(5150);
   core::EventId seq = 1;
   for (int i = 0; i < 300; ++i) q->push({rng.uniform(0, 100), seq++});
+  // Interleave pops with pushes at the clock, just past it (below the tail
+  // of the ladder queue's Bottom), anywhere in the pending range, and far
+  // beyond everything pending (its Top). Every so often a burst packs one
+  // narrow window, so the ladder splits buckets into finer rungs.
+  double clock = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double mt = q->min_time();
+    auto ev = q->pop();
+    ASSERT_DOUBLE_EQ(ev.time, mt) << "step " << step;
+    ASSERT_GE(ev.time, clock);
+    clock = ev.time;
+    if (step % 500 == 250) {
+      for (int i = 0; i < 120; ++i) q->push({clock + 1 + rng.uniform(0, 0.1), seq++});
+    }
+    for (std::int64_t n = rng.uniform_int(0, 2); n > 0; --n) {
+      switch (rng.uniform_int(0, 3)) {
+        case 0: q->push({clock, seq++}); break;
+        case 1: q->push({clock + rng.uniform(0, 0.01), seq++}); break;
+        case 2: q->push({clock + rng.uniform(0, 100), seq++}); break;
+        default: q->push({clock + 1000 + rng.uniform(0, 100), seq++}); break;
+      }
+    }
+  }
   while (!q->empty()) {
     const double mt = q->min_time();
     auto ev = q->pop();
     EXPECT_DOUBLE_EQ(ev.time, mt);
   }
+  EXPECT_EQ(q->min_time(), core::kInfTime);
 }
 
 TEST_P(QueueTest, CrossImplementationEquivalence) {

@@ -131,6 +131,56 @@ TEST(ChordChurnState, RemoveDeadPeerThrows) {
   EXPECT_THROW(chord.remove_peer(999), std::invalid_argument);
 }
 
+TEST(ChordChurnState, JoinViaBadBootstrapThrowsBeforeMutating) {
+  P2pWorld w(4);
+  p2p::ChordNetwork chord(w.eng, *w.routing);
+  const auto p0 = chord.add_peer(0);
+  chord.add_peer(1);
+  chord.build();
+  EXPECT_THROW(chord.join_via(2, 999), std::invalid_argument);
+  EXPECT_EQ(chord.size(), 2u);
+  // A dead bootstrap's slot is the next add_peer's: the join must not get
+  // as far as recycling it for the newcomer.
+  chord.remove_peer(p0);
+  const std::size_t slots = chord.slot_count();
+  const std::uint64_t digest = chord.state_digest();
+  EXPECT_THROW(chord.join_via(2, p0), std::invalid_argument);
+  EXPECT_FALSE(chord.is_live(p0));
+  EXPECT_EQ(chord.size(), 1u);
+  EXPECT_EQ(chord.slot_count(), slots);
+  EXPECT_EQ(chord.state_digest(), digest);
+  EXPECT_EQ(chord.lookups_in_flight(), 0u);
+}
+
+TEST(ChordChurnState, LookupFromOutOfRangeOriginThrows) {
+  P2pWorld w(4);
+  p2p::ChordNetwork chord(w.eng, *w.routing);
+  chord.add_peer(0);
+  chord.add_peer(1);
+  chord.build();
+  EXPECT_THROW(chord.lookup(2, 42, [](const auto&) {}), std::invalid_argument);
+  EXPECT_THROW(chord.lookup_tagged(999, 42, 7), std::invalid_argument);
+  EXPECT_EQ(chord.lookups_in_flight(), 0u);
+  EXPECT_EQ(chord.lookup_pool_size(), 0u);
+}
+
+// Finger tables right after build(), pinned to the values the per-finger
+// successor-query build produced. The m = 6 ring is dense (40 of 64 ids),
+// so most fingers of the high ids wrap past 2^m.
+TEST(ChordBuild, DigestsMatchGoldenValues) {
+  const auto build_digest = [](std::uint32_t m, std::size_t peers) {
+    P2pWorld w(8);
+    p2p::ChordNetwork chord(w.eng, *w.routing, m);
+    for (std::size_t i = 0; i < peers; ++i) chord.add_peer(static_cast<net::NodeId>(i % 8));
+    chord.build();
+    return chord.state_digest();
+  };
+  EXPECT_EQ(build_digest(6, 40), 0x91ffabfbe8956656ull);
+  EXPECT_EQ(build_digest(32, 1000), 0xc512d1fd19cd958eull);
+  EXPECT_EQ(build_digest(4, 16), 0xedc6533a75c20955ull);  // every id taken
+  EXPECT_EQ(build_digest(3, 1), 0x67c28c2fb24be05dull);   // a lone peer
+}
+
 TEST(ChordChurnState, ConstructorRejectsBadWidth) {
   P2pWorld w(2);
   EXPECT_THROW(p2p::ChordNetwork(w.eng, *w.routing, 0), std::invalid_argument);
@@ -321,6 +371,14 @@ TEST(ChurnDeterminism, ChordStackIdenticalAcrossAllQueueKinds) {
   EXPECT_GT(ref.issued, 0u);
   EXPECT_GT(ref.deaths, 0u);
   EXPECT_GT(ref.rebirths, 0u);
+  // Golden values: a change that shifts every queue kind alike must still
+  // show here.
+  EXPECT_EQ(ref.trace_hash, 0x23195706f666ebd0ull);
+  EXPECT_EQ(ref.digest, 0x4ea1f4bfdbc0f69full);
+  EXPECT_EQ(ref.issued, 1478u);
+  EXPECT_EQ(ref.failed, 10u);
+  EXPECT_EQ(ref.deaths, 121u);
+  EXPECT_EQ(ref.rebirths, 80u);
   for (core::QueueKind q : core::kAllQueueKinds) {
     if (q == core::QueueKind::kSortedList) continue;
     const ChurnRunResult r = run_chord_churn_scenario(q);
