@@ -25,11 +25,15 @@ Engine::Engine(Config cfg)
       max_events_(cfg.max_events) {}
 
 Engine::~Engine() {
-  // Destroy suspended coroutine frames that never completed. Copy the set:
-  // frame destructors may release resources that call drop_coroutine.
-  auto pending = coroutines_;
-  coroutines_.clear();
-  for (void* p : pending) std::coroutine_handle<>::from_address(p).destroy();
+  // Destroy suspended coroutine frames that never completed, one at a time
+  // from the head: a frame is unlinked before its destructor runs, and the
+  // destructor may itself finish or start other processes, which relink
+  // the list before the next pop.
+  while (processes_ != nullptr) {
+    ProcessLink& link = *processes_;
+    drop_coroutine(link);
+    std::coroutine_handle<>::from_address(link.frame).destroy();
+  }
 }
 
 SimTime Engine::quantize(SimTime t) const {
@@ -265,8 +269,19 @@ void Engine::start_entities() {
   }
 }
 
-void Engine::adopt_coroutine(std::coroutine_handle<> h) { coroutines_.insert(h.address()); }
+void Engine::adopt_coroutine(ProcessLink& link, std::coroutine_handle<> h) {
+  link.frame = h.address();
+  link.prev = nullptr;
+  link.next = processes_;
+  if (processes_ != nullptr) processes_->prev = &link;
+  processes_ = &link;
+  ++live_processes_;
+}
 
-void Engine::drop_coroutine(std::coroutine_handle<> h) { coroutines_.erase(h.address()); }
+void Engine::drop_coroutine(ProcessLink& link) {
+  (link.prev != nullptr ? link.prev->next : processes_) = link.next;
+  if (link.next != nullptr) link.next->prev = link.prev;
+  --live_processes_;
+}
 
 }  // namespace lsds::core

@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/event.hpp"
@@ -32,6 +31,15 @@ namespace lsds::core {
 
 class Entity;
 class EngineProbe;
+
+/// A process frame's place in its engine's registry (core/process.hpp): an
+/// intrusive list node that lives in the coroutine promise, so adopting and
+/// dropping a frame relinks two pointers and allocates nothing.
+struct ProcessLink {
+  ProcessLink* prev = nullptr;
+  ProcessLink* next = nullptr;
+  void* frame = nullptr;  // coroutine frame address, for destroy()
+};
 
 /// Thrown when Config::max_events is exhausted (model watchdog).
 class EventBudgetExceeded : public std::runtime_error {
@@ -207,9 +215,11 @@ class Engine {
 
   // --- coroutine registry (core/process.hpp) -------------------------------
 
-  void adopt_coroutine(std::coroutine_handle<> h);
-  void drop_coroutine(std::coroutine_handle<> h);
-  std::size_t live_processes() const { return coroutines_.size(); }
+  /// Link a just-created frame `h` through the `link` in its promise.
+  void adopt_coroutine(ProcessLink& link, std::coroutine_handle<> h);
+  /// Unlink a frame that is about to destroy itself.
+  void drop_coroutine(ProcessLink& link);
+  std::size_t live_processes() const { return live_processes_; }
 
  private:
   /// One slab slot: an event body and the seq of the event that owns it
@@ -266,7 +276,8 @@ class Engine {
   std::uint64_t pushes_ = 0;      // pushes / pops since set_probe, for the stride
   std::uint64_t pops_ = 0;
   std::vector<Entity*> entities_;  // slot = id; nullptr after unregister
-  std::unordered_set<void*> coroutines_;
+  ProcessLink* processes_ = nullptr;  // head of the live-frame list
+  std::size_t live_processes_ = 0;
 };
 
 /// RAII entity-tag context: events scheduled within the scope carry `tag`

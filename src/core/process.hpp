@@ -22,6 +22,11 @@
 //    whose first declared parameter is Engine&) is adopted by that engine;
 //  * frames self-destroy on completion; the engine destroys still-suspended
 //    frames when it is itself destroyed;
+//  * the engine finds its frames through an intrusive list: each promise
+//    embeds a ProcessLink {prev, next, frame} (core/engine.hpp), linked at
+//    creation and unlinked at completion, so spawning or finishing a
+//    process is O(1) and allocates nothing beyond the frame itself, and
+//    live_processes() is a counter;
 //  * Resources/Channels/Conditions must outlive the processes awaiting them.
 #pragma once
 
@@ -43,6 +48,7 @@ class Process {
  public:
   struct promise_type {
     Engine* engine = nullptr;
+    ProcessLink link;  // this frame's node in the engine's registry
 
     // Free-function coroutine: Process f(Engine&, ...).
     template <typename... Args>
@@ -53,7 +59,7 @@ class Process {
 
     Process get_return_object() {
       auto h = std::coroutine_handle<promise_type>::from_promise(*this);
-      engine->adopt_coroutine(h);
+      engine->adopt_coroutine(link, h);
       return Process{};
     }
     std::suspend_never initial_suspend() noexcept { return {}; }
@@ -61,7 +67,7 @@ class Process {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        h.promise().engine->drop_coroutine(h);
+        h.promise().engine->drop_coroutine(h.promise().link);
         h.destroy();  // legal: the coroutine is suspended here
       }
       void await_resume() noexcept {}

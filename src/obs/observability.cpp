@@ -5,6 +5,7 @@
 
 #include "obs/report.hpp"
 #include "util/ini.hpp"
+#include "util/strings.hpp"
 
 namespace lsds::obs {
 
@@ -14,6 +15,10 @@ Options parse_options(const util::IniConfig& ini) {
   o.report_path = ini.get_string("observability", "report", "");
   o.trace_path = ini.get_string("observability", "trace", "");
   o.sample_interval = ini.get_duration("observability", "sample_interval", 1.0);
+  if (!(o.sample_interval > 0)) {
+    throw util::ConfigError(
+        util::strformat("[observability] sample_interval must be > 0 (got %g)", o.sample_interval));
+  }
   o.trace_events = ini.get_bool("observability", "trace_events", false);
   return o;
 }

@@ -23,8 +23,9 @@ struct Ctx {
   double delivered_bytes = 0;
   double production_end = 0;
   double last_delivery = 0;
-  // Per-T1 replica arrival bookkeeping for the analysis activities.
-  std::vector<std::map<std::size_t, double>> arrived;  // file idx -> time
+  // Per-T1 replica arrival flags for the analysis activities, indexed by
+  // file (1 once the replica has landed).
+  std::vector<std::vector<char>> arrived;
   // Per-T1 analysis jobs parked until a file lands, keyed by file index, so
   // an arrival wakes only the jobs that wait for that file: behind a
   // saturated link the parked jobs grow with the files, and waking them all
@@ -69,7 +70,7 @@ core::Process replicate_file(core::Engine& eng, Ctx& ctx, std::size_t file_idx,
       ++ctx.res->replicas_delivered;
       ctx.res->replication_lag.add(eng.now() - produced_at);
       ctx.record_backlog(eng);
-      ctx.arrived[t1][file_idx] = eng.now();
+      ctx.arrived[t1][file_idx] = 1;
       ctx.notify_arrival(t1, file_idx);
     }
   };
@@ -108,7 +109,7 @@ core::Process t2_analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, hosts::Si
                           std::size_t file_idx, double submit_at) {
   co_await core::delay(eng, submit_at - eng.now());
   const double t_submit = eng.now();
-  if (!ctx.arrived[t1].count(file_idx)) co_await ctx.wait_for(eng, t1, file_idx);
+  if (!ctx.arrived[t1][file_idx]) co_await ctx.wait_for(eng, t1, file_idx);
   auto& parent = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
   auto& t2 = ctx.grid->site(t2_site);
   co_await transfer(ctx.grid->net(), parent.node(), t2.node(), ctx.cfg->file_bytes);
@@ -126,7 +127,7 @@ core::Process analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, std::size_t 
                        double submit_at) {
   co_await core::delay(eng, submit_at - eng.now());
   const double t_submit = eng.now();
-  if (!ctx.arrived[t1].count(file_idx)) co_await ctx.wait_for(eng, t1, file_idx);
+  if (!ctx.arrived[t1][file_idx]) co_await ctx.wait_for(eng, t1, file_idx);
   auto& site = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
   const auto job_id =
       static_cast<hosts::JobId>(1 + t1 * ctx.cfg->num_files + file_idx);
@@ -199,7 +200,7 @@ Result run(core::Engine& engine, const Config& cfg) {
   ctx.cfg = &cfg;
   ctx.grid = &grid;
   ctx.res = &res;
-  ctx.arrived.resize(cfg.num_t1);
+  ctx.arrived.assign(cfg.num_t1, std::vector<char>(cfg.num_files, 0));
   ctx.waiting.resize(cfg.num_t1);
 
   production(engine, ctx);

@@ -76,6 +76,66 @@ TEST(Process, EngineDestructionReclaimsSuspendedFrames) {
   EXPECT_TRUE(out.empty());
 }
 
+namespace {
+
+// Counts how often each process's frame-local object is destroyed.
+struct DestroyCounter {
+  std::vector<int>* counts;
+  std::size_t id;
+  ~DestroyCounter() { ++(*counts)[id]; }
+};
+
+Process counted_sleeper(Engine& eng, double dt, std::vector<int>& counts, std::size_t id) {
+  DestroyCounter guard{&counts, id};
+  co_await delay(eng, dt);
+}
+
+// A process whose frame-local destructor spawns another process: when the
+// engine tears it down, the newcomer joins the registry mid-teardown.
+Process spawning_sleeper(Engine& eng, std::vector<int>& counts, std::size_t id,
+                         std::size_t child_id) {
+  struct SpawnOnDestroy {
+    Engine& eng;
+    std::vector<int>& counts;
+    std::size_t child_id;
+    ~SpawnOnDestroy() { counted_sleeper(eng, 1.0, counts, child_id); }
+  } spawner{eng, counts, child_id};
+  DestroyCounter guard{&counts, id};
+  co_await delay(eng, 1e9);
+}
+
+}  // namespace
+
+TEST(ProcessRegistry, LiveCountFollowsSpawnCompletionAndTeardown) {
+  constexpr std::size_t kProcs = 10000;
+  std::vector<int> destroyed(kProcs, 0);
+  {
+    Engine eng;
+    EXPECT_EQ(eng.live_processes(), 0u);
+    for (std::size_t i = 0; i < kProcs; ++i) {
+      counted_sleeper(eng, static_cast<double>(i + 1), destroyed, i);
+      EXPECT_EQ(eng.live_processes(), i + 1);
+    }
+    eng.run_until(kProcs / 2.0);  // the first half completes
+    EXPECT_EQ(eng.live_processes(), kProcs / 2);
+    for (std::size_t i = 0; i < kProcs; ++i) {
+      EXPECT_EQ(destroyed[i], i < kProcs / 2 ? 1 : 0) << i;
+    }
+  }  // the engine destroys the other half, each frame once
+  for (std::size_t i = 0; i < kProcs; ++i) EXPECT_EQ(destroyed[i], 1) << i;
+}
+
+TEST(ProcessRegistry, TeardownDestroysFramesSpawnedByDestructors) {
+  std::vector<int> destroyed(3, 0);
+  {
+    Engine eng;
+    spawning_sleeper(eng, destroyed, 0, 1);
+    counted_sleeper(eng, 1e9, destroyed, 2);
+    EXPECT_EQ(eng.live_processes(), 2u);
+  }  // destroying process 0 spawns process 1, which teardown then destroys
+  EXPECT_EQ(destroyed, (std::vector<int>{1, 1, 1}));
+}
+
 // --- Resource ---------------------------------------------------------
 
 namespace {

@@ -4,12 +4,15 @@
 // byte-identical to an unobserved one).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +28,7 @@
 #include "sim/chaos/chaos.hpp"
 #include "sim/gridsim/gridsim.hpp"
 #include "sim/monarc/monarc.hpp"
+#include "stats/timeseries.hpp"
 #include "util/ini.hpp"
 
 namespace {
@@ -253,6 +257,66 @@ TEST(Metrics, AdvanceSamplesAtCadenceBoundary) {
   const obs::Json j = m.to_json(5.1);
   // one cadence sample at t=4 plus the closing sample at 5.1
   EXPECT_EQ(j.find("series")->find("c")->find("samples")->as_int(), 2);
+}
+
+TEST(Metrics, RejectsNonPositiveSampleInterval) {
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(obs::MetricsRegistry{bad}, std::invalid_argument) << bad;
+  }
+}
+
+// The running summary must report exactly what a stored series would: the
+// same count, last value, max and time-weighted mean, bit for bit.
+TEST(SeriesSummary, MatchesTimeSeriesBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto expect_same = [&](const obs::SeriesSummary& s, const stats::TimeSeries& ts,
+                               double t_end, const std::string& where) {
+    ASSERT_EQ(s.size(), ts.size()) << where;
+    ASSERT_EQ(s.empty(), ts.empty()) << where;
+    EXPECT_EQ(bits(s.max_value()), bits(ts.max_value())) << where;
+    EXPECT_EQ(bits(s.time_weighted_mean(t_end)), bits(ts.time_weighted_mean(t_end))) << where;
+    if (ts.empty()) return;
+    EXPECT_EQ(bits(s.last_t()), bits(ts.points().back().t)) << where;
+    EXPECT_EQ(bits(s.last()), bits(ts.points().back().v)) << where;
+  };
+  expect_same(obs::SeriesSummary{}, stats::TimeSeries{}, 5.0, "empty");
+
+  core::RngStream rng(0x5e41e5u);
+  for (int seq = 0; seq < 500; ++seq) {
+    obs::SeriesSummary s;
+    stats::TimeSeries ts;
+    // Lengths 1..60; about a third of the samples repeat the previous
+    // instant (a same-instant overwrite), including the very first one.
+    const auto n = rng.uniform_int(1, 60);
+    double t = rng.uniform(-10.0, 10.0);
+    for (std::int64_t i = 0; i < n; ++i) {
+      if (i > 0 && !rng.bernoulli(0.35)) t += rng.exponential(0.7);
+      const double v = rng.bernoulli(0.2) ? std::floor(rng.uniform(-3.0, 3.0))
+                                          : rng.uniform(-1e3, 1e3);
+      s.record(t, v);
+      ts.record(t, v);
+      const std::string where = "seq " + std::to_string(seq) + " sample " + std::to_string(i);
+      expect_same(s, ts, t, where + " t_end == last_t");
+      expect_same(s, ts, t + rng.exponential(5.0), where + " t_end > last_t");
+    }
+  }
+}
+
+TEST(SeriesSummary, OneSampleSeriesAndOverwrites) {
+  obs::SeriesSummary s;
+  s.record(2.0, 7.0);
+  s.record(2.0, -3.0);  // overwrites the only point
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.last(), -3.0);
+  EXPECT_EQ(s.max_value(), -3.0);
+  EXPECT_EQ(s.time_weighted_mean(2.0), -3.0);  // zero span: the first value
+  EXPECT_EQ(s.time_weighted_mean(4.0), -3.0);
+  s.record(3.0, 1.0);
+  s.record(3.0, 5.0);  // overwrites the last point; the first stays
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.max_value(), 5.0);
+  EXPECT_EQ(s.time_weighted_mean(3.0), -3.0);
+  EXPECT_EQ(s.time_weighted_mean(4.0), 1.0);  // (-3 * 1 + 5 * 1) / 2
 }
 
 // --- SpanBus ----------------------------------------------------------------
