@@ -18,6 +18,10 @@ constexpr double kByteEpsilon = 1e-6;
 // Residual weight below this is floating-point dust from the weighted
 // subtractions, not a real unfixed flow.
 constexpr double kWeightEpsilon = 1e-9;
+
+bool earlier(const core::EventHandle& a, const core::EventHandle& b) {
+  return a.time < b.time || (a.time == b.time && a.id < b.id);
+}
 }  // namespace
 
 FlowNetwork::FlowNetwork(core::Engine& engine, RouteProvider& routing, Config cfg)
@@ -145,8 +149,12 @@ FlowId FlowNetwork::start_io(double bytes, std::vector<ResourceId> resources,
 }
 
 FlowId FlowNetwork::start_flow_spec(FlowSpec spec) {
-  assert(spec.bytes >= 0);
-  assert(spec.weight > 0);
+  if (!std::isfinite(spec.bytes) || spec.bytes < 0) {
+    throw std::invalid_argument("FlowNetwork: flow bytes must be finite and >= 0");
+  }
+  if (!std::isfinite(spec.weight) || spec.weight <= 0) {
+    throw std::invalid_argument("FlowNetwork: flow weight must be finite and > 0");
+  }
   double latency = spec.extra_latency;
   std::vector<ResourceId> resources;
   if (spec.src != spec.dst) {
@@ -245,7 +253,7 @@ void FlowNetwork::track_link(ResourceId id) { tracked_.emplace(id, stats::TimeSe
 
 const stats::TimeSeries& FlowNetwork::link_series(ResourceId id) const { return tracked_.at(id); }
 
-void FlowNetwork::settle(Flow& flow, double old_rate) {
+void FlowNetwork::settle(Flow& flow, double old_rate, const std::vector<ResourceId>& resources) {
   const double now = engine_.now();
   const double dt = now - flow.anchor_t;
   flow.anchor_t = now;
@@ -253,7 +261,7 @@ void FlowNetwork::settle(Flow& flow, double old_rate) {
   const double moved = std::min(old_rate * dt, flow.remaining);
   flow.remaining -= moved;
   bytes_delivered_ += moved;
-  for (ResourceId r : flow.resources) res_bytes_[r] += moved;
+  for (ResourceId r : resources) res_bytes_[r] += moved;
 }
 
 double FlowNetwork::total_bytes_delivered() const {
@@ -337,25 +345,31 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
     dst = std::move(moved);
     return;
   }
-  for (const Member& m : moved) {
-    m.flow->member_slot = dst.size();
-    dst.push_back(m);
-  }
+  // Both lists are in id order; so is their merge.
+  const auto mid = dst.insert(dst.end(), moved.begin(), moved.end());
+  std::inplace_merge(dst.begin(), mid, dst.end());
 }
 
 void FlowNetwork::add_member(Flow& flow) {
   auto& list = comp_members_[dsu_find(flow.resources.front())];
-  flow.member_slot = list.size();
-  list.push_back({flow.id, &flow});
+  const Member m{flow.id, &flow, flow.weight, flow.resources.front(),
+                 static_cast<std::uint32_t>(flow.resources.size())};
+  // Flows mostly activate in id order; one that outlived a longer latency
+  // phase than a later flow goes to its id position.
+  if (list.empty() || list.back().id < flow.id) {
+    list.push_back(m);
+  } else {
+    list.insert(std::lower_bound(list.begin(), list.end(), m), m);
+  }
 }
 
 void FlowNetwork::remove_member(Flow& flow) {
   const auto it = comp_members_.find(dsu_find(flow.resources.front()));
-  assert(it != comp_members_.end() && it->second[flow.member_slot].flow == &flow);
+  assert(it != comp_members_.end());
   auto& list = it->second;
-  list[flow.member_slot] = list.back();
-  list[flow.member_slot].flow->member_slot = flow.member_slot;
-  list.pop_back();  // an emptied list keeps its capacity for the next flow
+  const auto pos = std::lower_bound(list.begin(), list.end(), Member{flow.id, &flow, 0, 0, 0});
+  assert(pos != list.end() && pos->flow == &flow);
+  list.erase(pos);  // an emptied list keeps its capacity for the next flow
 }
 
 bool FlowNetwork::maybe_rebuild_components() {
@@ -376,7 +390,7 @@ bool FlowNetwork::maybe_rebuild_components() {
   return true;
 }
 
-bool FlowNetwork::collect_dirty() {
+void FlowNetwork::collect_dirty() {
   scratch_members_.clear();
   scratch_res_.clear();
   if (!cfg_.incremental) {
@@ -394,25 +408,24 @@ bool FlowNetwork::collect_dirty() {
       }
     }
     std::sort(scratch_res_.begin(), scratch_res_.end());
-    return false;
+    return;
   }
-  if (dirty_res_.empty()) return false;
-  const bool rebuilt = maybe_rebuild_components();
-  // Dirty component roots -> their member flows. Member lists are unordered;
-  // sort so the solve walks flows in ascending id order, exactly like the
-  // full solver restricted to these components.
+  // Dirty component roots -> their member flows. Each list is in id order;
+  // several are merged by a sort, so the solve walks flows in ascending id
+  // order, exactly like the full solver restricted to these components.
   ++mark_epoch_;
   scratch_sorted_.clear();
+  std::size_t lists = 0;
   for (ResourceId r : dirty_res_) {
     const ResourceId root = dsu_find(r);
     if (res_mark_[root] == mark_epoch_) continue;
     res_mark_[root] = mark_epoch_;
     auto it = comp_members_.find(root);
-    if (it == comp_members_.end()) continue;
+    if (it == comp_members_.end() || it->second.empty()) continue;
     scratch_sorted_.insert(scratch_sorted_.end(), it->second.begin(), it->second.end());
+    ++lists;
   }
-  std::sort(scratch_sorted_.begin(), scratch_sorted_.end(),
-            [](const Member& a, const Member& b) { return a.id < b.id; });
+  if (lists > 1) std::sort(scratch_sorted_.begin(), scratch_sorted_.end());
   for (const Member& m : scratch_sorted_) scratch_members_.push_back(m.flow);
   // Resources to re-solve: every member's constraint set plus the explicitly
   // dirtied ones (a departed flow's resources must be zeroed even when no
@@ -433,7 +446,82 @@ bool FlowNetwork::collect_dirty() {
     }
   }
   std::sort(scratch_res_.begin(), scratch_res_.end());
-  return rebuilt;
+}
+
+bool FlowNetwork::rerate_single_set() {
+  if (!cfg_.incremental) return false;  // the reference solver never takes this pass
+  // Exactly one dirty component may hold members; any other dirty root is
+  // empty and only needs its resource rates zeroed.
+  std::vector<Member>* list = nullptr;
+  ResourceId root = kInvalidResource;
+  for (ResourceId r : dirty_res_) {
+    const ResourceId c = dsu_find(r);
+    if (c == root) continue;
+    const auto it = comp_members_.find(c);
+    if (it == comp_members_.end() || it->second.empty()) continue;
+    if (list != nullptr) return false;
+    list = &it->second;
+    root = c;
+  }
+  if (list == nullptr) return false;
+  // Every member must cross the same set, with no resource listed twice.
+  // Then each resource of the set carries the same weight sum, the first
+  // bottleneck fixes every member, and the general solver's later rounds
+  // and its bottleneck search do no work that reaches a result.
+  const Member& head = list->front();
+  const std::vector<ResourceId>& set = head.flow->resources;
+  for (auto r = set.begin() + 1; r < set.end(); ++r) {
+    if (std::find(set.begin(), r, *r) != r) return false;
+  }
+  // The weight sum in id order, as solve_members accumulates it per
+  // resource. A one-resource set is checked from the list alone; a longer
+  // one needs the flow's own list.
+  double wsum = 0.0;
+  for (const Member& m : *list) {
+    if (m.first != head.first || m.n_res != head.n_res) return false;
+    if (m.n_res > 1 && m.flow->resources != set) return false;
+    wsum += m.weight;
+  }
+  if (wsum <= kWeightEpsilon) return false;
+  // The minimum fair share over the set: a strict '<' in any order yields
+  // the value solve_members' ascending-ResourceId scan finds (no NaN can
+  // occur), and which resource attains it does not matter here.
+  double best = std::numeric_limits<double>::infinity();
+  for (ResourceId r : set) {
+    const double fair = (res_up_[r] ? resource_capacity(r) : 0.0) / wsum;
+    if (fair < best) best = fair;
+  }
+
+  // One pass in id order does solve_members' rate assignment and res_rate_
+  // sums, the re-key loop, and arm_completions' earliest-key choice, with
+  // the same operations in the same order as the general path.
+  ++solves_;
+  flows_rerated_ += list->size();
+  const double now = engine_.now();
+  double load = 0.0;
+  Flow* first = nullptr;
+  for (const Member& m : *list) {
+    Flow& f = *m.flow;
+    const double old_rate = f.rate;
+    f.rate = best * f.weight;
+    load += f.rate;
+    if (f.rate != old_rate) {
+      settle(f, old_rate, set);
+      if (f.completion.valid()) {
+        engine_.cancel(f.completion);
+        f.completion = {};
+      }
+      f.due = f.rate > 0 ? engine_.reserve_at(now + f.remaining / f.rate) : core::EventHandle{};
+    }
+    if (f.due.valid() && (first == nullptr || earlier(f.due, first->due))) first = &f;
+  }
+  for (ResourceId r : dirty_res_) res_rate_[r] = 0.0;
+  for (ResourceId r : set) res_rate_[r] = load;
+  if (first != nullptr && !first->completion.valid()) {
+    first->completion =
+        engine_.schedule_reserved(first->due, [this, id = first->id] { on_completion_event(id); });
+  }
+  return true;
 }
 
 void FlowNetwork::solve_members() {
@@ -502,14 +590,20 @@ void FlowNetwork::solve_members() {
 }
 
 void FlowNetwork::resolve_and_reschedule() {
-  const bool rebuilt = collect_dirty();
-  solve_members();
+  // A rebuild can split a component whose one queued event now covers only
+  // one of the parts, so it takes the general path and re-arms every
+  // component.
+  const bool rebuilt = cfg_.incremental && !dirty_res_.empty() && maybe_rebuild_components();
+  if (rebuilt || !rerate_single_set()) rerate_general(rebuilt);
   dirty_res_.clear();
-
   for (auto& [r, series] : tracked_) {
     series.record(engine_.now(), res_rate_[r] / resource_capacity(r));
   }
+}
 
+void FlowNetwork::rerate_general(bool rebuilt) {
+  collect_dirty();
+  solve_members();
   // Re-reserve only the flows whose fair share moved: with a piecewise-
   // linear remaining, an unchanged rate means an unchanged absolute
   // completion instant, so the reserved key stays valid. Members are in
@@ -529,8 +623,6 @@ void FlowNetwork::resolve_and_reschedule() {
     arm_completions(scratch_members_);
     return;
   }
-  // A rebuild can split a component whose one queued event now covers only
-  // one of the parts: re-arm every component.
   std::vector<Flow*> all;
   all.reserve(sharing_count_);
   for (auto& [id, flow] : flows_) {
@@ -555,10 +647,7 @@ void FlowNetwork::arm_completions(const std::vector<Flow*>& flows) {
       comp_first_[c] = f;
       continue;
     }
-    const core::EventHandle& best = comp_first_[c]->due;
-    if (f->due.time < best.time || (f->due.time == best.time && f->due.id < best.id)) {
-      comp_first_[c] = f;
-    }
+    if (earlier(f->due, comp_first_[c]->due)) comp_first_[c] = f;
   }
   for (ResourceId c : scratch_comps_) {
     Flow* f = comp_first_[c];

@@ -55,6 +55,29 @@
 //     under exactly its per-flow key, completions (ties at equal instants
 //     included) interleave with every other event exactly as one event per
 //     flow would.
+//   * Member lists in id order. Each component keeps its sharing flows in
+//     ascending FlowId order: an append in the common case, a binary-search
+//     insert or erase otherwise, an inplace_merge when two components
+//     unite. A change on one component then solves its list as it stands;
+//     only a change that dirties several components sorts their union.
+//   * One pass for a component that shares one constraint set. When the
+//     only dirty component with flows has every member crossing the same
+//     resource list (no resource listed twice) — a MONARC T0->T1 link, or
+//     any route that all its flows share — every resource of the set
+//     carries the same weight sum, and the general solver fixes every
+//     member at its first bottleneck. One pass over the members in id order
+//     then assigns each rate (best * weight), sums the resource load,
+//     settles at the old rate, re-keys and picks the earliest (time, event
+//     id) key, using the same floating-point operations in the same order
+//     as the general path: results stay bit-identical to it, and to the
+//     full reference solver, which never takes this pass.
+//
+// Why no O(log N) heap of virtual finish times: a heap reserves each
+// completion key once and settles lazily, which moves completion instants
+// in their last bits and the keys' tie order against other events. The
+// exact solver must settle and re-key every flow of a saturated component
+// at every change, so its cost per change stays O(N); the one-pass case
+// keeps that N cheap.
 //
 // Determinism: the bottleneck scan walks resources in ascending ResourceId
 // order and flows in ascending FlowId order, so tie-broken bottleneck
@@ -168,7 +191,9 @@ class FlowNetwork {
   /// then shares capacity. `on_complete` fires when the last byte arrives.
   /// src == dst completes after the latency alone unless endpoint resources
   /// are bound (a local copy still contends for its disk). Throws
-  /// std::invalid_argument when dst is unreachable.
+  /// std::invalid_argument when dst is unreachable, when bytes is negative
+  /// or not finite, or (weighted variants) when weight is not finite and
+  /// > 0.
   FlowId start_flow(NodeId src, NodeId dst, double bytes, CompletionFn on_complete = nullptr);
 
   /// Weighted variant: the max-min shares become weighted — on a saturated
@@ -264,11 +289,11 @@ class FlowNetwork {
 
  private:
   struct Flow {
+    // Hot fields first: the re-rate pass reads and writes these for every
+    // member of a dirty component on every change.
     FlowId id = kInvalidFlow;
-    /// The flow's constraint set: route links in path order, then any extra
-    /// capacity resources (endpoint disks). Uniform ids — the solver never
-    /// distinguishes.
-    std::vector<ResourceId> resources;
+    double rate = 0;
+    double weight = 1.0;
     /// Bytes left at `anchor_t`. The live value is the closed form
     /// remaining - rate * (now - anchor_t): byte accounting is settled only
     /// when the rate changes, never per event — so the arithmetic (and its
@@ -276,11 +301,6 @@ class FlowNetwork {
     /// incremental and full solvers produce identically.
     double remaining = 0;
     double anchor_t = 0;
-    double rate = 0;
-    double weight = 1.0;
-    bool sharing = false;  // false during the latency phase
-    CompletionFn on_complete;
-    ErrorFn on_error;
     /// Reserved completion key while sharing with rate > 0 (invalid
     /// otherwise); re-reserved exactly when the rate changes.
     core::EventHandle due{};
@@ -289,8 +309,13 @@ class FlowNetwork {
     /// earliest `due`; a superseded one is cancelled (O(1): its slot is
     /// freed and its key skipped when it surfaces).
     core::EventHandle completion{};
-    /// Index in its component's member list while sharing (incremental).
-    std::size_t member_slot = 0;
+    bool sharing = false;  // false during the latency phase
+    /// The flow's constraint set: route links in path order, then any extra
+    /// capacity resources (endpoint disks). Uniform ids — the solver never
+    /// distinguishes.
+    std::vector<ResourceId> resources;
+    CompletionFn on_complete;
+    ErrorFn on_error;
     // Span bookkeeping (obs/span.hpp): endpoints, demand and start time.
     NodeId src = 0;
     NodeId dst = 0;
@@ -305,17 +330,28 @@ class FlowNetwork {
   /// Settle a flow's transferred bytes from its anchor up to now at
   /// `old_rate`, crediting the global and per-resource byte counters, and
   /// re-anchor at now. Called exactly when a flow's rate changes or the
-  /// flow leaves — never on unrelated events.
-  void settle(Flow& flow, double old_rate);
+  /// flow leaves — never on unrelated events. `resources` is the flow's
+  /// constraint set or an equal list (the one-pass re-rate passes the
+  /// component's shared set, which is already in cache).
+  void settle(Flow& flow, double old_rate, const std::vector<ResourceId>& resources);
+  void settle(Flow& flow, double old_rate) { settle(flow, old_rate, flow.resources); }
   /// Re-solve max-min shares for the dirty flow set (everything when
   /// Config::incremental is off), re-reserve the completion key of every
-  /// flow whose rate changed and re-arm the touched components.
+  /// flow whose rate changed and re-arm the touched components: in one pass
+  /// when rerate_single_set applies, through rerate_general otherwise.
   void resolve_and_reschedule();
+  /// collect_dirty + solve_members, then re-key the flows whose rate moved
+  /// and arm their components (every component after a rebuild).
+  void rerate_general(bool rebuilt);
   /// Fills scratch_members_ (ascending FlowId) and scratch_res_ (ascending
   /// ResourceId) with the flow set to re-solve and the resources whose
-  /// rates it determines. Returns true when it rebuilt the component
-  /// partition (see maybe_rebuild_components).
-  bool collect_dirty();
+  /// rates it determines.
+  void collect_dirty();
+  /// The one-pass re-rate of a dirty component whose members all cross the
+  /// same constraint set (see the member-list notes above comp_members_).
+  /// Does nothing and returns false when the case does not apply; the
+  /// general path then runs.
+  bool rerate_single_set();
   /// Queue the earliest reserved completion key of every component among
   /// `flows`, which must hold whole components.
   void arm_completions(const std::vector<Flow*>& flows);
@@ -342,8 +378,8 @@ class FlowNetwork {
   /// enough flows have left since the last rebuild, rebuild the partition
   /// from live flows. Returns true when it rebuilt.
   bool maybe_rebuild_components();
-  /// Append a sharing flow to its component's member list / remove it
-  /// (O(1) swap-remove).
+  /// Insert a sharing flow into its component's member list at its id
+  /// position (an append in the common case) / erase it from there.
   void add_member(Flow& flow);
   void remove_member(Flow& flow);
 
@@ -374,11 +410,21 @@ class FlowNetwork {
   std::uint64_t flows_rerated_ = 0;
 
   // Component tracking: parent pointers over resources, and the live sharing
-  // flows of each component root, in no particular order (Flow::member_slot
-  // indexes them; std::map nodes never move, so the pointers stay valid).
+  // flows of each component root in ascending FlowId order (std::map nodes
+  // never move, so the pointers stay valid). Keeping the order costs a
+  // shift of the tail on an out-of-order activation or a departure — far
+  // less than the sort it saves on every change. Each entry caches the
+  // flow's weight, first resource and constraint-set size (all fixed for
+  // the flow's life), so rerate_single_set checks the one-set case and sums
+  // the weights from the list alone when the set has one resource, and
+  // walks the Flow nodes once. (A longer set is compared flow by flow.)
   struct Member {
     FlowId id;
     Flow* flow;
+    double weight;
+    ResourceId first;
+    std::uint32_t n_res;
+    bool operator<(const Member& o) const { return id < o.id; }
   };
   std::vector<ResourceId> dsu_parent_;
   std::unordered_map<ResourceId, std::vector<Member>> comp_members_;

@@ -16,6 +16,7 @@
 // list for fat-tree), `backbone_bandwidth`/`backbone_latency` (cluster),
 // `up = lowest|dmodk` (fat-tree equal-cost policy). Workload keys: `flows`
 // transfers of `bytes` each between rng-drawn host pairs.
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -117,6 +118,10 @@ PlatformConfig parse_config(const util::IniConfig& ini) {
 
   c.flows = ini.get_count("platform", "flows", 64);
   c.bytes = ini.get_double("platform", "bytes", 1e8);
+  if (!std::isfinite(c.bytes) || c.bytes < 0) {
+    throw util::ConfigError(
+        util::strformat("[platform] bytes must be finite and >= 0 (got %g)", c.bytes));
+  }
   return c;
 }
 

@@ -34,9 +34,10 @@ std::uint64_t bits(double d) {
   return u;
 }
 
-// One model-level trace entry: what happened ('C'ompleted, 'E'rrored,
-// 'R'ate checkpoint, 'B'ytes total), to which flow, with the double payload
-// (timestamp or rate) captured bit-for-bit.
+// One trace entry: what happened ('X' an executed event, 'C'ompleted,
+// 'E'rrored, 'R'ate and 'L'ink-load checkpoints, 'Y' a link's carried
+// bytes, 'B'ytes total), to which event, flow or link, with the double
+// payload (timestamp, rate or bytes) captured bit-for-bit.
 using Trace = std::vector<std::tuple<char, net::FlowId, std::uint64_t>>;
 
 struct Op {
@@ -87,13 +88,17 @@ std::vector<Op> make_script(const net::Topology& topo, std::uint64_t seed, std::
   return ops;
 }
 
+// `work` also appends the solver's work counters and the engine's counts.
+// The two solvers agree on those only when every change dirties every
+// sharing flow, as on a route that all flows share.
 Trace run_script_on(net::RouteProvider& routing, const std::vector<Op>& ops, core::QueueKind kind,
-                    bool incremental, core::FailureSemantics sem) {
+                    bool incremental, core::FailureSemantics sem, bool work = false) {
   core::Engine eng(core::Engine::Config{kind, 7, 0, 0});
   net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
   fnet.set_failure_semantics(sem);
 
   Trace trace;
+  eng.set_trace_hook([&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
   std::vector<net::FlowId> flows;
   for (const Op& op : ops) {
     eng.schedule_at(op.t, [&eng, &fnet, &trace, &flows, op] {
@@ -115,19 +120,30 @@ Trace run_script_on(net::RouteProvider& routing, const std::vector<Op>& ops, cor
           break;
         case Op::kCheckpoint:
           for (net::FlowId id : flows) trace.emplace_back('R', id, bits(fnet.flow_rate(id)));
+          for (net::LinkId l = 0; l < fnet.link_count(); ++l) {
+            trace.emplace_back('L', l, bits(fnet.link_load(l)));
+          }
           break;
       }
     });
   }
   eng.run();
+  for (net::LinkId l = 0; l < fnet.link_count(); ++l) {
+    trace.emplace_back('Y', l, bits(fnet.resource_bytes(l)));
+  }
   trace.emplace_back('B', 0, bits(fnet.total_bytes_delivered()));
+  if (work) {
+    trace.emplace_back('S', fnet.solves(), fnet.flows_rerated());
+    trace.emplace_back('Q', eng.stats().scheduled, eng.stats().cancelled);
+    trace.emplace_back('Q', eng.stats().executed, fnet.flows_completed());
+  }
   return trace;
 }
 
 Trace run_script(const net::Topology& topo, const std::vector<Op>& ops, core::QueueKind kind,
-                 bool incremental, core::FailureSemantics sem) {
+                 bool incremental, core::FailureSemantics sem, bool work = false) {
   net::Routing routing(topo);
-  return run_script_on(routing, ops, kind, incremental, sem);
+  return run_script_on(routing, ops, kind, incremental, sem, work);
 }
 
 }  // namespace
@@ -481,4 +497,177 @@ TEST(FlowCompletion, RebuildReArmsSplitComponents) {
   EXPECT_EQ(std::get<0>(full.back()), 'C');
   EXPECT_EQ(std::get<1>(full.back()), 1u);
   EXPECT_EQ(full, inc);
+}
+
+// --- one-pass re-rate of a component that shares one constraint set ----------
+
+namespace {
+
+// A chain n0 - n1 - n2 - n3: links 0, 1 and 2, in that order.
+net::Topology chain() {
+  net::Topology topo;
+  const auto n0 = topo.add_node("n0");
+  const auto n1 = topo.add_node("n1", net::NodeKind::kRouter);
+  const auto n2 = topo.add_node("n2", net::NodeKind::kRouter);
+  const auto n3 = topo.add_node("n3");
+  topo.add_link(n0, n1, 1e8, 0.001);  // link 0
+  topo.add_link(n1, n2, 1e8, 0.002);  // link 1: ties link 0's capacity
+  topo.add_link(n2, n3, 5e7, 0.001);  // link 2
+  return topo;
+}
+
+// The flows of one shared route, and a cross route that overlaps it on at
+// least one link, so a cross flow makes the component's sets differ until
+// it leaves. `outage` is a link every flow crosses: then the full solver
+// and the incremental one re-rate the same flows at every change, and the
+// work counters compare too.
+struct SharedRoute {
+  const char* name;
+  net::NodeId src, dst;
+  net::NodeId cross_src, cross_dst;
+  net::LinkId outage;
+};
+
+// Seeded churn on one shared route: starts with weights in [0.5, 4] and
+// random sizes, bursts of identical flows that complete at one instant,
+// cancels from the middle of the id order, short cross flows, and outages
+// of the shared link.
+std::vector<Op> make_shared_route_script(const SharedRoute& route, std::uint64_t seed,
+                                         std::size_t n_ops) {
+  core::RngStream rng(seed);
+  std::vector<Op> ops;
+  double t = 0;
+  std::size_t started = 0;
+  const auto push = [&ops, &t](Op::Kind kind) -> Op& {
+    Op& op = ops.emplace_back();
+    op.kind = kind;
+    op.t = t;
+    return op;
+  };
+  const auto start = [&](net::NodeId src, net::NodeId dst, double bytes, double weight) {
+    Op& op = push(Op::kStart);
+    op.src = src;
+    op.dst = dst;
+    op.bytes = bytes;
+    op.weight = weight;
+    ++started;
+  };
+  for (std::size_t i = 0; i < n_ops; ++i) {
+    t += rng.exponential(0.15);
+    const double r = rng.uniform();
+    if (r < 0.45 || started < 4) {
+      start(route.src, route.dst, rng.uniform(1e5, 5e7), rng.uniform(0.5, 4.0));
+    } else if (r < 0.55) {
+      // Same size, weight and start instant: the completions tie.
+      const double bytes = rng.uniform(1e6, 2e7);
+      const double weight = rng.uniform(0.5, 4.0);
+      for (int k = 0; k < 3; ++k) start(route.src, route.dst, bytes, weight);
+    } else if (r < 0.72) {
+      push(Op::kCancel).flow_idx = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(started / 4), static_cast<std::int64_t>(3 * started / 4)));
+    } else if (r < 0.8) {
+      start(route.cross_src, route.cross_dst, rng.uniform(1e5, 5e6), rng.uniform(0.5, 4.0));
+    } else if (r < 0.84) {
+      push(Op::kLinkDown).link = route.outage;
+    } else if (r < 0.92) {
+      push(Op::kLinkUp).link = route.outage;
+    } else {
+      push(Op::kCheckpoint);
+    }
+  }
+  // Heal the shared link, so every flow that stalled completes.
+  t += 1.0;
+  push(Op::kLinkUp).link = route.outage;
+  return ops;
+}
+
+}  // namespace
+
+// When a change touches one component whose flows all cross one constraint
+// set, the incremental solver re-rates it in one pass. The pass must
+// reproduce the reference solver bit for bit, through cross flows that make
+// the sets differ and then leave, outages under both semantics, cancels from
+// the middle of the id order and tied completions, on every queue kind.
+TEST(FlowSharedSet, OnePassMatchesReferenceSolver) {
+  const net::Topology topo = chain();
+  const SharedRoute routes[] = {
+      {"one link", 0, 1, 0, 2, 0},   // every flow on link 0; cross flows on 0 and 1
+      {"two links", 0, 2, 1, 3, 1},  // every flow on links 0 and 1; cross flows on 1 and 2
+  };
+  for (const SharedRoute& route : routes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto ops = make_shared_route_script(route, seed * 31 + route.outage, 160);
+      const auto sem = seed % 2 == 0 ? core::FailureSemantics::kFailStop
+                                     : core::FailureSemantics::kFailResume;
+      for (core::QueueKind kind : core::kAllQueueKinds) {
+        const Trace full = run_script(topo, ops, kind, false, sem, true);
+        const Trace inc = run_script(topo, ops, kind, true, sem, true);
+        ASSERT_EQ(full, inc) << route.name << " seed " << seed << " queue "
+                             << core::to_string(kind);
+        // The script must reach the cases it is written for: completions,
+        // tied ones among them.
+        std::vector<std::uint64_t> done;
+        for (const auto& [what, id, t] : full) {
+          if (what == 'C') done.push_back(t);
+        }
+        ASSERT_GE(done.size(), 20u);
+        std::sort(done.begin(), done.end());
+        ASSERT_NE(std::adjacent_find(done.begin(), done.end()), done.end());
+      }
+    }
+  }
+}
+
+// The earliest completion key of a component is the smallest (time, event
+// id), which on a tie need not be the smallest flow id. Weights of 2^53, 2
+// and 1 on a link of 2^53 + 2 B/s make that happen exactly: the weight sum
+// absorbs X's weight of 1, so X joining at t = 1 re-keys X alone, and its
+// new key ties Y's older one at t = 4. Y's key must stay the queued one;
+// queuing X's as well shows as one extra schedule and one extra cancel when
+// Y's departure re-rates X.
+TEST(FlowSharedSet, TiedKeysPickTheEarlierEventNotTheLowerFlow) {
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  topo.add_link(a, b, 9007199254740994.0, 0);  // 2^53 + 2
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    std::vector<Trace> traces;
+    for (bool incremental : {false, true}) {
+      core::Engine eng(core::Engine::Config{kind, 1, 0, 0});
+      net::Routing routing(topo);
+      net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
+      Trace trace;
+      eng.set_trace_hook(
+          [&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
+      const auto log = [&trace, &eng](net::FlowId id) {
+        trace.emplace_back('C', id, bits(eng.now()));
+      };
+      eng.schedule_at(0.0, [&] {
+        fnet.start_flow_weighted(a, b, 1e300, 9007199254740992.0, log);  // H: 2^53
+        net::FlowNetwork::FlowSpec x;  // X: a lower id than Y, activates later
+        x.src = a;
+        x.dst = b;
+        x.bytes = 3;
+        x.extra_latency = 1.0;
+        x.on_complete = log;
+        fnet.start_flow_spec(std::move(x));
+        fnet.start_flow_weighted(a, b, 8, 2.0, log);  // Y
+      });
+      eng.run();
+      trace.emplace_back('Q', eng.stats().scheduled, eng.stats().cancelled);
+      traces.push_back(std::move(trace));
+    }
+    EXPECT_EQ(traces[0], traces[1]) << core::to_string(kind);
+    // Eight events queued: the script, three activations, and the completion
+    // events of H, Y, X and H again. One cancel: H's first, when Y joins.
+    EXPECT_EQ(traces[1].back(), std::make_tuple('Q', std::uint64_t{8}, std::uint64_t{1}));
+    // Y (flow 3) completes at 4 before X (flow 2), also at 4.
+    std::vector<std::tuple<char, net::FlowId, std::uint64_t>> done;
+    for (const auto& e : traces[1]) {
+      if (std::get<0>(e) == 'C') done.push_back(e);
+    }
+    ASSERT_GE(done.size(), 2u);
+    EXPECT_EQ(done[0], std::make_tuple('C', net::FlowId{3}, bits(4.0)));
+    EXPECT_EQ(done[1], std::make_tuple('C', net::FlowId{2}, bits(4.0)));
+  }
 }

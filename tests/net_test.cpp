@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -382,6 +383,43 @@ TEST(FlowNetwork, UnreachableThrows) {
   net::FlowNetwork fn(eng, routing);
   EXPECT_THROW(fn.start_flow(0, 1, 100), std::invalid_argument);
 }
+
+// Admission checks stay in every build type: a bad size or weight throws
+// and admits nothing.
+struct BadFlow {
+  const char* name;
+  double bytes;
+  double weight;
+};
+
+void PrintTo(const BadFlow& f, std::ostream* os) { *os << f.name; }
+
+class FlowNetworkRejects : public ::testing::TestWithParam<BadFlow> {};
+
+TEST_P(FlowNetworkRejects, BadBytesOrWeight) {
+  core::Engine eng;
+  net::Topology topo;
+  const auto a = topo.add_node("a");
+  const auto b = topo.add_node("b");
+  topo.add_link(a, b, 1e6, 0);
+  net::Routing routing(topo);
+  net::FlowNetwork fn(eng, routing);
+  EXPECT_THROW(fn.start_flow_weighted(a, b, GetParam().bytes, GetParam().weight),
+               std::invalid_argument);
+  EXPECT_EQ(fn.active_flows(), 0u);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    FlowNetwork, FlowNetworkRejects,
+    ::testing::Values(BadFlow{"NegativeBytes", -5, 1}, BadFlow{"NanBytes", kNan, 1},
+                      BadFlow{"InfiniteBytes", kInf, 1}, BadFlow{"ZeroWeight", 1e6, 0},
+                      BadFlow{"NegativeWeight", 1e6, -1}, BadFlow{"NanWeight", 1e6, kNan},
+                      BadFlow{"InfiniteWeight", 1e6, kInf}),
+    [](const ::testing::TestParamInfo<BadFlow>& info) { return info.param.name; });
 
 TEST(FlowNetwork, TrackedSeriesRecordsUtilization) {
   core::Engine eng;
