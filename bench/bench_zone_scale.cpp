@@ -96,18 +96,28 @@ std::uint64_t warm_hash(net::ZoneRouting& zr, std::size_t hosts) {
   return h;
 }
 
-// Byte-identity spot check against flat Dijkstra (small shapes only).
+// Byte-identity spot check against flat Dijkstra (small shapes only). One
+// endpoint draw in host_count() + 1 is the gateway, whose routes climb
+// without descending; host-to-host routes alone never reach it.
 bool flat_check(const net::FatTreeZone& zone, net::ZoneRouting& zr) {
   const net::Topology topo = zone.to_topology();
   net::Routing flat(topo);
   PairStream ps{777};
+  const auto endpoint = [&] {
+    const std::size_t i = ps.next() % (zone.host_count() + 1);
+    return i == zone.host_count() ? zone.gateway() : static_cast<net::NodeId>(i);
+  };
   for (std::size_t i = 0; i < 500; ++i) {
-    const auto src = static_cast<net::NodeId>(ps.next() % zone.host_count());
-    const auto dst = static_cast<net::NodeId>(ps.next() % zone.host_count());
+    const net::NodeId src = endpoint();
+    const net::NodeId dst = endpoint();
     const net::Route zroute = zr.route(src, dst);  // copy out of scratch
     const net::Route& froute = flat.route(src, dst);
     if (zroute.links != froute.links) return false;
     if (bits(zroute.total_latency) != bits(froute.total_latency)) return false;
+    if (bits(zr.path_latency(src, dst)) != bits(flat.path_latency(src, dst))) return false;
+    if (bits(zr.bottleneck_bandwidth(src, dst)) != bits(flat.bottleneck_bandwidth(src, dst))) {
+      return false;
+    }
   }
   return true;
 }

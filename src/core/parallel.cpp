@@ -138,11 +138,13 @@ ParallelEngine::Stats ParallelEngine::snapshot_stats() {
 }
 
 void ParallelEngine::run_lp(Lp& lp) {
+  tl_running_lp_ = static_cast<int>(lp.index());
   try {
     lp.next_ = lp.engine_.run_window(window_end_, final_window_);
   } catch (...) {
     errors_[lp.index()] = std::current_exception();
   }
+  tl_running_lp_ = -1;
 }
 
 std::uint64_t ParallelEngine::claim_lps() {

@@ -157,6 +157,12 @@ class ParallelEngine {
   /// Run windows until no LP has pending work or the horizon is reached.
   Stats run_until(SimTime t_end);
 
+  /// Index of the LP whose window the calling thread is running; -1
+  /// outside every LP window. An observer that LP threads publish to
+  /// (obs::Observability) keys its partial results by it and folds them
+  /// in LP order, so its totals do not depend on thread scheduling.
+  static int running_lp() { return tl_running_lp_; }
+
   SimTime now() const { return window_start_; }
 
  private:
@@ -180,6 +186,8 @@ class ParallelEngine {
   void helper_loop();
   /// Publish the stop ticket and join every helper.
   void stop_helpers();
+
+  static inline thread_local int tl_running_lp_ = -1;
 
   Config cfg_;
   std::vector<std::unique_ptr<Lp>> lps_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -47,6 +46,13 @@ void StarZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) co
   if (dst != gateway()) out.push_back(static_cast<LinkId>(dst));
 }
 
+void StarZone::add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const {
+  assert(src < node_count() && dst < node_count());
+  if (src == dst) return;
+  if (dst != gateway()) cost.cross(spec_.latency, spec_.bandwidth);
+  if (src != gateway()) cost.cross(spec_.latency, spec_.bandwidth);
+}
+
 // --- ClusterZone -----------------------------------------------------------
 
 ClusterZone::ClusterZone(const ClusterSpec& spec) : spec_(spec) {
@@ -76,6 +82,16 @@ void ClusterZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out)
   if (src == gateway()) out.push_back(backbone);
   if (dst == gateway()) out.push_back(backbone);
   if (is_host(dst)) out.push_back(static_cast<LinkId>(dst));
+}
+
+void ClusterZone::add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const {
+  assert(src < node_count() && dst < node_count());
+  if (src == dst) return;
+  // append_route's four cases, last first.
+  if (is_host(dst)) cost.cross(spec_.host_latency, spec_.host_bandwidth);
+  if (dst == gateway()) cost.cross(spec_.backbone_latency, spec_.backbone_bandwidth);
+  if (src == gateway()) cost.cross(spec_.backbone_latency, spec_.backbone_bandwidth);
+  if (is_host(src)) cost.cross(spec_.host_latency, spec_.host_bandwidth);
 }
 
 // --- FatTreeZone -----------------------------------------------------------
@@ -158,20 +174,22 @@ std::pair<NodeId, NodeId> FatTreeZone::link_ends(LinkId id) const {
           static_cast<NodeId>(node_off_[l] + parent_local(l, c, y_l))};
 }
 
+std::size_t FatTreeZone::levels_up(NodeId src, NodeId dst) const {
+  const NodeId gw = gateway();
+  assert(src != dst && (is_host(src) || src == gw) && (is_host(dst) || dst == gw) &&
+         "FatTreeZone routes between hosts and the gateway");
+  // The lowest level whose subtree contains both endpoints (all h levels
+  // when one endpoint is the gateway).
+  if (src == gw || dst == gw) return spec_.children.size();
+  std::size_t l = 1;
+  while (src / M_[l] != dst / M_[l]) ++l;
+  return l;
+}
+
 void FatTreeZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const {
   if (src == dst) return;
   const NodeId gw = gateway();
-  assert((is_host(src) || src == gw) && (is_host(dst) || dst == gw) &&
-         "FatTreeZone routes between hosts and the gateway");
-  const std::size_t h = spec_.children.size();
-
-  // Levels to climb: the lowest level whose subtree contains both endpoints
-  // (all h levels when one endpoint is the gateway).
-  std::size_t levels_up = h;
-  if (src != gw && dst != gw) {
-    levels_up = 1;
-    while (src / M_[levels_up] != dst / M_[levels_up]) ++levels_up;
-  }
+  const std::size_t levels_up = this->levels_up(src, dst);
 
   // Parent digit per climbed level. Routes that start or end at the
   // gateway are pinned to the all-zero switches; otherwise the policy
@@ -193,7 +211,7 @@ void FatTreeZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out)
     }
   }
   if (dst == gw) {
-    assert(node_off_[h] + cur == gw);
+    assert(node_off_[levels_up] + cur == gw);
     return;
   }
 
@@ -210,6 +228,21 @@ void FatTreeZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out)
     cur = child;
   }
   assert(cur == dst);
+}
+
+void FatTreeZone::add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const {
+  if (src == dst) return;
+  // A link's latency and bandwidth depend on its level alone, so the up
+  // policy does not matter: the route climbs levels 1..L and descends
+  // L..1, and the reverse walk crosses the descent first.
+  const NodeId gw = gateway();
+  const std::size_t top = levels_up(src, dst);
+  if (dst != gw) {
+    for (std::size_t l = 1; l <= top; ++l) cost.cross(spec_.latency[l - 1], spec_.bandwidth[l - 1]);
+  }
+  if (src != gw) {
+    for (std::size_t l = top; l >= 1; --l) cost.cross(spec_.latency[l - 1], spec_.bandwidth[l - 1]);
+  }
 }
 
 // --- ZoneTree --------------------------------------------------------------
@@ -305,6 +338,28 @@ void ZoneTree::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) co
   }
 }
 
+void ZoneTree::add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const {
+  assert(src < node_count() && dst < node_count());
+  if (src == dst) return;
+  const std::size_t cs = child_of(src);
+  const std::size_t cd = child_of(dst);
+  const auto local = [&](std::size_t c, NodeId n) { return n - static_cast<NodeId>(node_off_[c]); };
+  if (cs == cd) {
+    children_[cs]->add_route_cost(local(cs, src), local(cs, dst), cost);
+    return;
+  }
+  // append_route's segments in reverse: the dst child's segment, the two
+  // backbone links, then the src child's segment.
+  if (cd != children_.size()) {
+    children_[cd]->add_route_cost(children_[cd]->gateway(), local(cd, dst), cost);
+    cost.cross(bb_latency_[cd], bb_bandwidth_[cd]);
+  }
+  if (cs != children_.size()) {
+    cost.cross(bb_latency_[cs], bb_bandwidth_[cs]);
+    children_[cs]->add_route_cost(local(cs, src), children_[cs]->gateway(), cost);
+  }
+}
+
 // --- ZoneRouting -----------------------------------------------------------
 
 const Route& ZoneRouting::route(NodeId src, NodeId dst) {
@@ -324,14 +379,19 @@ const Route& ZoneRouting::route(NodeId src, NodeId dst) {
   return scratch;
 }
 
-double ZoneRouting::path_latency(NodeId src, NodeId dst) { return route(src, dst).total_latency; }
+double ZoneRouting::path_latency(NodeId src, NodeId dst) {
+  assert(src < zone_.node_count() && dst < zone_.node_count());
+  RouteCost cost;
+  zone_.add_route_cost(src, dst, cost);
+  return cost.latency;
+}
 
 double ZoneRouting::bottleneck_bandwidth(NodeId src, NodeId dst) {
-  const Route& r = route(src, dst);
-  if (r.links.empty()) return 0;
-  double bw = std::numeric_limits<double>::infinity();
-  for (LinkId l : r.links) bw = std::min(bw, zone_.link_bandwidth(l));
-  return bw;
+  assert(src < zone_.node_count() && dst < zone_.node_count());
+  if (src == dst) return 0;  // the only empty route: every zone is connected
+  RouteCost cost;
+  zone_.add_route_cost(src, dst, cost);
+  return cost.bandwidth;
 }
 
 }  // namespace lsds::net

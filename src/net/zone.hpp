@@ -27,8 +27,9 @@
 // last. Zone::to_topology() materializes the equivalent flat graph with
 // *identical* node and link ids, and the canonical route policy is chosen
 // so that ZoneRouting's answers are byte-identical — same Route.links, same
-// total_latency bit pattern — to net::Routing's Dijkstra over that graph.
-// tests/zone_routing_test.cpp locks this in for every zone kind.
+// total_latency and path_latency bit patterns — to net::Routing's Dijkstra
+// over that graph. tests/zone_routing_test.cpp locks this in for every zone
+// kind.
 //
 // For the fat tree the canonical up-path policy (UpPolicy::kLowestIndex,
 // all parent digits 0) mirrors Dijkstra's deterministic tie-break (first
@@ -41,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,6 +51,17 @@
 #include "net/topology.hpp"
 
 namespace lsds::net {
+
+/// The part of a route a caller usually needs, accumulated link by link.
+struct RouteCost {
+  double latency = 0;  // summed in the order the links are crossed
+  double bandwidth = std::numeric_limits<double>::infinity();  // minimum over the links
+
+  void cross(double link_latency, double link_bandwidth) {
+    latency += link_latency;
+    if (link_bandwidth < bandwidth) bandwidth = link_bandwidth;
+  }
+};
 
 /// A routing zone: a platform fragment whose routes are computed from node
 /// coordinates instead of stored per pair. Node ids are zone-local and
@@ -78,6 +91,13 @@ class Zone {
   /// Append the link ids of the canonical route src -> dst (in path order)
   /// to `out`. src == dst appends nothing.
   virtual void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const = 0;
+
+  /// Cross every link of the canonical route src -> dst into `cost`, one
+  /// link at a time in *reverse* path order (dst end first) — the order
+  /// Routing's Dijkstra reconstruction sums in, so the latency comes out
+  /// bit-identical to route(src, dst).total_latency. Computed from the
+  /// coordinates like append_route, but no link id is materialized.
+  virtual void add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const = 0;
 
   /// Materialize the equivalent flat graph with identical node/link
   /// numbering — the reference the differential suite Dijkstras over.
@@ -111,6 +131,7 @@ class StarZone final : public Zone {
   double link_latency(LinkId) const override { return spec_.latency; }
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const override;
 
  private:
   StarSpec spec_;
@@ -149,6 +170,7 @@ class ClusterZone final : public Zone {
   }
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const override;
 
  private:
   ClusterSpec spec_;
@@ -208,12 +230,15 @@ class FatTreeZone final : public Zone {
   double link_latency(LinkId id) const override;
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const override;
 
   std::size_t levels() const { return spec_.children.size(); }
   const FatTreeSpec& spec() const { return spec_; }
 
  private:
   std::size_t level_of_link(LinkId id) const;
+  /// Levels the route src -> dst climbs (src != dst).
+  std::size_t levels_up(NodeId src, NodeId dst) const;
   /// Local index of the level-l parent of level-(l-1) local `c` reached via
   /// parent digit `y_l`.
   std::size_t parent_local(std::size_t l, std::size_t c, std::size_t y_l) const;
@@ -268,6 +293,7 @@ class ZoneTree final : public Zone {
   double link_latency(LinkId id) const override;
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const override;
 
  private:
   std::vector<std::unique_ptr<Zone>> children_;
@@ -279,10 +305,15 @@ class ZoneTree final : public Zone {
 
 // --- provider --------------------------------------------------------------
 
-/// RouteProvider over a Zone: answers from per-thread scratch (no cache, no
-/// per-pair state), so unlike Routing it is safe to query concurrently from
-/// LP threads. total_latency accumulates in reverse path order to mirror
-/// Routing's Dijkstra reconstruction bit for bit.
+/// RouteProvider over a Zone: keeps no cache and no per-pair state, so
+/// unlike Routing it is safe to query concurrently from LP threads. route()
+/// fills per-thread scratch; total_latency accumulates in reverse path order
+/// to mirror Routing's Dijkstra reconstruction bit for bit.
+/// path_latency() and bottleneck_bandwidth() build no route: they take the
+/// zone's add_route_cost() walk, which crosses the same links in the same
+/// reverse order (closed forms for star, cluster, fat tree and tree), so
+/// path_latency has route().total_latency's exact bits. Callers that need
+/// one number (Chord and Gnutella message latency) use them.
 class ZoneRouting final : public RouteProvider {
  public:
   explicit ZoneRouting(const Zone& zone) : zone_(zone) {}

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "core/parallel.hpp"
 #include "obs/report.hpp"
 #include "util/ini.hpp"
 #include "util/strings.hpp"
@@ -64,19 +65,46 @@ void Observability::on_span(const Span& s) {
   // Standard span-derived instruments: per-kind completion counters, moved
   // quantities and duration timers. Feeds both serial and parallel runs
   // (LP threads publish concurrently; the registry and sink are locked).
+  const int lp = core::ParallelEngine::running_lp();
   {
     const auto lock = metrics_.lock();
-    const SpanSlot& slot = span_slot(s);
-    *slot.count += 1;
-    if (slot.quantity) *slot.quantity += s.quantity;
-    slot.duration->add(s.t1 - s.t0);
+    const std::size_t i = span_slot(s);
+    if (lp < 0) {
+      const SpanSlot& slot = span_slots_[i];
+      *slot.count += 1;
+      if (slot.quantity) *slot.quantity += s.quantity;
+      slot.duration->add(s.t1 - s.t0);
+    } else {
+      // An LP's own spans arrive in its deterministic event order.
+      if (lp_spans_.size() <= static_cast<std::size_t>(lp)) lp_spans_.resize(lp + 1);
+      auto& row = lp_spans_[lp];
+      if (row.size() <= i) row.resize(i + 1);
+      SpanPartial& part = row[i];
+      part.count += 1;
+      part.quantity += s.quantity;
+      part.duration.add(s.t1 - s.t0);
+    }
   }
   if (sink_) sink_->record_span(s);
 }
 
-const Observability::SpanSlot& Observability::span_slot(const Span& s) {
-  for (const SpanSlot& slot : span_slots_) {
-    if (slot.kind == s.kind && slot.status == s.status) return slot;
+void Observability::fold_lp_spans() {
+  const auto lock = metrics_.lock();
+  for (const auto& row : lp_spans_) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const SpanSlot& slot = span_slots_[i];
+      const SpanPartial& part = row[i];
+      *slot.count += part.count;
+      if (slot.quantity) *slot.quantity += part.quantity;
+      slot.duration->merge(part.duration);
+    }
+  }
+  lp_spans_.clear();
+}
+
+std::size_t Observability::span_slot(const Span& s) {
+  for (std::size_t i = 0; i < span_slots_.size(); ++i) {
+    if (span_slots_[i].kind == s.kind && span_slots_[i].status == s.status) return i;
   }
   const std::string kind(s.kind);
   SpanSlot slot{kind, s.status, &metrics_.counter_ref("span." + kind + "." + s.status), nullptr,
@@ -86,7 +114,8 @@ const Observability::SpanSlot& Observability::span_slot(const Span& s) {
   } else if (kind == "job") {
     slot.quantity = &metrics_.counter_ref("cpu.ops_done");
   }
-  return span_slots_.emplace_back(std::move(slot));
+  span_slots_.push_back(std::move(slot));
+  return span_slots_.size() - 1;
 }
 
 void Observability::on_event(core::SimTime t, core::EventId seq) {
@@ -110,6 +139,7 @@ void Observability::finalize(core::Engine& engine, RunReport& report) {
 void Observability::finalize(RunReport& report, double t_end) {
   if (!opts_.enabled) return;
   profiler_.stop();
+  fold_lp_spans();
   metrics_.sample(t_end);  // closing sample so every series reaches the horizon
   report.add_metrics(metrics_, t_end);
   report.add_profiler(profiler_);

@@ -20,6 +20,11 @@
 // The facade is also the span-bus subscriber: every substrate span feeds
 // the trace sink (when a trace path is set) and the registry's standard
 // counters/timers (flow.completed, job.done, span duration timers, ...).
+// A span published inside a parallel LP window goes to that LP's partial
+// instruments instead; finalize() folds the partials into the registry in
+// LP order. Floating-point sums depend on their order and the LP threads
+// run in whatever order the host schedules them, so folding spans as they
+// arrive would make a parallel report differ from run to run.
 //
 // Cheap enough to leave on: the engine times one queue push in every
 // EngineProfiler::kQueueStride pushes (and one pop in as many pops), metric samples
@@ -108,11 +113,19 @@ class Observability final : public core::EngineProbe {
     double* quantity;  // nullptr: the kind moves no tracked quantity
     stats::Accumulator* duration;
   };
+  /// One LP's share of a slot's instruments.
+  struct SpanPartial {
+    double count = 0;
+    double quantity = 0;
+    stats::Accumulator duration;
+  };
 
   void on_span(const Span& s);
-  /// The slot for `s`, resolved on the first span of its kind and status.
-  /// Caller holds the metrics lock.
-  const SpanSlot& span_slot(const Span& s);
+  /// Index of the slot for `s`, resolved on the first span of its kind and
+  /// status. Caller holds the metrics lock.
+  std::size_t span_slot(const Span& s);
+  /// Fold the LP partials into the registry, LP by LP, and drop them.
+  void fold_lp_spans();
 
   Options opts_;
   MetricsRegistry metrics_;
@@ -121,6 +134,7 @@ class Observability final : public core::EngineProbe {
   core::Engine* engine_ = nullptr;
   bool bus_subscribed_ = false;
   std::vector<SpanSlot> span_slots_;  // guarded by the metrics lock
+  std::vector<std::vector<SpanPartial>> lp_spans_;  // [lp][slot]; metrics lock
 };
 
 }  // namespace lsds::obs

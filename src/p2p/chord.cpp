@@ -1,8 +1,8 @@
 #include "p2p/chord.hpp"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -26,17 +26,11 @@ ChordNetwork::ChordNetwork(core::Engine& engine, net::RouteProvider& routing, st
 ChordId ChordNetwork::hash_key(const std::string& s) const { return core::fnv1a(s) & mask_; }
 
 void ChordNetwork::reserve(std::size_t peers) {
-  node_.reserve(peers);
-  id_.reserve(peers);
-  gen_.reserve(peers);
-  live_.reserve(peers);
+  peers_.reserve(peers);
   succ_.reserve(peers);
-  succ_id_.reserve(peers);
-  succ_node_.reserve(peers);
   pred_.reserve(peers);
   succ_len_.reserve(peers);
   succ_list_.reserve(peers * kSuccListLen);
-  finger_len_.reserve(peers);
   finger_.reserve(peers * m_);
   next_finger_.reserve(peers);
 }
@@ -45,12 +39,14 @@ PeerIndex ChordNetwork::add_peer(net::NodeId node) {
   // Peer id: hash of the cumulative add counter — uniform, deterministic,
   // and stable across runs (and across slot reuse: the counter never
   // repeats, so a recycled slot still gets a fresh id). Collisions are
-  // resolved by probing (vanishingly rare for m >= 32).
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "chord-peer-%zu",
-                static_cast<std::size_t>(added_));
+  // resolved by probing (vanishingly rare for m >= 32). The counter is
+  // formatted with to_chars: the same digits as printf's %zu, at a fraction
+  // of the cost that dominated a bulk add.
+  char buf[40] = "chord-peer-";
+  constexpr std::size_t kPrefix = sizeof "chord-peer-" - 1;
+  const char* end = std::to_chars(buf + kPrefix, buf + sizeof buf, added_).ptr;
   ++added_;
-  ChordId id = core::fnv1a(buf) & mask_;
+  ChordId id = core::fnv1a(std::string_view(buf, static_cast<std::size_t>(end - buf))) & mask_;
   while (ring_.contains(id)) id = (id + 1) & mask_;
 
   PeerSlot slot;
@@ -59,32 +55,27 @@ PeerIndex ChordNetwork::add_peer(net::NodeId node) {
     free_slots_.pop_back();
     // New incarnation: refs minted against the dead interval (a lookup
     // issued from an already-dead peer, say) must not alias the newcomer.
-    ++gen_[slot];
+    ++peers_[slot].gen;
   } else {
-    slot = static_cast<PeerSlot>(node_.size());
-    node_.emplace_back();
-    id_.emplace_back();
-    gen_.push_back(0);
-    live_.push_back(0);
+    slot = static_cast<PeerSlot>(peers_.size());
+    peers_.emplace_back();
     succ_.push_back(kNilRef);
-    succ_id_.push_back(0);
-    succ_node_.push_back(net::kInvalidNode);
     pred_.push_back(kNilRef);
     succ_len_.push_back(0);
     succ_list_.resize(succ_list_.size() + kSuccListLen, kNilRef);
-    finger_len_.push_back(0);
     finger_.resize(finger_.size() + m_, kNilRef);
     next_finger_.push_back(0);
   }
-  node_[slot] = node;
-  id_[slot] = id;
-  live_[slot] = 1;
-  succ_[slot] = make_ref(slot, gen_[slot]);  // own successor until built/joined
-  succ_id_[slot] = id;
-  succ_node_[slot] = node;
+  Peer& p = peers_[slot];
+  p.node = node;
+  p.id = id;
+  p.live = 1;
+  p.succ_id = id;  // own successor until built/joined
+  p.succ_node = node;
+  p.finger_len = 0;
+  succ_[slot] = make_ref(slot, p.gen);
   pred_[slot] = kNilRef;
   succ_len_[slot] = 0;
-  finger_len_[slot] = 0;
   next_finger_[slot] = 0;
 
   ring_.insert(id, slot);
@@ -93,13 +84,14 @@ PeerIndex ChordNetwork::add_peer(net::NodeId node) {
 }
 
 void ChordNetwork::retire_peer(PeerIndex peer, const char* what) {
-  if (peer >= node_.size() || live_[peer] == 0) {
+  if (!is_live(peer)) {
     throw std::invalid_argument(std::string("ChordNetwork::") + what +
                                 ": peer " + std::to_string(peer) + " is not live");
   }
-  live_[peer] = 0;
-  ++gen_[peer];  // in-flight messages and stored refs to this slot go stale
-  ring_.erase(id_[peer]);
+  Peer& p = peers_[peer];
+  p.live = 0;
+  ++p.gen;  // in-flight messages and stored refs to this slot go stale
+  ring_.erase(p.id);
   --live_count_;
   free_slots_.push_back(static_cast<PeerSlot>(peer));
 }
@@ -113,10 +105,10 @@ void ChordNetwork::fail_peer(PeerIndex peer) {
 }
 
 void ChordNetwork::set_successor(PeerSlot self, PeerRef succ) {
-  const PeerSlot s = ref_slot(succ);
+  const Peer& s = peers_[ref_slot(succ)];
   succ_[self] = succ;
-  succ_id_[self] = id_[s];
-  succ_node_[self] = node_[s];
+  peers_[self].succ_id = s.id;
+  peers_[self].succ_node = s.node;
 }
 
 void ChordNetwork::build() {
@@ -127,24 +119,30 @@ void ChordNetwork::build() {
   // higher; m <= 63 keeps them inside 64 bits), the ring lets that target
   // only grow as the pass does, so each k keeps a cursor that moves
   // forward only. It stops short of the peer's own second-lap copy, which
-  // lies past every target.
-  std::vector<RingIndex::Entry> ring;
+  // lies past every target. Each peer's ref is read once, into the ring
+  // copy, so the m finger stores per peer read only that copy.
+  struct Member {
+    ChordId id;
+    PeerRef ref;
+  };
+  std::vector<Member> ring;
   ring.reserve(live_count_);
-  ring_.for_each([&](ChordId id, RingIndex::Slot s) { ring.push_back({id, s}); });
+  ring_.for_each([&](ChordId id, RingIndex::Slot s) { ring.push_back({id, ref_of(s)}); });
   const std::size_t n = ring.size();
   const ChordId lap = ChordId{1} << m_;
   const auto unwrapped_id = [&](std::size_t j) { return j < n ? ring[j].id : ring[j - n].id + lap; };
   std::size_t cursor[63] = {};
-  for (const RingIndex::Entry& peer : ring) {
-    finger_len_[peer.slot] = static_cast<std::uint8_t>(m_);
-    PeerRef* fingers = &finger_[std::size_t{peer.slot} * m_];
+  for (const Member& peer : ring) {
+    const PeerSlot self = ref_slot(peer.ref);
+    peers_[self].finger_len = static_cast<std::uint8_t>(m_);
+    PeerRef* fingers = &finger_[std::size_t{self} * m_];
     for (std::uint32_t k = 0; k < m_; ++k) {
       const ChordId start = peer.id + (ChordId{1} << k);
       std::size_t& j = cursor[k];
       while (unwrapped_id(j) < start) ++j;
-      fingers[k] = ref_of(ring[j < n ? j : j - n].slot);
+      fingers[k] = ring[j < n ? j : j - n].ref;
     }
-    set_successor(peer.slot, fingers[0]);
+    set_successor(self, fingers[0]);
   }
 }
 
@@ -166,36 +164,38 @@ PeerIndex ChordNetwork::random_live_peer(core::RngStream& rng) const {
 
 ChordNetwork::PeerRef ChordNetwork::closest_preceding(PeerSlot from, ChordId key,
                                                       net::NodeId& node_out) const {
-  const ChordId from_id = id_[from];
+  const Peer& self = peers_[from];
+  const ChordId from_id = self.id;
   const ChordId last = (key - 1) & mask_;
   const PeerRef* fingers = &finger_[std::size_t{from} * m_];
   // Low fingers often repeat one ref, and the verdict on a ref depends on
   // the ref alone: skip a repeat of the ref just rejected. The arc test
   // reads only the finger's id (a recycled slot's id belongs to its new
   // incarnation, but the liveness test below then rejects it anyway);
-  // generation and liveness are loaded only for a candidate.
+  // generation and liveness sit on the same line of the finger's record.
   PeerRef rejected = kNilRef;
-  for (std::size_t k = finger_len_[from]; k-- > 0;) {
+  for (std::size_t k = self.finger_len; k-- > 0;) {
     const PeerRef f = fingers[k];
     if (f == rejected) continue;
     rejected = f;
     const PeerSlot s = ref_slot(f);
-    assert(s < id_.size());  // fingers in use are never nil
-    const ChordId f_id = id_[s];
+    assert(s < peers_.size());  // fingers in use are never nil
+    const Peer& cand = peers_[s];
     // finger strictly inside (from_id, key): safe to jump.
-    if (s != from && in_arc(f_id, from_id, last) && f_id != key && ref_alive(f)) {
-      node_out = node_[s];
+    if (s != from && in_arc(cand.id, from_id, last) && cand.id != key &&
+        cand.gen == ref_gen(f) && cand.live != 0) {
+      node_out = cand.node;
       return f;
     }
   }
-  node_out = succ_node_[from];
+  node_out = self.succ_node;
   return succ_[from];
 }
 
 double ChordNetwork::link_latency(PeerSlot from, PeerRef to, net::NodeId to_node) {
   if (to == ref_of(from)) return 0;
-  const auto& route = routing_.route(node_[from], to_node);
-  return route.valid ? route.total_latency : 0.001;
+  const double lat = routing_.path_latency(peers_[from].node, to_node);
+  return std::isinf(lat) ? 0.001 : lat;  // +inf: unreachable
 }
 
 // --- lookup hot path ----------------------------------------------------
@@ -220,7 +220,7 @@ std::uint32_t ChordNetwork::allocate_pending() {
 }
 
 void ChordNetwork::check_origin(PeerIndex origin, const char* what) const {
-  if (origin >= node_.size()) {
+  if (origin >= peers_.size()) {
     throw std::invalid_argument(std::string("ChordNetwork::") + what + ": origin " +
                                 std::to_string(origin) + " is out of range");
   }
@@ -234,7 +234,7 @@ void ChordNetwork::lookup(PeerIndex origin, ChordId key, LookupFn done) {
   p.started = engine_.now();
   p.done = std::move(done);
   p.origin_ref = ref_of(static_cast<PeerSlot>(origin));
-  p.origin_node = node_[origin];
+  p.origin_node = peers_[origin].node;
   p.kind = LookupKind::kCallback;
   start_lookup(lk);
 }
@@ -247,7 +247,7 @@ void ChordNetwork::lookup_tagged(PeerIndex origin, ChordId key, std::uint64_t ta
   p.started = engine_.now();
   p.tag = tag;
   p.origin_ref = ref_of(static_cast<PeerSlot>(origin));
-  p.origin_node = node_[origin];
+  p.origin_node = peers_[origin].node;
   p.kind = LookupKind::kTagged;
   start_lookup(lk);
 }
@@ -260,23 +260,24 @@ void ChordNetwork::start_lookup(std::uint32_t lk) {
 void ChordNetwork::hop(std::uint32_t lk, std::uint32_t lk_gen, PeerSlot at, std::uint32_t at_gen,
                        std::uint32_t hops) {
   if (pending_[lk].gen != lk_gen) return;  // lookup already resolved (stale event)
-  if (gen_[at] != at_gen || live_[at] == 0) {
+  const Peer& peer = peers_[at];
+  if (peer.gen != at_gen || peer.live == 0) {
     // Hop target churned away mid-lookup.
     finish(lk, /*ok=*/false, kNilRef, 0, net::kInvalidNode, hops);
     return;
   }
   const ChordId key = pending_[lk].key;
-  const ChordId at_id = id_[at];
+  const ChordId at_id = peer.id;
   // Am I (exclusive) the predecessor of the key's owner? Owner = successor.
   // The stored successor id is read even when the successor has died: a
   // peer only learns of the death on its next stabilize round.
-  if (in_arc(key, at_id, succ_id_[at])) {
+  if (in_arc(key, at_id, peer.succ_id)) {
     // Answer travels straight back to the origin.
     const double back = link_latency(at, pending_[lk].origin_ref, pending_[lk].origin_node);
     ++messages_;
     const PeerRef home = succ_[at];
-    const ChordId home_id = succ_id_[at];
-    const net::NodeId home_node = succ_node_[at];
+    const ChordId home_id = peer.succ_id;
+    const net::NodeId home_node = peer.succ_node;
     engine_.schedule_in(back, [this, lk, lk_gen, home, home_id, home_node, hops] {
       if (pending_[lk].gen != lk_gen) return;
       finish(lk, /*ok=*/true, home, home_id, home_node, hops);
@@ -285,7 +286,7 @@ void ChordNetwork::hop(std::uint32_t lk, std::uint32_t lk_gen, PeerSlot at, std:
   }
   if (in_arc(key, (at_id + mask_) & mask_, at_id) || at_id == key) {
     // The key maps to this peer itself (rare direct hit).
-    finish(lk, /*ok=*/true, ref_of(at), at_id, node_[at], hops);
+    finish(lk, /*ok=*/true, ref_of(at), at_id, peer.node, hops);
     return;
   }
   net::NodeId next_node = net::kInvalidNode;
@@ -335,17 +336,17 @@ void ChordNetwork::finish(std::uint32_t lk, bool ok, PeerRef home, ChordId home_
     case LookupKind::kFixFinger:
       // The answer names an incarnation; if it died in transit the stored
       // finger is stale-on-arrival and gets skipped, never resurrected.
-      if (res.ok && gen_[aux] == aux_gen && live_[aux] != 0) {
+      if (res.ok && ref_alive(make_ref(aux, aux_gen))) {
         finger_[std::size_t{aux} * m_ + aux_k] = home;
       }
       break;
     case LookupKind::kJoin:
-      if (res.ok && gen_[aux] == aux_gen && live_[aux] != 0) {
+      if (res.ok && ref_alive(make_ref(aux, aux_gen))) {
         // Adopt the answering incarnation with its store-time id/node even
         // if it already died: the next stabilize round detects and repairs.
         succ_[aux] = home;
-        succ_id_[aux] = home_id;
-        succ_node_[aux] = home_node;
+        peers_[aux].succ_id = home_id;
+        peers_[aux].succ_node = home_node;
         refresh_succ_list(aux);
       }
       break;
@@ -366,10 +367,14 @@ void ChordNetwork::enable_protocol_mode(double stabilize_period, double horizon)
   stabilize_period_ = stabilize_period;
   horizon_ = horizon;
   // Seed predecessor pointers and successor lists from the current ring so
-  // the protocol starts converged; churn will perturb them.
-  ring_.for_each([&](ChordId, RingIndex::Slot s) { refresh_succ_list(s); });
-  ring_.for_each([&](ChordId, RingIndex::Slot s) { pred_[ref_slot(succ_[s])] = ref_of(s); });
-  ring_.for_each([&](ChordId, RingIndex::Slot s) { start_maintenance(s); });
+  // the protocol starts converged (churn will perturb them), and start each
+  // peer's maintenance. One pass in ring order: no step reads what another
+  // writes, and the maintenance draws and events keep the ring order.
+  ring_.for_each([&](ChordId, RingIndex::Slot s) {
+    refresh_succ_list(s);
+    pred_[ref_slot(succ_[s])] = ref_of(s);
+    start_maintenance(s);
+  });
 }
 
 PeerIndex ChordNetwork::join_via(net::NodeId node, PeerIndex bootstrap) {
@@ -382,26 +387,28 @@ PeerIndex ChordNetwork::join_via(net::NodeId node, PeerIndex bootstrap) {
   const PeerIndex newcomer = add_peer(node);
   const PeerSlot nc = static_cast<PeerSlot>(newcomer);
   const PeerRef boot = ref_of(static_cast<PeerSlot>(bootstrap));
-  finger_len_[nc] = static_cast<std::uint8_t>(m_);
+  const Peer& boot_peer = peers_[bootstrap];
+  Peer& nc_peer = peers_[nc];
+  nc_peer.finger_len = static_cast<std::uint8_t>(m_);
   PeerRef* fingers = &finger_[std::size_t{nc} * m_];
   for (std::uint32_t k = 0; k < m_; ++k) fingers[k] = boot;
   succ_len_[nc] = 0;
   pred_[nc] = kNilRef;
   succ_[nc] = boot;  // provisional, replaced below
-  succ_id_[nc] = id_[bootstrap];
-  succ_node_[nc] = node_[bootstrap];
+  nc_peer.succ_id = boot_peer.id;
+  nc_peer.succ_node = boot_peer.node;
   ++messages_;
   // If the join lookup fails (or the newcomer dies first), the provisional
   // successor stands and the next stabilize round retries implicitly.
   const std::uint32_t lk = allocate_pending();
   Pending& p = pending_[lk];
-  p.key = (id_[nc] + 1) & mask_;
+  p.key = (nc_peer.id + 1) & mask_;
   p.started = engine_.now();
   p.origin_ref = boot;
-  p.origin_node = node_[bootstrap];
+  p.origin_node = boot_peer.node;
   p.kind = LookupKind::kJoin;
   p.aux = nc;
-  p.aux_gen = gen_[nc];
+  p.aux_gen = nc_peer.gen;
   start_lookup(lk);
   if (protocol_mode_) start_maintenance(nc);
   return newcomer;
@@ -439,7 +446,7 @@ void ChordNetwork::stabilize(PeerSlot self) {
     }
     if (replacement == self_ref) {
       const PeerRef* fingers = &finger_[std::size_t{self} * m_];
-      for (std::uint8_t k = 0; k < finger_len_[self]; ++k) {
+      for (std::uint8_t k = 0; k < peers_[self].finger_len; ++k) {
         const PeerRef f = fingers[k];
         if (ref_alive(f) && f != self_ref) {
           replacement = f;
@@ -455,14 +462,15 @@ void ChordNetwork::stabilize(PeerSlot self) {
   //    between us; then notify. The successor is live past step 1.
   const PeerSlot succ = ref_slot(succ_[self]);
   const PeerRef x = pred_[succ];
+  const ChordId self_id = peers_[self].id;
   if (ref_alive(x) && x != self_ref &&
-      in_arc(id_[ref_slot(x)], id_[self], (id_[succ] + mask_) & mask_)) {
+      in_arc(peers_[ref_slot(x)].id, self_id, (peers_[succ].id + mask_) & mask_)) {
     set_successor(self, x);
   }
   const PeerSlot new_succ = ref_slot(succ_[self]);
   const PeerRef cur_pred = pred_[new_succ];
   if (!ref_alive(cur_pred) ||
-      in_arc(id_[self], id_[ref_slot(cur_pred)], (id_[new_succ] + mask_) & mask_)) {
+      in_arc(self_id, peers_[ref_slot(cur_pred)].id, (peers_[new_succ].id + mask_) & mask_)) {
     pred_[new_succ] = self_ref;
   }
   refresh_succ_list(self);
@@ -472,16 +480,17 @@ void ChordNetwork::stabilize(PeerSlot self) {
 void ChordNetwork::fix_one_finger(PeerSlot self) {
   const std::uint32_t k = next_finger_[self];
   next_finger_[self] = (k + 1) % m_;
-  const ChordId start = (id_[self] + (ChordId{1} << k)) & mask_;
+  const Peer& peer = peers_[self];
+  const ChordId start = (peer.id + (ChordId{1} << k)) & mask_;
   const std::uint32_t lk = allocate_pending();
   Pending& p = pending_[lk];
   p.key = start;
   p.started = engine_.now();
   p.origin_ref = ref_of(self);
-  p.origin_node = node_[self];
+  p.origin_node = peer.node;
   p.kind = LookupKind::kFixFinger;
   p.aux = self;
-  p.aux_gen = gen_[self];
+  p.aux_gen = peer.gen;
   p.aux_k = k;
   start_lookup(lk);
 }
@@ -498,21 +507,21 @@ void ChordNetwork::fix_one_finger(PeerSlot self) {
 void ChordNetwork::start_maintenance(PeerSlot self) {
   // Desynchronize rounds across peers.
   const double jitter = maint_rng_.uniform(0, stabilize_period_);
-  const std::uint32_t gen = gen_[self];
+  const std::uint32_t gen = peers_[self].gen;
   engine_.schedule_in(jitter, [this, self, gen] { maint_begin(self, gen); });
 }
 
 void ChordNetwork::maint_begin(PeerSlot self, std::uint32_t gen) {
-  if (gen_[self] != gen || live_[self] == 0) return;  // peer churned away
-  if (engine_.now() >= horizon_) return;              // maintenance horizon reached
+  if (!ref_alive(make_ref(self, gen))) return;  // peer churned away
+  if (engine_.now() >= horizon_) return;        // maintenance horizon reached
   // One round costs a successor RTT; charged before the state update. A
   // dead successor still costs the full (timed-out) round trip.
-  const double rtt = 2.0 * link_latency(self, succ_[self], succ_node_[self]);
+  const double rtt = 2.0 * link_latency(self, succ_[self], peers_[self].succ_node);
   engine_.schedule_in(rtt, [this, self, gen] { maint_work(self, gen); });
 }
 
 void ChordNetwork::maint_work(PeerSlot self, std::uint32_t gen) {
-  if (gen_[self] != gen || live_[self] == 0) return;
+  if (!ref_alive(make_ref(self, gen))) return;
   stabilize(self);
   fix_one_finger(self);
   engine_.schedule_in(stabilize_period_, [this, self, gen] { maint_begin(self, gen); });
@@ -525,12 +534,12 @@ std::uint64_t ChordNetwork::state_digest() const {
   h.mix(std::uint64_t{live_count_});
   ring_.for_each([&](ChordId id, RingIndex::Slot s) {
     h.mix(id);
-    h.mix(std::uint64_t{node_[s]});
-    h.mix(succ_id_[s]);
-    h.mix(ref_alive(pred_[s]) ? id_[ref_slot(pred_[s])] : ~std::uint64_t{0});
+    h.mix(std::uint64_t{peers_[s].node});
+    h.mix(peers_[s].succ_id);
+    h.mix(ref_alive(pred_[s]) ? peers_[ref_slot(pred_[s])].id : ~std::uint64_t{0});
     const PeerRef* fingers = &finger_[std::size_t{s} * m_];
-    for (std::uint8_t k = 0; k < finger_len_[s]; ++k) {
-      h.mix(ref_alive(fingers[k]) ? id_[ref_slot(fingers[k])] : ~std::uint64_t{0});
+    for (std::uint8_t k = 0; k < peers_[s].finger_len; ++k) {
+      h.mix(ref_alive(fingers[k]) ? peers_[ref_slot(fingers[k])].id : ~std::uint64_t{0});
     }
   });
   h.mix(messages_);

@@ -18,9 +18,12 @@
 //   * the live ring is a bucketed sorted array (p2p/ring_index.hpp), not a
 //     std::map — successor queries and churn updates are O(1) expected and
 //     contiguous;
-//   * per-peer protocol state lives in struct-of-arrays slabs (ids,
-//     successors, a flat m-wide finger slab, fixed-width successor lists)
-//     indexed by a 32-bit slot. Churned-out slots are recycled through a
+//   * per-peer protocol state is indexed by a 32-bit slot. What every hop
+//     reads (id, node, generation, liveness, the cached successor id and
+//     node, the finger count) is one 32-byte Peer record, so a hop loads
+//     one cache line per peer it looks at; the successor refs, a flat
+//     m-wide finger slab, fixed-width successor lists and predecessors
+//     stay in slabs of their own. Churned-out slots are recycled through a
 //     free list; every stored reference (successor, predecessor, successor
 //     list, fingers) and every in-flight message carries the target's
 //     generation alongside the slot, so a reference to a dead peer stays
@@ -101,12 +104,12 @@ class ChordNetwork {
   std::uint64_t stabilize_rounds() const { return stabilize_rounds_; }
 
   std::size_t size() const { return live_count_; }
-  ChordId id_of(PeerIndex peer) const { return id_[peer]; }
-  net::NodeId node_of(PeerIndex peer) const { return node_[peer]; }
-  bool is_live(PeerIndex peer) const { return peer < live_.size() && live_[peer] != 0; }
+  ChordId id_of(PeerIndex peer) const { return peers_[peer].id; }
+  net::NodeId node_of(PeerIndex peer) const { return peers_[peer].node; }
+  bool is_live(PeerIndex peer) const { return peer < peers_.size() && peers_[peer].live != 0; }
   /// Generation counter of a slot; bumped when the peer dies, so stale
   /// references can detect slot reuse.
-  std::uint32_t generation(PeerIndex peer) const { return gen_[peer]; }
+  std::uint32_t generation(PeerIndex peer) const { return peers_[peer].gen; }
   ChordId id_mask() const { return mask_; }
   /// Ground truth: the live peer whose arc contains `key`.
   PeerIndex responsible_peer(ChordId key) const;
@@ -148,10 +151,10 @@ class ChordNetwork {
   // --- statistics -----------------------------------------------------------
 
   std::uint64_t messages_sent() const { return messages_; }
-  std::size_t finger_count(PeerIndex peer) const { return finger_len_[peer]; }
+  std::size_t finger_count(PeerIndex peer) const { return peers_[peer].finger_len; }
   /// Total slots ever allocated (bounded by peak live population, not by
   /// cumulative churn — the slot-reuse regression hook).
-  std::size_t slot_count() const { return node_.size(); }
+  std::size_t slot_count() const { return peers_.size(); }
   /// Lookup pool size (bounded by peak in-flight lookups).
   std::size_t lookup_pool_size() const { return pending_.size(); }
   std::size_t lookups_in_flight() const { return pending_live_; }
@@ -171,18 +174,32 @@ class ChordNetwork {
   static constexpr PeerRef kNilRef = ~PeerRef{0};
   static constexpr int kSuccListLen = 3;
 
+  /// A slot's hot state in one record, so that a hop, a finger test or a
+  /// liveness check loads one cache line per peer: 32 bytes, aligned to 32,
+  /// so no record straddles a line.
+  struct alignas(32) Peer {
+    ChordId id = 0;
+    ChordId succ_id = 0;                         // successor's id at store time
+    net::NodeId node = net::kInvalidNode;
+    net::NodeId succ_node = net::kInvalidNode;   // successor's node at store time
+    std::uint32_t gen = 0;
+    std::uint8_t live = 0;
+    std::uint8_t finger_len = 0;                 // 0 before build/join, m_ after
+  };
+  static_assert(sizeof(Peer) == 32, "one Peer is half a cache line");
+
   static PeerRef make_ref(PeerSlot slot, std::uint32_t gen) {
     return (PeerRef{gen} << 32) | slot;
   }
   static PeerSlot ref_slot(PeerRef r) { return static_cast<PeerSlot>(r); }
   static std::uint32_t ref_gen(PeerRef r) { return static_cast<std::uint32_t>(r >> 32); }
   /// The current incarnation of a slot.
-  PeerRef ref_of(PeerSlot slot) const { return make_ref(slot, gen_[slot]); }
+  PeerRef ref_of(PeerSlot slot) const { return make_ref(slot, peers_[slot].gen); }
   /// True iff the incarnation the ref names is still alive. kNilRef's slot
   /// is out of range, so nil is dead without a separate check.
   bool ref_alive(PeerRef r) const {
     const PeerSlot s = ref_slot(r);
-    return s < gen_.size() && gen_[s] == ref_gen(r) && live_[s] != 0;
+    return s < peers_.size() && peers_[s].gen == ref_gen(r) && peers_[s].live != 0;
   }
 
   enum class LookupKind : std::uint8_t { kCallback, kTagged, kFixFinger, kJoin };
@@ -241,18 +258,13 @@ class ChordNetwork {
   std::uint32_t m_;
   ChordId mask_;
 
-  // Per-peer state, struct-of-arrays; index = slot.
-  std::vector<net::NodeId> node_;
-  std::vector<ChordId> id_;
-  std::vector<std::uint32_t> gen_;
-  std::vector<std::uint8_t> live_;
+  // Per-peer state; index = slot. The record every hop reads, then the
+  // slabs only some paths read.
+  std::vector<Peer> peers_;
   std::vector<PeerRef> succ_;
-  std::vector<ChordId> succ_id_;          // successor's id at store time
-  std::vector<net::NodeId> succ_node_;    // successor's node at store time
   std::vector<PeerRef> pred_;             // protocol mode
   std::vector<std::uint8_t> succ_len_;    // protocol mode: backup successors
   std::vector<PeerRef> succ_list_;        // kSuccListLen per slot
-  std::vector<std::uint8_t> finger_len_;  // 0 before build/join, m_ after
   std::vector<PeerRef> finger_;           // m_ per slot; [k] ~ successor(id + 2^k)
   std::vector<std::uint32_t> next_finger_;  // fix-fingers round-robin cursor
   std::vector<PeerSlot> free_slots_;

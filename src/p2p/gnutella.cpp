@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/hash.hpp"
@@ -173,8 +174,8 @@ bool GnutellaNetwork::has_object(PeerIndex peer, const std::string& name) const 
 
 double GnutellaNetwork::link_latency(PeerSlot a, PeerSlot b) {
   if (a == b) return 0;
-  const auto& route = routing_.route(node_[a], node_[b]);
-  return route.valid ? route.total_latency : 0.001;
+  const double lat = routing_.path_latency(node_[a], node_[b]);
+  return std::isinf(lat) ? 0.001 : lat;  // +inf: unreachable
 }
 
 // --- search -------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "sim/chaos/chaos.hpp"
+#include "sim/facade_registry.hpp"
 #include "sim/gridsim/gridsim.hpp"
 #include "sim/monarc/monarc.hpp"
 #include "stats/timeseries.hpp"
@@ -519,6 +520,38 @@ TEST(RunReport, ObservedMonarcReportIsPinned) {
   pinned(*metrics->find("series"), "8624c01cbbe965f5");
   pinned(*metrics, "67e23bf7bf513555");
   pinned(*engine, "a6b0a075c55f5bba");
+}
+
+// The metrics of a parallel run, scenario_runner style: LP threads publish
+// their spans concurrently, and the report must not depend on which thread
+// got there first. A floating-point timer mean folded in arrival order
+// differed in its last digits between runs of lhc_parallel.ini.
+TEST(RunReport, ParallelMonarcMetricsAreIdenticalAcrossRuns) {
+  sim::register_builtin_facades();
+  const auto* entry = sim::FacadeRegistry::global().find("monarc");
+  ASSERT_NE(entry, nullptr);
+  const auto run = [&] {
+    const auto ini = util::IniConfig::parse(
+        "[monarc]\nt1 = 9\nlink = 10Gbps\nfiles = 20\nfile_size = 20GB\ninterval = 40s\n"
+        "analysis = yes\nt2_per_t1 = 6\nt2_fraction = 0.3\narchive = yes\n"
+        "[execution]\nmode = parallel\nthreads = 4\npartition = metis-ish\n");
+    const auto study = entry->parse(ini);
+    ini.reject_unread();
+    core::Engine eng({.queue = core::QueueKind::kCalendarQueue, .seed = 2005});
+    obs::Options opts;
+    opts.enabled = true;
+    obs::Observability o(opts);
+    o.attach(eng);
+    obs::RunReport report;
+    EXPECT_EQ(study(eng, report), 0);
+    o.finalize(eng, report);
+    const obs::Json* metrics = report.root().find("metrics");
+    EXPECT_NE(metrics, nullptr);
+    return metrics ? metrics->dump(0) : std::string();
+  };
+  const std::string first = run();
+  EXPECT_NE(first.find("span.job.duration_s"), std::string::npos) << first;
+  for (int i = 0; i < 2; ++i) EXPECT_EQ(run(), first);
 }
 
 // --- sampled queue timing ----------------------------------------------------

@@ -1,12 +1,14 @@
 // Differential suite for hierarchical routing zones (net/zone.hpp): every
 // zone kind, materialized to the equivalent flat Topology, must produce
 // BYTE-identical answers to net::Routing's Dijkstra — same Route.links,
-// bitwise-identical total_latency and bottleneck_bandwidth — for all
-// addressable (src, dst) pairs. Plus fuzzed random-pair checks at 10k
-// hosts, route-symmetry and ZoneTree-composition invariants, the D-mod-k
-// policy's weaker differential (same metrics, valid alternative path), the
-// zone-structure partitioner, and end-to-end plumbing through FlowNetwork /
-// TransferService / ParallelGrid.
+// bitwise-identical total_latency, path_latency and bottleneck_bandwidth —
+// for all addressable (src, dst) pairs. path_latency takes the zones'
+// route-free closed forms, so its bits pin their reverse summation order.
+// Plus fuzzed random-pair checks at 10k hosts, route-symmetry and
+// ZoneTree-composition invariants, the D-mod-k policy's weaker differential
+// (same metrics, valid alternative path), the zone-structure partitioner,
+// and end-to-end plumbing through FlowNetwork / TransferService /
+// ParallelGrid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,6 +70,8 @@ void expect_zone_matches_flat(const net::Zone& zone, const char* label) {
       ASSERT_EQ(zroute.links, froute.links) << label << " " << src << "->" << dst;
       ASSERT_EQ(bits(zroute.total_latency), bits(froute.total_latency))
           << label << " " << src << "->" << dst;
+      ASSERT_EQ(bits(zr.path_latency(src, dst)), bits(flat.path_latency(src, dst)))
+          << label << " " << src << "->" << dst;
       ASSERT_EQ(bits(zr.bottleneck_bandwidth(src, dst)), bits(flat.bottleneck_bandwidth(src, dst)))
           << label << " " << src << "->" << dst;
     }
@@ -126,6 +130,8 @@ TEST(ZoneVsFlat, TreeShapedZonesMatchOnAllNodePairs) {
       const net::Route zroute = zr.route(src, dst);
       ASSERT_EQ(zroute.links, flat.route(src, dst).links) << src << "->" << dst;
       ASSERT_EQ(bits(zroute.total_latency), bits(flat.route(src, dst).total_latency));
+      ASSERT_EQ(bits(zr.path_latency(src, dst)), bits(flat.path_latency(src, dst)));
+      ASSERT_EQ(bits(zr.bottleneck_bandwidth(src, dst)), bits(flat.bottleneck_bandwidth(src, dst)));
     }
   }
 }
@@ -140,6 +146,11 @@ TEST(ZoneVsFlat, FatTreeTwoLevelAllPairs) {
 TEST(ZoneVsFlat, FatTreeThreeLevelAllPairs) {
   expect_zone_matches_flat(net::FatTreeZone(xgft({2, 2, 2}, {1, 2, 2})), "xgft(3;2,2,2;1,2,2)");
   expect_zone_matches_flat(net::FatTreeZone(xgft({2, 2, 2}, {2, 2, 2})), "xgft(3;2,2,2;2,2,2)");
+  // Level latencies 7e-5, 1.4e-4, 2.1e-4 sum to different bits forward and
+  // backward, so a host -> gateway climb pins the reverse summation order
+  // (host-to-host routes are palindromes and cannot).
+  expect_zone_matches_flat(net::FatTreeZone(xgft({2, 2, 2}, {1, 2, 2}, 1e9, 7e-5)),
+                           "xgft(3;2,2,2;1,2,2) order-sensitive");
 }
 
 TEST(ZoneVsFlat, FatTree256HostsAllPairs) {
@@ -162,24 +173,37 @@ TEST(ZoneVsFlat, NestedZoneTreeAllPairs) {
 // --- fuzzed random pairs at 10k hosts --------------------------------------
 
 TEST(ZoneVsFlatFuzz, FatTree10kHostsRandomPairs) {
-  // XGFT(2; 100,100; 1,10): 10000 hosts, 100 edge switches, 10 spines.
-  const net::FatTreeZone zone(xgft({100, 100}, {1, 10}));
-  ASSERT_EQ(zone.host_count(), 10000u);
-  const net::Topology topo = zone.to_topology();
-  net::ZoneRouting zr(zone);
-  core::RngStream rng(2026);
-  for (int s = 0; s < 40; ++s) {
-    const auto src = static_cast<net::NodeId>(rng.uniform_int(0, zone.host_count() - 1));
-    // Fresh Routing per source: on-demand flat Dijkstra without holding a
-    // 10k x 10k cache.
-    net::Routing flat(topo);
-    for (int d = 0; d < 8; ++d) {
-      const auto dst = static_cast<net::NodeId>(rng.uniform_int(0, zone.host_count() - 1));
-      const net::Route zroute = zr.route(src, dst);
-      const net::Route& froute = flat.route(src, dst);
-      ASSERT_EQ(zroute.links, froute.links) << src << "->" << dst;
-      ASSERT_EQ(bits(zroute.total_latency), bits(froute.total_latency)) << src << "->" << dst;
-      ASSERT_EQ(bits(zr.bottleneck_bandwidth(src, dst)), bits(flat.bottleneck_bandwidth(src, dst)));
+  // XGFT(2; 100,100; 1,10): 10000 hosts, 100 edge switches, 10 spines; and
+  // XGFT(3; 25,20,20; 1,4,5), whose level latencies make the summation
+  // order of a gateway route visible in its bits.
+  for (const auto& spec : {xgft({100, 100}, {1, 10}), xgft({25, 20, 20}, {1, 4, 5}, 1e9, 7e-5)}) {
+    const net::FatTreeZone zone(spec);
+    ASSERT_EQ(zone.host_count(), 10000u);
+    const net::Topology topo = zone.to_topology();
+    net::ZoneRouting zr(zone);
+    core::RngStream rng(2026);
+    // One endpoint in 8 is the gateway; the first destination of every
+    // source is the source itself.
+    const auto endpoint = [&] {
+      if (rng.uniform_int(0, 7) == 0) return zone.gateway();
+      return static_cast<net::NodeId>(rng.uniform_int(0, zone.host_count() - 1));
+    };
+    for (int s = 0; s < 40; ++s) {
+      const net::NodeId src = endpoint();
+      // Fresh Routing per source: on-demand flat Dijkstra without holding a
+      // 10k x 10k cache.
+      net::Routing flat(topo);
+      for (int d = 0; d < 8; ++d) {
+        const net::NodeId dst = d == 0 ? src : endpoint();
+        const net::Route zroute = zr.route(src, dst);
+        const net::Route& froute = flat.route(src, dst);
+        ASSERT_EQ(zroute.links, froute.links) << src << "->" << dst;
+        ASSERT_EQ(bits(zroute.total_latency), bits(froute.total_latency)) << src << "->" << dst;
+        ASSERT_EQ(bits(zr.path_latency(src, dst)), bits(flat.path_latency(src, dst)))
+            << src << "->" << dst;
+        ASSERT_EQ(bits(zr.bottleneck_bandwidth(src, dst)),
+                  bits(flat.bottleneck_bandwidth(src, dst)));
+      }
     }
   }
 }
@@ -244,6 +268,8 @@ TEST(ZoneProperties, DmodKPolicyKeepsMetricsSpreadsLinks) {
       const net::Route zroute = zr.route(src, dst);
       const net::Route& froute = flat.route(src, dst);
       ASSERT_EQ(bits(zroute.total_latency), bits(froute.total_latency)) << src << "->" << dst;
+      ASSERT_EQ(bits(zr.path_latency(src, dst)), bits(flat.path_latency(src, dst)))
+          << src << "->" << dst;
       ASSERT_EQ(bits(zr.bottleneck_bandwidth(src, dst)), bits(flat.bottleneck_bandwidth(src, dst)));
       ASSERT_EQ(zroute.links.size(), froute.links.size());
       if (zroute.links != froute.links) any_link_diff = true;
