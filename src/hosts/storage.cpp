@@ -31,10 +31,11 @@ void StorageDevice::attach_solver(net::FlowNetwork& net) {
 
 bool StorageDevice::store(const std::string& lfn, double bytes, bool pinned) {
   validate_bytes("store", bytes);
-  if (files_.count(lfn)) return false;
-  if (used_ + bytes > spec_.capacity) return false;
+  if (used_ + bytes > spec_.capacity || pending_writes_.count(lfn)) return false;
   const double now = engine_.now();
-  files_[lfn] = StoredFile{lfn, bytes, now, now, 0, pinned};
+  const std::size_t before = files_.size();
+  files_.try_emplace(files_.end(), lfn, StoredFile{lfn, bytes, now, now, 0, pinned});
+  if (files_.size() == before) return false;  // the name is taken
   used_ += bytes;
   return true;
 }
@@ -128,18 +129,22 @@ bool StorageDevice::read(const std::string& lfn, IoDoneFn on_done) {
 
 bool StorageDevice::write(const std::string& lfn, double bytes, IoDoneFn on_done) {
   validate_bytes("write", bytes);
-  if (files_.count(lfn) || pending_writes_.count(lfn)) return false;
-  if (used_ + bytes > spec_.capacity) return false;
+  if (used_ + bytes > spec_.capacity || files_.count(lfn)) return false;
+  const std::size_t before = pending_writes_.size();
+  const auto pending = pending_writes_.insert(pending_writes_.end(), lfn);
+  if (pending_writes_.size() == before) return false;  // a write of it is pending
   // Reserve capacity immediately; the file becomes visible when the head
-  // finishes.
+  // finishes. Only the completion erases a pending name, so its iterator
+  // stays valid until then.
   used_ += bytes;
-  pending_writes_.insert(lfn);
   ++writes_;
   bytes_written_ += bytes;
-  IoDoneFn finish = [this, lfn, bytes, cb = std::move(on_done)] {
+  IoDoneFn finish = [this, pending, bytes, cb = std::move(on_done)] {
     const double now = engine_.now();
-    pending_writes_.erase(lfn);
-    files_[lfn] = StoredFile{lfn, bytes, now, now, 0, false};
+    const std::string& lfn = *pending;
+    // store() and write() refuse a pending name, so the name is still free.
+    files_.try_emplace(files_.end(), lfn, StoredFile{lfn, bytes, now, now, 0, false});
+    pending_writes_.erase(pending);
     if (cb) cb();
   };
   if (spec_.sharing == StorageSharing::kMaxMin) {

@@ -85,7 +85,7 @@ void Observability::on_span(const Span& s) {
       part.duration.add(s.t1 - s.t0);
     }
   }
-  if (sink_) sink_->record_span(s);
+  if (sink_) sink_->record_span(s, lp);
 }
 
 void Observability::fold_lp_spans() {
@@ -144,6 +144,7 @@ void Observability::finalize(RunReport& report, double t_end) {
   report.add_metrics(metrics_, t_end);
   report.add_profiler(profiler_);
   if (sink_) {
+    sink_->append_lp_lines();
     sink_->flush();
     Json t = Json::object();
     t.set("path", sink_->path());

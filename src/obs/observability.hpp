@@ -21,10 +21,12 @@
 // the trace sink (when a trace path is set) and the registry's standard
 // counters/timers (flow.completed, job.done, span duration timers, ...).
 // A span published inside a parallel LP window goes to that LP's partial
-// instruments instead; finalize() folds the partials into the registry in
-// LP order. Floating-point sums depend on their order and the LP threads
-// run in whatever order the host schedules them, so folding spans as they
-// arrive would make a parallel report differ from run to run.
+// instruments instead, and its trace line to that LP's sink buffer;
+// finalize() folds the partials into the registry and writes the buffered
+// lines, both in LP order. Floating-point sums depend on their order and
+// the LP threads run in whatever order the host schedules them, so taking
+// spans as they arrive would make a parallel report and its trace differ
+// from run to run.
 //
 // Cheap enough to leave on: the engine times one queue push in every
 // EngineProfiler::kQueueStride pushes (and one pop in as many pops), metric samples

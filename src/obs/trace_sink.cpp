@@ -11,7 +11,8 @@ TraceSink::TraceSink(const std::string& path) : path_(path), file_(std::fopen(pa
 }
 
 TraceSink::~TraceSink() {
-  if (file_) std::fclose(file_);
+  append_lp_lines();
+  std::fclose(file_);
 }
 
 void TraceSink::write_line(const std::string& line) {
@@ -21,7 +22,15 @@ void TraceSink::write_line(const std::string& line) {
   ++records_;
 }
 
-void TraceSink::record_span(const Span& s) {
+void TraceSink::append_lp_lines() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::string& lines : lp_lines_) {
+    std::fwrite(lines.data(), 1, lines.size(), file_);
+  }
+  lp_lines_.clear();
+}
+
+void TraceSink::record_span(const Span& s, int lp) {
   std::string line = "{\"type\":\"span\",\"kind\":";
   line += Json::quote(s.kind);
   line += ",\"id\":" + std::to_string(s.id);
@@ -37,7 +46,15 @@ void TraceSink::record_span(const Span& s) {
     line += Json::quote(s.name);
   }
   line += "}";
-  write_line(line);
+  if (lp < 0) {
+    write_line(line);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (lp_lines_.size() <= static_cast<std::size_t>(lp)) lp_lines_.resize(lp + 1);
+  lp_lines_[lp] += line;
+  lp_lines_[lp] += '\n';
+  ++records_;
 }
 
 void TraceSink::record_event(double t, std::uint64_t seq) {

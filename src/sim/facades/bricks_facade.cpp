@@ -16,7 +16,7 @@ FacadeRegistry::Study parse_bricks(const util::IniConfig& ini) {
   cfg.num_clients = ini.get_count("bricks", "clients", 8);
   cfg.jobs_per_client = ini.get_count("bricks", "jobs_per_client", 20);
   cfg.mean_interarrival = ini.get_duration("bricks", "interarrival", 10);
-  cfg.mean_ops = ini.get_double("bricks", "mean_ops", 2000);
+  cfg.mean_ops = facades::get_positive(ini, "bricks", "mean_ops", 2000);
   cfg.input_bytes = ini.get_size("bricks", "input", 10e6);
   cfg.output_bytes = ini.get_size("bricks", "output", 1e6);
   cfg.server_cores = static_cast<unsigned>(ini.get_count("bricks", "server_cores", 4));

@@ -17,9 +17,9 @@ FacadeRegistry::Study parse_chaos(const util::IniConfig& ini) {
   chaos::Config cfg;
   cfg.num_hosts = ini.get_count("chaos", "hosts", 8);
   cfg.cores = static_cast<unsigned>(ini.get_count("chaos", "cores", 1));
-  cfg.cpu_speed = ini.get_double("chaos", "cpu_speed", 1000);
+  cfg.cpu_speed = facades::get_positive(ini, "chaos", "cpu_speed", 1000);
   cfg.num_jobs = ini.get_count("chaos", "jobs", 1000);
-  cfg.mean_ops = ini.get_double("chaos", "mean_ops", 2000);
+  cfg.mean_ops = facades::get_positive(ini, "chaos", "mean_ops", 2000);
 
   const std::string h = ini.get_string("chaos", "heuristic", "fifo");
   facades::parse_enum("heuristic", h, middleware::kAllHeuristics, cfg.heuristic);

@@ -1,8 +1,23 @@
 #include "sim/facades/common.hpp"
 
+#include <cmath>
+
 #include "sim/parallel/execution.hpp"
+#include "util/strings.hpp"
 
 namespace lsds::sim::facades {
+
+double get_positive(const util::IniConfig& ini, const char* section, const char* key,
+                    double def) {
+  const double v = ini.get_double(section, key, def);
+  if (!(v > 0)) {
+    throw util::ConfigError(util::strformat("[%s] %s must be > 0 (got %g)", section, key, v));
+  }
+  if (!std::isfinite(v)) {
+    throw util::ConfigError(util::strformat("[%s] %s must be finite (got %g)", section, key, v));
+  }
+  return v;
+}
 
 core::QueueKind parse_queue(const std::string& s) {
   if (s == "sorted") return core::QueueKind::kSortedList;

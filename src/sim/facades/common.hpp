@@ -13,6 +13,11 @@
 
 namespace lsds::sim::facades {
 
+/// A rate or size that must be positive: throws ConfigError
+/// "[section] key must be > 0 (got v)" for zero, negative and NaN values
+/// and "... must be finite (got inf)" for infinities.
+double get_positive(const util::IniConfig& ini, const char* section, const char* key, double def);
+
 /// `[scenario] queue =` sorted | heap | splay | calendar | ladder.
 core::QueueKind parse_queue(const std::string& s);
 

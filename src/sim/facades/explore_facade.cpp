@@ -37,7 +37,7 @@ FacadeRegistry::Study parse_explore(const util::IniConfig& ini) {
 
   auto& scn = cfg.scenario;
   scn.hosts = ini.get_count("explore", "hosts", 2);
-  scn.speed = ini.get_double("explore", "speed", 1);
+  scn.speed = facades::get_positive(ini, "explore", "speed", 1);
   if (const std::string ops = ini.get_string("explore", "job_ops", ""); !ops.empty()) {
     scn.job_ops = parse_double_list(ops, "explore.job_ops");
   }

@@ -64,7 +64,7 @@ core::Process replicate_file(core::Engine& eng, Ctx& ctx, std::size_t file_idx,
       auto& t0 = ctx.grid->site(0);
       auto& dst = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
       co_await transfer(ctx.grid->net(), t0.node(), dst.node(), ctx.cfg->file_bytes);
-      dst.disk().store(util::strformat("raw%05zu", file_idx), ctx.cfg->file_bytes);
+      dst.disk().store(util::numbered("raw", file_idx, 5), ctx.cfg->file_bytes);
       ctx.delivered_bytes += ctx.cfg->file_bytes;
       ctx.last_delivery = eng.now();
       ++ctx.res->replicas_delivered;
@@ -84,7 +84,7 @@ core::Process replicate_file(core::Engine& eng, Ctx& ctx, std::size_t file_idx,
 core::Process production(core::Engine& eng, Ctx& ctx) {
   for (std::size_t i = 0; i < ctx.cfg->num_files; ++i) {
     co_await core::delay(eng, ctx.cfg->production_interval);
-    ctx.grid->site(0).disk().store(util::strformat("raw%05zu", i), ctx.cfg->file_bytes, true);
+    ctx.grid->site(0).disk().store(util::numbered("raw", i, 5), ctx.cfg->file_bytes, true);
     ++ctx.res->files_produced;
     ctx.produced_bytes += ctx.cfg->file_bytes * static_cast<double>(ctx.cfg->num_t1);
     ctx.record_backlog(eng);
@@ -93,7 +93,7 @@ core::Process production(core::Engine& eng, Ctx& ctx) {
       // Tape writes serialize FIFO behind the robots (StorageDevice head).
       const double produced_at = eng.now();
       ctx.grid->site(0).tape().write(
-          util::strformat("tape-raw%05zu", i), ctx.cfg->file_bytes, [&ctx, produced_at] {
+          util::numbered("tape-raw", i, 5), ctx.cfg->file_bytes, [&ctx, produced_at] {
             ++ctx.res->files_archived;
             ctx.res->archive_lag.add(ctx.grid->engine().now() - produced_at);
           });
@@ -113,7 +113,7 @@ core::Process t2_analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, hosts::Si
   auto& parent = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
   auto& t2 = ctx.grid->site(t2_site);
   co_await transfer(ctx.grid->net(), parent.node(), t2.node(), ctx.cfg->file_bytes);
-  t2.disk().store(util::strformat("raw%05zu", file_idx), ctx.cfg->file_bytes);
+  t2.disk().store(util::numbered("raw", file_idx, 5), ctx.cfg->file_bytes);
   const auto job_id = static_cast<hosts::JobId>(1000000 + t2_site * 100000 + file_idx);
   co_await compute(t2.cpu(), job_id,
                    eng.rng("monarc.t2").exponential(ctx.cfg->analysis_mean_ops));

@@ -3,8 +3,8 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "core/rng.hpp"
 #include "util/strings.hpp"
@@ -24,18 +24,20 @@ struct JobPlan {
   double ops = 0;
 };
 
-/// Per-T1 state, touched only by events on the owning LP.
+/// Per-T1 state, touched only by events on the owning LP. The per-file
+/// tables are indexed by file and sized at setup, before any LP runs, so
+/// no LP thread ever allocates in (or races on) another LP's state.
 struct T1Local {
-  std::map<std::size_t, double> arrived;          // file -> arrival time
-  std::map<std::size_t, const JobPlan*> waiting;  // file -> submitted-but-waiting job
-  std::vector<hosts::SiteId> children;            // T2 sites under this T1
+  std::vector<char> arrived;               // [file]: the replica landed here
+  std::vector<const JobPlan*> waiting;     // [file]: submitted job waiting for it
+  std::vector<hosts::SiteId> children;     // T2 sites under this T1
 };
 
 /// Per-T2 state, touched only by events on the owning LP.
 struct T2Local {
   hosts::SiteId parent = 0;
-  std::map<std::size_t, bool> avail;              // parent replica landed
-  std::map<std::size_t, const JobPlan*> waiting;  // file -> waiting pull
+  std::vector<char> avail;                 // [file]: the parent's replica landed
+  std::vector<const JobPlan*> waiting;     // [file]: pull waiting for that notice
 };
 
 struct Ctx {
@@ -45,7 +47,7 @@ struct Ctx {
   std::uint64_t files_produced = 0;
   std::uint64_t files_archived = 0;
   std::vector<T1Local> t1;                         // by T1 index
-  std::map<hosts::SiteId, T2Local> t2;             // by T2 site id
+  std::vector<T2Local> t2;                         // by site id; only T2 slots are set
   // Records appended only by the owner LP of the indexing site.
   std::vector<std::vector<TransferRecord>> site_transfers;  // by T1 index
   std::vector<std::vector<JobRecord>> site_jobs;            // by site id
@@ -72,7 +74,7 @@ void start_pull(Ctx& ctx, hosts::SiteId t2_site, const JobPlan& plan) {
   ctx.grid->post(t2_site, parent, req_at, [&ctx, parent, t2_site, bytes, &plan] {
     ctx.grid->transfer(parent, t2_site, bytes, [&ctx, t2_site, &plan] {
       auto& site = ctx.grid->site(t2_site);
-      site.disk().store(util::strformat("raw%05zu", plan.file), ctx.cfg->file_bytes);
+      site.disk().store(util::numbered("raw", plan.file, 5), ctx.cfg->file_bytes);
       site.cpu().submit(static_cast<hosts::JobId>(plan.id), plan.ops,
                         [&ctx, t2_site, &plan](hosts::JobId) {
                           ctx.site_jobs[t2_site].push_back({plan.id, t2_site, plan.submit,
@@ -143,7 +145,7 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
   // --- plans: every random draw happens HERE, in a fixed order, from
   // master-seed streams — partitioning can never perturb them. ------------
   std::vector<std::vector<JobPlan>> t1_plans(cfg.num_t1);   // [t1][file]
-  std::map<hosts::SiteId, std::vector<JobPlan>> t2_plans;   // per T2 site
+  std::vector<std::vector<JobPlan>> t2_plans(grid.site_count());  // [site id]
   if (cfg.run_analysis) {
     core::RngStream submits(grid.master_seed(), "tier.analysis");
     for (std::size_t i = 0; i < cfg.num_t1; ++i) {
@@ -173,10 +175,17 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
   ctx.cfg = &cfg;
   ctx.grid = &grid;
   ctx.t1.resize(cfg.num_t1);
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) ctx.t1[i].children = t2_sites[i];
+  ctx.t2.resize(grid.site_count());
   for (std::size_t i = 0; i < cfg.num_t1; ++i) {
+    T1Local& t1 = ctx.t1[i];
+    t1.children = t2_sites[i];
+    t1.arrived.resize(cfg.num_files);
+    t1.waiting.resize(cfg.num_files);
     for (hosts::SiteId t2 : t2_sites[i]) {
-      ctx.t2[t2].parent = t1_sites[i];
+      T2Local& local = ctx.t2[t2];
+      local.parent = t1_sites[i];
+      local.avail.resize(cfg.num_files);
+      local.waiting.resize(cfg.num_files);
     }
   }
   ctx.site_transfers.resize(cfg.num_t1);
@@ -186,31 +195,26 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
   for (std::size_t f = 0; f < cfg.num_files; ++f) {
     const double produced_at = cfg.production_interval * static_cast<double>(f + 1);
     grid.at(t0, produced_at, [&ctx, &grid, &cfg, t0, f, produced_at] {
-      grid.site(t0).disk().store(util::strformat("raw%05zu", f), cfg.file_bytes, true);
+      grid.site(t0).disk().store(util::numbered("raw", f, 5), cfg.file_bytes, true);
       ++ctx.files_produced;
       for (std::size_t i = 0; i < cfg.num_t1; ++i) {
         const auto dst = static_cast<hosts::SiteId>(1 + i);
         grid.transfer(t0, dst, cfg.file_bytes, [&ctx, &grid, i, dst, f, produced_at] {
           const double now = grid.now_of(dst);
-          grid.site(dst).disk().store(util::strformat("raw%05zu", f), ctx.cfg->file_bytes);
+          grid.site(dst).disk().store(util::numbered("raw", f, 5), ctx.cfg->file_bytes);
           T1Local& t1 = ctx.t1[i];
-          t1.arrived[f] = now;
+          t1.arrived[f] = 1;
           ctx.site_transfers[i].push_back({f, dst, produced_at, now});
-          if (auto it = t1.waiting.find(f); it != t1.waiting.end()) {
-            start_compute(ctx, i, *it->second);
-            t1.waiting.erase(it);
+          if (const JobPlan* plan = std::exchange(t1.waiting[f], nullptr)) {
+            start_compute(ctx, i, *plan);
           }
-          // Tell interested T2 children the replica landed (one path
-          // latency away — the GIS-style availability notice).
+          // Tell the T2 children the replica landed (one path latency
+          // away — the GIS-style availability notice).
           for (hosts::SiteId t2 : t1.children) {
-            const auto pit = ctx.t2.find(t2);
-            if (pit == ctx.t2.end()) continue;
             grid.post(dst, t2, now + grid.path_latency(dst, t2), [&ctx, t2, f] {
               T2Local& local = ctx.t2[t2];
-              local.avail[f] = true;
-              if (auto wit = local.waiting.find(f); wit != local.waiting.end()) {
-                const JobPlan* plan = wit->second;
-                local.waiting.erase(wit);
+              local.avail[f] = 1;
+              if (const JobPlan* plan = std::exchange(local.waiting[f], nullptr)) {
                 start_pull(ctx, t2, *plan);
               }
             });
@@ -218,7 +222,7 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
         });
       }
       if (cfg.archive_to_tape) {
-        grid.site(t0).tape().write(util::strformat("tape-raw%05zu", f), cfg.file_bytes,
+        grid.site(t0).tape().write(util::numbered("tape-raw", f, 5), cfg.file_bytes,
                                    [&ctx] { ++ctx.files_archived; });
       }
     });
@@ -231,7 +235,7 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
         const JobPlan& plan = t1_plans[i][f];
         grid.at(t1_sites[i], plan.submit, [&ctx, i, &plan] {
           T1Local& t1 = ctx.t1[i];
-          if (t1.arrived.count(plan.file)) {
+          if (t1.arrived[plan.file]) {
             start_compute(ctx, i, plan);
           } else {
             t1.waiting[plan.file] = &plan;
@@ -239,12 +243,12 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
         });
       }
     }
-    for (auto& [t2, plans] : t2_plans) {
-      for (const JobPlan& plan : plans) {
-        const hosts::SiteId t2_site = t2;
+    // Ascending site id, as the plans were drawn: each grid.at keeps its seq.
+    for (hosts::SiteId t2_site = 0; t2_site < t2_plans.size(); ++t2_site) {
+      for (const JobPlan& plan : t2_plans[t2_site]) {
         grid.at(t2_site, plan.submit, [&ctx, t2_site, &plan] {
           T2Local& local = ctx.t2[t2_site];
-          if (local.avail.count(plan.file)) {
+          if (local.avail[plan.file]) {
             start_pull(ctx, t2_site, plan);
           } else {
             local.waiting[plan.file] = &plan;

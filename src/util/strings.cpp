@@ -7,6 +7,17 @@
 
 namespace lsds::util {
 
+std::string numbered(std::string_view prefix, std::size_t n, std::size_t width) {
+  char digits[20];  // SIZE_MAX has 20 decimal digits
+  const std::size_t len =
+      static_cast<std::size_t>(std::to_chars(digits, digits + sizeof digits, n).ptr - digits);
+  const std::size_t pad = width > len ? width - len : 0;
+  std::string out;
+  out.reserve(prefix.size() + pad + len);
+  out.append(prefix).append(pad, '0').append(digits, len);
+  return out;
+}
+
 std::vector<std::string> split(std::string_view s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

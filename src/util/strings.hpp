@@ -27,6 +27,13 @@ std::string strformat(const char* fmt, Args&&... args) {
   }
 }
 
+/// `prefix` then `n` in decimal, zero-padded to at least `width` digits:
+/// the bytes of strformat("<prefix>%0<width>zu", n) without a printf call
+/// (numbered("raw", 7, 5) == "raw00007"). Per-file names are built on a
+/// model's hot path, where the two snprintf passes cost more than the rest
+/// of the catalog insert.
+std::string numbered(std::string_view prefix, std::size_t n, std::size_t width);
+
 /// Split `s` on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view s, char sep);
 

@@ -2,6 +2,10 @@
 // organizations (central and tier models).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -11,6 +15,7 @@
 #include "hosts/storage.hpp"
 #include "stats/analytical.hpp"
 #include "stats/summary.hpp"
+#include "util/strings.hpp"
 
 namespace core = lsds::core;
 namespace hosts = lsds::hosts;
@@ -259,6 +264,86 @@ TEST(Storage, WriteOverCapacityRejected) {
   hosts::StorageDevice disk(eng, "d", {100, 100, 100, 0});
   EXPECT_FALSE(disk.write("big", 200, nullptr));
   EXPECT_DOUBLE_EQ(disk.used(), 0.0);
+}
+
+// A store() of a name whose write is still pending is refused; accepting it
+// let the write's completion overwrite the stored entry and leak its bytes.
+TEST(Storage, StoreOfPendingWriteRejected) {
+  core::Engine eng;
+  hosts::StorageDevice disk(eng, "d", {1000, 100, 100, 0});
+  ASSERT_TRUE(disk.write("f", 300, nullptr));
+  EXPECT_FALSE(disk.store("f", 200));
+  EXPECT_DOUBLE_EQ(disk.used(), 300.0);
+  eng.run();
+  EXPECT_EQ(disk.file_count(), 1u);
+  EXPECT_DOUBLE_EQ(disk.used(), 300.0);
+}
+
+// The catalog that store() and write() build, and what they refuse, must not
+// depend on the order the names arrive in: sorted, reversed or shuffled.
+TEST(Storage, CatalogIsIndependentOfInsertOrder) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 24; ++i) names.push_back(lsds::util::numbered("raw", i, 5));
+  for (const char* n : {"f9", "f10", "f2", "a", "tape-raw00001", "z"}) names.emplace_back(n);
+  std::vector<std::string> ascending = names;
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<std::string> descending(ascending.rbegin(), ascending.rend());
+  std::vector<std::string> shuffled = names;
+  std::mt19937_64 gen(7);
+  std::shuffle(shuffled.begin(), shuffled.end(), gen);
+
+  struct Outcome {
+    std::map<std::string, std::vector<bool>> returns;  // by name, so order-free
+    std::vector<std::string> list, lru, lfu;
+    std::size_t files = 0;
+    double used = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  const auto bytes_of = [](const std::string& n) { return 10.0 + static_cast<double>(n.size()); };
+  const auto run = [&](const std::vector<std::string>& order) {
+    core::Engine eng;
+    double total = 0;
+    for (const auto& n : names) total += 2 * bytes_of(n);
+    hosts::StorageDevice disk(eng, "d", {total, 100, 100, 0});
+    Outcome o;
+    for (const auto& n : order) {
+      auto& r = o.returns[n];
+      r.push_back(disk.store(n, bytes_of(n), n == "raw00003"));
+      r.push_back(disk.store(n, 1));                  // duplicate
+      r.push_back(disk.write(n, 1, nullptr));         // stored already
+      r.push_back(disk.store("x" + n, total));        // over capacity
+      r.push_back(disk.write("w" + n, bytes_of(n), nullptr));
+      r.push_back(disk.write("w" + n, 1, nullptr));   // write pending
+      r.push_back(disk.store("w" + n, 1));            // write pending
+    }
+    // Every file ties on last_access; one read breaks the lfu tie for "a".
+    disk.read("a", nullptr);
+    const auto candidates = [&] {
+      o.lru.push_back(disk.lru_candidate().value_or("-"));
+      o.lfu.push_back(disk.lfu_candidate().value_or("-"));
+    };
+    candidates();
+    eng.run();  // the writes land: "w..." names become visible
+    candidates();
+    for (const auto& n : {"a", "f10", "raw00000"}) {
+      disk.evict(n);
+      candidates();
+    }
+    o.list = disk.list();
+    o.files = disk.file_count();
+    o.used = disk.used();
+    return o;
+  };
+  const Outcome want = run(ascending);
+  EXPECT_EQ(want.files, 2 * names.size() - 3);
+  EXPECT_EQ(want.list.front(), "f2");
+  EXPECT_EQ(want.lru.front(), "a");
+  EXPECT_EQ(want.lfu.front(), "f10");
+  for (const auto& [n, r] : want.returns) {
+    EXPECT_EQ(r, (std::vector<bool>{true, false, false, false, true, false, false})) << n;
+  }
+  EXPECT_TRUE(run(descending) == want) << "descending";
+  EXPECT_TRUE(run(shuffled) == want) << "shuffled";
 }
 
 TEST(Storage, MassStorageSpecHasMountLatency) {

@@ -522,29 +522,38 @@ TEST(RunReport, ObservedMonarcReportIsPinned) {
   pinned(*engine, "a6b0a075c55f5bba");
 }
 
-// The metrics of a parallel run, scenario_runner style: LP threads publish
-// their spans concurrently, and the report must not depend on which thread
-// got there first. A floating-point timer mean folded in arrival order
-// differed in its last digits between runs of lhc_parallel.ini.
-TEST(RunReport, ParallelMonarcMetricsAreIdenticalAcrossRuns) {
+// The shrunk lhc_parallel study, scenario_runner style, on 4 threads; its
+// report (trace_path empty: no JSONL trace) or its trace file.
+obs::RunReport run_parallel_monarc(const std::string& trace_path = "") {
   sim::register_builtin_facades();
   const auto* entry = sim::FacadeRegistry::global().find("monarc");
-  ASSERT_NE(entry, nullptr);
-  const auto run = [&] {
-    const auto ini = util::IniConfig::parse(
-        "[monarc]\nt1 = 9\nlink = 10Gbps\nfiles = 20\nfile_size = 20GB\ninterval = 40s\n"
-        "analysis = yes\nt2_per_t1 = 6\nt2_fraction = 0.3\narchive = yes\n"
-        "[execution]\nmode = parallel\nthreads = 4\npartition = metis-ish\n");
-    const auto study = entry->parse(ini);
-    ini.reject_unread();
-    core::Engine eng({.queue = core::QueueKind::kCalendarQueue, .seed = 2005});
-    obs::Options opts;
-    opts.enabled = true;
-    obs::Observability o(opts);
-    o.attach(eng);
-    obs::RunReport report;
-    EXPECT_EQ(study(eng, report), 0);
-    o.finalize(eng, report);
+  EXPECT_NE(entry, nullptr);
+  obs::RunReport report;
+  if (!entry) return report;
+  const auto ini = util::IniConfig::parse(
+      "[monarc]\nt1 = 9\nlink = 10Gbps\nfiles = 20\nfile_size = 20GB\ninterval = 40s\n"
+      "analysis = yes\nt2_per_t1 = 6\nt2_fraction = 0.3\narchive = yes\n"
+      "[execution]\nmode = parallel\nthreads = 4\npartition = metis-ish\n");
+  const auto study = entry->parse(ini);
+  ini.reject_unread();
+  core::Engine eng({.queue = core::QueueKind::kCalendarQueue, .seed = 2005});
+  obs::Options opts;
+  opts.enabled = true;
+  opts.trace_path = trace_path;
+  obs::Observability o(opts);
+  o.attach(eng);
+  EXPECT_EQ(study(eng, report), 0);
+  o.finalize(eng, report);
+  return report;
+}
+
+// The metrics of a parallel run: LP threads publish their spans
+// concurrently, and the report must not depend on which thread got there
+// first. A floating-point timer mean folded in arrival order differed in its
+// last digits between runs of lhc_parallel.ini.
+TEST(RunReport, ParallelMonarcMetricsAreIdenticalAcrossRuns) {
+  const auto run = [] {
+    const obs::RunReport report = run_parallel_monarc();
     const obs::Json* metrics = report.root().find("metrics");
     EXPECT_NE(metrics, nullptr);
     return metrics ? metrics->dump(0) : std::string();
@@ -552,6 +561,30 @@ TEST(RunReport, ParallelMonarcMetricsAreIdenticalAcrossRuns) {
   const std::string first = run();
   EXPECT_NE(first.find("span.job.duration_s"), std::string::npos) << first;
   for (int i = 0; i < 2; ++i) EXPECT_EQ(run(), first);
+}
+
+// The JSONL trace of the same run: spans published inside LP windows are
+// written LP by LP, so the file's bytes do not depend on how the host
+// scheduled the LP threads.
+TEST(RunReport, ParallelTraceIsIdenticalAcrossRuns) {
+  const std::string path = ::testing::TempDir() + "obs_parallel_trace.jsonl";
+  const auto run = [&] {
+    const obs::RunReport report = run_parallel_monarc(path);
+    const obs::Json* trace = report.root().find("trace");
+    const obs::Json* records = trace ? trace->find("records") : nullptr;
+    EXPECT_NE(records, nullptr);
+    if (records) {
+      EXPECT_GT(records->as_int(), 500);
+    }
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  const std::string first = run();
+  EXPECT_NE(first.find("\"kind\":\"job\""), std::string::npos);
+  for (int i = 0; i < 2; ++i) EXPECT_EQ(run(), first);
+  std::remove(path.c_str());
 }
 
 // --- sampled queue timing ----------------------------------------------------

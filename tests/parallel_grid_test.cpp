@@ -14,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "core/rng.hpp"
 #include "hosts/parallel_grid.hpp"
 #include "sim/parallel/bag_model.hpp"
 #include "sim/parallel/execution.hpp"
@@ -158,6 +159,28 @@ TEST(ParallelTier, HorizonCutIdenticalAcrossModes) {
   const auto p = parallel::run_tier(cfg, par(4, 2));
   EXPECT_EQ(serial.trace(), p.trace());
   EXPECT_LT(serial.replicas_delivered, cfg.num_files * cfg.num_t1);
+}
+
+TEST(ParallelTier, ResultsPinnedFromParent) {
+  // The serial-vs-parallel tests above compare the model with itself, so a
+  // change that moves both sides passes them. These FNV-1a digests of
+  // TierResult::trace() were recorded before the per-file state moved from
+  // maps to indexed tables; any model change moves them.
+  auto cfg = small_tier();
+  cfg.num_t1 = 9;
+  cfg.t2_per_t1 = 6;  // 64 sites, T2 pulls and tape archive on
+  cfg.num_files = 12;
+  const auto serial = parallel::run_tier(cfg, {});
+  const auto p = parallel::run_tier(cfg, par(4, 4));
+  ASSERT_TRUE(p.exec.parallel);
+  EXPECT_EQ(lsds::core::fnv1a(serial.trace()), 0x7bc29812e967145ull);
+  EXPECT_EQ(lsds::core::fnv1a(p.trace()), 0x7bc29812e967145ull);
+
+  cfg.horizon = 33.0;  // cut with T1 and T2 jobs still waiting for replicas
+  EXPECT_EQ(lsds::core::fnv1a(parallel::run_tier(cfg, par(4, 2)).trace()), 0x1e1f5e1b66ea6a0eull);
+  auto cut = small_tier();
+  cut.horizon = 22.0;
+  EXPECT_EQ(lsds::core::fnv1a(parallel::run_tier(cut, par(4, 2)).trace()), 0xd7733dc26b470062ull);
 }
 
 TEST(ParallelTier, FailureInjectionRejected) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -27,6 +28,31 @@ TEST(Strings, FormatBasic) {
   EXPECT_EQ(u::strformat("x=%d y=%.1f", 3, 2.5), "x=3 y=2.5");
   EXPECT_EQ(u::strformat("plain"), "plain");
   EXPECT_EQ(u::strformat("%s!", "hi"), "hi!");
+}
+
+// numbered() replaces strformat("<prefix>%0<width>zu", n) at the per-file
+// name sites, so it must give the same bytes for every n, including numbers
+// wider than the padding.
+TEST(Strings, NumberedMatchesStrformat) {
+  for (const std::string prefix : {"", "raw", "tape-raw"}) {
+    for (std::size_t width = 0; width <= 8; ++width) {
+      const std::string fmt =
+          prefix + "%0" + (width ? std::to_string(width) : std::string()) + "zu";
+      const auto check = [&](std::size_t n) {
+        const std::string want = u::strformat(fmt.c_str(), n);
+        if (u::numbered(prefix, n, width) == want) return true;
+        ADD_FAILURE() << "numbered(\"" << prefix << "\", " << n << ", " << width << ") != \""
+                      << want << "\"";
+        return false;
+      };
+      for (std::size_t n = 0; n < 200000; ++n) {
+        if (!check(n)) break;
+      }
+      check(123456789);
+      check(SIZE_MAX);
+    }
+  }
+  EXPECT_EQ(u::numbered("raw", 7, 5), "raw00007");
 }
 
 TEST(Strings, SplitKeepsEmptyFields) {
