@@ -55,11 +55,11 @@ EventHandle Engine::reserve_at(SimTime t) {
 
 EventHandle Engine::schedule_reserved(const EventHandle& key, EventFn fn) {
   assert(key.valid() && key.id < next_seq_ && key.time >= now_ && key.slot == kNoSlot);
-  if (tags_enabled_ && exec_tag_ != 0) tags_[key.id] = exec_tag_;
   const std::uint32_t i = acquire_slot();
   Slot& s = slot(i);
   s.fn = std::move(fn);
   s.seq = key.id;
+  if (tags_enabled_) tags_[i] = exec_tag_;
   push_record(EventRecord{key.time, key.id, i});
   ++stats_.scheduled;
   return EventHandle{key.id, key.time, i};
@@ -74,6 +74,7 @@ std::uint32_t Engine::acquire_slot() {
   if ((slot_count_ & kPageMask) == 0) {
     assert(slot_count_ < kNoSlot - kPageMask && "event slab exhausted");
     pages_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kPageBits));
+    if (tags_enabled_) tags_.resize(pages_.size() << kPageBits);
   }
   return slot_count_++;
 }
@@ -85,16 +86,11 @@ void Engine::release_slot(std::uint32_t i) {
   free_.push_back(i);
 }
 
-std::uint32_t Engine::event_tag(EventId id) const {
-  auto it = tags_.find(id);
-  return it == tags_.end() ? 0 : it->second;
-}
-
 void Engine::set_probe(EngineProbe* probe) {
   const std::uint32_t stride = probe ? probe->queue_stride() : 1;
-  assert(stride != 0 && (stride & (stride - 1)) == 0 && "queue_stride() must be a power of two");
+  assert((stride & (stride - 1)) == 0 && "queue_stride() must be a power of two or 0");
   probe_ = probe;
-  queue_mask_ = stride - 1;
+  queue_mask_ = std::uint64_t{stride} - 1;
   pushes_ = 0;
   pops_ = 0;
 }
@@ -118,12 +114,8 @@ void Engine::push_record(EventRecord rec) {
 }
 
 bool Engine::cancel(const EventHandle& h) {
-  // The slot's stamp is the whole check: it matches only while the event is
-  // queued. It is 0 (or another event's seq) once the event runs, is
-  // cancelled or the slot is reused, and a reservation owns no slot.
-  if (!h.valid() || h.slot >= slot_count_ || slot(h.slot).seq != h.id) return false;
+  if (!queued(h)) return false;
   release_slot(h.slot);
-  if (tags_enabled_) tags_.erase(h.id);
   ++dead_keys_;
   ++stats_.cancelled;
   return true;
@@ -132,23 +124,17 @@ bool Engine::cancel(const EventHandle& h) {
 void Engine::execute(const EventRecord& ev) {
   assert(ev.time + kTimeEpsilon >= now_ && "event queue returned an event out of order");
   now_ = ev.time;
-  if (trace_hook_) trace_hook_(ev.time, ev.seq);
+  // Events scheduled by the body inherit ev's tag unless a TagScope
+  // overrides it; the probe already reads it as current_tag().
+  if (tags_enabled_) exec_tag_ = tags_[ev.slot];
   if (probe_) probe_->on_event(ev.time, ev.seq);
   ++stats_.executed;
   // Run the body in place: pages never move, so events it schedules cannot
   // relocate it. Unstamping first makes the running event uncancellable.
   Slot& s = slot(ev.slot);
   s.seq = 0;
-  if (tags_enabled_) {
-    // Events scheduled by the body inherit ev's tag unless a TagScope
-    // overrides it; the tag entry retires with the event.
-    exec_tag_ = event_tag(ev.seq);
-    s.fn();
-    exec_tag_ = 0;
-    tags_.erase(ev.seq);
-  } else {
-    s.fn();
-  }
+  s.fn();
+  if (tags_enabled_) exec_tag_ = 0;
   release_slot(ev.slot);
 }
 
@@ -187,7 +173,9 @@ bool Engine::step_with_choice() {
   std::size_t pick = 0;
   if (tied.size() > 1) {
     tied_scratch_.clear();
-    for (const EventRecord& ev : tied) tied_scratch_.push_back(ev.seq);
+    for (const EventRecord& ev : tied) {
+      tied_scratch_.push_back({ev.seq, tags_enabled_ ? tags_[ev.slot] : 0});
+    }
     pick = choice_hook_(tied.front().time, tied_scratch_);
     assert(pick < tied.size() && "choice hook returned an out-of-range index");
     if (pick >= tied.size()) pick = 0;

@@ -19,7 +19,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/event.hpp"
@@ -155,52 +154,53 @@ class Engine {
   /// heterogeneous, so a string literal builds no temporary std::string.
   RngStream& rng(std::string_view name);
 
-  // --- determinism hook ---------------------------------------------------
-
-  /// Called before each executed event; used by tests to assert that two
-  /// runs with equal seeds produce identical (time, seq) traces.
-  using TraceHook = std::function<void(SimTime, EventId)>;
-  void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
-
   // --- choice points (exhaustive exploration, src/mc/) ---------------------
 
+  /// One event of a timestamp tie, as the choice hook sees it.
+  struct TiedEvent {
+    EventId id = 0;
+    std::uint32_t tag = 0;  // entity tag, 0 while tags are off
+    bool operator==(const TiedEvent&) const = default;
+  };
   /// Strategy for ordering simultaneous events. When two or more pending
   /// events are tied at the minimum timestamp, step() surfaces their ids
-  /// (ascending seq — today's FIFO execution order) and executes the one at
-  /// the returned index; the rest are requeued unchanged. With no hook set
-  /// the engine runs its normal pop-min path and is byte-identical to
-  /// before this hook existed; a hook returning 0 reproduces that order
-  /// exactly. The hook only drives step() (and run(), which steps) — the
-  /// windowed primitives of the parallel engine never branch.
-  using ChoiceFn = std::function<std::size_t(SimTime, const std::vector<EventId>&)>;
+  /// and tags (ascending seq — today's FIFO execution order) and executes
+  /// the one at the returned index; the rest are requeued unchanged. With
+  /// no hook set the engine runs its normal pop-min path; a hook returning
+  /// 0 reproduces that order exactly. The hook only drives step() (and
+  /// run(), which steps) — the windowed primitives never branch.
+  using ChoiceFn = std::function<std::size_t(SimTime, const std::vector<TiedEvent>&)>;
   void set_choice_hook(ChoiceFn fn) { choice_hook_ = std::move(fn); }
-  bool has_choice_hook() const { return static_cast<bool>(choice_hook_); }
 
   // --- event entity tags (exhaustive exploration, src/mc/) -----------------
 
   /// When enabled, every scheduled event carries a 32-bit entity tag:
-  /// whatever current_tag() was at schedule time. During event execution
-  /// current_tag() defaults to the executing event's own tag, so causal
-  /// chains inherit their origin's tag; model code marks per-entity roots
-  /// with TagScope. Tag 0 means "untagged" and is treated as dependent on
-  /// everything — tags are an *assumption* the sleep-set pruning of
-  /// mc::Explorer relies on, so only tag chains that genuinely touch
-  /// disjoint state. Off by default: the hot path stays untouched.
-  void enable_event_tags() { tags_enabled_ = true; }
-  bool event_tags_enabled() const { return tags_enabled_; }
-  /// Tag recorded for a pending (or currently executing) event; 0 when
-  /// untagged or already retired.
-  std::uint32_t event_tag(EventId id) const;
+  /// whatever current_tag() was at schedule time, kept in a per-slot array
+  /// beside the event slab. While an event runs (from its probe's on_event
+  /// on) current_tag() is the event's own tag, so causal chains inherit
+  /// their origin's tag; model code marks per-entity roots with TagScope.
+  /// Tag 0 means "untagged" and is treated as dependent on everything —
+  /// tags are an *assumption* the sleep-set pruning of mc::Explorer relies
+  /// on, so only tag chains that genuinely touch disjoint state. Off by
+  /// default: an untagged run keeps no array.
+  void enable_event_tags() {
+    tags_enabled_ = true;
+    tags_.resize(pages_.size() << kPageBits);
+  }
+  /// Tag of `h` while it is queued; 0 once it runs or is cancelled, for a
+  /// reservation, and while tags are off.
+  std::uint32_t event_tag(const EventHandle& h) const {
+    return tags_enabled_ && queued(h) ? tags_[h.slot] : 0;
+  }
   std::uint32_t current_tag() const { return exec_tag_; }
   void set_current_tag(std::uint32_t tag) { exec_tag_ = tag; }
 
   // --- observation probe ---------------------------------------------------
 
-  /// Attach (or detach with nullptr) the observation probe (core/probe.hpp).
-  /// The probe must outlive the engine or be detached first. Independent of
-  /// the trace hook, so tests can trace an observed engine. Reads the
-  /// probe's queue_stride() (a power of two) and restarts the push/pop
-  /// sampling counts.
+  /// Attach (or detach with nullptr) the observation probe (core/probe.hpp),
+  /// the engine's one per-event seam. The probe must outlive the engine or
+  /// be detached first. Reads the probe's queue_stride() (a power of two,
+  /// or 0 for none) and restarts the push/pop sampling counts.
   void set_probe(EngineProbe* probe);
   EngineProbe* probe() const { return probe_; }
 
@@ -236,6 +236,13 @@ class Engine {
 
   SimTime quantize(SimTime t) const;
   Slot& slot(std::uint32_t i) { return pages_[i >> kPageBits][i & kPageMask]; }
+  /// The slot's stamp is the whole check: it matches only while the event
+  /// is queued. It is 0 (or another event's seq) once the event runs, is
+  /// cancelled or the slot is reused, and a reservation owns no slot.
+  bool queued(const EventHandle& h) const {
+    return h.valid() && h.slot < slot_count_ &&
+           pages_[h.slot >> kPageBits][h.slot & kPageMask].seq == h.id;
+  }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t i);
   /// queue_->pop() / push(), wall-clock timed on every stride-th operation
@@ -248,7 +255,7 @@ class Engine {
   /// step() with the choice hook installed: collect the timestamp tie,
   /// let the strategy pick, requeue the rest.
   bool step_with_choice();
-  /// Run the live event `ev` in place in its slot with trace/probe/tag
+  /// Run the live event `ev` in place in its slot with probe/tag
   /// bookkeeping, then free the slot (shared by every drain path).
   void execute(const EventRecord& ev);
 
@@ -265,14 +272,13 @@ class Engine {
   double quantum_;
   std::uint64_t max_events_;
   std::map<std::string, RngStream, std::less<>> streams_;
-  TraceHook trace_hook_;
   ChoiceFn choice_hook_;
   bool tags_enabled_ = false;
   std::uint32_t exec_tag_ = 0;
-  std::unordered_map<EventId, std::uint32_t> tags_;
-  std::vector<EventId> tied_scratch_;  // choice-point id list, reused
+  std::vector<std::uint32_t> tags_;  // slot -> entity tag, while tags are on
+  std::vector<TiedEvent> tied_scratch_;  // choice-point tie list, reused
   EngineProbe* probe_ = nullptr;
-  std::uint64_t queue_mask_ = 0;  // probe's queue_stride() - 1
+  std::uint64_t queue_mask_ = 0;  // probe's queue_stride() - 1, all ones for 0
   std::uint64_t pushes_ = 0;      // pushes / pops since set_probe, for the stride
   std::uint64_t pops_ = 0;
   std::vector<Entity*> entities_;  // slot = id; nullptr after unregister

@@ -1,20 +1,18 @@
-// Engine observation probe: the instrumentation seam of the core engine.
+// Engine observation probe: the one per-event seam of the core engine.
 //
-// A probe sees every executed event plus wall-clock timings of the pending-
-// set operations — the raw feed behind the observability layer's engine
-// profiler (events/sec, queue-op latency) and metric sampling cadence.
-// Queue timing may be sampled: a probe whose queue_stride() is N sees one
-// push in every N pushes and one pop in every N pops, so its queue-op
-// summaries describe a 1-in-N sample and their counts are sample counts.
-// Exactly one probe may be attached per Engine (Engine::set_probe); when
-// none is attached every hook site reduces to a single predictable branch
-// on a null pointer, so an unobserved run pays nothing measurable and a
-// probe can never perturb the event trace: it observes, it does not
-// schedule.
-//
-// This is distinct from Engine::TraceHook, which the determinism test suite
-// owns: tests can hold a (time, seq) trace hook on an *observed* engine and
-// assert the trace matches an unobserved run's.
+// A probe sees every executed event (clock at the event time and, with tags
+// on, current_tag() the event's tag) and, if it asks, wall-clock timings of
+// pending-set operations: the feed behind the observability layer's engine
+// profiler and sampling cadence, and how tests, benches and mc::Explorer
+// record a (time, seq) trace. Queue timing is sampled: a probe whose
+// queue_stride() is N sees one push in every N pushes and one pop in every
+// N pops, so its queue-op counts are sample counts; stride 0 times none, so
+// a probe that watches only events reads no clock. Exactly one probe may be
+// attached per Engine (Engine::set_probe); when none is, every hook site is
+// a single predictable branch on a null pointer. A probe observes and never
+// schedules, so it cannot perturb the event trace. To trace an engine that
+// obs::Observability already observes, attach a probe that records each
+// event and forwards all four calls, queue_stride() included, to it.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +32,15 @@ class EngineProbe {
 
   /// Wall-clock nanoseconds of one pending-set push; `pending` is the set
   /// size after the push.
-  virtual void on_queue_push(std::uint64_t ns, std::size_t pending) = 0;
+  virtual void on_queue_push(std::uint64_t /*ns*/, std::size_t /*pending*/) {}
 
   /// Wall-clock nanoseconds of one pending-set pop.
-  virtual void on_queue_pop(std::uint64_t ns) = 0;
+  virtual void on_queue_pop(std::uint64_t /*ns*/) {}
 
-  /// Queue-timing stride, a power of two read once by Engine::set_probe:
-  /// the engine times (and reports) only every stride-th push and every
-  /// stride-th pop, counted separately from the attach. The default of 1
-  /// times every operation.
+  /// Queue-timing stride, a power of two or 0, read once by
+  /// Engine::set_probe: the engine times (and reports) only every
+  /// stride-th push and every stride-th pop, counted separately from the
+  /// attach, and none at all for 0. The default of 1 times every operation.
   virtual std::uint32_t queue_stride() const { return 1; }
 };
 

@@ -10,22 +10,33 @@ namespace {
 /// non-zero tags and the tags differ. Tag 0 = untagged = dependent on
 /// everything, the conservative default.
 bool conflicts(std::uint32_t a, std::uint32_t b) { return a == 0 || b == 0 || a == b; }
+
+/// Records a replay's (time, seq) trace.
+struct TraceRecorder final : core::EngineProbe {
+  explicit TraceRecorder(std::vector<std::pair<double, core::EventId>>& out) : trace(out) {}
+  void on_event(core::SimTime t, core::EventId id) override { trace.emplace_back(t, id); }
+  std::uint32_t queue_stride() const override { return 0; }
+  std::vector<std::pair<double, core::EventId>>& trace;
+};
 }  // namespace
 
 ReplayOutcome replay_schedule(const ModelFactory& factory, const core::Engine::Config& engine_cfg,
                               const Invariants& invariants,
                               const std::vector<core::EventId>& schedule,
                               std::uint64_t step_budget) {
+  ReplayOutcome out;
+  TraceRecorder recorder(out.trace);
   core::Engine eng(engine_cfg);
   std::unique_ptr<Model> model = factory(eng);
-  ReplayOutcome out;
   std::size_t k = 0;
-  eng.set_trace_hook([&out](core::SimTime t, core::EventId id) { out.trace.emplace_back(t, id); });
-  eng.set_choice_hook([&schedule, &k](core::SimTime, const std::vector<core::EventId>& ids) {
+  eng.set_probe(&recorder);
+  eng.set_choice_hook([&schedule, &k](core::SimTime,
+                                      const std::vector<core::Engine::TiedEvent>& tied) {
     std::size_t pick = 0;
     if (k < schedule.size() && schedule[k] != 0) {
-      auto it = std::find(ids.begin(), ids.end(), schedule[k]);
-      if (it != ids.end()) pick = static_cast<std::size_t>(it - ids.begin());
+      auto it = std::find_if(tied.begin(), tied.end(),
+                             [&](const core::Engine::TiedEvent& e) { return e.id == schedule[k]; });
+      if (it != tied.end()) pick = static_cast<std::size_t>(it - tied.begin());
     }
     ++k;
     return pick;
@@ -83,6 +94,7 @@ Explorer::ExecStatus Explorer::run_one() {
   core::Engine eng(engine_cfg_);
   if (cfg_.sleep_sets) eng.enable_event_tags();
   std::unique_ptr<Model> model = factory_(eng);
+  engine_ = &eng;
   model_ = model.get();
   depth_ = 0;
   aborting_ = false;
@@ -90,9 +102,9 @@ Explorer::ExecStatus Explorer::run_one() {
   run_choices_.clear();
   trace_.clear();
 
-  eng.set_trace_hook([this, &eng](core::SimTime t, core::EventId id) { on_exec(eng, t, id); });
-  eng.set_choice_hook([this, &eng](core::SimTime t, const std::vector<core::EventId>& ids) {
-    return on_choice(eng, t, ids);
+  eng.set_probe(this);
+  eng.set_choice_hook([this](core::SimTime t, const std::vector<core::Engine::TiedEvent>& tied) {
+    return on_choice(t, tied);
   });
 
   ExecStatus status = ExecStatus::kCompleted;
@@ -122,12 +134,13 @@ Explorer::ExecStatus Explorer::run_one() {
       status = ExecStatus::kViolation;
     }
   }
+  engine_ = nullptr;
   model_ = nullptr;
   return status;
 }
 
-std::size_t Explorer::on_choice(core::Engine& eng, core::SimTime t,
-                                const std::vector<core::EventId>& ids) {
+std::size_t Explorer::on_choice(core::SimTime t,
+                                const std::vector<core::Engine::TiedEvent>& tied) {
   if (aborting_) return 0;
 
   if (depth_ < path_.size()) {
@@ -135,15 +148,16 @@ std::size_t Explorer::on_choice(core::Engine& eng, core::SimTime t,
     // this branch entered with (entry sleep + already-explored siblings —
     // the classic "t joins Sleep after its subtree" rule).
     Node& n = path_[depth_];
-    assert(ids == n.candidates && "non-deterministic replay: tie set changed");
+    assert(tied == n.candidates && "non-deterministic replay: tie set changed");
     if (cfg_.sleep_sets) {
       sleep_.clear();
       sleep_.insert(n.sleep_entry.begin(), n.sleep_entry.end());
       for (std::size_t i = 0; i < n.candidates.size(); ++i) {
-        if (n.explored[i] && i != n.current) sleep_.emplace(n.candidates[i], n.tags[i]);
+        const core::Engine::TiedEvent& c = n.candidates[i];
+        if (n.explored[i] && i != n.current) sleep_.emplace(c.id, c.tag);
       }
     }
-    run_choices_.push_back(n.candidates[n.current]);
+    run_choices_.push_back(n.candidates[n.current].id);
     ++depth_;
     return n.current;
   }
@@ -160,32 +174,30 @@ std::size_t Explorer::on_choice(core::Engine& eng, core::SimTime t,
     ++res_.states_hashed;
     core::StateHash h;
     h.mix(t);
-    h.mix(static_cast<std::uint64_t>(eng.pending()));
-    h.mix(eng.stats().scheduled);
-    for (core::EventId id : ids) h.mix(static_cast<std::uint64_t>(id));
+    h.mix(static_cast<std::uint64_t>(engine_->pending()));
+    h.mix(engine_->stats().scheduled);
+    for (const core::Engine::TiedEvent& e : tied) h.mix(static_cast<std::uint64_t>(e.id));
     model_->hash_state(h);
     if (!visited_.insert(h.value()).second) {
       // Same state reached through a different ordering: its subtree was
       // already explored from the first visit.
       ++res_.hash_pruned;
       aborting_ = true;
-      eng.stop();
+      engine_->stop();
       return 0;
     }
     if (cfg_.max_states && visited_.size() >= cfg_.max_states) res_.state_capped = true;
   }
 
   Node n;
-  n.candidates = ids;
-  n.tags.reserve(ids.size());
-  for (core::EventId id : ids) n.tags.push_back(cfg_.sleep_sets ? eng.event_tag(id) : 0);
-  n.explored.assign(ids.size(), false);
+  n.candidates = tied;
+  n.explored.assign(tied.size(), false);
   if (cfg_.sleep_sets) {
     n.sleep_entry.assign(sleep_.begin(), sleep_.end());
     // A candidate already asleep is redundant here by construction — its
     // ordering with everything it commutes with is covered elsewhere.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (sleep_.count(ids[i])) {
+    for (std::size_t i = 0; i < tied.size(); ++i) {
+      if (sleep_.count(tied[i].id)) {
         n.explored[i] = true;
         ++res_.sleep_pruned;
       }
@@ -201,19 +213,19 @@ std::size_t Explorer::on_choice(core::Engine& eng, core::SimTime t,
   if (first == n.candidates.size()) {
     // Every candidate asleep: the whole continuation is redundant.
     aborting_ = true;
-    eng.stop();
+    engine_->stop();
     return 0;
   }
   n.current = first;
   ++res_.choice_points;
   res_.max_depth_seen = std::max<std::uint64_t>(res_.max_depth_seen, path_.size() + 1);
-  run_choices_.push_back(n.candidates[first]);
+  run_choices_.push_back(n.candidates[first].id);
   path_.push_back(std::move(n));
   ++depth_;
   return first;
 }
 
-void Explorer::on_exec(core::Engine& eng, core::SimTime t, core::EventId id) {
+void Explorer::on_event(core::SimTime t, core::EventId id) {
   trace_.emplace_back(t, id);
   if (aborting_ || !cfg_.sleep_sets) return;
   if (sleep_.count(id)) {
@@ -222,10 +234,10 @@ void Explorer::on_exec(core::Engine& eng, core::SimTime t, core::EventId id) {
     // event — single events bypass the choice hook.)
     ++res_.sleep_pruned;
     aborting_ = true;
-    eng.stop();
+    engine_->stop();
     return;
   }
-  const std::uint32_t tag = eng.event_tag(id);
+  const std::uint32_t tag = engine_->current_tag();
   if (tag == 0) {
     // Untagged events conflict with everything: wake the whole set.
     sleep_.clear();

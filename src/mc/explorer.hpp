@@ -12,7 +12,8 @@
 // Mechanics:
 //   * Choice points come from Engine::set_choice_hook — whenever >= 2 live
 //     events are tied at the minimum timestamp, the hook picks which runs
-//     first. Index 0 reproduces the engine's normal FIFO order, so the
+//     first. The explorer is also the engine's probe (core/probe.hpp), so
+//     it sees every executed event. Index 0 reproduces the engine's normal FIFO order, so the
 //     first execution of any exploration is byte-identical to a plain run.
 //   * Backtracking is replay-based: the engine has no state snapshots, so
 //     the explorer re-runs the scenario from t = 0 (fresh Engine + Model
@@ -23,7 +24,8 @@
 //     execution — its subtree was already explored from the first visit.
 //     Classic hash compaction: a collision can only over-prune.
 //   * Sleep sets (Godefroid): candidates carry entity tags
-//     (Engine::enable_event_tags); two events with different non-zero tags
+//     (Engine::enable_event_tags), handed over with the tie and read off
+//     current_tag() as each event runs; two events with different non-zero tags
 //     commute, so of their two orderings only one is explored. After
 //     exploring branch t at a node, t joins the sleep set for the node's
 //     later branches; executing an event that conflicts with a sleeping
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/probe.hpp"
 #include "mc/invariants.hpp"
 #include "mc/model.hpp"
 
@@ -113,7 +116,7 @@ ReplayOutcome replay_schedule(const ModelFactory& factory, const core::Engine::C
                               const std::vector<core::EventId>& schedule,
                               std::uint64_t step_budget = 200000);
 
-class Explorer {
+class Explorer : private core::EngineProbe {
  public:
   Explorer(ModelFactory factory, core::Engine::Config engine_cfg, Invariants invariants,
            ExploreConfig cfg);
@@ -124,8 +127,7 @@ class Explorer {
   /// One DFS node: the tie set at a branching choice point, which branches
   /// were already explored, and the sleep set on entry (for replay).
   struct Node {
-    std::vector<core::EventId> candidates;  // ascending seq (default order first)
-    std::vector<std::uint32_t> tags;
+    std::vector<core::Engine::TiedEvent> candidates;  // ascending seq (default order first)
     std::vector<std::pair<core::EventId, std::uint32_t>> sleep_entry;
     std::vector<bool> explored;
     std::size_t current = 0;
@@ -135,9 +137,10 @@ class Explorer {
 
   ExecStatus run_one();
   bool advance_path();
-  std::size_t on_choice(core::Engine& eng, core::SimTime t,
-                        const std::vector<core::EventId>& ids);
-  void on_exec(core::Engine& eng, core::SimTime t, core::EventId id);
+  std::size_t on_choice(core::SimTime t, const std::vector<core::Engine::TiedEvent>& tied);
+  /// Records the trace and updates the sleep set as each event runs.
+  void on_event(core::SimTime t, core::EventId id) override;
+  std::uint32_t queue_stride() const override { return 0; }
   void record_violation(double time, const std::string& invariant, const std::string& message);
   void minimize(Violation& v) const;
 
@@ -152,6 +155,7 @@ class Explorer {
   ExploreResult res_;
 
   // Per-execution state.
+  core::Engine* engine_ = nullptr;
   Model* model_ = nullptr;
   std::size_t depth_ = 0;  // choice points consumed this execution
   bool aborting_ = false;

@@ -12,8 +12,10 @@
 #include "core/engine.hpp"
 #include "core/entity.hpp"
 #include "core/probe.hpp"
+#include "event_probe.hpp"
 
 namespace core = lsds::core;
+using lsds::testutil::EventProbe;
 
 TEST(Engine, StartsAtZero) {
   core::Engine eng;
@@ -335,9 +337,10 @@ namespace {
 // delays. Returns the (time, seq) trace.
 std::vector<std::pair<double, core::EventId>> run_cascade(core::QueueKind kind,
                                                           std::uint64_t seed) {
-  core::Engine eng({.queue = kind, .seed = seed});
   std::vector<std::pair<double, core::EventId>> trace;
-  eng.set_trace_hook([&](double t, core::EventId id) { trace.emplace_back(t, id); });
+  EventProbe probe([&](double t, core::EventId id) { trace.emplace_back(t, id); });
+  core::Engine eng({.queue = kind, .seed = seed});
+  eng.set_probe(&probe);
   auto& rng = eng.rng("cascade");
   int budget = 2000;
   std::function<void()> node = [&] {
@@ -398,8 +401,6 @@ using Trace = std::vector<std::pair<double, core::EventId>>;
 // executed (time, seq) trace.
 Trace run_slot_fuzz(core::QueueKind kind, std::uint64_t seed) {
   enum class State : char { kQueued, kRunning, kRan, kCancelled, kReserved };
-  core::Engine eng({.queue = kind, .seed = seed});
-  auto& rng = eng.rng("slot-fuzz");
   Trace trace;
   std::vector<core::EventHandle> handles;  // every queued handle, in issue order
   std::vector<core::EventHandle> reserved;  // keys not queued yet
@@ -407,11 +408,14 @@ Trace run_slot_fuzz(core::QueueKind kind, std::uint64_t seed) {
   std::unordered_map<std::uint32_t, core::EventId> slot_owner;  // slot -> queued event
   std::uint64_t cancels = 0, stale_slot_cancels = 0;
   int budget = 4000;
-  eng.set_trace_hook([&](double t, core::EventId id) {
+  EventProbe probe([&](double t, core::EventId id) {
     trace.emplace_back(t, id);
     EXPECT_EQ(state[id], State::kQueued) << "seq " << id << " ran but was not queued";
     state[id] = State::kRunning;
   });
+  core::Engine eng({.queue = kind, .seed = seed});
+  eng.set_probe(&probe);
+  auto& rng = eng.rng("slot-fuzz");
 
   std::function<void()> body;
   const auto issue = [&](core::EventHandle h) {
@@ -532,11 +536,12 @@ namespace {
 class CountingProbe final : public core::EngineProbe {
  public:
   explicit CountingProbe(std::uint32_t stride) : stride_(stride) {}
-  void on_event(core::SimTime, core::EventId) override {}
+  void on_event(core::SimTime, core::EventId) override { ++events; }
   void on_queue_push(std::uint64_t, std::size_t) override { ++pushes; }
   void on_queue_pop(std::uint64_t) override { ++pops; }
   std::uint32_t queue_stride() const override { return stride_; }
 
+  std::uint64_t events = 0;
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
 
@@ -581,6 +586,24 @@ TEST(EngineProbe, QueueStrideSamplesPushesAndPopsSeparately) {
     run_probed(kind, sampled);
     EXPECT_EQ(sampled.pushes, every.pushes / 64);
     EXPECT_EQ(sampled.pops, every.pops / 64);
+  }
+}
+
+TEST(EngineProbe, StrideZeroSeesEveryEventAndNoQueueOperation) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    CountingProbe events_only(0);
+    core::Engine eng({.queue = kind});
+    eng.set_probe(&events_only);
+    for (int i = 0; i < 100; ++i) {
+      const auto h = eng.schedule_at(i % 7, [] {});
+      if (i % 10 == 0) eng.cancel(h);
+    }
+    eng.run();
+    EXPECT_EQ(eng.stats().executed, 90u);
+    EXPECT_EQ(events_only.events, 90u);
+    EXPECT_EQ(events_only.pushes, 0u);
+    EXPECT_EQ(events_only.pops, 0u);
   }
 }
 
@@ -733,12 +756,14 @@ std::string run_tied_batch(core::Engine& eng, std::string& order) {
 }  // namespace
 
 TEST(ChoiceHook, IndexZeroReproducesDefaultOrder) {
-  core::Engine plain, hooked;
   std::string plain_order, hooked_order;
   std::vector<std::pair<double, core::EventId>> plain_trace, hooked_trace;
-  plain.set_trace_hook([&](double t, core::EventId id) { plain_trace.emplace_back(t, id); });
-  hooked.set_trace_hook([&](double t, core::EventId id) { hooked_trace.emplace_back(t, id); });
-  hooked.set_choice_hook([](double, const std::vector<core::EventId>&) { return 0u; });
+  EventProbe plain_probe([&](double t, core::EventId id) { plain_trace.emplace_back(t, id); });
+  EventProbe hooked_probe([&](double t, core::EventId id) { hooked_trace.emplace_back(t, id); });
+  core::Engine plain, hooked;
+  plain.set_probe(&plain_probe);
+  hooked.set_probe(&hooked_probe);
+  hooked.set_choice_hook([](double, const std::vector<core::Engine::TiedEvent>&) { return 0u; });
   run_tied_batch(plain, plain_order);
   run_tied_batch(hooked, hooked_order);
   EXPECT_EQ(plain_order, "abcz");
@@ -748,26 +773,27 @@ TEST(ChoiceHook, IndexZeroReproducesDefaultOrder) {
 
 TEST(ChoiceHook, SurfacesTiesAscendingAndReorders) {
   core::Engine eng;
-  std::vector<std::vector<core::EventId>> calls;
-  eng.set_choice_hook([&](double, const std::vector<core::EventId>& ids) {
-    calls.push_back(ids);
-    return ids.size() - 1;  // always run the newest tied event first
+  std::vector<std::vector<core::Engine::TiedEvent>> calls;
+  eng.set_choice_hook([&](double, const std::vector<core::Engine::TiedEvent>& tied) {
+    calls.push_back(tied);
+    return tied.size() - 1;  // always run the newest tied event first
   });
   std::string order;
   run_tied_batch(eng, order);
   EXPECT_EQ(order, "cbaz");
   // Called once per multi-way tie: {a,b,c} then {a,b}; never for singletons.
+  // Tags are off, so every tied event's tag reads 0.
+  using Tied = core::Engine::TiedEvent;
   ASSERT_EQ(calls.size(), 2u);
-  EXPECT_EQ(calls[0].size(), 3u);
-  EXPECT_TRUE(std::is_sorted(calls[0].begin(), calls[0].end()));
-  EXPECT_EQ(calls[1].size(), 2u);
+  EXPECT_EQ(calls[0], (std::vector<Tied>{{1, 0}, {2, 0}, {3, 0}}));
+  EXPECT_EQ(calls[1], (std::vector<Tied>{{1, 0}, {2, 0}}));
 }
 
 TEST(ChoiceHook, RequeuedTiesKeepSeqAndStayCancellable) {
   core::Engine eng;
   std::string order;
   eng.set_choice_hook(
-      [](double, const std::vector<core::EventId>& ids) { return ids.size() - 1; });
+      [](double, const std::vector<core::Engine::TiedEvent>& tied) { return tied.size() - 1; });
   core::EventHandle a, b;
   a = eng.schedule_at(1.0, [&] { order.push_back('a'); });
   b = eng.schedule_at(1.0, [&] {
@@ -781,23 +807,31 @@ TEST(ChoiceHook, RequeuedTiesKeepSeqAndStayCancellable) {
 TEST(EventTags, InheritanceAndScopes) {
   core::Engine eng;
   eng.enable_event_tags();
-  core::EventId child = 0;
-  core::EventId scoped = 0;
+  core::EventHandle root, child, scoped;
+  std::uint32_t running_tag = 0;
   {
     core::TagScope scope(eng, 7);
-    eng.schedule_at(1.0, [&] {
+    root = eng.schedule_at(1.0, [&] {
+      running_tag = eng.current_tag();
+      EXPECT_EQ(eng.event_tag(root), 0u);  // a running event's tag is current_tag()
       // Events scheduled during execution inherit the executing tag.
-      child = eng.schedule_at(2.0, [] {}).id;
+      child = eng.schedule_at(2.0, [] {});
       {
         core::TagScope inner(eng, 9);
-        scoped = eng.schedule_at(2.0, [] {}).id;
+        scoped = eng.schedule_at(2.0, [] {});
       }
-    }).id;
+    });
   }
   EXPECT_EQ(eng.current_tag(), 0u);  // scope restored
+  EXPECT_EQ(eng.event_tag(root), 7u);  // pending
   eng.step();
+  EXPECT_EQ(running_tag, 7u);
+  EXPECT_EQ(eng.current_tag(), 0u);
+  EXPECT_EQ(eng.event_tag(root), 0u);  // ran
   EXPECT_EQ(eng.event_tag(child), 7u);
   EXPECT_EQ(eng.event_tag(scoped), 9u);
+  ASSERT_TRUE(eng.cancel(scoped));
+  EXPECT_EQ(eng.event_tag(scoped), 0u);  // cancelled
   eng.run();
   EXPECT_EQ(eng.event_tag(child), 0u);  // tags retire with their event
 }
@@ -806,5 +840,40 @@ TEST(EventTags, OffByDefault) {
   core::Engine eng;
   core::TagScope scope(eng, 5);
   const auto h = eng.schedule_at(1.0, [] {});
-  EXPECT_EQ(eng.event_tag(h.id), 0u);  // not recorded while disabled
+  EXPECT_EQ(eng.event_tag(h), 0u);  // not recorded while disabled
+}
+
+TEST(EventTags, ReusedSlotCarriesItsOwnTag) {
+  core::Engine eng;
+  eng.enable_event_tags();
+  core::EventHandle tagged;
+  {
+    core::TagScope scope(eng, 4);
+    tagged = eng.schedule_at(1.0, [] {});
+  }
+  ASSERT_TRUE(eng.cancel(tagged));
+  std::uint32_t seen = 99;
+  const auto untagged = eng.schedule_at(1.0, [&] { seen = eng.current_tag(); });
+  ASSERT_EQ(untagged.slot, tagged.slot);  // the freed slot is reused
+  EXPECT_EQ(eng.event_tag(tagged), 0u);
+  EXPECT_EQ(eng.event_tag(untagged), 0u);
+  eng.run();
+  EXPECT_EQ(seen, 0u);
+}
+
+TEST(EventTags, ChoiceHookSeesEachTiedEventsTag) {
+  using Tied = core::Engine::TiedEvent;
+  core::Engine eng;
+  eng.enable_event_tags();
+  std::vector<Tied> first_tie;
+  eng.set_choice_hook([&](double, const std::vector<Tied>& tied) -> std::size_t {
+    if (first_tie.empty()) first_tie = tied;
+    return 0;
+  });
+  for (std::uint32_t tag : {3u, 0u, 5u}) {
+    core::TagScope scope(eng, tag);
+    eng.schedule_at(1.0, [] {});
+  }
+  eng.run();
+  EXPECT_EQ(first_tie, (std::vector<Tied>{{1, 3}, {2, 0}, {3, 5}}));
 }

@@ -13,6 +13,7 @@
 #include "net/flow.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "event_probe.hpp"
 
 namespace core = lsds::core;
 namespace hosts = lsds::hosts;
@@ -285,9 +286,10 @@ namespace {
 /// run by the fault-tolerant scheduler. Returns the engine's (time, seq)
 /// execution trace.
 std::vector<std::pair<double, std::uint64_t>> chaos_trace(std::uint64_t seed) {
-  core::Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = seed});
   std::vector<std::pair<double, std::uint64_t>> trace;
-  eng.set_trace_hook([&](double t, core::EventId id) { trace.emplace_back(t, id); });
+  lsds::testutil::EventProbe probe([&](double t, core::EventId id) { trace.emplace_back(t, id); });
+  core::Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = seed});
+  eng.set_probe(&probe);
 
   std::vector<std::unique_ptr<hosts::CpuResource>> owned;
   std::vector<hosts::CpuResource*> cpus;

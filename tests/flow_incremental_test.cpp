@@ -22,6 +22,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "net/zone.hpp"
+#include "event_probe.hpp"
 
 namespace core = lsds::core;
 namespace net = lsds::net;
@@ -93,12 +94,14 @@ std::vector<Op> make_script(const net::Topology& topo, std::uint64_t seed, std::
 // sharing flow, as on a route that all flows share.
 Trace run_script_on(net::RouteProvider& routing, const std::vector<Op>& ops, core::QueueKind kind,
                     bool incremental, core::FailureSemantics sem, bool work = false) {
+  Trace trace;
+  lsds::testutil::EventProbe probe(
+      [&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
   core::Engine eng(core::Engine::Config{kind, 7, 0, 0});
+  eng.set_probe(&probe);
   net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
   fnet.set_failure_semantics(sem);
 
-  Trace trace;
-  eng.set_trace_hook([&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
   std::vector<net::FlowId> flows;
   for (const Op& op : ops) {
     eng.schedule_at(op.t, [&eng, &fnet, &trace, &flows, op] {
@@ -633,12 +636,13 @@ TEST(FlowSharedSet, TiedKeysPickTheEarlierEventNotTheLowerFlow) {
   for (core::QueueKind kind : core::kAllQueueKinds) {
     std::vector<Trace> traces;
     for (bool incremental : {false, true}) {
+      Trace trace;
+      lsds::testutil::EventProbe probe(
+          [&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
       core::Engine eng(core::Engine::Config{kind, 1, 0, 0});
+      eng.set_probe(&probe);
       net::Routing routing(topo);
       net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
-      Trace trace;
-      eng.set_trace_hook(
-          [&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
       const auto log = [&trace, &eng](net::FlowId id) {
         trace.emplace_back('C', id, bits(eng.now()));
       };

@@ -20,6 +20,7 @@
 #include "p2p/churn.hpp"
 #include "p2p/gnutella.hpp"
 #include "p2p/ring_index.hpp"
+#include "event_probe.hpp"
 
 namespace core = lsds::core;
 namespace net = lsds::net;
@@ -313,7 +314,13 @@ struct ChurnRunResult {
 };
 
 ChurnRunResult run_chord_churn_scenario(core::QueueKind q) {
+  core::StateHash trace;
+  lsds::testutil::EventProbe probe([&](double t, core::EventId id) {
+    trace.mix(t);
+    trace.mix(std::uint64_t{id});
+  });
   core::Engine eng({.queue = q, .seed = 42});
+  eng.set_probe(&probe);
   net::ZoneTree tree;
   for (int s = 0; s < 4; ++s) {
     net::ClusterSpec spec;
@@ -325,12 +332,6 @@ ChurnRunResult run_chord_churn_scenario(core::QueueKind q) {
     tree.add_child(std::make_unique<net::ClusterZone>(spec), 1e10, 0.01);
   }
   net::ZoneRouting routing(tree);
-
-  core::StateHash trace;
-  eng.set_trace_hook([&](double t, core::EventId id) {
-    trace.mix(t);
-    trace.mix(std::uint64_t{id});
-  });
 
   p2p::ChordNetwork chord(eng, routing, 32);
   for (std::size_t i = 0; i < 256; ++i) chord.add_peer(tree.host(i));
