@@ -110,8 +110,7 @@ void ParallelGrid::finalize() {
   }
   flow_nets_.reserve(lps);
   for (unsigned lp = 0; lp < lps; ++lp) {
-    flow_nets_.push_back(
-        std::make_unique<net::FlowNetwork>(pe_->lp(lp).engine(), *provider_, spec_.network));
+    flow_nets_.push_back(std::make_unique<net::FlowNetwork>(pe_->lp(lp).engine(), *provider_));
   }
 
   // Per-LP storage ownership: a site's max-min devices register with its

@@ -58,8 +58,6 @@ struct ExecutionSpec {
   double lookahead_override = 0;
   core::QueueKind queue = core::QueueKind::kBinaryHeap;
   std::uint64_t seed = 42;
-  /// Flow-network solver configuration for the per-LP flow networks.
-  net::FlowNetwork::Config network{};
 };
 
 /// Outcome of a ParallelGrid run: the engine's window/message counters plus

@@ -19,7 +19,7 @@ FacadeRegistry::Study parse_bricks(const util::IniConfig& ini) {
   cfg.mean_ops = facades::get_positive(ini, "bricks", "mean_ops", 2000);
   cfg.input_bytes = ini.get_size("bricks", "input", 10e6);
   cfg.output_bytes = ini.get_size("bricks", "output", 1e6);
-  cfg.server_cores = static_cast<unsigned>(ini.get_count("bricks", "server_cores", 4));
+  cfg.server_cores = static_cast<unsigned>(ini.get_count("bricks", "server_cores", 4, 1));
   cfg.client_bw = ini.get_rate("bricks", "client_bw", 12.5e6);
   cfg.failures = facades::parse_resume_failures(ini);
   cfg.storage_sharing = facades::parse_storage(ini);

@@ -15,8 +15,8 @@ namespace {
 
 FacadeRegistry::Study parse_chaos(const util::IniConfig& ini) {
   chaos::Config cfg;
-  cfg.num_hosts = ini.get_count("chaos", "hosts", 8);
-  cfg.cores = static_cast<unsigned>(ini.get_count("chaos", "cores", 1));
+  cfg.num_hosts = ini.get_count("chaos", "hosts", 8, 1);
+  cfg.cores = static_cast<unsigned>(ini.get_count("chaos", "cores", 1, 1));
   cfg.cpu_speed = facades::get_positive(ini, "chaos", "cpu_speed", 1000);
   cfg.num_jobs = ini.get_count("chaos", "jobs", 1000);
   cfg.mean_ops = facades::get_positive(ini, "chaos", "mean_ops", 2000);

@@ -256,54 +256,49 @@ TEST(ParallelGridCore, ZeroLatencyCutFallsBackToSerial) {
   EXPECT_EQ(rep.lps, 1u);
 }
 
-TEST(ParallelGridCore, PerPartitionFlowNetworksDeliverUnderBothSolvers) {
+TEST(ParallelGridCore, PerPartitionFlowNetworksDeliver) {
   // Each LP owns its own FlowNetwork bound to its engine; flows started from
-  // a site's partition run entirely LP-locally. The incremental and full
-  // solvers must agree on what gets delivered.
-  for (bool incremental : {true, false}) {
-    auto spec = par(2, 2);
-    spec.network.incremental = incremental;
-    hosts::ParallelGrid grid(spec);
-    hosts::SiteSpec s;
-    s.name = "a0";
-    const auto a0 = grid.add_site(s);
-    s.name = "a1";
-    const auto a1 = grid.add_site(s);
-    s.name = "b0";
-    const auto b0 = grid.add_site(s);
-    s.name = "b1";
-    const auto b1 = grid.add_site(s);
-    grid.topology().add_link(a0, a1, 1e8, 0.001);
-    grid.topology().add_link(b0, b1, 1e8, 0.001);
-    grid.topology().add_link(a0, b0, 1e7, 0.05);  // WAN cut: lookahead source
-    grid.finalize();
-    ASSERT_TRUE(grid.parallel()) << grid.fallback_reason();
-    EXPECT_EQ(grid.flows_of(a0).config().incremental, incremental);
+  // a site's partition run entirely LP-locally.
+  hosts::ParallelGrid grid(par(2, 2));
+  hosts::SiteSpec s;
+  s.name = "a0";
+  const auto a0 = grid.add_site(s);
+  s.name = "a1";
+  const auto a1 = grid.add_site(s);
+  s.name = "b0";
+  const auto b0 = grid.add_site(s);
+  s.name = "b1";
+  const auto b1 = grid.add_site(s);
+  grid.topology().add_link(a0, a1, 1e8, 0.001);
+  grid.topology().add_link(b0, b1, 1e8, 0.001);
+  grid.topology().add_link(a0, b0, 1e7, 0.05);  // WAN cut: lookahead source
+  grid.finalize();
+  ASSERT_TRUE(grid.parallel()) << grid.fallback_reason();
+  EXPECT_TRUE(grid.flows_of(a0).config().incremental);
 
-    std::atomic<int> done{0};
-    grid.at(a0, 0.0, [&grid, &done, a0, a1] {
-      auto& net = grid.flows_of(a0);
-      net.start_flow(a0, a1, 1e6, [&done](net::FlowId) { ++done; });
-      net.start_flow_weighted(a0, a1, 2e6, 2.0, [&done](net::FlowId) { ++done; });
-    });
-    grid.at(b1, 0.0, [&grid, &done, b0, b1] {
-      grid.flows_of(b1).start_flow(b1, b0, 5e5, [&done](net::FlowId) { ++done; });
-    });
-    grid.run(10.0);
-    EXPECT_EQ(done.load(), 3);
+  std::atomic<int> done{0};
+  grid.at(a0, 0.0, [&grid, &done, a0, a1] {
+    auto& net = grid.flows_of(a0);
+    net.start_flow(a0, a1, 1e6, [&done](net::FlowId) { ++done; });
+    net.start_flow_weighted(a0, a1, 2e6, 2.0, [&done](net::FlowId) { ++done; });
+  });
+  grid.at(b1, 0.0, [&grid, &done, b0, b1] {
+    grid.flows_of(b1).start_flow(b1, b0, 5e5, [&done](net::FlowId) { ++done; });
+  });
+  grid.run(10.0);
+  EXPECT_EQ(done.load(), 3);
 
-    std::set<net::FlowNetwork*> nets;
-    for (auto sid : {a0, a1, b0, b1}) nets.insert(&grid.flows_of(sid));
-    std::uint64_t completed = 0;
-    double bytes = 0;
-    for (auto* n : nets) {
-      completed += n->flows_completed();
-      bytes += n->total_bytes_delivered();
-      EXPECT_EQ(n->active_flows(), 0u);
-    }
-    EXPECT_EQ(completed, 3u);
-    EXPECT_DOUBLE_EQ(bytes, 3.5e6);
+  std::set<net::FlowNetwork*> nets;
+  for (auto sid : {a0, a1, b0, b1}) nets.insert(&grid.flows_of(sid));
+  std::uint64_t completed = 0;
+  double bytes = 0;
+  for (auto* n : nets) {
+    completed += n->flows_completed();
+    bytes += n->total_bytes_delivered();
+    EXPECT_EQ(n->active_flows(), 0u);
   }
+  EXPECT_EQ(completed, 3u);
+  EXPECT_DOUBLE_EQ(bytes, 3.5e6);
 }
 
 TEST(ParallelGridCore, SingleSiteFallsBackToSerial) {
