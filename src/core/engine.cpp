@@ -103,14 +103,22 @@ EventRecord Engine::pop_record() {
   return rec;
 }
 
-void Engine::push_record(EventRecord rec) {
+void Engine::queue_push(EventRecord rec) {
   if (!probe_ || (++pushes_ & queue_mask_) != 0) {
     queue_->push(rec);
     return;
   }
   const auto w0 = std::chrono::steady_clock::now();
   queue_->push(rec);
-  probe_->on_queue_push(elapsed_ns(w0), queue_->size());
+  probe_->on_queue_push(elapsed_ns(w0), pending());
+}
+
+void Engine::push_record(EventRecord rec) {
+  if (held_.seq != 0 && rec < held_) {
+    queue_push(held_);
+    held_.seq = 0;
+  }
+  queue_push(rec);
 }
 
 bool Engine::cancel(const EventHandle& h) {
@@ -139,6 +147,12 @@ void Engine::execute(const EventRecord& ev) {
 }
 
 bool Engine::pop_live(EventRecord& out) {
+  if (held_.seq != 0) {
+    out = held_;
+    held_.seq = 0;
+    if (slot(out.slot).seq == out.seq) return true;
+    --dead_keys_;  // cancelled while held
+  }
   while (!queue_->empty()) {
     out = pop_record();
     if (slot(out.slot).seq == out.seq) return true;
@@ -201,21 +215,28 @@ std::uint64_t Engine::run_until(SimTime t_end) {
   return stats_.executed - before;
 }
 
+SimTime Engine::next_event_time() {
+  EventRecord ev;
+  if (!pop_live(ev)) return kInfTime;
+  held_ = ev;
+  return ev.time;
+}
+
 SimTime Engine::run_window(SimTime t_end, bool inclusive) {
   SimTime next = kInfTime;
   EventRecord ev;
-  // Pop/inspect/requeue rather than polling min_time(): min_time() is
-  // O(buckets) for the calendar queue, while one extra push is O(1).
+  // Pop and inspect rather than polling min_time(); the first event past
+  // the window stays held in front of the queue, not requeued.
   while (!stopped_ && pop_live(ev)) {
     if (inclusive ? (ev.time > t_end) : (ev.time >= t_end)) {
       next = ev.time;
-      push_record(ev);
+      held_ = ev;
       break;
     }
     execute(ev);
     if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
   }
-  if (stopped_) return queue_->min_time();
+  if (stopped_) return next_event_time();
   if (now_ < t_end) now_ = t_end;
   return next;
 }

@@ -116,12 +116,18 @@ class Engine {
   /// conservative parallel engine: window k covers [k*L, (k+1)*L), so events
   /// that land exactly on the boundary belong to the *next* window — except
   /// in the final window, which is closed. Returns the time of the earliest
-  /// event left pending (kInfTime when drained), which the drain loop reads
-  /// off the first event past the window at no extra cost.
+  /// live event left pending (kInfTime when drained), which the drain loop
+  /// reads off the first live event past the window at no extra cost. That
+  /// event is not requeued: the engine holds it in a one-record slot in
+  /// front of the queue, which the next drain serves first. A schedule with
+  /// an earlier key puts it back into the queue.
   SimTime run_window(SimTime t_end, bool inclusive);
 
-  /// Timestamp of the earliest pending event, or kInfTime when drained.
-  SimTime next_event_time() const { return queue_->min_time(); }
+  /// Timestamp of the earliest live pending event, or kInfTime when
+  /// drained. Cancelled keys at the front are discarded on the way (so
+  /// tombstone_count() and pending() may drop), and the event found is
+  /// held in front of the queue as run_window() holds the one it stops at.
+  SimTime next_event_time();
 
   /// Execute exactly one event. Returns false when nothing is pending.
   bool step();
@@ -141,7 +147,8 @@ class Engine {
     std::uint64_t past_clamped = 0;
   };
   const Stats& stats() const { return stats_; }
-  std::size_t pending() const { return queue_->size(); }
+  /// Queued keys, cancelled ones included, plus the held front event.
+  std::size_t pending() const { return queue_->size() + (held_.seq != 0 ? 1 : 0); }
   /// Keys of cancelled events still queued (diagnostic; drains to 0 as
   /// they surface).
   std::size_t tombstone_count() const { return dead_keys_; }
@@ -248,9 +255,13 @@ class Engine {
   /// queue_->pop() / push(), wall-clock timed on every stride-th operation
   /// when a probe is attached.
   EventRecord pop_record();
+  void queue_push(EventRecord rec);
+  /// Queue a key. If it precedes the held front event, that event goes
+  /// back into the queue first, so the held one is always the minimum.
   void push_record(EventRecord rec);
-  /// Pop keys until a live one surfaces, consuming dead keys on the way.
-  /// Returns false when the queue drains first.
+  /// Take the held front event, else pop keys until a live one surfaces,
+  /// consuming dead keys on the way. Returns false when the queue drains
+  /// first.
   bool pop_live(EventRecord& out);
   /// step() with the choice hook installed: collect the timestamp tie,
   /// let the strategy pick, requeue the rest.
@@ -264,6 +275,10 @@ class Engine {
   std::vector<std::uint32_t> free_;  // released slots, reused LIFO
   std::size_t dead_keys_ = 0;        // queued keys whose slot was cancelled
   std::unique_ptr<EventQueue> queue_;
+  /// The front event that run_window() stopped at or next_event_time()
+  /// peeked at, kept out of queue_ (seq 0 when empty). It precedes every
+  /// queued key; it may have been cancelled since.
+  EventRecord held_;
   SimTime now_ = 0;
   EventId next_seq_ = 1;  // 0 is the invalid handle id
   bool stopped_ = false;

@@ -37,8 +37,10 @@ class EventQueue {
   /// Remove and return the minimum key. Precondition: !empty().
   virtual EventRecord pop() = 0;
 
-  /// Timestamp of the minimum event, or kInfTime when empty.
-  virtual SimTime min_time() const = 0;
+  /// Timestamp of the minimum event, or kInfTime when empty. Not const: a
+  /// queue may reorganise itself to answer (the calendar queue moves the
+  /// next day's events into its sorted current day, as pop() would).
+  virtual SimTime min_time() = 0;
 
   virtual std::size_t size() const = 0;
   bool empty() const { return size() == 0; }

@@ -17,7 +17,7 @@ EventRecord BinaryHeapQueue::pop() {
   return top;
 }
 
-SimTime BinaryHeapQueue::min_time() const {
+SimTime BinaryHeapQueue::min_time() {
   return heap_.empty() ? kInfTime : heap_.front().time;
 }
 

@@ -14,7 +14,7 @@ class BinaryHeapQueue final : public EventQueue {
  public:
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  SimTime min_time() const override;
+  SimTime min_time() override;
   std::size_t size() const override { return heap_.size(); }
   const char* name() const override { return "binary-heap"; }
 

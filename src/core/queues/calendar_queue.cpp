@@ -1,31 +1,29 @@
 #include "core/queues/calendar_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
 namespace lsds::core {
 
 namespace {
-constexpr std::size_t kMinBuckets = 2;
+constexpr std::size_t kMinBuckets = 2;  // bucket counts stay powers of two
 constexpr std::size_t kSampleSize = 25;
 constexpr std::size_t kMaxCostPerOp = 4;
+
 }  // namespace
 
 CalendarQueue::CalendarQueue() {
-  buckets_.resize(kMinBuckets);
-  width_ = 1.0;
-  last_bucket_ = 0;
-  bucket_top_ = width_;
+  buckets_.assign(kMinBuckets, kNil);
   grow_threshold_ = 2 * buckets_.size();
   shrink_threshold_ = 0;  // never shrink below kMinBuckets
 }
 
-std::size_t CalendarQueue::bucket_of(SimTime t) const {
-  // Hash by virtual day number. Guard against enormous quotients.
-  const double day = t / width_;
-  const auto n = static_cast<unsigned long long>(day);
-  return static_cast<std::size_t>(n % buckets_.size());
+CalendarQueue::Day CalendarQueue::day_of(SimTime t) const {
+  const double x = t * inv_width_;
+  if (x < static_cast<double>(kMaxDay)) return x > 0 ? static_cast<Day>(x) : 0;
+  return kMaxDay;  // huge and infinite times share the last day
 }
 
 std::uint32_t CalendarQueue::alloc_node() {
@@ -40,26 +38,32 @@ std::uint32_t CalendarQueue::alloc_node() {
   return node_count_++;
 }
 
-std::size_t CalendarQueue::insert_sorted(Bucket& b, std::uint32_t n) {
-  Node& nd = node(n);
-  const EventRecord key = nd.key();
-  if (b.head == kNil || !(key < node(b.tail).key())) {  // empty, or at or past the tail
-    nd.next = kNil;
-    (b.head == kNil ? b.head : node(b.tail).next) = n;
-    b.tail = n;
-    return 0;
+void CalendarQueue::free_node(std::uint32_t n) {
+  node(n).next = free_;
+  free_ = n;
+}
+
+void CalendarQueue::link(const EventRecord& ev, Day d) {
+  std::uint32_t& head = buckets_[d & (buckets_.size() - 1)];
+  const std::uint32_t n = alloc_node();
+  node(n) = Node{ev.time, ev.seq, ev.slot, head};
+  head = n;
+}
+
+void CalendarQueue::insert_today(const EventRecord& ev) {
+  if (head_ > 0 && ev < today_[head_]) {  // a new minimum takes a popped place
+    today_[--head_] = ev;
+    return;
   }
-  if (key < node(b.head).key()) {
-    nd.next = b.head;
-    b.head = n;
-    return 0;
-  }
-  std::size_t passed = 1;
-  std::uint32_t prev = b.head;
-  for (; !(key < node(node(prev).next).key()); ++passed) prev = node(prev).next;
-  nd.next = node(prev).next;
-  node(prev).next = n;
-  return passed;
+  if (head_ >= today_.size() - head_) drop_popped();  // amortized over the pops
+  today_.insert(std::upper_bound(today_.begin() + static_cast<std::ptrdiff_t>(head_),
+                                 today_.end(), ev),
+                ev);
+}
+
+void CalendarQueue::drop_popped() {
+  today_.erase(today_.begin(), today_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
 }
 
 void CalendarQueue::account(std::size_t cost) {
@@ -72,140 +76,146 @@ void CalendarQueue::account(std::size_t cost) {
 }
 
 void CalendarQueue::push(EventRecord ev) {
-  // Non-monotone insert: an event earlier than the current day breaks the
-  // dequeue-scan invariant (no pending event before the anchor day), which
-  // would make locate_min return a bucket-order event instead of the true
-  // minimum. Re-anchor the cursor on the new event's day. This happens when
-  // an event is popped, found past a horizon and requeued (Engine::run_until
-  // / run_window), and earlier events are scheduled afterwards.
-  if (ev.time < bucket_top_ - width_) {
-    last_bucket_ = bucket_of(ev.time);
-    const double day = std::floor(ev.time / width_);
-    bucket_top_ = (day + 1.0) * width_;
+  const Day d = day_of(ev.time);
+  if (size_ == 0) today_day_ = d;  // an empty queue starts its calendar here
+  if (d <= today_day_) {
+    insert_today(ev);
+  } else {
+    link(ev, d);
   }
-  // resize() re-anchors on last_prio_, so it must stay a lower bound on
-  // every pending time: a later resize with a narrower width would
-  // otherwise anchor past this event's new day and return it late.
-  if (ev.time < last_prio_) last_prio_ = ev.time;
-  const std::uint32_t n = alloc_node();
-  node(n) = Node{ev.time, ev.seq, ev.slot, kNil};
-  const std::size_t passed = insert_sorted(buckets_[bucket_of(ev.time)], n);
   ++size_;
   if (size_ > grow_threshold_) {
     resize(buckets_.size() * 2);
   } else {
-    account(passed);
+    account(0);
   }
 }
 
-std::size_t CalendarQueue::locate_min(std::size_t& bucket_out) const {
-  std::size_t i = last_bucket_;
-  double top = bucket_top_;
-  for (std::size_t walked = 0; walked < buckets_.size(); ++walked) {
-    const Bucket& b = buckets_[i];
-    if (b.head != kNil && node(b.head).time < top) {
-      bucket_out = i;
-      return walked;
-    }
-    i = (i + 1) % buckets_.size();
-    top += width_;
-  }
-  // Rare fallback: the next event lies beyond this calendar year. Direct scan.
-  std::size_t best = buckets_.size();
-  for (std::size_t j = 0; j < buckets_.size(); ++j) {
-    if (buckets_[j].head == kNil) continue;
-    if (best == buckets_.size() ||
-        node(buckets_[j].head).key() < node(buckets_[best].head).key()) {
-      best = j;
+std::size_t CalendarQueue::collect(Day d) {
+  std::size_t skipped = 0;
+  for (std::uint32_t* at = &buckets_[d & (buckets_.size() - 1)]; *at != kNil;) {
+    Node& nd = node(*at);
+    if (day_of(nd.time) == d) {
+      today_.push_back(nd.key());
+      const std::uint32_t n = *at;
+      *at = nd.next;
+      free_node(n);
+    } else {
+      at = &nd.next;
+      ++skipped;
     }
   }
-  bucket_out = best;
-  return buckets_.size();
+  return skipped;
+}
+
+std::size_t CalendarQueue::advance() {
+  assert(today_.empty() && size_ > 0);
+  std::size_t cost = 0;
+  for (std::size_t walked = 0; walked < buckets_.size() && today_.empty(); ++walked) {
+    cost += 1 + collect(++today_day_);
+  }
+  if (today_.empty()) {
+    // A year with no event in it: one direct scan finds the earliest day.
+    Day first = kMaxDay;
+    for (const std::uint32_t head : buckets_) {
+      for (std::uint32_t n = head; n != kNil; n = node(n).next) {
+        first = std::min(first, day_of(node(n).time));
+        ++cost;
+      }
+    }
+    today_day_ = first;
+    cost += collect(first);
+  }
+  std::sort(today_.begin(), today_.end());
+  return cost;
 }
 
 EventRecord CalendarQueue::pop() {
-  std::size_t i = 0;
-  const std::size_t walked = locate_min(i);
-  Bucket& b = buckets_[i];
-  const std::uint32_t n = b.head;
-  const EventRecord ev = node(n).key();
-  b.head = node(n).next;
-  if (b.head == kNil) b.tail = kNil;
-  node(n).next = free_;
-  free_ = n;
+  const std::size_t cost = today_.empty() ? advance() : 0;
+  const EventRecord ev = today_[head_];
+  if (++head_ == today_.size()) {
+    today_.clear();
+    head_ = 0;
+  }
   --size_;
-
-  // Anchor the year on the dequeued event's day: the window the walk found
-  // it in, or (after a direct scan) the day it lies beyond the year in.
-  last_bucket_ = i;
-  last_prio_ = ev.time;
-  bucket_top_ = (std::floor(ev.time / width_) + 1.0) * width_;
-
   if (buckets_.size() > kMinBuckets && size_ < shrink_threshold_) {
     resize(buckets_.size() / 2);
   } else {
-    account(walked);
+    account(cost);
   }
   return ev;
 }
 
-SimTime CalendarQueue::min_time() const {
+SimTime CalendarQueue::min_time() {
   if (size_ == 0) return kInfTime;
-  std::size_t i = 0;
-  locate_min(i);
-  return node(buckets_[i].head).time;
+  if (today_.empty()) account(advance());
+  return today_[head_].time;
 }
 
-double CalendarQueue::estimate_width() const {
-  if (size_ < 2) return 1.0;
+double CalendarQueue::estimate_width(std::vector<SimTime>& times) const {
   // Brown's heuristic estimates the width from the separation of the
-  // *earliest* pending events (the ones about to be dequeued). Gather all
-  // timestamps (resize is O(n) anyway), pull the kSampleSize smallest with
-  // nth_element, and use 3x their average separation.
-  std::vector<SimTime> times;
-  times.reserve(size_);
-  for (const Bucket& b : buckets_) {
-    for (std::uint32_t n = b.head; n != kNil; n = node(n).next) times.push_back(node(n).time);
-  }
-  const std::size_t k = std::min<std::size_t>(kSampleSize, times.size());
-  std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   times.end());
+  // *earliest* pending events (the ones about to be dequeued): pull the
+  // kSampleSize smallest with nth_element and use 3x their mean
+  // separation. Infinite times say nothing about spacing.
+  std::size_t k = std::min(kSampleSize, times.size());
+  if (k < 2) return width_;
+  std::nth_element(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(k - 1), times.end());
   std::sort(times.begin(), times.begin() + static_cast<std::ptrdiff_t>(k));
-  double sum = 0;
-  std::size_t n = 0;
-  for (std::size_t i = 1; i < k; ++i) {
-    sum += times[i] - times[i - 1];
-    ++n;
-  }
-  if (n == 0 || sum <= 0) return width_;  // all simultaneous: keep current width
-  const double avg_sep = sum / static_cast<double>(n);
-  return std::max(3.0 * avg_sep, 1e-9);
+  while (k > 1 && !std::isfinite(times[k - 1])) --k;
+  const double sum = times[k - 1] - times[0];
+  if (!(sum > 0)) return width_;  // all simultaneous: keep current width
+  const double width = 3.0 * sum / static_cast<double>(k - 1);
+  return std::isfinite(width) ? std::max(width, 1e-9) : width_;
 }
 
 void CalendarQueue::resize(std::size_t new_nbuckets) {
   new_nbuckets = std::max(new_nbuckets, kMinBuckets);
-  const double new_width = estimate_width();
+  assert((new_nbuckets & (new_nbuckets - 1)) == 0);
+  std::vector<SimTime> times;
+  times.reserve(size_);
+  drop_popped();
+  for (const EventRecord& ev : today_) times.push_back(ev.time);
+  for (const std::uint32_t head : buckets_) {
+    for (std::uint32_t n = head; n != kNil; n = node(n).next) times.push_back(node(n).time);
+  }
+  width_ = estimate_width(times);
+  inv_width_ = 1.0 / width_;
 
-  std::vector<Bucket> old = std::move(buckets_);
-  buckets_.clear();
-  buckets_.resize(new_nbuckets);
-  width_ = new_width;
+  std::vector<std::uint32_t> old = std::move(buckets_);
+  buckets_.assign(new_nbuckets, kNil);
   grow_threshold_ = 2 * new_nbuckets;
   shrink_threshold_ = new_nbuckets / 2;
   window_ops_ = 0;
   window_cost_ = 0;
+  if (size_ == 0) return;
 
-  for (const Bucket& b : old) {
-    for (std::uint32_t n = b.head; n != kNil;) {
-      const std::uint32_t next = node(n).next;
-      insert_sorted(buckets_[bucket_of(node(n).time)], n);
+  // The new current day is the earliest event's (times.front() after the
+  // estimate). today_ keeps what is still on or before it, a prefix, and
+  // hands the rest to the buckets; bucket nodes on or before it join today_.
+  today_day_ = day_of(times.front());
+  const auto later = std::find_if(today_.begin(), today_.end(), [this](const EventRecord& ev) {
+    return day_of(ev.time) > today_day_;
+  });
+  for (auto it = later; it != today_.end(); ++it) link(*it, day_of(it->time));
+  today_.erase(later, today_.end());
+  const std::size_t sorted = today_.size();
+  for (const std::uint32_t head : old) {
+    for (std::uint32_t n = head; n != kNil;) {
+      Node& nd = node(n);
+      const std::uint32_t next = nd.next;
+      const Day d = day_of(nd.time);
+      if (d <= today_day_) {
+        today_.push_back(nd.key());
+        free_node(n);
+      } else {
+        std::uint32_t& bucket = buckets_[d & (new_nbuckets - 1)];
+        nd.next = bucket;
+        bucket = n;
+      }
       n = next;
     }
   }
-  // Re-anchor the dequeue cursor on the last dequeued priority.
-  last_bucket_ = bucket_of(last_prio_);
-  const double day = std::floor(last_prio_ / width_);
-  bucket_top_ = (day + 1.0) * width_;
+  if (today_.size() > sorted) std::sort(today_.begin(), today_.end());
 }
 
 }  // namespace lsds::core

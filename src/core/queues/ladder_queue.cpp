@@ -11,8 +11,9 @@ LadderQueue::LadderQueue() { rungs_.reserve(kMaxRungs); }
 
 std::size_t LadderQueue::Rung::bucket_of(SimTime t) const {
   if (t <= start) return 0;
-  auto i = static_cast<std::size_t>((t - start) / width);
-  return std::min(i, n - 1);
+  // Clamp before converting: a huge or infinite quotient has no size_t.
+  const double i = (t - start) / width;
+  return i < static_cast<double>(n - 1) ? static_cast<std::size_t>(i) : n - 1;
 }
 
 void LadderQueue::release(std::vector<EventRecord>& bucket) {
@@ -146,7 +147,7 @@ EventRecord LadderQueue::pop() {
   return ev;
 }
 
-SimTime LadderQueue::min_time() const {
+SimTime LadderQueue::min_time() {
   // Pop order is Bottom, then the innermost rung's next non-empty bucket,
   // then the rungs outward, then Top: the first place holding an event
   // holds the minimum.

@@ -40,7 +40,7 @@ class LadderQueue final : public EventQueue {
 
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  SimTime min_time() const override;
+  SimTime min_time() override;
   std::size_t size() const override { return size_; }
   const char* name() const override { return "ladder-queue"; }
 

@@ -16,7 +16,7 @@ EventRecord SortedListQueue::pop() {
   return ev;
 }
 
-SimTime SortedListQueue::min_time() const {
+SimTime SortedListQueue::min_time() {
   return keys_.empty() ? kInfTime : keys_.back().time;
 }
 

@@ -15,7 +15,7 @@ class SortedListQueue final : public EventQueue {
  public:
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  SimTime min_time() const override;
+  SimTime min_time() override;
   std::size_t size() const override { return keys_.size(); }
   const char* name() const override { return "sorted-list"; }
 

@@ -119,6 +119,6 @@ EventRecord SplayTreeQueue::pop() {
   return ev;
 }
 
-SimTime SplayTreeQueue::min_time() const { return min_ ? min_->ev.time : kInfTime; }
+SimTime SplayTreeQueue::min_time() { return min_ ? min_->ev.time : kInfTime; }
 
 }  // namespace lsds::core

@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace lsds::net {
+
+namespace {
+// An infinite latency would not make a link unreachable: every path over it
+// would cost inf, and routing would fall back to other models or print NaN.
+bool finite_nonnegative(double latency) { return latency >= 0 && std::isfinite(latency); }
+}  // namespace
 
 // --- Zone ------------------------------------------------------------------
 
@@ -31,7 +38,9 @@ Topology Zone::to_topology() const {
 StarZone::StarZone(const StarSpec& spec) : spec_(spec) {
   if (spec.hosts == 0) throw std::invalid_argument("StarZone: hosts must be > 0");
   if (!(spec.bandwidth > 0)) throw std::invalid_argument("StarZone: bandwidth must be > 0");
-  if (!(spec.latency >= 0)) throw std::invalid_argument("StarZone: latency must be >= 0");
+  if (!finite_nonnegative(spec.latency)) {
+    throw std::invalid_argument("StarZone: latency must be finite and >= 0");
+  }
 }
 
 std::pair<NodeId, NodeId> StarZone::link_ends(LinkId id) const {
@@ -60,8 +69,8 @@ ClusterZone::ClusterZone(const ClusterSpec& spec) : spec_(spec) {
   if (!(spec.host_bandwidth > 0) || !(spec.backbone_bandwidth > 0)) {
     throw std::invalid_argument("ClusterZone: bandwidth must be > 0");
   }
-  if (!(spec.host_latency >= 0) || !(spec.backbone_latency >= 0)) {
-    throw std::invalid_argument("ClusterZone: latency must be >= 0");
+  if (!finite_nonnegative(spec.host_latency) || !finite_nonnegative(spec.backbone_latency)) {
+    throw std::invalid_argument("ClusterZone: latency must be finite and >= 0");
   }
 }
 
@@ -109,7 +118,9 @@ FatTreeZone::FatTreeZone(const FatTreeSpec& spec) : spec_(spec) {
     if (!(spec.bandwidth[l] > 0)) throw std::invalid_argument("FatTreeZone: bandwidth must be > 0");
     // Strictly positive: with zero-cost links every path ties and "the"
     // shortest route is no longer well-defined against a flat reference.
-    if (!(spec.latency[l] > 0)) throw std::invalid_argument("FatTreeZone: latency must be > 0");
+    if (!(spec.latency[l] > 0) || !std::isfinite(spec.latency[l])) {
+      throw std::invalid_argument("FatTreeZone: latency must be finite and > 0");
+    }
   }
 
   W_.assign(h + 1, 1);
@@ -250,7 +261,9 @@ void FatTreeZone::add_route_cost(NodeId src, NodeId dst, RouteCost& cost) const 
 std::size_t ZoneTree::add_child(std::unique_ptr<Zone> child, double backbone_bandwidth,
                                 double backbone_latency) {
   if (!(backbone_bandwidth > 0)) throw std::invalid_argument("ZoneTree: bandwidth must be > 0");
-  if (!(backbone_latency >= 0)) throw std::invalid_argument("ZoneTree: latency must be >= 0");
+  if (!finite_nonnegative(backbone_latency)) {
+    throw std::invalid_argument("ZoneTree: latency must be finite and >= 0");
+  }
   const auto c = static_cast<std::uint32_t>(children_.size());
   node_off_.push_back(total_nodes_);
   link_off_.push_back(total_links_);

@@ -117,7 +117,8 @@ struct StarSpec {
 /// connects host i to the hub.
 class StarZone final : public Zone {
  public:
-  /// Throws std::invalid_argument on hosts == 0 or bandwidth <= 0.
+  /// Throws std::invalid_argument on hosts == 0, bandwidth <= 0, or a
+  /// negative or non-finite latency.
   explicit StarZone(const StarSpec& spec);
 
   std::size_t node_count() const override { return spec_.hosts + 1; }
@@ -152,7 +153,8 @@ struct ClusterSpec {
 /// link n is the backbone.
 class ClusterZone final : public Zone {
  public:
-  /// Throws std::invalid_argument on hosts == 0 or non-positive bandwidth.
+  /// Throws std::invalid_argument on hosts == 0, non-positive bandwidth,
+  /// or a negative or non-finite latency.
   explicit ClusterZone(const ClusterSpec& spec);
 
   std::size_t node_count() const override { return spec_.hosts + 2; }
@@ -211,8 +213,9 @@ struct FatTreeSpec {
 class FatTreeZone final : public Zone {
  public:
   /// Throws std::invalid_argument on empty/mismatched level vectors,
-  /// zero fan-outs, non-positive bandwidth, or non-positive latency
-  /// (equal-cost tie-breaks are only well-defined with real link costs).
+  /// zero fan-outs, non-positive bandwidth, or non-positive or non-finite
+  /// latency (equal-cost tie-breaks are only well-defined with real link
+  /// costs).
   explicit FatTreeZone(const FatTreeSpec& spec);
 
   std::size_t node_count() const override { return total_nodes_; }
@@ -271,6 +274,8 @@ class ZoneTree final : public Zone {
 
   /// Attach a child reached over a backbone link with the given bandwidth/
   /// latency. Returns the child index. Add all children before routing.
+  /// Throws std::invalid_argument on bandwidth <= 0 or a negative or
+  /// non-finite latency.
   std::size_t add_child(std::unique_ptr<Zone> child, double backbone_bandwidth,
                         double backbone_latency);
 

@@ -125,7 +125,11 @@ class RefEngine {
     return next_event_time();
   }
 
-  SimTime next_event_time() const { return keys_.empty() ? core::kInfTime : keys_.begin()->first; }
+  /// The earliest live event: cancelled keys at the front are dropped.
+  SimTime next_event_time() {
+    drop_front_tombstones();
+    return keys_.empty() ? core::kInfTime : keys_.begin()->first;
+  }
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
   void clear_stop() { stopped_ = false; }

@@ -257,6 +257,27 @@ TEST(ParallelEngine, StopsWhenDrained) {
   EXPECT_EQ(stats.past_clamped, 0u);
 }
 
+TEST(ParallelEngine, CancelledFrontOpensNoWindow) {
+  // An LP whose earliest key is cancelled must not bid that key's time for
+  // the next window: one live event, one window.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 2;
+    cfg.num_threads = 2;
+    cfg.lookahead = 1.0;
+    cfg.queue = kind;
+    core::ParallelEngine eng(cfg);
+    int count = 0;
+    eng.lp(0).engine().cancel(eng.lp(0).engine().schedule_at(0.5, [&] { ++count; }));
+    eng.lp(1).schedule_at(3.5, [&] { ++count; });
+    const auto stats = eng.run_until(10.0);
+    EXPECT_EQ(count, 1);
+    EXPECT_EQ(stats.events, 1u);
+    EXPECT_EQ(stats.windows, 1u);
+  }
+}
+
 TEST(ParallelEngine, CrossMessagesCounted) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/event_queue.hpp"
@@ -18,6 +20,41 @@ namespace {
 struct PopRecord {
   double time;
   core::EventId seq;
+};
+
+/// A queue and an ordered reference set driven in lockstep: every pop must
+/// return the reference's minimum (time, seq) key.
+class Checked {
+ public:
+  explicit Checked(core::QueueKind kind) : q_(core::make_event_queue(kind)) {}
+
+  void push(double t) {
+    q_->push({t, seq_});
+    ref_.emplace(t, seq_);
+    ++seq_;
+  }
+  /// Pops one key and checks it. Returns its time.
+  double pop() {
+    EXPECT_FALSE(ref_.empty());
+    const auto want = *ref_.begin();
+    ref_.erase(ref_.begin());
+    EXPECT_EQ(q_->min_time(), want.first);
+    const auto got = q_->pop();
+    EXPECT_EQ(got.time, want.first);
+    EXPECT_EQ(got.seq, want.second);
+    return got.time;
+  }
+  void drain() {
+    while (!ref_.empty() && !::testing::Test::HasFailure()) pop();
+    EXPECT_TRUE(q_->empty());
+    EXPECT_EQ(q_->min_time(), core::kInfTime);
+  }
+  std::size_t size() const { return ref_.size(); }
+
+ private:
+  std::unique_ptr<core::EventQueue> q_;
+  std::set<std::pair<double, core::EventId>> ref_;
+  core::EventId seq_ = 1;
 };
 
 std::vector<PopRecord> drain(core::EventQueue& q) {
@@ -280,6 +317,80 @@ TEST_P(QueueTest, WindowedRequeueFuzzMatchesReference) {
       for (std::int64_t k = 0; k < batch; ++k) push_both(window_end + rng.exponential(5.0));
     }
     EXPECT_EQ(q->size(), ref->size()) << "seed " << seed;
+  }
+}
+
+TEST_P(QueueTest, BimodalTiesAndSpreadMatchReference) {
+  // The MONARC tier population: a dense near-term cluster full of exact
+  // ties (transfers and jobs chained at or just after the clock) beside
+  // production events spaced 40 s apart. A calendar width sized for either
+  // half is wrong for the other.
+  Checked q(GetParam());
+  core::RngStream rng(4040);
+  for (int i = 0; i < 60; ++i) q.push(40.0 * i);
+  double clock = 0;
+  for (int step = 0; step < 20000 && !HasFailure(); ++step) {
+    clock = q.pop();
+    if (step % 40 == 0) q.push(clock + 40.0 * 60);  // the spread half
+    for (std::int64_t n = rng.uniform_int(0, 2); n > 0 && q.size() < 400; --n) {
+      switch (rng.uniform_int(0, 3)) {
+        case 0: q.push(clock); break;  // an exact tie with the clock
+        case 1: q.push(clock + 0.25 * static_cast<double>(rng.uniform_int(1, 4))); break;
+        case 2: q.push(clock + rng.uniform(0, 1e-3)); break;
+        default: q.push(clock + rng.uniform(0, 2.0)); break;
+      }
+    }
+  }
+  q.drain();
+}
+
+TEST_P(QueueTest, HugeAndInfiniteTimesBesideTinyWidths) {
+  // A cluster 1e-9 s apart shrinks a calendar day to its minimum width, so
+  // 1e300 and kInfTime lie ~1e309 days out: their day numbers must saturate,
+  // not overflow, and still order after everything finite.
+  Checked q(GetParam());
+  for (int round = 0; round < 4; ++round) {
+    const double base = round * 1e-6;
+    for (int i = 0; i < 200; ++i) q.push(base + i * 1e-9);
+    q.push(core::kInfTime);
+    q.push(1e300);
+    q.push(core::kInfTime);
+    q.push(1e300);
+    q.push(1e290);
+    for (int i = 0; i < 150; ++i) q.pop();
+  }
+  q.drain();
+}
+
+TEST_P(QueueTest, RequeueBelowCurrentDayAfterResize) {
+  // Pop into a day, then push enough far events to resize the calendar
+  // (new width, new current day) and requeue keys below that day: the popped
+  // event itself and one earlier than everything pending.
+  for (int grow : {10, 100, 1000}) {
+    SCOPED_TRACE(grow);
+    auto q = make();
+    auto ref = core::make_event_queue(core::QueueKind::kBinaryHeap);
+    core::EventId seq = 1;
+    const auto push_both = [&](core::EventRecord ev) {
+      q->push(ev);
+      ref->push(ev);
+    };
+    for (int i = 0; i < 8; ++i) push_both({10.0 + i, seq++});
+    const auto first = q->pop();
+    ASSERT_EQ(first.seq, ref->pop().seq);
+    const auto past = q->pop();  // the event past a window bound
+    ASSERT_EQ(past.seq, ref->pop().seq);
+    for (int i = 0; i < grow; ++i) push_both({1000.0 + 0.5 * i, seq++});
+    push_both(past);  // requeued below the current day
+    push_both({first.time, seq++});  // earlier than anything pending
+    push_both({past.time + 0.25, seq++});
+    while (!ref->empty()) {
+      ASSERT_EQ(q->min_time(), ref->min_time());
+      const auto want = ref->pop();
+      const auto got = q->pop();
+      ASSERT_EQ(got.seq, want.seq) << "want t=" << want.time << ", got t=" << got.time;
+    }
+    EXPECT_TRUE(q->empty());
   }
 }
 

@@ -11,8 +11,11 @@
 
 #include "exp/campaign.hpp"
 #include "exp/dist_campaign.hpp"
+#include "core/engine.hpp"
 #include "obs/observability.hpp"
+#include "obs/report.hpp"
 #include "sim/facade_registry.hpp"
+#include "sim/facades/common.hpp"
 #include "util/ini.hpp"
 
 namespace {
@@ -164,6 +167,55 @@ TEST(StrictKeys, EveryShippedScenarioParses) {
       EXPECT_NO_THROW(point.reject_unread()) << "point " << p;
     }
   }
+}
+
+// The event-queue structure is a performance knob, never a results knob:
+// every shipped single-run scenario reports the same result bytes under all
+// five queue kinds. Campaign and distributed scenarios have their own ctests.
+TEST(ShippedScenarios, ResultIsQueueInvariant) {
+  sim::register_builtin_facades();
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(LSDS_SCENARIO_DIR)) {
+    if (f.path().extension() == ".ini") files.push_back(f.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::size_t ran = 0;
+  for (const auto& path : files) {
+    SCOPED_TRACE(path.filename().string());
+    const auto base = util::IniConfig::load(path.string());
+    const auto sections = base.sections();
+    if (std::find(sections.begin(), sections.end(), "campaign") != sections.end() ||
+        std::find(sections.begin(), sections.end(), "sweep") != sections.end()) {
+      continue;
+    }
+    std::string want;
+    for (const char* queue : {"heap", "sorted", "splay", "calendar", "ladder"}) {
+      SCOPED_TRACE(queue);
+      util::IniConfig ini = base;
+      ini.set("scenario", "queue", queue);
+      const auto* entry =
+          sim::FacadeRegistry::global().find(ini.get_string("scenario", "facade", ""));
+      ASSERT_NE(entry, nullptr);
+      core::Engine::Config ecfg;
+      ecfg.seed = ini.get_count("scenario", "seed", 42);
+      ecfg.queue = sim::facades::parse_queue(ini.get_string("scenario", "queue", "heap"));
+      obs::parse_options(ini);  // read, not applied: no report file is written
+      const auto study = entry->parse(ini);
+      ini.reject_unread();
+      core::Engine engine(ecfg);
+      obs::RunReport report;
+      ASSERT_EQ(study(engine, report), 0);
+      const std::string got = report.result().dump(0);
+      if (want.empty()) {
+        want = got;
+        EXPECT_GT(want.size(), 2u);  // not an empty object
+      } else {
+        EXPECT_EQ(got, want);
+      }
+    }
+    ++ran;
+  }
+  EXPECT_EQ(ran, 11u);
 }
 
 // --- no silent enum fallbacks -------------------------------------------------

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -300,6 +301,24 @@ TEST(ZoneSpecs, ValidationRejectsDegenerateShapes) {
   net::ZoneTree tree;
   EXPECT_THROW(tree.add_child(std::make_unique<net::StarZone>(net::StarSpec{2, 1e9, 1e-4}),
                               -1.0, 1e-3),
+               std::invalid_argument);
+}
+
+TEST(ZoneSpecs, ValidationRejectsInfiniteLatency) {
+  // An infinite link latency is no way to say "unreachable": every path
+  // over it would cost inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(net::StarZone(net::StarSpec{2, 1e9, inf}), std::invalid_argument);
+  EXPECT_THROW(net::ClusterZone(net::ClusterSpec{4, 1e9, inf, 1e9, 1e-3}),
+               std::invalid_argument);
+  EXPECT_THROW(net::ClusterZone(net::ClusterSpec{4, 1e9, 1e-4, 1e9, inf}),
+               std::invalid_argument);
+  net::FatTreeSpec fat = xgft({2, 2}, {1, 2});
+  fat.latency[1] = inf;
+  EXPECT_THROW(net::FatTreeZone{fat}, std::invalid_argument);
+  net::ZoneTree tree;
+  EXPECT_THROW(tree.add_child(std::make_unique<net::StarZone>(net::StarSpec{2, 1e9, 1e-4}),
+                              1e9, inf),
                std::invalid_argument);
 }
 
