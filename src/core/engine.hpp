@@ -226,7 +226,13 @@ class Engine {
   void adopt_coroutine(ProcessLink& link, std::coroutine_handle<> h);
   /// Unlink a frame that is about to destroy itself.
   void drop_coroutine(ProcessLink& link);
+  /// Frames alive plus start_at() starts not yet fired.
   std::size_t live_processes() const { return live_processes_; }
+  /// start_at()'s count hand-off: a deferred start counts as live from the
+  /// call (hold), and its start event gives the count back (release) just
+  /// before it creates the frame, which adopt_coroutine() counts again.
+  void hold_deferred_start() { ++live_processes_; }
+  void release_deferred_start() { --live_processes_; }
 
  private:
   /// One slab slot: an event body and the seq of the event that owns it
@@ -298,7 +304,7 @@ class Engine {
   std::uint64_t pops_ = 0;
   std::vector<Entity*> entities_;  // slot = id; nullptr after unregister
   ProcessLink* processes_ = nullptr;  // head of the live-frame list
-  std::size_t live_processes_ = 0;
+  std::size_t live_processes_ = 0;    // linked frames + unfired start_at() starts
 };
 
 /// RAII entity-tag context: events scheduled within the scope carry `tag`

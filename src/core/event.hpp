@@ -70,17 +70,19 @@ class EventFn {
   void operator()() { ops_->invoke(storage_); }
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
- private:
-  struct Ops {
-    void (*invoke)(void* storage);
-    void (*destroy)(void* storage);  // null for inline (trivially destructible) callables
-  };
-
+  /// True when a callable of type Fn is stored in place, with no heap box:
+  /// what a caller static_asserts to keep a per-event closure allocation-free.
   template <typename Fn>
   static constexpr bool fits_inline() {
     return sizeof(Fn) <= kInlineCapacity && alignof(Fn) <= alignof(void*) &&
            std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>;
   }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* storage);
+    void (*destroy)(void* storage);  // null for inline (trivially destructible) callables
+  };
 
   template <typename Fn>
   static constexpr Ops kInlineOps{[](void* p) { (*static_cast<Fn*>(p))(); }, nullptr};

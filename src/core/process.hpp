@@ -17,9 +17,20 @@
 // SimGrid-style agents communicating over channels are expressed with
 // Channel<T> (typed, FIFO); Condition provides broadcast wakeups.
 //
+// Starting a process: calling the coroutine starts it now, and it runs to
+// its first suspension inside the call. A process that starts later is
+// started with start_at(eng, t, factory), never by a coroutine whose first
+// act is co_await delay(eng, t - eng.now()): a frame exists only while its
+// process runs. start_at() queues one event, and that event calls the
+// factory, which creates the frame — so a study that submits 40,000 jobs
+// up front holds 40,000 events, not 40,000 suspended frames.
+//
 // Lifetime rules:
 //  * a coroutine whose first parameter is Engine& (or a member coroutine
 //    whose first declared parameter is Engine&) is adopted by that engine;
+//  * a start_at() start counts in live_processes() from the call; its start
+//    event hands the count to the frame it creates, and a start that never
+//    fires (a horizon cut) is destroyed, unrun, with the engine's events;
 //  * frames self-destroy on completion; the engine destroys still-suspended
 //    frames when it is itself destroyed;
 //  * the engine finds its frames through an intrusive list: each promise
@@ -89,6 +100,29 @@ struct DelayAwaiter {
   void await_resume() const noexcept {}
 };
 inline DelayAwaiter delay(Engine& engine, SimTime dt) { return {engine, dt}; }
+
+/// Start a process at simulated time `t`: queue one event there that calls
+/// `factory(engine)`, which creates the coroutine and runs it to its first
+/// suspension (see file comment). The event is keyed exactly as the
+/// delay-first coroutine's initial `co_await delay(engine, t - now)` would
+/// key it — at now + (t - now), with the next seq — so switching a process
+/// to start_at() changes no trace. A past `t` is clamped to now and counted
+/// in stats().past_clamped. The factory must be trivially copyable and
+/// small (it is captured in the event's inline buffer):
+///
+///   core::start_at(eng, submit_at, [&ctx, job](Engine& e) { run_job(e, ctx, job); });
+template <typename Factory>
+void start_at(Engine& engine, SimTime t, Factory factory) {
+  auto start = [eng = &engine, factory] {
+    eng->release_deferred_start();
+    factory(*eng);
+  };
+  static_assert(EventFn::fits_inline<decltype(start)>(),
+                "start_at: the factory must be trivially copyable and fit EventFn's inline "
+                "buffer; a heap box per start costs what deferring the frame saves");
+  engine.hold_deferred_start();
+  engine.schedule_in(t - engine.now(), start);
+}
 
 /// Counted resource with FIFO admission (CPU slots, disk drives, licenses…).
 class Resource {

@@ -61,8 +61,7 @@ void LadderQueue::push(EventRecord ev) {
   bottom_.insert(it, ev);
 }
 
-void LadderQueue::spawn_rung(const std::vector<EventRecord>& events, double start,
-                             double end) {
+void LadderQueue::spawn_rung(std::span<const EventRecord> events, double start, double end) {
   assert(depth_ < kMaxRungs);  // so rungs_ never outgrows its reserve
   if (depth_ == rungs_.size()) rungs_.emplace_back();
   Rung& rung = rungs_[depth_++];
@@ -80,16 +79,31 @@ void LadderQueue::spawn_rung(const std::vector<EventRecord>& events, double star
 
 void LadderQueue::transfer_top_to_ladder() {
   if (top_.empty()) return;
+  // An infinite key would stretch the rung over an infinite span: its width
+  // falls back to 1e-9 s and every finite event lands in the last bucket.
+  // So the rung spans Top's finite keys only, and infinite keys stay in Top,
+  // which pops last. Only this path pays for the split; push() does not.
+  std::size_t finite = top_.size();
+  double end = top_max_;
+  if (std::isinf(top_max_) && std::isfinite(top_min_)) {
+    finite = static_cast<std::size_t>(
+        std::partition(top_.begin(), top_.end(),
+                       [](const EventRecord& ev) { return std::isfinite(ev.time); }) -
+        top_.begin());
+    end = top_min_;
+    for (std::size_t i = 0; i < finite; ++i) end = std::max(end, top_[i].time);
+  }
   // New epoch: events later pushed beyond the old max spill into Top again.
-  top_start_ = top_max_ + 1e-12;
+  top_start_ = end + 1e-12;
   const double start = top_min_;
-  const double end = top_max_;
+  spawn_rung(std::span<const EventRecord>(top_).first(finite), start,
+             end == start ? start + 1e-9 : end);
   top_min_ = kInfTime;
-  top_max_ = -kInfTime;
-  spawn_rung(top_, start, end == start ? start + 1e-9 : end);
+  top_max_ = finite < top_.size() ? kInfTime : -kInfTime;
   // Top is refilled only as the clock nears the new epoch's end; a kept
   // buffer would sit resident, empty, beside the rung that now holds it all.
-  std::vector<EventRecord>().swap(top_);
+  std::vector<EventRecord>(top_.begin() + static_cast<std::ptrdiff_t>(finite), top_.end())
+      .swap(top_);
 }
 
 bool LadderQueue::advance_ladder() {

@@ -14,7 +14,9 @@
 // This implementation follows the paper's algorithm with the standard
 // simplifications: a bucket whose events are all simultaneous (or the
 // maximum rung depth) is sorted straight into Bottom instead of spawning
-// another rung.
+// another rung. Events at kInfTime never enter a rung beside finite ones:
+// a transfer spans the rung over Top's largest finite time and leaves the
+// infinite keys in Top, so they pop last.
 //
 // Storage is recycled, so a steady-state push/pop pair does not allocate.
 // A rung that empties stays in rungs_ and is reused, bucket array intact,
@@ -28,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/event_queue.hpp"
@@ -59,7 +62,7 @@ class LadderQueue final : public EventQueue {
   /// Empty a drained bucket, keeping its buffer only if it is small.
   static void release(std::vector<EventRecord>& bucket);
   /// Make rungs_[depth_] the new innermost rung and copy `events` into it.
-  void spawn_rung(const std::vector<EventRecord>& events, double start, double end);
+  void spawn_rung(std::span<const EventRecord> events, double start, double end);
   void transfer_top_to_ladder();
   /// Drain the next non-empty bucket of the innermost rung into Bottom
   /// (or a finer rung). Returns false when the ladder is empty.

@@ -32,9 +32,9 @@ FacadeRegistry::Study parse_chaos(const util::IniConfig& ini) {
   cfg.recovery.blacklist_duration =
       ini.get_duration("failures", "blacklist", cfg.recovery.blacklist_duration);
   cfg.recovery.checkpoint_interval_ops =
-      ini.get_double("failures", "checkpoint_interval_ops", cfg.mean_ops / 4);
+      facades::get_non_negative(ini, "failures", "checkpoint_interval_ops", cfg.mean_ops / 4);
   cfg.recovery.checkpoint_overhead_ops =
-      ini.get_double("failures", "checkpoint_overhead_ops", cfg.mean_ops / 50);
+      facades::get_non_negative(ini, "failures", "checkpoint_overhead_ops", cfg.mean_ops / 50);
   cfg.recovery.replicas = ini.get_count("failures", "replicas", 2);
   cfg.failures = facades::parse_failures(ini);
 

@@ -19,7 +19,7 @@ FacadeRegistry::Study parse_chicsim(const util::IniConfig& ini) {
   const std::string dp = ini.get_string("chicsim", "data_policy", "data-cache");
   facades::parse_enum("data policy", dp, chicsim::kAllDataPolicies, cfg.data_policy);
   cfg.workload.num_jobs = ini.get_count("chicsim", "jobs", 400);
-  cfg.workload.zipf_exponent = ini.get_double("chicsim", "zipf", 0.9);
+  cfg.workload.zipf_exponent = facades::get_positive(ini, "chicsim", "zipf", 0.9);
   cfg.failures = facades::parse_resume_failures(ini);
   cfg.storage_sharing = facades::parse_storage(ini);
   return [cfg, jp, dp](core::Engine& eng, obs::RunReport& report) {

@@ -19,6 +19,25 @@ double get_positive(const util::IniConfig& ini, const char* section, const char*
   return v;
 }
 
+double get_non_negative(const util::IniConfig& ini, const char* section, const char* key,
+                        double def) {
+  const double v = ini.get_double(section, key, def);
+  if (!(v >= 0) || !std::isfinite(v)) {
+    throw util::ConfigError(
+        util::strformat("[%s] %s must be finite and >= 0 (got %g)", section, key, v));
+  }
+  return v;
+}
+
+double get_probability(const util::IniConfig& ini, const char* section, const char* key,
+                       double def) {
+  const double v = ini.get_double(section, key, def);
+  if (!(v >= 0 && v <= 1)) {
+    throw util::ConfigError(util::strformat("[%s] %s must be in [0, 1] (got %g)", section, key, v));
+  }
+  return v;
+}
+
 core::QueueKind parse_queue(const std::string& s) {
   if (s == "sorted") return core::QueueKind::kSortedList;
   if (s == "heap") return core::QueueKind::kBinaryHeap;
@@ -34,7 +53,7 @@ middleware::FailureSpec parse_failures(const util::IniConfig& ini) {
   spec.mtbf = ini.get_duration("failures", "mtbf", spec.mtbf);
   spec.mttr = ini.get_duration("failures", "mttr", spec.mttr);
   spec.horizon = ini.get_duration("failures", "horizon", spec.horizon);
-  spec.weibull_shape = ini.get_double("failures", "weibull_shape", 0);
+  spec.weibull_shape = get_non_negative(ini, "failures", "weibull_shape", 0);  // 0: exponential
   spec.include_links = ini.get_bool("failures", "links", true);
   const std::string sem = ini.get_string("failures", "semantics", "resume");
   if (sem == "stop") {

@@ -18,6 +18,21 @@ namespace lsds::sim::facades {
 /// and "... must be finite (got inf)" for infinities.
 double get_positive(const util::IniConfig& ini, const char* section, const char* key, double def);
 
+/// A size, cost, budget or latency that may be 0: throws ConfigError
+/// "[section] key must be finite and >= 0 (got v)" for negative, NaN and
+/// infinite values.
+double get_non_negative(const util::IniConfig& ini, const char* section, const char* key,
+                        double def);
+
+/// A probability or fraction: throws ConfigError
+/// "[section] key must be in [0, 1] (got v)" outside [0, 1] and for NaN.
+double get_probability(const util::IniConfig& ini, const char* section, const char* key,
+                       double def);
+
+// These three and the IniConfig getters are the facades' only number
+// readers: no facade but common.cpp calls the unchecked get_double
+// (facade_registry_test scans the sources).
+
 /// `[scenario] queue =` sorted | heap | splay | calendar | ladder.
 core::QueueKind parse_queue(const std::string& s);
 

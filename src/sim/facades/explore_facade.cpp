@@ -60,9 +60,11 @@ FacadeRegistry::Study parse_explore(const util::IniConfig& ini) {
   rec.backoff_base = ini.get_duration("explore", "backoff", rec.backoff_base);
   rec.blacklist_duration = ini.get_duration("explore", "blacklist", rec.blacklist_duration);
   rec.checkpoint_interval_ops =
-      ini.get_double("explore", "checkpoint_interval_ops", rec.checkpoint_interval_ops);
+      facades::get_non_negative(ini, "explore", "checkpoint_interval_ops",
+                                rec.checkpoint_interval_ops);
   rec.checkpoint_overhead_ops =
-      ini.get_double("explore", "checkpoint_overhead_ops", rec.checkpoint_overhead_ops);
+      facades::get_non_negative(ini, "explore", "checkpoint_overhead_ops",
+                                rec.checkpoint_overhead_ops);
   rec.replicas = ini.get_count("explore", "replicas", rec.replicas);
   rec.max_attempts = ini.get_count("explore", "max_attempts", rec.max_attempts);
 

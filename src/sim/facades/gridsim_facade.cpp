@@ -17,7 +17,7 @@ namespace {
 FacadeRegistry::Study parse_gridsim(const util::IniConfig& ini) {
   gridsim::Config cfg;
   cfg.num_jobs = ini.get_count("gridsim", "jobs", 60);
-  cfg.budget = ini.get_double("gridsim", "budget", 1e18);
+  cfg.budget = facades::get_non_negative(ini, "gridsim", "budget", 1e18);
   cfg.deadline = ini.get_duration("gridsim", "deadline", 1e18);
   const std::string strategy = ini.get_string("gridsim", "strategy", "cost");
   if (strategy == "cost") {

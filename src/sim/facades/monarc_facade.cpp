@@ -8,7 +8,6 @@
 #include "sim/monarc/monarc.hpp"
 #include "sim/parallel/execution.hpp"
 #include "sim/parallel/tier_model.hpp"
-#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace lsds::sim {
@@ -24,11 +23,7 @@ FacadeRegistry::Study parse_monarc(const util::IniConfig& ini) {
   cfg.production_interval = ini.get_duration("monarc", "interval", 40);
   cfg.run_analysis = ini.get_bool("monarc", "analysis", true);
   cfg.t2_per_t1 = ini.get_count("monarc", "t2_per_t1", 0);
-  cfg.t2_fraction = ini.get_double("monarc", "t2_fraction", 0.3);
-  if (!(cfg.t2_fraction >= 0 && cfg.t2_fraction <= 1)) {
-    throw util::ConfigError(
-        util::strformat("[monarc] t2_fraction must be in [0, 1] (got %g)", cfg.t2_fraction));
-  }
+  cfg.t2_fraction = facades::get_probability(ini, "monarc", "t2_fraction", 0.3);
   cfg.archive_to_tape = ini.get_bool("monarc", "archive", false);
   cfg.failures = facades::parse_resume_failures(ini);
   cfg.storage_sharing = facades::parse_storage(ini);

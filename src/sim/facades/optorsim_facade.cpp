@@ -16,13 +16,13 @@ namespace {
 FacadeRegistry::Study parse_optorsim(const util::IniConfig& ini) {
   optorsim::Config cfg;
   cfg.num_sites = ini.get_count("optorsim", "sites", 6);
-  cfg.cache_fraction = ini.get_double("optorsim", "cache_fraction", 0.2);
+  cfg.cache_fraction = facades::get_probability(ini, "optorsim", "cache_fraction", 0.2);
   const std::string policy = ini.get_string("optorsim", "policy", "lru");
   facades::parse_enum("replication policy", policy, middleware::kAllReplicationPolicies,
                       cfg.policy);
   cfg.workload.num_jobs = ini.get_count("optorsim", "jobs", 300);
   cfg.workload.num_files = ini.get_count("optorsim", "files", 60);
-  cfg.workload.zipf_exponent = ini.get_double("optorsim", "zipf", 1.0);
+  cfg.workload.zipf_exponent = facades::get_positive(ini, "optorsim", "zipf", 1.0);
   cfg.workload.mean_interarrival = ini.get_duration("optorsim", "interarrival", 1.5);
   cfg.workload.file_bytes = {apps::SizeDist::kConstant,
                              ini.get_size("optorsim", "file_size", 50e6), 0};

@@ -66,10 +66,10 @@ P2pConfig parse_config(const util::IniConfig& ini) {
   }
   c.peers = ini.get_count("p2p", "peers", 1024, 2);
   c.sites = std::min(ini.get_count("p2p", "sites", 16, 1), c.peers);
-  c.site.host_bandwidth = ini.get_double("p2p", "bandwidth", 1e8);
-  c.site.host_latency = ini.get_double("p2p", "latency", 5e-3);
-  c.site.backbone_bandwidth = ini.get_double("p2p", "backbone_bandwidth", 1e10);
-  c.site.backbone_latency = ini.get_double("p2p", "backbone_latency", 2e-2);
+  c.site.host_bandwidth = facades::get_positive(ini, "p2p", "bandwidth", 1e8);
+  c.site.host_latency = facades::get_non_negative(ini, "p2p", "latency", 5e-3);
+  c.site.backbone_bandwidth = facades::get_positive(ini, "p2p", "backbone_bandwidth", 1e10);
+  c.site.backbone_latency = facades::get_non_negative(ini, "p2p", "backbone_latency", 2e-2);
 
   const double horizon = ini.get_duration("p2p", "horizon", 60.0);
   if (!(horizon > 0) || !std::isfinite(horizon)) {
@@ -84,12 +84,12 @@ P2pConfig parse_config(const util::IniConfig& ini) {
     throw util::ConfigError("unknown churn: " + churn_kind + " (none|exponential|weibull)");
   }
   c.churn.mean_lifetime = ini.get_duration("p2p", "mean_lifetime", 300.0);
-  c.churn.weibull_shape = ini.get_double("p2p", "weibull_shape", 1.5);
+  c.churn.weibull_shape = facades::get_positive(ini, "p2p", "weibull_shape", 1.5);
   c.churn.mean_downtime = ini.get_duration("p2p", "mean_downtime", 30.0);
   c.churn.horizon = horizon;
   if (c.churn_on) c.churn.validate();
 
-  c.traffic.rate = ini.get_double("p2p", "lookup_rate", 100.0);
+  c.traffic.rate = facades::get_positive(ini, "p2p", "lookup_rate", 100.0);
   c.traffic.ttl = ini.get_count("p2p", "ttl", 6);
   c.traffic.horizon = horizon;
   c.traffic.validate();

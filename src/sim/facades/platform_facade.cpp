@@ -16,7 +16,6 @@
 // list for fat-tree), `backbone_bandwidth`/`backbone_latency` (cluster),
 // `up = lowest|dmodk` (fat-tree equal-cost policy). Workload keys: `flows`
 // transfers of `bytes` each between rng-drawn host pairs.
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -97,8 +96,9 @@ PlatformConfig parse_config(const util::IniConfig& ini) {
   }
 
   c.star.hosts = c.cluster.hosts = ini.get_count("platform", "hosts", 64);
-  c.cluster.backbone_bandwidth = ini.get_double("platform", "backbone_bandwidth", 10e9);
-  c.cluster.backbone_latency = ini.get_double("platform", "backbone_latency", 1e-3);
+  c.cluster.backbone_bandwidth =
+      facades::get_positive(ini, "platform", "backbone_bandwidth", 10e9);
+  c.cluster.backbone_latency = facades::get_non_negative(ini, "platform", "backbone_latency", 1e-3);
   c.fat_tree.children = parse_u32_list(ini.get_string("platform", "children", "4,4"), "children");
   c.fat_tree.parents = parse_u32_list(ini.get_string("platform", "parents", "1,2"), "parents");
   const std::string up = ini.get_string("platform", "up", "lowest");
@@ -112,16 +112,14 @@ PlatformConfig parse_config(const util::IniConfig& ini) {
     c.fat_tree.bandwidth = per_level(ini, "bandwidth", 1e9, c.fat_tree.children.size());
     c.fat_tree.latency = per_level(ini, "latency", 1e-4, c.fat_tree.children.size());
   } else {
-    c.star.bandwidth = c.cluster.host_bandwidth = ini.get_double("platform", "bandwidth", 1e9);
-    c.star.latency = c.cluster.host_latency = ini.get_double("platform", "latency", 1e-4);
+    c.star.bandwidth = c.cluster.host_bandwidth =
+        facades::get_positive(ini, "platform", "bandwidth", 1e9);
+    c.star.latency = c.cluster.host_latency =
+        facades::get_non_negative(ini, "platform", "latency", 1e-4);
   }
 
   c.flows = ini.get_count("platform", "flows", 64);
-  c.bytes = ini.get_double("platform", "bytes", 1e8);
-  if (!std::isfinite(c.bytes) || c.bytes < 0) {
-    throw util::ConfigError(
-        util::strformat("[platform] bytes must be finite and >= 0 (got %g)", c.bytes));
-  }
+  c.bytes = facades::get_non_negative(ini, "platform", "bytes", 1e8);
   return c;
 }
 

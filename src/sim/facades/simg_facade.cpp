@@ -17,7 +17,7 @@ FacadeRegistry::Study parse_simg(const util::IniConfig& ini) {
   simg::Config cfg;
   cfg.num_workers = ini.get_count("simg", "workers", 4, 1);
   cfg.num_tasks = ini.get_count("simg", "tasks", 64);
-  cfg.estimate_error = ini.get_double("simg", "estimate_error", 0.3);
+  cfg.estimate_error = facades::get_probability(ini, "simg", "estimate_error", 0.3);
   facades::parse_enum("scheduling mode", ini.get_string("simg", "mode", "runtime"), kModes,
                       cfg.mode);
   return [cfg](core::Engine& eng, obs::RunReport& report) {

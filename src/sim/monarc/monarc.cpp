@@ -105,9 +105,9 @@ core::Process production(core::Engine& eng, Ctx& ctx) {
 
 // T2 analysis: pull the file from the parent T1 (once its replica landed),
 // then compute locally — the next hierarchical level of the tier model.
+// Started by start_at() at its submit time.
 core::Process t2_analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, hosts::SiteId t2_site,
-                          std::size_t file_idx, double submit_at) {
-  co_await core::delay(eng, submit_at - eng.now());
+                          std::size_t file_idx) {
   const double t_submit = eng.now();
   if (!ctx.arrived[t1][file_idx]) co_await ctx.wait_for(eng, t1, file_idx);
   auto& parent = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
@@ -123,9 +123,8 @@ core::Process t2_analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, hosts::Si
 }
 
 // T1 analysis activity: one job per file, waiting for the local replica.
-core::Process analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, std::size_t file_idx,
-                       double submit_at) {
-  co_await core::delay(eng, submit_at - eng.now());
+// Started by start_at() at its submit time.
+core::Process analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, std::size_t file_idx) {
   const double t_submit = eng.now();
   if (!ctx.arrived[t1][file_idx]) co_await ctx.wait_for(eng, t1, file_idx);
   auto& site = ctx.grid->site(static_cast<hosts::SiteId>(1 + t1));
@@ -210,7 +209,8 @@ Result run(core::Engine& engine, const Config& cfg) {
     for (std::size_t t1 = 0; t1 < cfg.num_t1; ++t1) {
       for (std::size_t f = 0; f < cfg.num_files; ++f) {
         const double produced_at = cfg.production_interval * static_cast<double>(f + 1);
-        analysis(engine, ctx, t1, f, produced_at + rng.exponential(10.0));
+        core::start_at(engine, produced_at + rng.exponential(10.0),
+                       [&ctx, t1, f](core::Engine& eng) { analysis(eng, ctx, t1, f); });
       }
     }
     for (std::size_t t1 = 0; t1 < cfg.num_t1; ++t1) {
@@ -218,7 +218,10 @@ Result run(core::Engine& engine, const Config& cfg) {
         for (std::size_t f = 0; f < cfg.num_files; ++f) {
           if (!rng.bernoulli(cfg.t2_fraction)) continue;
           const double produced_at = cfg.production_interval * static_cast<double>(f + 1);
-          t2_analysis(engine, ctx, t1, t2, f, produced_at + rng.exponential(20.0));
+          core::start_at(engine, produced_at + rng.exponential(20.0),
+                         [&ctx, t1, t2, f](core::Engine& eng) {
+                           t2_analysis(eng, ctx, t1, t2, f);
+                         });
         }
       }
     }

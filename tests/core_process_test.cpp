@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/process.hpp"
+#include "event_probe.hpp"
 
 namespace core = lsds::core;
 using core::Channel;
@@ -134,6 +136,110 @@ TEST(ProcessRegistry, TeardownDestroysFramesSpawnedByDestructors) {
     EXPECT_EQ(eng.live_processes(), 2u);
   }  // destroying process 0 spawns process 1, which teardown then destroys
   EXPECT_EQ(destroyed, (std::vector<int>{1, 1, 1}));
+}
+
+// --- start_at ---------------------------------------------------------
+
+namespace {
+
+using Trace = std::vector<std::tuple<double, core::EventId, std::size_t>>;
+
+// The body every variant runs once started: two holds, then a record.
+Process job_body(Engine& eng, std::size_t id, std::vector<std::size_t>& done) {
+  co_await delay(eng, 0.5);
+  co_await delay(eng, 0.25 * static_cast<double>(id % 3));
+  done.push_back(id);
+}
+
+// The pattern start_at() replaces: created now, first act a delay to `at`.
+Process delay_first_job(Engine& eng, double at, std::size_t id, std::vector<std::size_t>& done) {
+  co_await delay(eng, at - eng.now());
+  co_await delay(eng, 0.5);
+  co_await delay(eng, 0.25 * static_cast<double>(id % 3));
+  done.push_back(id);
+}
+
+double submit_time(std::size_t i) { return 0.5 * static_cast<double>(i % 7) + 0.1 * i; }
+
+// Submits jobs from..n-1, deferred or delay-first, from a process running
+// at t = 1.3, so that start_at() keys a start from a clock past 0.
+Process submitter(Engine& eng, bool deferred, std::size_t from, std::size_t n,
+                  std::vector<std::size_t>& done) {
+  co_await delay(eng, 1.3);
+  for (std::size_t i = from; i < n; ++i) {
+    if (deferred) {
+      core::start_at(eng, 1.3 + submit_time(i),
+                     [i, &done](Engine& e) { job_body(e, i, done); });
+    } else {
+      delay_first_job(eng, 1.3 + submit_time(i), i, done);
+    }
+  }
+}
+
+Trace run_jobs(bool deferred, std::vector<std::size_t>& done) {
+  constexpr std::size_t kJobs = 200;
+  Trace trace;
+  Engine eng;
+  lsds::testutil::EventProbe probe([&](double t, core::EventId id) {
+    trace.emplace_back(t, id, eng.live_processes());
+  });
+  eng.set_probe(&probe);
+  submitter(eng, deferred, kJobs / 2, kJobs, done);
+  for (std::size_t i = 0; i < kJobs / 2; ++i) {
+    if (deferred) {
+      core::start_at(eng, submit_time(i), [i, &done](Engine& e) { job_body(e, i, done); });
+    } else {
+      delay_first_job(eng, submit_time(i), i, done);
+    }
+  }
+  eng.run();
+  EXPECT_EQ(eng.live_processes(), 0u);
+  return trace;
+}
+
+}  // namespace
+
+TEST(StartAt, SameTraceAndLiveCountAsDelayFirstProcess) {
+  std::vector<std::size_t> done_deferred, done_direct;
+  const Trace deferred = run_jobs(true, done_deferred);
+  const Trace direct = run_jobs(false, done_direct);
+  ASSERT_FALSE(direct.empty());
+  EXPECT_EQ(deferred, direct);
+  EXPECT_EQ(done_deferred, done_direct);
+  EXPECT_EQ(done_direct.size(), 200u);
+}
+
+TEST(StartAt, PastTimeIsClampedAndCounted) {
+  Engine eng;
+  eng.run_until(5.0);
+  std::vector<double> started;
+  core::start_at(eng, 2.0, [&started](Engine& e) { started.push_back(e.now()); });
+  EXPECT_EQ(eng.stats().past_clamped, 1u);
+  EXPECT_EQ(eng.live_processes(), 1u);
+  eng.run();
+  EXPECT_EQ(started, (std::vector<double>{5.0}));
+  EXPECT_EQ(eng.live_processes(), 0u);  // a factory that creates no frame still hands back
+}
+
+TEST(StartAt, HorizonCutTearsDownUnstartedStarts) {
+  constexpr std::size_t kStarts = 10000;
+  std::vector<int> destroyed(kStarts, 0);
+  std::size_t created = 0;
+  {
+    Engine eng;
+    for (std::size_t i = 0; i < kStarts; ++i) {
+      core::start_at(eng, static_cast<double>(i), [i, &destroyed, &created](Engine& e) {
+        ++created;
+        counted_sleeper(e, 1e9, destroyed, i);
+      });
+    }
+    EXPECT_EQ(eng.live_processes(), kStarts);
+    eng.run_until(1000.5);  // starts at t <= 1000 fire; their frames stay suspended
+    EXPECT_EQ(created, 1001u);
+    EXPECT_EQ(eng.live_processes(), kStarts);
+  }  // the engine destroys 1,001 frames and 8,999 unfired starts
+  for (std::size_t i = 0; i < kStarts; ++i) EXPECT_EQ(destroyed[i], i <= 1000 ? 1 : 0) << i;
+  EXPECT_EQ(created, 1001u);
 }
 
 // --- Resource ---------------------------------------------------------

@@ -362,6 +362,24 @@ TEST_P(QueueTest, HugeAndInfiniteTimesBesideTinyWidths) {
   q.drain();
 }
 
+TEST_P(QueueTest, OneInfiniteKeyBesideTenThousandFinite) {
+  // One kInfTime key pending beside a finite population: a ladder rung
+  // spanned over [min, inf] would put every finite key in one bucket. The
+  // infinite key must still pop last, after holds that refill the set.
+  Checked q(GetParam());
+  core::RngStream rng(4242);
+  q.push(core::kInfTime);
+  double t = 0;
+  for (int i = 0; i < 10000; ++i) q.push(t += rng.exponential(1.0));
+  for (int i = 0; i < 5000; ++i) {
+    const double now = q.pop();
+    q.push(now + rng.exponential(100.0));
+  }
+  q.push(core::kInfTime);
+  for (int i = 0; i < 2000; ++i) q.pop();
+  q.drain();
+}
+
 TEST_P(QueueTest, RequeueBelowCurrentDayAfterResize) {
   // Pop into a day, then push enough far events to resize the calendar
   // (new width, new current day) and requeue keys below that day: the popped

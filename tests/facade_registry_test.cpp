@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -238,6 +240,65 @@ TEST(FacadeRegistry, GridsimUnknownStrategyIsRejected) {
 
 TEST(FacadeRegistry, SimgUnknownModeIsRejected) {
   expect_rejected("simg", "[simg]\nmode = compiletime\n", "compiletime (runtime|compile-time)");
+}
+
+TEST(FacadeRanges, OutOfRangeNumbersAreRejected) {
+  sim::register_builtin_facades();
+  const struct {
+    const char* facade;
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"optorsim", "[optorsim]\ncache_fraction = 1.5\n",
+       "[optorsim] cache_fraction must be in [0, 1] (got 1.5)"},
+      {"simg", "[simg]\nestimate_error = -0.1\n",
+       "[simg] estimate_error must be in [0, 1] (got -0.1)"},
+      {"gridsim", "[gridsim]\nbudget = -1\n", "[gridsim] budget must be finite and >= 0 (got -1)"},
+      {"chaos", "[failures]\ncheckpoint_interval_ops = -5\n",
+       "[failures] checkpoint_interval_ops must be finite and >= 0 (got -5)"},
+      {"explore", "[explore]\ncheckpoint_overhead_ops = nan\n",
+       "[explore] checkpoint_overhead_ops must be finite and >= 0 (got nan)"},
+      {"monarc", "[failures]\nmtbf = 100\nweibull_shape = -1\n",
+       "[failures] weibull_shape must be finite and >= 0 (got -1)"},
+      {"p2p", "[p2p]\nbandwidth = 0\n", "[p2p] bandwidth must be > 0 (got 0)"},
+      {"p2p", "[p2p]\nbackbone_latency = -1\n",
+       "[p2p] backbone_latency must be finite and >= 0 (got -1)"},
+      {"p2p", "[p2p]\nlookup_rate = inf\n", "[p2p] lookup_rate must be finite (got inf)"},
+      {"chicsim", "[chicsim]\nzipf = 0\n", "[chicsim] zipf must be > 0 (got 0)"},
+      {"optorsim", "[optorsim]\nzipf = -1\n", "[optorsim] zipf must be > 0 (got -1)"},
+      {"platform", "[platform]\nzone = star\nbandwidth = -1e9\n",
+       "[platform] bandwidth must be > 0 (got -1e+09)"},
+      {"platform", "[platform]\nzone = cluster\nbackbone_bandwidth = 0\n",
+       "[platform] backbone_bandwidth must be > 0 (got 0)"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    expect_rejected(c.facade, c.text, c.message);
+  }
+  // weibull_shape = 0 still means exponential failures.
+  EXPECT_NO_THROW(sim::FacadeRegistry::global().find("monarc")->parse(
+      util::IniConfig::parse("[failures]\nmtbf = 100\nweibull_shape = 0\n")));
+}
+
+// The typed getters are the facades' only number readers: a raw
+// ini.get_double in a facade is a value nothing range-checks.
+TEST(FacadeRanges, OnlyCommonCppCallsGetDouble) {
+  namespace fs = std::filesystem;
+  std::size_t scanned = 0;
+  for (const auto& entry : fs::directory_iterator(LSDS_FACADE_SRC_DIR)) {
+    if (entry.path().extension() != ".cpp") continue;
+    std::ifstream in(entry.path());
+    const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const bool calls = text.find("get_double(") != std::string::npos;
+    if (entry.path().filename() == "common.cpp") {
+      EXPECT_TRUE(calls) << "the typed getters moved out of common.cpp; update this scan";
+    } else {
+      EXPECT_FALSE(calls) << entry.path().filename() << " reads a number with the unchecked "
+                          << "get_double; use get_positive, get_non_negative or get_probability";
+    }
+    ++scanned;
+  }
+  EXPECT_GE(scanned, 11u);
 }
 
 }  // namespace
