@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "util/log.hpp"
 
@@ -108,56 +108,22 @@ void ParallelGrid::finalize() {
       }
     }
   }
-  flow_nets_.reserve(lps);
-  for (unsigned lp = 0; lp < lps; ++lp) {
-    flow_nets_.push_back(std::make_unique<net::FlowNetwork>(pe_->lp(lp).engine(), *provider_));
-  }
-
   // Per-LP storage ownership: a site's max-min devices register with its
   // owner LP's flow network ONLY — the resource lives where its events run,
   // so partition-local flows see endpoint disk constraints while cross-LP
   // movement stays on the analytic channels (whose store-and-forward law is
   // already computed at the source). Each LP's endpoint binder therefore
-  // covers exactly its own sites; serial (1 LP) degenerates to the Grid
-  // wiring, keeping serial-vs-parallel traces identical by construction.
-  bool any_maxmin = false;
-  for (const SiteSpec& s : specs_) {
-    if (s.storage_sharing == StorageSharing::kMaxMin) {
-      any_maxmin = true;
-      break;
-    }
-  }
-  if (any_maxmin) {
+  // covers exactly its own sites, and an LP whose sites are all FIFO gets
+  // none; serial (1 LP) is the Grid wiring, keeping serial-vs-parallel
+  // traces identical by construction.
+  flow_nets_.reserve(lps);
+  for (unsigned lp = 0; lp < lps; ++lp) {
+    flow_nets_.push_back(std::make_unique<net::FlowNetwork>(pe_->lp(lp).engine(), *provider_));
+    std::vector<Site*> own;
     for (std::size_t i = 0; i < sites_.size(); ++i) {
-      sites_[i]->attach_solver(*flow_nets_[owner_[i]]);
+      if (owner_[i] == lp) own.push_back(sites_[i].get());
     }
-    for (unsigned lp = 0; lp < lps; ++lp) {
-      auto node_site = std::make_shared<std::unordered_map<net::NodeId, SiteId>>();
-      for (std::size_t i = 0; i < sites_.size(); ++i) {
-        if (owner_[i] == lp) node_site->emplace(nodes_[i], static_cast<SiteId>(i));
-      }
-      if (node_site->empty()) continue;
-      flow_nets_[lp]->set_endpoint_binder(
-          [this, node_site](net::NodeId src, net::NodeId dst,
-                            std::vector<net::ResourceId>& resources, double& extra_latency) {
-            auto sit = node_site->find(src);
-            if (sit != node_site->end()) {
-              StorageDevice& d = sites_[sit->second]->disk();
-              if (d.sharing() == StorageSharing::kMaxMin) {
-                resources.push_back(d.read_resource());
-                extra_latency += d.access_latency();
-              }
-            }
-            auto dit = node_site->find(dst);
-            if (dit != node_site->end()) {
-              StorageDevice& d = sites_[dit->second]->disk();
-              if (d.sharing() == StorageSharing::kMaxMin) {
-                resources.push_back(d.write_resource());
-                extra_latency += d.access_latency();
-              }
-            }
-          });
-    }
+    wire_storage(*flow_nets_.back(), own);
   }
 }
 

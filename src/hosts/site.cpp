@@ -1,6 +1,8 @@
 #include "hosts/site.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 #include <unordered_map>
 
 namespace lsds::hosts {
@@ -59,68 +61,48 @@ Site& Grid::add_site_at(const SiteSpec& spec, net::NodeId node) {
   return *sites_.back();
 }
 
+void wire_storage(net::FlowNetwork& flows, std::span<Site* const> sites) {
+  const bool any_maxmin = std::any_of(sites.begin(), sites.end(), [](const Site* s) {
+    return s->spec().storage_sharing == StorageSharing::kMaxMin;
+  });
+  if (!any_maxmin) return;
+  for (Site* s : sites) s->attach_solver(flows);
+  auto node_disk = std::make_shared<std::unordered_map<net::NodeId, StorageDevice*>>();
+  for (Site* s : sites) node_disk->emplace(s->node(), &s->disk());
+  flows.set_endpoint_binder([node_disk](net::NodeId src, net::NodeId dst,
+                                        std::vector<net::ResourceId>& resources,
+                                        double& extra_latency) {
+    const auto src_it = node_disk->find(src);
+    if (src_it != node_disk->end() && src_it->second->sharing() == StorageSharing::kMaxMin) {
+      resources.push_back(src_it->second->read_resource());
+      extra_latency += src_it->second->access_latency();
+    }
+    const auto dst_it = node_disk->find(dst);
+    if (dst_it != node_disk->end() && dst_it->second->sharing() == StorageSharing::kMaxMin) {
+      resources.push_back(dst_it->second->write_resource());
+      extra_latency += dst_it->second->access_latency();
+    }
+  });
+}
+
 void Grid::finalize(net::FlowNetwork::Config net_cfg) {
   assert(!finalized());
   routing_ = std::make_unique<net::Routing>(topo_);
-  provider_ = routing_.get();
-  net_ = std::make_unique<net::FlowNetwork>(engine_, *provider_, net_cfg);
-  wire_storage();
+  finalize_with(*routing_, net_cfg);
 }
 
 void Grid::finalize_with(net::RouteProvider& provider, net::FlowNetwork::Config net_cfg) {
   assert(!finalized());
   provider_ = &provider;
   net_ = std::make_unique<net::FlowNetwork>(engine_, provider, net_cfg);
-  wire_storage();
-}
-
-void Grid::wire_storage() {
-  bool any_maxmin = false;
-  for (const auto& s : sites_) {
-    if (s->spec().storage_sharing == StorageSharing::kMaxMin) {
-      any_maxmin = true;
-      break;
-    }
-  }
-  if (!any_maxmin) return;  // pure-FIFO grid: flow network stays link-only
-  // Ascending site id -> resource registration order is deterministic.
-  for (auto& s : sites_) s->attach_solver(*net_);
-  // The binder consults a node -> site map fixed at finalize time (first
-  // site attached to a node wins), so it is pure in (src, dst).
-  auto node_site = std::make_shared<std::unordered_map<net::NodeId, SiteId>>();
-  for (const auto& s : sites_) node_site->emplace(s->node(), s->id());
-  net_->set_endpoint_binder([this, node_site](net::NodeId src, net::NodeId dst,
-                                              std::vector<net::ResourceId>& resources,
-                                              double& extra_latency) {
-    auto sit = node_site->find(src);
-    if (sit != node_site->end()) {
-      StorageDevice& d = sites_[sit->second]->disk();
-      if (d.sharing() == StorageSharing::kMaxMin) {
-        resources.push_back(d.read_resource());
-        extra_latency += d.access_latency();
-      }
-    }
-    auto dit = node_site->find(dst);
-    if (dit != node_site->end()) {
-      StorageDevice& d = sites_[dit->second]->disk();
-      if (d.sharing() == StorageSharing::kMaxMin) {
-        resources.push_back(d.write_resource());
-        extra_latency += d.access_latency();
-      }
-    }
-  });
+  std::vector<Site*> sites;
+  for (auto& s : sites_) sites.push_back(s.get());
+  wire_storage(*net_, sites);
 }
 
 SiteId Grid::find_site(const std::string& name) const {
   for (const auto& s : sites_) {
     if (s->name() == name) return s->id();
-  }
-  return kInvalidSite;
-}
-
-SiteId Grid::site_at_node(net::NodeId node) const {
-  for (const auto& s : sites_) {
-    if (s->node() == node) return s->id();
   }
   return kInvalidSite;
 }

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ class Site {
   /// Tier accessor; nullptr when the site does not carry that tier.
   StorageDevice* storage(StorageTier tier);
   /// Register every max-min tier with the flow network (no-op for FIFO
-  /// tiers). Grid calls this during finalize.
+  /// tiers). wire_storage calls this.
   void attach_solver(net::FlowNetwork& net);
 
  private:
@@ -89,6 +90,17 @@ class Site {
   std::unique_ptr<StorageDevice> tape_;
   std::unique_ptr<StorageDevice> ssd_;
 };
+
+/// Attach the max-min storage tiers of `sites` to `flows` in the given
+/// order (ascending site id keeps resource ids a pure function of site
+/// order) and, when any of them opted into max-min sharing, install the
+/// endpoint binder that joins `source disk read + route links + destination
+/// disk write` into one constraint set. The binder maps a node to the first
+/// of `sites` attached to it, so it is pure in (src, dst). When every site
+/// is FIFO, `flows` stays link-only and gets no binder. Grid wires all its
+/// sites into its one network; ParallelGrid wires each LP's network with
+/// that LP's own sites.
+void wire_storage(net::FlowNetwork& flows, std::span<Site* const> sites);
 
 /// Owns the simulated distributed system: topology + sites + (after
 /// finalize) routing and the flow network. Build order: add nodes/links and
@@ -128,17 +140,7 @@ class Grid {
   /// Lookup by name; kInvalidSite when absent.
   SiteId find_site(const std::string& name) const;
 
-  /// Site whose storage backs a topology node (the endpoint binder's map);
-  /// kInvalidSite when no site is attached there.
-  SiteId site_at_node(net::NodeId node) const;
-
  private:
-  /// Attach max-min storage tiers to the flow network and, when any site
-  /// opted into max-min sharing, install the endpoint binder that joins
-  /// `source disk read + route links + destination disk write` into one
-  /// constraint set. Pure-FIFO grids leave the network untouched.
-  void wire_storage();
-
   core::Engine& engine_;
   net::Topology topo_;
   std::vector<std::unique_ptr<Site>> sites_;

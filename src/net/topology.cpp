@@ -91,27 +91,6 @@ Topology Topology::dumbbell(std::size_t n_left, std::size_t n_right, double acce
   return t;
 }
 
-Topology Topology::tier_tree(const std::vector<std::size_t>& fanout,
-                             const std::vector<double>& bw, const std::vector<double>& lat) {
-  assert(fanout.size() == bw.size() && fanout.size() == lat.size());
-  Topology t;
-  std::vector<NodeId> level{t.add_node("T0", NodeKind::kHost)};
-  for (std::size_t depth = 0; depth < fanout.size(); ++depth) {
-    std::vector<NodeId> next;
-    std::size_t idx = 0;
-    for (NodeId parent : level) {
-      for (std::size_t c = 0; c < fanout[depth]; ++c) {
-        const NodeId child =
-            t.add_node(util::strformat("T%zu_%zu", depth + 1, idx++), NodeKind::kHost);
-        t.add_link(parent, child, bw[depth], lat[depth]);
-        next.push_back(child);
-      }
-    }
-    level = std::move(next);
-  }
-  return t;
-}
-
 Topology Topology::ring(std::size_t n, double bw, double lat) {
   assert(n >= 3);
   Topology t;

@@ -75,12 +75,6 @@ class Topology {
   static Topology dumbbell(std::size_t n_left, std::size_t n_right, double access_bw,
                            double access_lat, double bottleneck_bw, double bottleneck_lat);
 
-  /// Balanced tree: fanout[i] children at depth i+1; link (bw, lat) per
-  /// level. Node 0 is the root. This is the MONARC tier shape (T0 root,
-  /// T1 children, T2 grandchildren).
-  static Topology tier_tree(const std::vector<std::size_t>& fanout,
-                            const std::vector<double>& bw, const std::vector<double>& lat);
-
   static Topology ring(std::size_t n, double bw, double lat);
   static Topology full_mesh(std::size_t n, double bw, double lat);
 

@@ -141,53 +141,7 @@ core::Process analysis(core::Engine& eng, Ctx& ctx, std::size_t t1, std::size_t 
 
 Result run(core::Engine& engine, const Config& cfg) {
   hosts::Grid grid(engine);
-
-  hosts::SiteSpec t0;
-  t0.name = "T0";
-  t0.cores = 32;
-  t0.cpu_speed = 2000;
-  t0.disk_capacity = cfg.t0_disk;
-  t0.has_mass_storage = true;
-  t0.tape_bandwidth = cfg.tape_bandwidth;
-  t0.tape_mount_latency = cfg.tape_mount_latency;
-  t0.storage_sharing = cfg.storage_sharing;
-  grid.add_site(t0);
-
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    hosts::SiteSpec t1;
-    t1.name = util::strformat("T1_%zu", i);
-    t1.cores = cfg.t1_cores;
-    t1.cpu_speed = cfg.analysis_cpu_speed;
-    t1.disk_capacity = cfg.t1_disk;
-    t1.storage_sharing = cfg.storage_sharing;
-    grid.add_site(t1);
-  }
-  // Optional T2 tier under each T1.
-  std::vector<std::vector<hosts::SiteId>> t2_sites(cfg.num_t1);
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    for (std::size_t j = 0; j < cfg.t2_per_t1; ++j) {
-      hosts::SiteSpec t2;
-      t2.name = util::strformat("T2_%zu_%zu", i, j);
-      t2.cores = cfg.t2_cores;
-      t2.cpu_speed = cfg.analysis_cpu_speed;
-      t2.disk_capacity = cfg.t2_disk;
-      t2.storage_sharing = cfg.storage_sharing;
-      t2_sites[i].push_back(grid.add_site(t2).id());
-    }
-  }
-
-  auto& topo = grid.topology();
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    topo.add_link(grid.site(0).node(), grid.site(static_cast<hosts::SiteId>(1 + i)).node(),
-                  cfg.t0_t1_bandwidth, cfg.t0_t1_latency,
-                  util::strformat("T0--T1_%zu", i));
-  }
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    for (hosts::SiteId t2 : t2_sites[i]) {
-      topo.add_link(grid.site(static_cast<hosts::SiteId>(1 + i)).node(),
-                    grid.site(t2).node(), cfg.t1_t2_bandwidth, cfg.t1_t2_latency);
-    }
-  }
+  const auto t2_sites = add_tier_sites(grid, cfg);
   grid.finalize();
   auto chaos = inject_failures(grid, cfg.failures);
   grid.net().track_link(0);  // first T0-T1 link
@@ -229,6 +183,7 @@ Result run(core::Engine& engine, const Config& cfg) {
 
   if (cfg.horizon > 0) {
     engine.run_until(cfg.horizon);
+    engine.stop();  // what is still pending points into this frame
   } else {
     engine.run();
   }

@@ -19,14 +19,19 @@
 // "2.5 Gbps insufficient / tens of Gbps comfortable" shape.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "hosts/site.hpp"
 #include "hosts/storage.hpp"
 #include "middleware/failures.hpp"
 #include "stats/summary.hpp"
 #include "stats/timeseries.hpp"
+#include "util/strings.hpp"
 
 namespace lsds::obs {
 class RunReport;
@@ -128,6 +133,61 @@ struct Result {
   void to_report(obs::RunReport& report) const;
 };
 
+/// Lays out MONARC's tier platform on an empty hosts::Grid or
+/// hosts::ParallelGrid, before finalize(). Sites: T0 (id 0), then T1_<i>
+/// (id 1 + i), then T2_<i>_<j> in (i, j) order; each site sits on the
+/// topology node of its own id. Links: every T0--T1_<i> (link i carries the
+/// T0 -> T1_<i> replicas), then every T1_<i>--T2_<i>_<j>. Returns the T2
+/// site ids under each T1. Both the serial study (run) and the parallel
+/// tier model (parallel::run_tier) build their platform here.
+template <class G>
+std::vector<std::vector<hosts::SiteId>> add_tier_sites(G& grid, const Config& cfg) {
+  assert(grid.site_count() == 0 && grid.topology().node_count() == 0);
+  const auto spec = [&cfg](std::string name, unsigned cores, double cpu_speed, double disk) {
+    hosts::SiteSpec s;
+    s.name = std::move(name);
+    s.cores = cores;
+    s.cpu_speed = cpu_speed;
+    s.disk_capacity = disk;
+    s.storage_sharing = cfg.storage_sharing;
+    return s;
+  };
+  hosts::SiteSpec t0 = spec("T0", 32, 2000, cfg.t0_disk);
+  t0.has_mass_storage = true;
+  t0.tape_bandwidth = cfg.tape_bandwidth;
+  t0.tape_mount_latency = cfg.tape_mount_latency;
+  grid.add_site(t0);
+  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
+    grid.add_site(spec(util::strformat("T1_%zu", i), cfg.t1_cores, cfg.analysis_cpu_speed,
+                       cfg.t1_disk));
+  }
+  std::vector<std::vector<hosts::SiteId>> t2_sites(cfg.num_t1);
+  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
+    for (std::size_t j = 0; j < cfg.t2_per_t1; ++j) {
+      t2_sites[i].push_back(static_cast<hosts::SiteId>(grid.site_count()));
+      grid.add_site(spec(util::strformat("T2_%zu_%zu", i, j), cfg.t2_cores,
+                         cfg.analysis_cpu_speed, cfg.t2_disk));
+    }
+  }
+  auto& topo = grid.topology();
+  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
+    topo.add_link(0, static_cast<net::NodeId>(1 + i), cfg.t0_t1_bandwidth, cfg.t0_t1_latency);
+  }
+  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
+    for (hosts::SiteId t2 : t2_sites[i]) {
+      topo.add_link(static_cast<net::NodeId>(1 + i), t2, cfg.t1_t2_bandwidth,
+                    cfg.t1_t2_latency);
+    }
+  }
+  return t2_sites;
+}
+
+/// Runs the study on `engine`, to completion or to `cfg.horizon`. A
+/// horizon-cut run leaves events pending that refer to the run's own,
+/// finished state, so it returns with the engine stopped: a further run(),
+/// run_until() or run_window() executes none of them. The caller may read
+/// the engine's clock, stats and counters and then destroy it, but must not
+/// clear_stop() or step() it.
 Result run(core::Engine& engine, const Config& cfg);
 
 }  // namespace lsds::sim::monarc

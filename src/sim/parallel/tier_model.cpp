@@ -53,14 +53,13 @@ struct Ctx {
   std::vector<std::vector<JobRecord>> site_jobs;            // by site id
 };
 
-void start_compute(Ctx& ctx, std::size_t t1_idx, const JobPlan& plan) {
-  const auto site_id = static_cast<hosts::SiteId>(1 + t1_idx);
-  auto& site = ctx.grid->site(site_id);
-  site.cpu().submit(static_cast<hosts::JobId>(plan.id), plan.ops,
-                    [&ctx, site_id, &plan](hosts::JobId) {
-                      ctx.site_jobs[site_id].push_back(
-                          {plan.id, site_id, plan.submit, ctx.grid->now_of(site_id), plan.ops});
-                    });
+/// Runs the job at `site_id` (a T1 or a T2) and records it there when done.
+void start_compute(Ctx& ctx, hosts::SiteId site_id, const JobPlan& plan) {
+  ctx.grid->site(site_id).cpu().submit(
+      static_cast<hosts::JobId>(plan.id), plan.ops, [&ctx, site_id, &plan](hosts::JobId) {
+        ctx.site_jobs[site_id].push_back(
+            {plan.id, site_id, plan.submit, ctx.grid->now_of(site_id), plan.ops});
+      });
 }
 
 /// T1 -> T2 pull: request travels up, the file comes back over the
@@ -73,13 +72,9 @@ void start_pull(Ctx& ctx, hosts::SiteId t2_site, const JobPlan& plan) {
   const double req_at = ctx.grid->now_of(t2_site) + ctx.grid->path_latency(t2_site, parent);
   ctx.grid->post(t2_site, parent, req_at, [&ctx, parent, t2_site, bytes, &plan] {
     ctx.grid->transfer(parent, t2_site, bytes, [&ctx, t2_site, &plan] {
-      auto& site = ctx.grid->site(t2_site);
-      site.disk().store(util::numbered("raw", plan.file, 5), ctx.cfg->file_bytes);
-      site.cpu().submit(static_cast<hosts::JobId>(plan.id), plan.ops,
-                        [&ctx, t2_site, &plan](hosts::JobId) {
-                          ctx.site_jobs[t2_site].push_back({plan.id, t2_site, plan.submit,
-                                                            ctx.grid->now_of(t2_site), plan.ops});
-                        });
+      ctx.grid->site(t2_site).disk().store(util::numbered("raw", plan.file, 5),
+                                           ctx.cfg->file_bytes);
+      start_compute(ctx, t2_site, plan);
     });
   });
 }
@@ -95,51 +90,8 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
 
   hosts::ParallelGrid grid(exec);
 
-  // --- sites & topology (the shape of sim/monarc) -------------------------
-  hosts::SiteSpec t0spec;
-  t0spec.name = "T0";
-  t0spec.cores = 32;
-  t0spec.cpu_speed = 2000;
-  t0spec.disk_capacity = cfg.t0_disk;
-  t0spec.has_mass_storage = true;
-  t0spec.tape_bandwidth = cfg.tape_bandwidth;
-  t0spec.tape_mount_latency = cfg.tape_mount_latency;
-  t0spec.storage_sharing = cfg.storage_sharing;
-  const hosts::SiteId t0 = grid.add_site(t0spec);
-
-  std::vector<hosts::SiteId> t1_sites;
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    hosts::SiteSpec s;
-    s.name = util::strformat("T1_%zu", i);
-    s.cores = cfg.t1_cores;
-    s.cpu_speed = cfg.analysis_cpu_speed;
-    s.disk_capacity = cfg.t1_disk;
-    s.storage_sharing = cfg.storage_sharing;
-    t1_sites.push_back(grid.add_site(s));
-  }
-  std::vector<std::vector<hosts::SiteId>> t2_sites(cfg.num_t1);
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    for (std::size_t j = 0; j < cfg.t2_per_t1; ++j) {
-      hosts::SiteSpec s;
-      s.name = util::strformat("T2_%zu_%zu", i, j);
-      s.cores = cfg.t2_cores;
-      s.cpu_speed = cfg.analysis_cpu_speed;
-      s.disk_capacity = cfg.t2_disk;
-      s.storage_sharing = cfg.storage_sharing;
-      t2_sites[i].push_back(grid.add_site(s));
-    }
-  }
-  auto& topo = grid.topology();
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    topo.add_link(0, static_cast<net::NodeId>(1 + i), cfg.t0_t1_bandwidth, cfg.t0_t1_latency,
-                  util::strformat("T0--T1_%zu", i));
-  }
-  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
-    for (hosts::SiteId t2 : t2_sites[i]) {
-      topo.add_link(static_cast<net::NodeId>(1 + i), static_cast<net::NodeId>(t2),
-                    cfg.t1_t2_bandwidth, cfg.t1_t2_latency);
-    }
-  }
+  const hosts::SiteId t0 = 0;
+  const auto t2_sites = monarc::add_tier_sites(grid, cfg);
   grid.finalize();
 
   // --- plans: every random draw happens HERE, in a fixed order, from
@@ -183,7 +135,7 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
     t1.waiting.resize(cfg.num_files);
     for (hosts::SiteId t2 : t2_sites[i]) {
       T2Local& local = ctx.t2[t2];
-      local.parent = t1_sites[i];
+      local.parent = static_cast<hosts::SiteId>(1 + i);
       local.avail.resize(cfg.num_files);
       local.waiting.resize(cfg.num_files);
     }
@@ -206,7 +158,7 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
           t1.arrived[f] = 1;
           ctx.site_transfers[i].push_back({f, dst, produced_at, now});
           if (const JobPlan* plan = std::exchange(t1.waiting[f], nullptr)) {
-            start_compute(ctx, i, *plan);
+            start_compute(ctx, dst, *plan);
           }
           // Tell the T2 children the replica landed (one path latency
           // away — the GIS-style availability notice).
@@ -233,10 +185,11 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
     for (std::size_t i = 0; i < cfg.num_t1; ++i) {
       for (std::size_t f = 0; f < cfg.num_files; ++f) {
         const JobPlan& plan = t1_plans[i][f];
-        grid.at(t1_sites[i], plan.submit, [&ctx, i, &plan] {
+        const auto site = static_cast<hosts::SiteId>(1 + i);
+        grid.at(site, plan.submit, [&ctx, i, site, &plan] {
           T1Local& t1 = ctx.t1[i];
           if (t1.arrived[plan.file]) {
-            start_compute(ctx, i, plan);
+            start_compute(ctx, site, plan);
           } else {
             t1.waiting[plan.file] = &plan;
           }

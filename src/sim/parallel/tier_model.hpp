@@ -2,11 +2,19 @@
 // opt-in for the monarc facade.
 //
 // Same study as sim/monarc (T0 production, replication agents pushing every
-// raw file to each T1, analysis activities at T1 and optionally T2), but
-// built callback-style on hosts::ParallelGrid so T0, the T1 regional
-// centers and their T2 children are partitioned across LPs and every
-// replication transfer and analysis dispatch crosses partitions through the
-// deterministic cross-LP message path.
+// raw file to each T1, analysis activities at T1 and optionally T2), on the
+// platform monarc::add_tier_sites lays out, but built callback-style on
+// hosts::ParallelGrid so T0, the T1 regional centers and their T2 children
+// are partitioned across LPs and every replication transfer and analysis
+// dispatch crosses partitions through the deterministic cross-LP message
+// path.
+//
+// The study logic stays separate from sim/monarc's on purpose: the serial
+// study draws its submit times at setup and each job's demand when the job
+// starts, from engine streams, and moves files over max-min flows; this
+// model pre-draws both, interleaved, from master-seed streams and moves
+// files over analytic store-and-forward channels. One implementation could
+// keep only one of the two models' pinned results.
 //
 // All randomness (submit jitter, job service demands, the T2 file subsets)
 // is drawn at setup time from streams derived only from the master seed —

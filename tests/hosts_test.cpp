@@ -1,5 +1,5 @@
-// Host substrate: CPU sharing policies, storage devices, sites, grid
-// organizations (central and tier models).
+// Host substrate: CPU sharing policies, storage devices, sites and the
+// Grid container.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "core/engine.hpp"
 #include "hosts/cpu.hpp"
-#include "hosts/organizations.hpp"
 #include "hosts/site.hpp"
 #include "hosts/storage.hpp"
 #include "stats/analytical.hpp"
@@ -390,7 +389,7 @@ TEST(SimCommon, DiskWriteAwaiterReportsAcceptance) {
   EXPECT_DOUBLE_EQ(eng.now(), 8.0);  // 4s write + 4s read
 }
 
-// --- sites & organizations ------------------------------------------------
+// --- sites & grid ---------------------------------------------------------
 
 TEST(Grid, SiteWiring) {
   core::Engine eng;
@@ -407,20 +406,30 @@ TEST(Grid, SiteWiring) {
   EXPECT_EQ(grid.find_site("nope"), hosts::kInvalidSite);
 }
 
-TEST(Grid, CentralModelTransfersAndComputes) {
+TEST(Grid, FlowThenComputeOnAStar) {
+  // A server and four clients around a router hub (the central model's
+  // shape); the flow network and the CPUs serve one job end to end.
   core::Engine eng;
   hosts::Grid grid(eng);
-  hosts::CentralModelSpec spec;
-  spec.num_clients = 4;
-  spec.server.cores = 2;
-  spec.server.cpu_speed = 100;
-  build_central_model(grid, spec);
+  hosts::SiteSpec spec;
+  spec.name = "central";
+  spec.cores = 2;
+  spec.cpu_speed = 100;
+  auto& server = grid.add_site(spec);
+  auto& topo = grid.topology();
+  const auto hub = topo.add_node("hub", lsds::net::NodeKind::kRouter);
+  topo.add_link(server.node(), hub, 125e6, 0.002);
+  for (int i = 0; i < 4; ++i) {
+    spec = hosts::SiteSpec{};
+    spec.name = "client" + std::to_string(i);
+    topo.add_link(grid.add_site(spec).node(), hub, 12.5e6, 0.02);
+  }
+  grid.finalize();
   ASSERT_EQ(grid.site_count(), 5u);  // server + 4 clients
-  EXPECT_TRUE(grid.topology().connected());
+  EXPECT_TRUE(topo.connected());
   EXPECT_TRUE(grid.finalized());
 
   // Client 1 ships 1 MB input to the server, which computes 1000 ops.
-  auto& server = grid.site(0);
   auto& client = grid.site(1);
   double done_at = -1;
   grid.net().start_flow(client.node(), server.node(), 1e6, [&](lsds::net::FlowId) {
@@ -430,25 +439,4 @@ TEST(Grid, CentralModelTransfersAndComputes) {
   // Transfer: min(12.5 MB/s, 125 MB/s) bottleneck at client link: 0.08s +
   // 0.022s latency; compute 10s.
   EXPECT_NEAR(done_at, 0.08 + 0.022 + 10.0, 1e-6);
-}
-
-TEST(Grid, TierModelShape) {
-  core::Engine eng;
-  hosts::Grid grid(eng);
-  hosts::TierModelSpec spec;
-  spec.t0.cores = 32;
-  spec.levels.push_back({4, hosts::SiteSpec{}, 312.5e6, 0.02});  // 4 T1s
-  spec.levels.push_back({2, hosts::SiteSpec{}, 125e6, 0.01});    // 2 T2s each
-  build_tier_model(grid, spec);
-  ASSERT_EQ(grid.site_count(), 1u + 4u + 8u);
-  EXPECT_TRUE(grid.topology().connected());
-  const auto t1s = tier_sites(grid, spec, 1);
-  ASSERT_EQ(t1s.size(), 4u);
-  EXPECT_EQ(grid.site(t1s[0]).name(), "T1_0");
-  const auto t2s = tier_sites(grid, spec, 2);
-  ASSERT_EQ(t2s.size(), 8u);
-  EXPECT_EQ(grid.site(t2s.back()).name(), "T2_7");
-  const auto t0 = tier_sites(grid, spec, 0);
-  ASSERT_EQ(t0.size(), 1u);
-  EXPECT_EQ(grid.site(t0[0]).name(), "T0");
 }

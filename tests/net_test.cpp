@@ -41,17 +41,6 @@ TEST(Topology, DumbbellShape) {
   EXPECT_DOUBLE_EQ(t.link(0).bandwidth, u::gbps(1));
 }
 
-TEST(Topology, TierTreeShape) {
-  // T0 -> 4 T1s -> 3 T2s each: 1 + 4 + 12 nodes.
-  const auto t = net::Topology::tier_tree({4, 3}, {u::gbps(2.5), u::gbps(1)}, {0.02, 0.01});
-  EXPECT_EQ(t.node_count(), 17u);
-  EXPECT_EQ(t.link_count(), 16u);
-  EXPECT_TRUE(t.connected());
-  EXPECT_NE(t.find_node("T1_0"), net::kInvalidNode);
-  EXPECT_NE(t.find_node("T2_11"), net::kInvalidNode);
-  EXPECT_EQ(t.find_node("T3_0"), net::kInvalidNode);
-}
-
 TEST(Topology, RingAndMesh) {
   const auto ring = net::Topology::ring(6, 1e8, 0.001);
   EXPECT_EQ(ring.link_count(), 6u);

@@ -2,7 +2,11 @@
 // deterministically and reproduce their papers' qualitative behaviors.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/engine.hpp"
+#include "hosts/parallel_grid.hpp"
+#include "hosts/site.hpp"
 #include "sim/bricks/bricks.hpp"
 #include "sim/chicsim/chicsim.hpp"
 #include "sim/gridsim/gridsim.hpp"
@@ -343,6 +347,60 @@ lsds::sim::monarc::Config monarc_config(double gbps) {
 }
 
 }  // namespace
+
+// The serial study and the parallel tier model lay their platform out with
+// the same function, so both grid types get the same sites, nodes and links.
+TEST(Monarc, TierLayoutIsTheSameOnBothGridTypes) {
+  auto cfg = monarc_config(10.0);
+  cfg.t2_per_t1 = 2;
+  Engine eng;
+  lsds::hosts::Grid grid(eng);
+  lsds::hosts::ParallelGrid pgrid(lsds::hosts::ExecutionSpec{});
+  const auto t2 = lsds::sim::monarc::add_tier_sites(grid, cfg);
+  EXPECT_EQ(t2, (std::vector<std::vector<lsds::hosts::SiteId>>{{3, 4}, {5, 6}}));
+  EXPECT_EQ(lsds::sim::monarc::add_tier_sites(pgrid, cfg), t2);
+  EXPECT_EQ(grid.topology().to_text(),
+            "# lsds topology\n"
+            "node T0\nnode T1_0\nnode T1_1\n"
+            "node T2_0_0\nnode T2_0_1\nnode T2_1_0\nnode T2_1_1\n"
+            "link T0 T1_0 1e+10bps 0.05s T0--T1_0\n"
+            "link T0 T1_1 1e+10bps 0.05s T0--T1_1\n"
+            "link T1_0 T2_0_0 1e+09bps 0.01s T1_0--T2_0_0\n"
+            "link T1_0 T2_0_1 1e+09bps 0.01s T1_0--T2_0_1\n"
+            "link T1_1 T2_1_0 1e+09bps 0.01s T1_1--T2_1_0\n"
+            "link T1_1 T2_1_1 1e+09bps 0.01s T1_1--T2_1_1\n");
+  EXPECT_EQ(pgrid.topology().to_text(), grid.topology().to_text());
+  grid.finalize();
+  pgrid.finalize();
+  for (lsds::hosts::SiteId id = 0; id < grid.site_count(); ++id) {
+    EXPECT_EQ(grid.site(id).node(), id);
+    EXPECT_EQ(pgrid.site(id).node(), id);
+    EXPECT_EQ(pgrid.site(id).name(), grid.site(id).name());
+  }
+  EXPECT_TRUE(grid.site(0).has_tape());
+  EXPECT_EQ(grid.site(0).cpu().cores(), 32u);
+  EXPECT_FALSE(grid.site(1).has_tape());
+  EXPECT_EQ(grid.site(1).cpu().cores(), cfg.t1_cores);
+  EXPECT_EQ(grid.site(3).cpu().cores(), cfg.t2_cores);
+  EXPECT_EQ(grid.site(3).disk().capacity(), cfg.t2_disk);
+}
+
+// A horizon-cut run returns while events that point into the run's finished
+// state are still pending, so running the engine further must execute none
+// of them: each would be a use-after-scope, which the ASan build reports.
+TEST(Monarc, HorizonCutRunLeavesNothingToRun) {
+  Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = 1});
+  lsds::sim::monarc::Config cfg;
+  cfg.num_files = 5;
+  cfg.horizon = 50;
+  const auto res = lsds::sim::monarc::run(eng, cfg);
+  EXPECT_EQ(res.files_produced, 1u);
+  EXPECT_GT(eng.pending(), 0u);
+  const auto executed = eng.stats().executed;
+  eng.run();
+  EXPECT_EQ(eng.stats().executed, executed);
+  EXPECT_EQ(eng.now(), 50.0);
+}
 
 TEST(Monarc, AllReplicasDelivered) {
   Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = 1});
