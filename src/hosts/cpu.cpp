@@ -11,7 +11,11 @@ namespace lsds::hosts {
 
 namespace {
 constexpr double kOpsEpsilon = 1e-6;
-}
+constexpr auto kIdBelow = [](const auto& r, JobId id) { return r.id < id; };
+constexpr auto kLessRemaining = [](const auto& a, const auto& b) {
+  return a.remaining < b.remaining;
+};
+}  // namespace
 
 const char* to_string(SharingPolicy p) {
   switch (p) {
@@ -35,20 +39,20 @@ bool CpuResource::has_idle_core() const {
 void CpuResource::submit(JobId id, double ops, DoneFn on_done) {
   assert(id != kInvalidJob && ops >= 0);
   const double demand = std::max(ops, kOpsEpsilon);
-  Running r{demand, demand, 0, std::move(on_done), engine_.now()};
+  Running r{id, demand, demand, std::move(on_done), engine_.now()};
   if (policy_ == SharingPolicy::kSpaceShared && running_.size() >= cores_) {
-    queue_.emplace_back(id, std::move(r));
-    record_load();
+    queue_.push_back(std::move(r));
     return;
   }
   progress_to_now();
-  running_.emplace(id, std::move(r));
-  record_load();
+  admit(std::move(r));
   resolve_and_reschedule();
 }
 
-void CpuResource::record_load() {
-  load_.record(engine_.now(), static_cast<double>(running_.size() + queue_.size()));
+void CpuResource::admit(Running r) {
+  const auto at = std::lower_bound(running_.begin(), running_.end(), r.id, kIdBelow);
+  assert(at == running_.end() || at->id != r.id);
+  running_.insert(at, std::move(r));
 }
 
 void CpuResource::progress_to_now() {
@@ -56,32 +60,28 @@ void CpuResource::progress_to_now() {
   const double dt = now - last_update_;
   last_update_ = now;
   if (dt <= 0) return;
-  for (auto& [id, r] : running_) {
-    const double done = std::min(r.rate * dt, r.remaining);
+  const double step = rate_ * dt;
+  for (auto& r : running_) {
+    const double done = std::min(step, r.remaining);
     r.remaining -= done;
     delivered_ops_ += done;
   }
 }
 
 void CpuResource::resolve_and_reschedule() {
-  // Assign rates (zero while offline: progress freezes, state is kept).
+  // Zero while offline: progress freezes, state is kept.
   const std::size_t n = running_.size();
-  if (n > 0) {
-    double rate = 0;
-    if (online_) {
-      if (policy_ == SharingPolicy::kSpaceShared) {
-        rate = speed_;  // each running job owns one core
-      } else {
-        rate = std::min(speed_, total_capacity() / static_cast<double>(n));
-      }
-    }
-    for (auto& [id, r] : running_) r.rate = rate;
+  if (!online_) {
+    rate_ = 0;
+  } else if (policy_ == SharingPolicy::kSpaceShared || n == 0) {
+    rate_ = speed_;  // each running job owns one core
+  } else {
+    rate_ = std::min(speed_, total_capacity() / static_cast<double>(n));
   }
   ++generation_;
-  double soonest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, r] : running_) {
-    if (r.rate > 0) soonest = std::min(soonest, r.remaining / r.rate);
-  }
+  if (n == 0 || rate_ <= 0) return;
+  const double soonest = std::min_element(running_.begin(), running_.end(), kLessRemaining)
+                             ->remaining / rate_;
   if (soonest == std::numeric_limits<double>::infinity()) return;
   const std::uint64_t gen = generation_;
   engine_.schedule_in(soonest, [this, gen] { on_completion_event(gen); });
@@ -89,40 +89,29 @@ void CpuResource::resolve_and_reschedule() {
 
 void CpuResource::on_completion_event(std::uint64_t generation) {
   if (generation != generation_) return;
+  // Scheduled only with jobs running at a positive rate; both still hold.
+  assert(!running_.empty() && rate_ > 0);
   progress_to_now();
-  std::vector<JobId> done;
-  for (const auto& [id, r] : running_) {
-    if (r.remaining <= kOpsEpsilon) done.push_back(id);
-  }
-  if (done.empty()) {
+  auto done = std::stable_partition(running_.begin(), running_.end(),
+                                    [](const Running& r) { return r.remaining > kOpsEpsilon; });
+  if (done == running_.end()) {
     // Same float-livelock guard as FlowNetwork::on_completion_event: when
     // the residual service time is below the clock ulp, dt rounds to zero
     // and the epsilon test cannot fire; finish the job this event was
-    // scheduled for (the minimal remaining/rate).
-    JobId victim = kInvalidJob;
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& [id, r] : running_) {
-      if (r.rate <= 0) continue;
-      const double eta = r.remaining / r.rate;
-      if (eta < best) {
-        best = eta;
-        victim = id;
-      }
-    }
-    if (victim != kInvalidJob) done.push_back(victim);
+    // scheduled for (the least remaining work, lowest id on a tie).
+    const auto victim = std::min_element(running_.begin(), running_.end(), kLessRemaining);
+    std::rotate(victim, victim + 1, running_.end());
+    done = running_.end() - 1;
   }
-  std::sort(done.begin(), done.end());
   std::vector<std::pair<JobId, DoneFn>> callbacks;
-  callbacks.reserve(done.size());
-  for (JobId id : done) {
-    auto it = running_.find(id);
-    publish_span(id, it->second, "done");
-    callbacks.emplace_back(id, std::move(it->second.on_done));
-    running_.erase(it);
-    ++jobs_completed_;
+  callbacks.reserve(static_cast<std::size_t>(running_.end() - done));
+  for (auto it = done; it != running_.end(); ++it) {
+    publish_span(*it, "done");
+    callbacks.emplace_back(it->id, std::move(it->on_done));
   }
+  jobs_completed_ += callbacks.size();
+  running_.erase(done, running_.end());
   try_dispatch();
-  record_load();
   resolve_and_reschedule();
   // Callbacks last: they may resubmit work re-entrantly.
   for (auto& [id, cb] : callbacks) {
@@ -132,32 +121,28 @@ void CpuResource::on_completion_event(std::uint64_t generation) {
 
 void CpuResource::try_dispatch() {
   while (policy_ == SharingPolicy::kSpaceShared && running_.size() < cores_ && !queue_.empty()) {
-    auto [id, r] = std::move(queue_.front());
+    admit(std::move(queue_.front()));
     queue_.pop_front();
-    running_.emplace(id, std::move(r));
   }
 }
 
 bool CpuResource::cancel(JobId id, double* done_ops) {
   progress_to_now();  // credit work before measuring this attempt's progress
-  if (auto it = running_.find(id); it != running_.end()) {
-    if (done_ops) *done_ops = it->second.ops - it->second.remaining;
-    publish_span(id, it->second, "cancelled");
+  if (const auto it = std::lower_bound(running_.begin(), running_.end(), id, kIdBelow);
+      it != running_.end() && it->id == id) {
+    if (done_ops) *done_ops = it->ops - it->remaining;
+    publish_span(*it, "cancelled");
     running_.erase(it);
     try_dispatch();
-    record_load();
     resolve_and_reschedule();
     return true;
   }
-  for (auto qit = queue_.begin(); qit != queue_.end(); ++qit) {
-    if (qit->first == id) {
-      if (done_ops) *done_ops = 0;
-      queue_.erase(qit);
-      record_load();
-      return true;
-    }
-  }
-  return false;
+  const auto qit =
+      std::find_if(queue_.begin(), queue_.end(), [id](const Running& r) { return r.id == id; });
+  if (qit == queue_.end()) return false;
+  if (done_ops) *done_ops = 0;
+  queue_.erase(qit);
+  return true;
 }
 
 void CpuResource::set_online(bool up) {
@@ -174,22 +159,20 @@ void CpuResource::set_online(bool up) {
   // queued jobs bounce; both are reported through the killed handler so a
   // recovery policy can re-drive them.
   std::vector<std::pair<JobId, double>> killed;
-  if (!up && semantics_ == core::FailureSemantics::kFailStop &&
-      (!running_.empty() || !queue_.empty())) {
+  if (!up && semantics_ == core::FailureSemantics::kFailStop) {
     killed.reserve(running_.size() + queue_.size());
-    for (const auto& [id, r] : running_) {
-      publish_span(id, r, "killed");
-      killed.emplace_back(id, r.ops - r.remaining);
+    for (const auto& r : running_) {
+      publish_span(r, "killed");
+      killed.emplace_back(r.id, r.ops - r.remaining);
     }
-    for (const auto& [id, r] : queue_) {
-      publish_span(id, r, "returned");
-      killed.emplace_back(id, 0.0);
+    for (const auto& r : queue_) {
+      publish_span(r, "returned");
+      killed.emplace_back(r.id, 0.0);
     }
     running_.clear();
     queue_.clear();
     std::sort(killed.begin(), killed.end());  // deterministic callback order
     jobs_killed_ += killed.size();
-    record_load();
   }
   resolve_and_reschedule();
   // Callbacks last: they may resubmit work re-entrantly.
@@ -210,13 +193,13 @@ double CpuResource::availability(double t_end) const {
 
 double CpuResource::busy_ops() const { return delivered_ops_; }
 
-void CpuResource::publish_span(JobId id, const Running& r, const char* status) const {
+void CpuResource::publish_span(const Running& r, const char* status) const {
   const auto& bus = obs::SpanBus::global();
   if (!bus.enabled()) return;
   obs::Span s;
   s.kind = "job";
   s.status = status;
-  s.id = id;
+  s.id = r.id;
   s.t0 = r.submitted;
   s.t1 = engine_.now();
   s.quantity = r.ops;
@@ -235,20 +218,15 @@ void CpuResource::state_digest(core::StateHash& h) const {
   h.mix(std::string_view(name_));
   h.mix(online_);
   h.mix(static_cast<std::uint64_t>(running_.size()));
-  std::vector<JobId> ids;
-  ids.reserve(running_.size());
-  for (const auto& [id, r] : running_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (JobId id : ids) {
-    const Running& r = running_.at(id);
-    h.mix(static_cast<std::uint64_t>(id));
+  for (const auto& r : running_) {
+    h.mix(static_cast<std::uint64_t>(r.id));
     h.mix(r.ops);
     h.mix(r.remaining);
-    h.mix(r.rate);
+    h.mix(rate_);
   }
   h.mix(static_cast<std::uint64_t>(queue_.size()));
-  for (const auto& [id, r] : queue_) {
-    h.mix(static_cast<std::uint64_t>(id));
+  for (const auto& r : queue_) {
+    h.mix(static_cast<std::uint64_t>(r.id));
     h.mix(r.ops);
   }
   h.mix(static_cast<std::uint64_t>(jobs_completed_));
