@@ -141,12 +141,6 @@ double ParallelGrid::path_latency(SiteId from, SiteId to) {
   return provider_->path_latency(nodes_[from], nodes_[to]);
 }
 
-double ParallelGrid::transfer_duration(SiteId from, SiteId to, double bytes) {
-  const double bw = provider_->bottleneck_bandwidth(nodes_[from], nodes_[to]);
-  assert(bw > 0 && "transfer over an unreachable or zero-bandwidth path");
-  return bytes / bw + path_latency(from, to);
-}
-
 core::SimTime ParallelGrid::transfer(SiteId from, SiteId to, double bytes,
                                      core::EventFn on_arrival) {
   assert(finalized());
@@ -160,11 +154,6 @@ core::SimTime ParallelGrid::transfer(SiteId from, SiteId to, double bytes,
   chan_bytes_[from][to] += bytes;
   post(from, to, arrival, std::move(on_arrival));
   return arrival;
-}
-
-double ParallelGrid::bytes_sent(SiteId from, SiteId to) const {
-  const auto it = chan_bytes_[from].find(to);
-  return it == chan_bytes_[from].end() ? 0 : it->second;
 }
 
 std::vector<std::tuple<SiteId, SiteId, double>> ParallelGrid::channel_bytes() const {

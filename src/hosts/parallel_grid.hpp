@@ -152,14 +152,11 @@ class ParallelGrid {
   /// Call from an event on `from`'s LP (or at setup time for t=0 sends).
   core::SimTime transfer(SiteId from, SiteId to, double bytes, core::EventFn on_arrival);
 
-  /// Path helpers (static routing data; identical in serial and parallel).
+  /// Path latency (static routing data; identical in serial and parallel).
   double path_latency(SiteId from, SiteId to);
-  double transfer_duration(SiteId from, SiteId to, double bytes);
 
-  /// Total bytes ever queued on the (from, to) channel.
-  double bytes_sent(SiteId from, SiteId to) const;
-  /// All non-empty channels in (from, to) order — deterministic; the
-  /// differential suite compares this across LP counts.
+  /// Bytes ever queued on each non-empty channel, in (from, to) order —
+  /// deterministic; the differential suite compares this across LP counts.
   std::vector<std::tuple<SiteId, SiteId, double>> channel_bytes() const;
 
   // --- execution -----------------------------------------------------------
