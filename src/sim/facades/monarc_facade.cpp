@@ -29,6 +29,7 @@ FacadeRegistry::Study parse_monarc(const util::IniConfig& ini) {
   cfg.storage_sharing = facades::parse_storage(ini);
 
   const auto exec = facades::parse_exec_spec(ini);
+  if (exec.parallel) parallel::check_supported(cfg);
 
   return [cfg, exec](core::Engine& eng, obs::RunReport& report) {
     if (exec.parallel) {

@@ -3,10 +3,10 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "core/rng.hpp"
+#include "util/ini.hpp"
 #include "util/strings.hpp"
 
 namespace lsds::sim::parallel {
@@ -81,12 +81,19 @@ void start_pull(Ctx& ctx, hosts::SiteId t2_site, const JobPlan& plan) {
 
 }  // namespace
 
-TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec) {
-  if (cfg.failures.enabled) {
-    throw std::runtime_error(
-        "tier_model: failure injection requires serial execution (facade = monarc, "
-        "mode = serial)");
+void check_supported(const monarc::Config& cfg) {
+  std::vector<std::string> keys;
+  if (cfg.storage_sharing == hosts::StorageSharing::kMaxMin) {
+    keys.emplace_back("[storage] sharing = maxmin");
   }
+  if (cfg.failures.enabled) keys.emplace_back("[failures]");
+  if (keys.empty()) return;
+  throw util::ConfigError("[execution] mode = parallel cannot model " + util::join(keys, " or ") +
+                          " (use mode = serial)");
+}
+
+TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec) {
+  check_supported(cfg);
 
   hosts::ParallelGrid grid(exec);
 

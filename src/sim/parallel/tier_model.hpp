@@ -23,8 +23,12 @@
 // reference (exec.parallel = false). tests/parallel_grid_test.cpp holds the
 // model to that.
 //
-// Unsupported relative to the serial facade: failure injection (chaos needs
-// the serial engine's global injector; request it and run_tier throws).
+// Unsupported relative to the serial facade (request either and run_tier
+// throws):
+//   * failure injection — chaos needs the serial engine's global injector;
+//   * max-min storage — files are stored instantly and moved over analytic
+//     channels, so the only max-min device the model would drive is the T0
+//     tape write, and the run would report the FIFO experiment's results.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +89,12 @@ struct TierResult {
   void to_report(obs::RunReport& report) const;
 };
 
-/// Run the tier model under the given execution spec. Throws
-/// std::runtime_error when cfg requests features the parallel model does
-/// not support (failure injection).
+/// Throws util::ConfigError naming the keys when cfg requests what the tier
+/// model does not model (max-min storage, failure injection).
+void check_supported(const monarc::Config& cfg);
+
+/// Run the tier model under the given execution spec; calls
+/// check_supported(cfg) first.
 TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec);
 
 }  // namespace lsds::sim::parallel

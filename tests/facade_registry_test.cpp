@@ -265,8 +265,9 @@ TEST(ShippedScenarios, ResultIsQueueInvariant) {
   EXPECT_EQ(ran, 11u);
 }
 
-// The max-min storage paths no shipped single-run scenario takes: the serial
-// study with T2 centers and the tape archive, and the parallel tier model.
+// The max-min storage path no shipped single-run scenario takes: the serial
+// study with T2 centers and the tape archive. The parallel tier model does
+// not model max-min storage, so it refuses it.
 TEST(ShippedScenarios, MaxMinStorageVariantsArePinned) {
   sim::register_builtin_facades();
   const std::filesystem::path dir(LSDS_SCENARIO_DIR);
@@ -277,7 +278,14 @@ TEST(ShippedScenarios, MaxMinStorageVariantsArePinned) {
   EXPECT_EQ(queue_invariant_result_digest(serial), "ff0e96e74671b605");
   auto parallel = util::IniConfig::load((dir / "lhc_parallel.ini").string());
   parallel.set("storage", "sharing", "maxmin");
-  EXPECT_EQ(queue_invariant_result_digest(parallel), "7c1b2ec6608a894b");
+  try {
+    sim::FacadeRegistry::global().find("monarc")->parse(parallel);
+    FAIL() << "parallel max-min storage accepted";
+  } catch (const util::ConfigError& e) {
+    EXPECT_STREQ(e.what(),
+                 "[execution] mode = parallel cannot model [storage] sharing = maxmin "
+                 "(use mode = serial)");
+  }
 }
 
 // --- no silent enum fallbacks -------------------------------------------------
@@ -300,6 +308,14 @@ TEST(FacadeRegistry, GridsimUnknownStrategyIsRejected) {
 
 TEST(FacadeRegistry, SimgUnknownModeIsRejected) {
   expect_rejected("simg", "[simg]\nmode = compiletime\n", "compiletime (runtime|compile-time)");
+}
+
+TEST(FacadeRegistry, ParallelMonarcRefusesWhatTheTierModelCannotModel) {
+  const std::string parallel = "[execution]\nmode = parallel\n";
+  expect_rejected("monarc", parallel + "[failures]\nmtbf = 100\n",
+                  "[execution] mode = parallel cannot model [failures] (use mode = serial)");
+  expect_rejected("monarc", parallel + "[storage]\nsharing = maxmin\n[failures]\nmtbf = 100\n",
+                  "cannot model [storage] sharing = maxmin or [failures] (use mode = serial)");
 }
 
 TEST(FacadeRanges, OutOfRangeNumbersAreRejected) {

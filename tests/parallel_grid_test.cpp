@@ -197,6 +197,12 @@ TEST(ParallelTier, FailureInjectionRejected) {
   EXPECT_THROW(parallel::run_tier(cfg, par(2, 2)), std::runtime_error);
 }
 
+TEST(ParallelTier, MaxMinStorageRejected) {
+  auto cfg = small_tier();
+  cfg.storage_sharing = hosts::StorageSharing::kMaxMin;
+  EXPECT_THROW(parallel::run_tier(cfg, par(2, 2)), lsds::util::ConfigError);
+}
+
 // --- bag model (GridSim facade opt-in) -------------------------------------
 
 TEST(ParallelBag, SerialVsParallelBitIdentical) {
