@@ -1,7 +1,6 @@
-// Shared by the self-checking benches that write a BENCH_*.json record:
-// FNV-1a state hashing, peak RSS, and the record writer. Each bench judges
-// its own run; a bench that cannot write its record fails like any other
-// self-check.
+// Shared by the self-checking benches: FNV-1a state hashing, peak RSS, and
+// the verdict with its record writer. Each bench judges its own run; a bench
+// that cannot write its BENCH_*.json record fails like any other self-check.
 #pragma once
 
 #include <sys/resource.h>

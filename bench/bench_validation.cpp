@@ -13,9 +13,16 @@
 //   3. M/M/1-PS mean sojourn         (time-shared CPU — processor sharing)
 //   4. M/D/1 FCFS mean wait          (deterministic service, Pollaczek-Khinchine)
 //   5. max-min dumbbell completion   (flow network vs n*S/C)
+//
+// The bench judges its own run: a queueing row more than 5% off its closed
+// form (60k jobs put the sampling error at 0.5-2.5% for these seeds), or a
+// dumbbell row off n*S/C by more than 1e-9 relative, prints a FAIL line and
+// exits 1.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "core/engine.hpp"
 #include "hosts/cpu.hpp"
 #include "net/flow.hpp"
@@ -34,6 +41,8 @@ namespace stats = lsds::stats;
 namespace {
 
 constexpr int kJobs = 60000;
+constexpr double kQueueTolerance = 0.05;  // relative, sampling error
+constexpr double kFlowTolerance = 1e-9;   // relative, exact law
 
 // Generic M/G/c queue simulation on a CpuResource. `deterministic_service`
 // switches the service law from Exp(1/mu) to the constant 1/mu.
@@ -86,9 +95,13 @@ int main() {
   std::printf("%d jobs per queueing run\n\n", kJobs);
 
   stats::AsciiTable t({"system", "metric", "simulated", "analytic", "rel err"});
-  auto add = [&](const char* sys, const char* metric, double sim, double exact) {
-    t.row().cell(std::string(sys)).cell(std::string(metric)).cell(sim).cell(exact)
-        .cell(std::abs(sim - exact) / exact);
+  lsds::bench::SelfCheck check;
+  auto add = [&](const char* sys, const char* metric, double sim, double exact,
+                 double tolerance = kQueueTolerance) {
+    const double err = std::abs(sim - exact) / exact;
+    t.row().cell(std::string(sys)).cell(std::string(metric)).cell(sim).cell(exact).cell(err);
+    check.expect(err <= tolerance, "%s %s: simulated %.6g, analytic %.6g, rel err %.3g > %.3g",
+                 sys, metric, sim, exact, err, tolerance);
   };
 
   {
@@ -119,10 +132,11 @@ int main() {
   }
   for (std::size_t n : {2u, 8u, 32u}) {
     add(lsds::util::strformat("dumbbell %zu flows", n).c_str(), "last completion",
-        sim_dumbbell(n), stats::maxmin_equal_share_completion(1e6, 1e6, n));
+        sim_dumbbell(n), stats::maxmin_equal_share_completion(1e6, 1e6, n), kFlowTolerance);
   }
 
   std::printf("%s\n", t.render().c_str());
+  if (!check.ok) return 1;
   std::printf("claim check: every subsystem matches its closed form within sampling\n"
               "error — the validation style the paper credits SimGrid with and asks\n"
               "of future simulators.\n");
