@@ -528,6 +528,9 @@ TEST(GnutellaChurnDriver, DrivesDeathsAndRebirthsDeterministically) {
     return h.value();
   };
   const std::uint64_t ref = run(core::QueueKind::kSortedList);
+  // Golden value: a change that shifts every queue kind alike must still
+  // show here.
+  EXPECT_EQ(ref, 0x9f0140fe3a1a44c7ull);
   for (core::QueueKind q : core::kAllQueueKinds) {
     if (q == core::QueueKind::kSortedList) continue;
     EXPECT_EQ(run(q), ref) << "queue kind " << static_cast<int>(q);

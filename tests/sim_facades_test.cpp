@@ -13,6 +13,7 @@
 #include "sim/monarc/monarc.hpp"
 #include "sim/optorsim/optorsim.hpp"
 #include "sim/simg/simg.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace core = lsds::core;
@@ -504,6 +505,44 @@ TEST(Monarc, SaturatedStudyEventsPerJobStayFlatAndResultsUnchanged) {
     const double jobs = static_cast<double>(res.analysis_jobs + res.t2_jobs);
     EXPECT_LT(static_cast<double>(eng.stats().executed) / jobs, 8.0);
     EXPECT_LT(static_cast<double>(eng.stats().scheduled) / jobs, 8.0);
+  }
+}
+
+// Golden for the tracked T0-T1 link's time-weighted mean up to the last
+// delivery and the backlog figures, as %.17g. In (a) T2 pulls keep the link
+// re-solving after the last delivery, so the mean covers only a prefix of
+// the link's series; (b) is the same run cut at a horizon; (c) adds CPU and
+// link outages.
+TEST(Monarc, LinkUtilizationIsPinned) {
+  struct Want {
+    const char* name;
+    double horizon;
+    bool failures;
+    const char *link_utilization, *peak_backlog, *backlog_at_production_end;
+  };
+  for (const Want& want :
+       {Want{"a", 0, false, "0.13528748590755343", "80000000000", "80000000000"},
+        Want{"b", 2403, false, "0.13532110091743102", "80000000000", "80000000000"},
+        Want{"c", 0, true, "0.13280388867742082", "120000000000", "100000000000"}}) {
+    lsds::sim::monarc::Config cfg;
+    cfg.num_files = 60;
+    cfg.t0_t1_bandwidth = u::gbps(30);
+    cfg.t2_per_t1 = 2;
+    cfg.archive_to_tape = true;
+    cfg.horizon = want.horizon;
+    if (want.failures) {
+      cfg.failures.enabled = true;
+      cfg.failures.mtbf = 400;
+      cfg.failures.mttr = 40;
+      cfg.failures.horizon = 2400;
+    }
+    Engine eng({.queue = core::QueueKind::kCalendarQueue, .seed = 2005});
+    const auto res = lsds::sim::monarc::run(eng, cfg);
+    EXPECT_EQ(u::strformat("%.17g", res.link_utilization), want.link_utilization) << want.name;
+    EXPECT_EQ(u::strformat("%.17g", res.peak_backlog_bytes), want.peak_backlog) << want.name;
+    EXPECT_EQ(u::strformat("%.17g", res.backlog_at_production_end),
+              want.backlog_at_production_end)
+        << want.name;
   }
 }
 
