@@ -2,10 +2,9 @@
 // replication study interactively.
 //
 //   ./lhc_tier_model --link=2.5Gbps --t1=4 --files=60 --file-size=20GB
-//                    --interval=40 [--csv]
+//                    --interval=40
 //
-// Prints the replication-agent outcome for one link capacity; --csv dumps
-// the backlog time series for plotting.
+// Prints the replication-agent outcome for one link capacity.
 #include <cstdio>
 
 #include "core/engine.hpp"
@@ -41,6 +40,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(res.replicas_delivered));
   std::printf("link utilization:      %.1f%%\n", res.link_utilization * 100);
   std::printf("peak backlog:          %s\n", util::format_size(res.peak_backlog_bytes).c_str());
+  std::printf("mean backlog:          %s\n",
+              util::format_size(res.backlog.time_weighted_mean(res.backlog.last_t())).c_str());
   std::printf("backlog at prod. end:  %s\n",
               util::format_size(res.backlog_at_production_end).c_str());
   std::printf("mean replication lag:  %s\n",
@@ -50,9 +51,5 @@ int main(int argc, char** argv) {
               util::format_duration(res.analysis_delays.mean()).c_str());
   std::printf("verdict:               %s\n",
               res.sustainable() ? "replication keeps up" : "link capacity INSUFFICIENT");
-
-  if (flags.get_bool("csv", false)) {
-    std::printf("\n# backlog time series (t [s], bytes)\n%s", res.backlog.to_csv().c_str());
-  }
   return 0;
 }

@@ -282,8 +282,8 @@ class FlowNetwork {
   std::uint64_t solves() const { return solves_; }
   std::uint64_t flows_rerated() const { return flows_rerated_; }
 
-  /// Opt-in utilization time series (records at every re-solve). Works for
-  /// links and registered resources alike.
+  /// Opt-in utilization series (records at every re-solve), kept as a
+  /// running summary. Works for links and registered resources alike.
   void track_link(ResourceId id);
   const stats::TimeSeries& link_series(ResourceId id) const;
 

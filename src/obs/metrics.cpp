@@ -1,43 +1,13 @@
 #include "obs/metrics.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "obs/json.hpp"
 
 namespace lsds::obs {
-
-void SeriesSummary::record(double t, double v) {
-  assert(n_ == 0 || t >= last_t_);
-  if (n_ > 0 && t == last_t_) {
-    last_v_ = v;  // same-instant update overwrites
-    if (n_ == 1) first_v_ = v;
-    return;
-  }
-  if (n_ == 0) {
-    first_t_ = t;
-    first_v_ = v;
-  } else {
-    // The last point is now followed by another: close its segment.
-    if (n_ == 1 || last_v_ > closed_max_) closed_max_ = last_v_;
-    closed_integral_ += last_v_ * (t - last_t_);
-  }
-  last_t_ = t;
-  last_v_ = v;
-  ++n_;
-}
-
-double SeriesSummary::time_weighted_mean(double t_end) const {
-  assert(n_ == 0 || t_end >= last_t_);
-  if (n_ == 0) return 0.0;
-  const double span = t_end - first_t_;
-  if (span <= 0) return first_v_;
-  double sum = closed_integral_;
-  if (t_end > last_t_) sum += last_v_ * (t_end - last_t_);
-  return sum / span;
-}
 
 MetricsRegistry::MetricsRegistry(double sample_interval) : sample_interval_(sample_interval) {
   if (!(sample_interval > 0) || !std::isfinite(sample_interval)) {

@@ -19,14 +19,11 @@
 // Each counter and gauge resolves its series once, when it is created, so a
 // sample walks two flat lists and looks nothing up by name.
 //
-// A series is a running summary (SeriesSummary), not a list of points: the
-// report reads only the sample count, the last point, the max and the
-// time-weighted mean, so a sample updates a few doubles in place and a long
-// run stores nothing per sample.
+// A series is a stats::TimeSeries, a running summary rather than a list of
+// points: the report reads only the sample count, the last point, the max
+// and the time-weighted mean, so a long run stores nothing per sample.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -34,42 +31,11 @@
 #include <vector>
 
 #include "stats/summary.hpp"
+#include "stats/timeseries.hpp"
 
 namespace lsds::obs {
 
 class Json;
-
-/// A sampled series kept as a running summary: the sample count, the first
-/// and last points, the max over the points before the last, and the
-/// integral up to the last point. record() follows stats::TimeSeries::record
-/// (times non-decreasing; a same-instant sample overwrites the previous
-/// one), and the aggregates add the same terms in the same order as
-/// TimeSeries::integral / max_value, so every value below is bit-identical
-/// to that of a TimeSeries fed the same samples.
-class SeriesSummary {
- public:
-  void record(double t, double v);
-
-  /// Number of distinct sample instants.
-  std::size_t size() const { return n_; }
-  bool empty() const { return n_ == 0; }
-  double last_t() const { return last_t_; }
-  double last() const { return last_v_; }
-  /// Maximum recorded value (0 when empty).
-  double max_value() const {
-    if (n_ == 0) return 0.0;
-    return n_ == 1 || last_v_ > closed_max_ ? last_v_ : closed_max_;
-  }
-  /// Time-weighted mean over [first sample, t_end]; t_end >= last_t().
-  double time_weighted_mean(double t_end) const;
-
- private:
-  std::size_t n_ = 0;
-  double first_t_ = 0, first_v_ = 0;
-  double last_t_ = 0, last_v_ = 0;
-  double closed_max_ = 0;       // max over the points before the last
-  double closed_integral_ = 0;  // integral over [first_t_, last_t_]
-};
 
 class MetricsRegistry {
  public:
@@ -124,7 +90,7 @@ class MetricsRegistry {
 
   const std::map<std::string, double>& counters() const { return counters_; }
   const std::map<std::string, stats::Accumulator>& timers() const { return timers_; }
-  const std::map<std::string, SeriesSummary>& series() const { return series_; }
+  const std::map<std::string, stats::TimeSeries>& series() const { return series_; }
 
   /// Serialize the registry: counters as values, timers as summary stats,
   /// gauges/counters as sampled series summaries (count/mean/max + last).
@@ -136,11 +102,11 @@ class MetricsRegistry {
   struct Gauge {
     std::string name;
     GaugeFn pull;
-    SeriesSummary* series;
+    stats::TimeSeries* series;
   };
   struct SampledCounter {
     const double* value;
-    SeriesSummary* series;
+    stats::TimeSeries* series;
   };
 
   double sample_interval_;
@@ -149,7 +115,7 @@ class MetricsRegistry {
   // std::map nodes never move, so the pointers below stay valid.
   std::map<std::string, double> counters_;
   std::map<std::string, stats::Accumulator> timers_;
-  std::map<std::string, SeriesSummary> series_;
+  std::map<std::string, stats::TimeSeries> series_;
   std::vector<Gauge> gauges_;
   std::vector<SampledCounter> sampled_counters_;
 };

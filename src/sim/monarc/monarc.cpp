@@ -23,6 +23,10 @@ struct Ctx {
   double delivered_bytes = 0;
   double production_end = 0;
   double last_delivery = 0;
+  // The tracked T0-T1 link's utilization series as it stood at the last
+  // delivery: T2 pulls keep re-solving the link after that instant, and a
+  // running summary cannot be read at an earlier time than its last point.
+  stats::TimeSeries link_at_last_delivery;
   // Per-T1 replica arrival flags for the analysis activities, indexed by
   // file (1 once the replica has landed).
   std::vector<std::vector<char>> arrived;
@@ -67,6 +71,7 @@ core::Process replicate_file(core::Engine& eng, Ctx& ctx, std::size_t file_idx,
       dst.disk().store(util::numbered("raw", file_idx, 5), ctx.cfg->file_bytes);
       ctx.delivered_bytes += ctx.cfg->file_bytes;
       ctx.last_delivery = eng.now();
+      ctx.link_at_last_delivery = ctx.grid->net().link_series(0);
       ++ctx.res->replicas_delivered;
       ctx.res->replication_lag.add(eng.now() - produced_at);
       ctx.record_backlog(eng);
@@ -191,7 +196,7 @@ Result run(core::Engine& engine, const Config& cfg) {
   res.makespan = std::max(res.makespan, ctx.last_delivery);
   res.drain_time = std::max(0.0, ctx.last_delivery - ctx.production_end);
   if (ctx.last_delivery > 0) {
-    res.link_utilization = grid.net().link_series(0).time_weighted_mean(ctx.last_delivery);
+    res.link_utilization = ctx.link_at_last_delivery.time_weighted_mean(ctx.last_delivery);
   }
   return res;
 }

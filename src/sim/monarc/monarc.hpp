@@ -98,7 +98,9 @@ struct Result {
   std::uint64_t replicas_delivered = 0;
   /// Replication lag of each delivered replica (production -> arrival).
   stats::SampleSet replication_lag;
-  /// Backlog (bytes produced but not yet delivered, summed over T1s).
+  /// Backlog (bytes produced but not yet delivered, summed over T1s),
+  /// recorded at every production and delivery; a running summary, so its
+  /// time-weighted mean can be taken at or after the last record only.
   stats::TimeSeries backlog;
   double peak_backlog_bytes = 0;
   /// Backlog at the instant the last file is produced — the stability
@@ -106,7 +108,8 @@ struct Result {
   double backlog_at_production_end = 0;
   /// Time from the end of production until the last replica lands.
   double drain_time = 0;
-  /// Mean utilization of the first T0-T1 link up to the last delivery.
+  /// Time-weighted mean utilization of the first T0-T1 link up to the last
+  /// delivery (the link's series as it stood at that delivery).
   double link_utilization = 0;
   /// Analysis job delays (submission -> completion), including replica wait.
   stats::SampleSet analysis_delays;

@@ -22,16 +22,6 @@ void PlotWriter::set_logscale(bool x, bool y) {
 
 void PlotWriter::add_series(Series s) { series_.push_back(std::move(s)); }
 
-void PlotWriter::add_time_series(const std::string& title, const TimeSeries& ts) {
-  Series s;
-  s.title = title;
-  for (const auto& p : ts.points()) {
-    s.x.push_back(p.t);
-    s.y.push_back(p.v);
-  }
-  series_.push_back(std::move(s));
-}
-
 std::string PlotWriter::dat_contents() const {
   // Block-per-series format (gnuplot `index` addressing): robust to series
   // of different lengths.

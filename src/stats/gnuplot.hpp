@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/timeseries.hpp"
-
 namespace lsds::stats {
 
 class PlotWriter {
@@ -32,7 +30,6 @@ class PlotWriter {
   void set_logscale(bool x, bool y);
 
   void add_series(Series s);
-  void add_time_series(const std::string& title, const TimeSeries& ts);
 
   /// Render the .dat/.gp contents (exposed for tests).
   std::string dat_contents() const;

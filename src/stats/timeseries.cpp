@@ -1,62 +1,37 @@
 #include "stats/timeseries.hpp"
 
-#include <algorithm>
 #include <cassert>
-
-#include "util/strings.hpp"
 
 namespace lsds::stats {
 
 void TimeSeries::record(double t, double v) {
-  assert(points_.empty() || t >= points_.back().t);
-  if (!points_.empty() && points_.back().t == t) {
-    points_.back().v = v;  // same-instant update overwrites
+  assert(n_ == 0 || t >= last_t_);
+  if (n_ > 0 && t == last_t_) {
+    last_v_ = v;  // same-instant update overwrites
+    if (n_ == 1) first_v_ = v;
     return;
   }
-  points_.push_back({t, v});
-}
-
-double TimeSeries::integral(double t_end) const {
-  if (points_.empty()) return 0.0;
-  double sum = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const double t0 = points_[i].t;
-    if (t0 >= t_end) break;
-    const double t1 = (i + 1 < points_.size()) ? std::min(points_[i + 1].t, t_end) : t_end;
-    if (t1 > t0) sum += points_[i].v * (t1 - t0);
+  if (n_ == 0) {
+    first_t_ = t;
+    first_v_ = v;
+  } else {
+    // The last point is now followed by another: close its segment.
+    if (n_ == 1 || last_v_ > closed_max_) closed_max_ = last_v_;
+    closed_integral_ += last_v_ * (t - last_t_);
   }
-  return sum;
+  last_t_ = t;
+  last_v_ = v;
+  ++n_;
 }
 
 double TimeSeries::time_weighted_mean(double t_end) const {
-  if (points_.empty()) return 0.0;
-  const double span = t_end - points_.front().t;
-  if (span <= 0) return points_.front().v;
-  return integral(t_end) / span;
-}
-
-double TimeSeries::max_value() const {
-  double m = 0;
-  bool first = true;
-  for (const auto& p : points_) {
-    if (first || p.v > m) m = p.v;
-    first = false;
-  }
-  return m;
-}
-
-double TimeSeries::value_at(double t) const {
-  if (points_.empty() || t < points_.front().t) return 0.0;
-  // Binary search for last point with time <= t.
-  auto it = std::upper_bound(points_.begin(), points_.end(), t,
-                             [](double x, const Point& p) { return x < p.t; });
-  return std::prev(it)->v;
-}
-
-std::string TimeSeries::to_csv() const {
-  std::string out = "t,v\n";
-  for (const auto& p : points_) out += util::strformat("%.9g,%.9g\n", p.t, p.v);
-  return out;
+  assert(n_ == 0 || t_end >= last_t_);
+  if (n_ == 0) return 0.0;
+  const double span = t_end - first_t_;
+  if (span <= 0) return first_v_;
+  double sum = closed_integral_;
+  if (t_end > last_t_) sum += last_v_ * (t_end - last_t_);
+  return sum / span;
 }
 
 }  // namespace lsds::stats

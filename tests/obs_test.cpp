@@ -4,6 +4,7 @@
 // byte-identical to an unobserved one).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -266,26 +267,70 @@ TEST(Metrics, RejectsNonPositiveSampleInterval) {
   }
 }
 
+namespace {
+
+// A stored series, the reference for the running summary: every point is
+// kept, and the aggregates walk them in order.
+struct StoredSeries {
+  struct Point {
+    double t, v;
+  };
+  std::vector<Point> points;
+
+  void record(double t, double v) {
+    if (!points.empty() && points.back().t == t) {
+      points.back().v = v;
+      return;
+    }
+    points.push_back({t, v});
+  }
+  double integral(double t_end) const {
+    double sum = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const double t0 = points[i].t;
+      if (t0 >= t_end) break;
+      const double t1 = i + 1 < points.size() ? std::min(points[i + 1].t, t_end) : t_end;
+      if (t1 > t0) sum += points[i].v * (t1 - t0);
+    }
+    return sum;
+  }
+  double time_weighted_mean(double t_end) const {
+    if (points.empty()) return 0.0;
+    const double span = t_end - points.front().t;
+    if (span <= 0) return points.front().v;
+    return integral(t_end) / span;
+  }
+  double max_value() const {
+    double m = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (i == 0 || points[i].v > m) m = points[i].v;
+    }
+    return m;
+  }
+};
+
+}  // namespace
+
 // The running summary must report exactly what a stored series would: the
 // same count, last value, max and time-weighted mean, bit for bit.
 TEST(SeriesSummary, MatchesTimeSeriesBitForBit) {
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  const auto expect_same = [&](const obs::SeriesSummary& s, const stats::TimeSeries& ts,
+  const auto expect_same = [&](const stats::TimeSeries& s, const StoredSeries& ref,
                                double t_end, const std::string& where) {
-    ASSERT_EQ(s.size(), ts.size()) << where;
-    ASSERT_EQ(s.empty(), ts.empty()) << where;
-    EXPECT_EQ(bits(s.max_value()), bits(ts.max_value())) << where;
-    EXPECT_EQ(bits(s.time_weighted_mean(t_end)), bits(ts.time_weighted_mean(t_end))) << where;
-    if (ts.empty()) return;
-    EXPECT_EQ(bits(s.last_t()), bits(ts.points().back().t)) << where;
-    EXPECT_EQ(bits(s.last()), bits(ts.points().back().v)) << where;
+    ASSERT_EQ(s.size(), ref.points.size()) << where;
+    ASSERT_EQ(s.empty(), ref.points.empty()) << where;
+    EXPECT_EQ(bits(s.max_value()), bits(ref.max_value())) << where;
+    EXPECT_EQ(bits(s.time_weighted_mean(t_end)), bits(ref.time_weighted_mean(t_end))) << where;
+    if (ref.points.empty()) return;
+    EXPECT_EQ(bits(s.last_t()), bits(ref.points.back().t)) << where;
+    EXPECT_EQ(bits(s.last()), bits(ref.points.back().v)) << where;
   };
-  expect_same(obs::SeriesSummary{}, stats::TimeSeries{}, 5.0, "empty");
+  expect_same(stats::TimeSeries{}, StoredSeries{}, 5.0, "empty");
 
   core::RngStream rng(0x5e41e5u);
   for (int seq = 0; seq < 500; ++seq) {
-    obs::SeriesSummary s;
-    stats::TimeSeries ts;
+    stats::TimeSeries s;
+    StoredSeries ref;
     // Lengths 1..60; about a third of the samples repeat the previous
     // instant (a same-instant overwrite), including the very first one.
     const auto n = rng.uniform_int(1, 60);
@@ -295,16 +340,16 @@ TEST(SeriesSummary, MatchesTimeSeriesBitForBit) {
       const double v = rng.bernoulli(0.2) ? std::floor(rng.uniform(-3.0, 3.0))
                                           : rng.uniform(-1e3, 1e3);
       s.record(t, v);
-      ts.record(t, v);
+      ref.record(t, v);
       const std::string where = "seq " + std::to_string(seq) + " sample " + std::to_string(i);
-      expect_same(s, ts, t, where + " t_end == last_t");
-      expect_same(s, ts, t + rng.exponential(5.0), where + " t_end > last_t");
+      expect_same(s, ref, t, where + " t_end == last_t");
+      expect_same(s, ref, t + rng.exponential(5.0), where + " t_end > last_t");
     }
   }
 }
 
 TEST(SeriesSummary, OneSampleSeriesAndOverwrites) {
-  obs::SeriesSummary s;
+  stats::TimeSeries s;
   s.record(2.0, 7.0);
   s.record(2.0, -3.0);  // overwrites the only point
   EXPECT_EQ(s.size(), 1u);

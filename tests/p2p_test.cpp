@@ -371,12 +371,3 @@ TEST(PlotWriter, EmitsDatAndGp) {
   EXPECT_NE(gp.find("lsds_plot_test.dat"), std::string::npos);
   EXPECT_TRUE(pw.write());
 }
-
-TEST(PlotWriter, TimeSeriesAdapter) {
-  lsds::stats::TimeSeries ts;
-  ts.record(0, 1);
-  ts.record(5, 2);
-  lsds::stats::PlotWriter pw("/tmp/lsds_plot_test2", "ts");
-  pw.add_time_series("backlog", ts);
-  EXPECT_NE(pw.dat_contents().find("5 2"), std::string::npos);
-}

@@ -168,31 +168,13 @@ TEST(TimeSeries, TimeWeightedMean) {
   EXPECT_DOUBLE_EQ(ts.time_weighted_mean(20), 2.0);
 }
 
-TEST(TimeSeries, IntegralStopsAtTEnd) {
-  stats::TimeSeries ts;
-  ts.record(0, 2.0);
-  ts.record(5, 0.0);
-  EXPECT_DOUBLE_EQ(ts.integral(3), 6.0);
-  EXPECT_DOUBLE_EQ(ts.integral(100), 10.0);
-}
-
-TEST(TimeSeries, ValueAt) {
-  stats::TimeSeries ts;
-  ts.record(1, 10.0);
-  ts.record(5, 20.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(0.5), 0.0);  // before first record
-  EXPECT_DOUBLE_EQ(ts.value_at(1), 10.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(4.9), 10.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(5), 20.0);
-  EXPECT_DOUBLE_EQ(ts.value_at(100), 20.0);
-}
-
 TEST(TimeSeries, SameInstantOverwrites) {
   stats::TimeSeries ts;
   ts.record(1, 10.0);
   ts.record(1, 12.0);
   EXPECT_EQ(ts.size(), 1u);
-  EXPECT_DOUBLE_EQ(ts.value_at(1), 12.0);
+  EXPECT_DOUBLE_EQ(ts.last(), 12.0);
+  EXPECT_DOUBLE_EQ(ts.time_weighted_mean(3), 12.0);
 }
 
 TEST(TimeSeries, MaxValue) {
