@@ -62,7 +62,9 @@ class FailureInjector {
   void start(double mean_time_between_failures, double mean_time_to_repair, double t_end);
 
   /// Weibull lifetimes with mean `mtbf` and the given shape (shape == 1 is
-  /// exponential; < 1 infant mortality; > 1 wear-out). Same guard as start().
+  /// exponential; < 1 infant mortality; > 1 wear-out); shape <= 0 draws the
+  /// exponential lifetimes of start(), so a FailureSpec's weibull_shape
+  /// passes straight through. Same guard as start().
   void start_weibull(double shape, double mtbf, double mean_time_to_repair, double t_end);
 
   bool started() const { return started_; }

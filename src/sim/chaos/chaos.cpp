@@ -25,11 +25,7 @@ Result run(core::Engine& eng, const Config& cfg) {
   if (spec.horizon <= 0) spec.horizon = 1e6;
   middleware::FailureInjector inject(eng);
   for (auto* cpu : cpus) inject.add_cpu(*cpu);
-  if (spec.weibull_shape > 0) {
-    inject.start_weibull(spec.weibull_shape, spec.mtbf, spec.mttr, spec.horizon);
-  } else {
-    inject.start(spec.mtbf, spec.mttr, spec.horizon);
-  }
+  inject.start_weibull(spec.weibull_shape, spec.mtbf, spec.mttr, spec.horizon);
 
   // The scheduler flips every resource to kFailStop and owns recovery.
   middleware::FaultTolerantScheduler sched(eng, cpus, cfg.heuristic, cfg.recovery);

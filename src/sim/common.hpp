@@ -42,11 +42,7 @@ inline std::unique_ptr<middleware::FailureInjector> inject_failures(
     }
   }
   const double horizon = spec.horizon > 0 ? spec.horizon : 1e5;
-  if (spec.weibull_shape > 0) {
-    inject->start_weibull(spec.weibull_shape, spec.mtbf, spec.mttr, horizon);
-  } else {
-    inject->start(spec.mtbf, spec.mttr, horizon);
-  }
+  inject->start_weibull(spec.weibull_shape, spec.mtbf, spec.mttr, horizon);
   return inject;
 }
 
