@@ -37,6 +37,7 @@
 
 #include "bench_record.hpp"
 #include "core/engine.hpp"
+#include "core/hash.hpp"
 #include "net/flow.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -146,15 +147,15 @@ Outcome run_point(const net::Topology& topo, std::size_t n_flows, bool increment
   Outcome o = measure(eng, fnet, [&eng, horizon] { eng.run_until(horizon); });
   // Bitwise final-state fingerprint: every live flow's rate in id order,
   // then the delivered-byte total.
-  std::uint64_t h = 1469598103934665603ULL;
+  core::StateHash h;
   std::vector<net::FlowId> ids = live;
   std::sort(ids.begin(), ids.end());
   for (net::FlowId id : ids) {
-    h = fnv1a(h, id);
-    h = fnv1a(h, bits(fnet.flow_rate(id)));
+    h.mix(id);
+    h.mix(bits(fnet.flow_rate(id)));
   }
-  h = fnv1a(h, bits(fnet.total_bytes_delivered()));
-  o.hash = h;
+  h.mix(bits(fnet.total_bytes_delivered()));
+  o.hash = h.value();
   return o;
 }
 
@@ -185,10 +186,10 @@ Outcome run_saturated(std::size_t arrivals, bool incremental, std::size_t& compl
     });
   }
   Outcome o = measure(eng, fnet, [&eng] { eng.run(); });
-  std::uint64_t h = 1469598103934665603ULL;
-  for (double t : done_at) h = fnv1a(h, bits(t));  // flow k has id k + 1
-  h = fnv1a(h, bits(fnet.total_bytes_delivered()));
-  o.hash = h;
+  core::StateHash h;
+  for (double t : done_at) h.mix(bits(t));  // flow k has id k + 1
+  h.mix(bits(fnet.total_bytes_delivered()));
+  o.hash = h.value();
   completed = fnet.flows_completed();
   return o;
 }

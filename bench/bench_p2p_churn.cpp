@@ -52,6 +52,7 @@
 
 #include "bench_record.hpp"
 #include "core/engine.hpp"
+#include "core/hash.hpp"
 #include "core/probe.hpp"
 #include "core/process.hpp"
 #include "core/rng.hpp"
@@ -753,13 +754,13 @@ class TraceHashProbe final : public core::EngineProbe {
   explicit TraceHashProbe(std::vector<std::pair<double, std::uint64_t>>* seq = nullptr)
       : seq_(seq) {}
   void on_event(core::SimTime t, core::EventId id) override {
-    hash = fnv1a(hash, bits(t));
-    hash = fnv1a(hash, std::uint64_t{id});
+    hash.mix(bits(t));
+    hash.mix(id);
     if (seq_) seq_->emplace_back(t, id);
   }
   std::uint32_t queue_stride() const override { return 0; }
 
-  std::uint64_t hash = 1469598103934665603ULL;
+  core::StateHash hash;
 
  private:
   std::vector<std::pair<double, std::uint64_t>>* seq_;
@@ -824,7 +825,7 @@ DiffOut run_diff_scenario(std::vector<std::pair<double, std::uint64_t>>* seq = n
   }
 
   eng.run();
-  out.trace = trace.hash;
+  out.trace = trace.hash.value();
   out.executed = eng.stats().executed;
   out.messages = net.messages_sent();
   out.live = net.size();
@@ -870,7 +871,7 @@ HashPoint run_hash_point(core::QueueKind kind) {
   eng.run();
 
   pt.digest = chord.state_digest();
-  pt.trace = trace.hash;
+  pt.trace = trace.hash.value();
   pt.issued = gen.issued();
   pt.deaths = churner.deaths();
   return pt;

@@ -38,6 +38,7 @@
 
 #include "bench_record.hpp"
 #include "core/engine.hpp"
+#include "core/hash.hpp"
 #include "hosts/site.hpp"
 #include "hosts/storage.hpp"
 #include "net/flow.hpp"
@@ -96,15 +97,15 @@ ArmResult run_arm(std::size_t streams, hosts::StorageSharing sharing, bool incre
     src.tape().store("f" + std::to_string(j), kFileBytes);
 
   ArmResult res;
-  res.hash = 1469598103934665603ULL;
+  core::StateHash hash;
   std::uint64_t done = 0;
   for (std::size_t j = 0; j < streams; ++j) {
     eng.schedule_at(kCadence * static_cast<double>(j), [&, j] {
       src.tape().read("f" + std::to_string(j), [&, j] {
         grid.net().start_flow(src.node(), dsts[j % kDestinations]->node(), kFileBytes,
                               [&, j](net::FlowId) {
-                                res.hash = fnv1a(res.hash, j);
-                                res.hash = fnv1a(res.hash, bits(eng.now()));
+                                hash.mix(j);
+                                hash.mix(bits(eng.now()));
                                 res.makespan = eng.now();
                                 ++done;
                               });
@@ -116,8 +117,9 @@ ArmResult run_arm(std::size_t streams, hosts::StorageSharing sharing, bool incre
   eng.run();
   res.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - w0).count();
-  res.hash = fnv1a(res.hash, bits(grid.net().total_bytes_delivered()));
-  res.hash = fnv1a(res.hash, done);
+  hash.mix(bits(grid.net().total_bytes_delivered()));
+  hash.mix(done);
+  res.hash = hash.value();
   res.flows_rerated = grid.net().flows_rerated();
   res.delivered = done;
   return res;

@@ -32,10 +32,13 @@
 #include <vector>
 
 #include "bench_record.hpp"
+#include "core/hash.hpp"
+#include "core/rng.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "net/zone.hpp"
 
+namespace core = lsds::core;
 namespace net = lsds::net;
 namespace obs = lsds::obs;
 
@@ -67,33 +70,22 @@ net::FatTreeSpec spec_of(const Shape& s) {
   return spec;
 }
 
-// Deterministic host-pair stream (splitmix-style) — no global RNG state, so
-// the hash re-pass sees the exact same pairs.
-struct PairStream {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-};
-
 // Hash kRoutesSampled routes: link ids in path order + total_latency bits.
+// The host pairs come from a local SplitMix64 state, not a global RNG, so
+// the hash re-pass sees the exact same pairs.
 std::uint64_t warm_hash(net::ZoneRouting& zr, std::size_t hosts) {
-  PairStream ps{12345};
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t pairs = 12345;
+  core::StateHash h;
   for (std::size_t i = 0; i < kRoutesSampled; ++i) {
-    const auto src = static_cast<net::NodeId>(ps.next() % hosts);
-    const auto dst = static_cast<net::NodeId>(ps.next() % hosts);
+    const auto src = static_cast<net::NodeId>(core::splitmix64(pairs) % hosts);
+    const auto dst = static_cast<net::NodeId>(core::splitmix64(pairs) % hosts);
     const net::Route& r = zr.route(src, dst);
-    h = fnv1a(h, r.links.size());
-    for (net::LinkId l : r.links) h = fnv1a(h, l);
-    h = fnv1a(h, bits(r.total_latency));
-    h = fnv1a(h, bits(zr.bottleneck_bandwidth(src, dst)));
+    h.mix(r.links.size());
+    for (net::LinkId l : r.links) h.mix(l);
+    h.mix(bits(r.total_latency));
+    h.mix(bits(zr.bottleneck_bandwidth(src, dst)));
   }
-  return h;
+  return h.value();
 }
 
 // Byte-identity spot check against flat Dijkstra (small shapes only). One
@@ -102,9 +94,9 @@ std::uint64_t warm_hash(net::ZoneRouting& zr, std::size_t hosts) {
 bool flat_check(const net::FatTreeZone& zone, net::ZoneRouting& zr) {
   const net::Topology topo = zone.to_topology();
   net::Routing flat(topo);
-  PairStream ps{777};
+  std::uint64_t pairs = 777;
   const auto endpoint = [&] {
-    const std::size_t i = ps.next() % (zone.host_count() + 1);
+    const std::size_t i = core::splitmix64(pairs) % (zone.host_count() + 1);
     return i == zone.host_count() ? zone.gateway() : static_cast<net::NodeId>(i);
   };
   for (std::size_t i = 0; i < 500; ++i) {
