@@ -3,8 +3,9 @@
 // Adds what raw flows lack: per-(src,dst) concurrent-stream limits (GridFTP
 // style) with FIFO queueing, and per-transfer records for analysis. This is
 // the "higher-level application protocols such as FTP" rung of the
-// taxonomy's protocol axis; the data-grid facades (OptorSim, MONARC) move
-// all replicas through it.
+// taxonomy's protocol axis. The platform facade drives it; the data-grid
+// models (OptorSim, MONARC) move replicas as raw flows through
+// sim::transfer instead, with no stream limit.
 //
 // Every transfer dials through FlowNetwork::start_flow_checked, so when the
 // grid's sites carry max-min storage (the endpoint binder is installed) each
