@@ -56,6 +56,7 @@ void ParallelGrid::finalize() {
                 : net::partition_sites(*provider_, nodes_, lps, spec_.partition);
     lps = part.parts;
     lookahead_ = part.lookahead;
+    site_latency_ = std::move(part.latency);
     if (spec_.lookahead_override > 0) {
       lookahead_ = std::min(lookahead_, spec_.lookahead_override);
     }
@@ -77,7 +78,7 @@ void ParallelGrid::finalize() {
   }
 
   owner_.assign(specs_.size(), 0);
-  if (lps > 1) owner_ = part.owner;
+  if (lps > 1) owner_ = std::move(part.owner);
 
   core::ParallelEngine::Config pcfg;
   pcfg.num_lps = lps;
@@ -96,17 +97,14 @@ void ParallelGrid::finalize() {
   chan_bytes_.assign(specs_.size(), {});
 
   // Per-LP flow networks for partition-local flow-level transfers. When
-  // flat, warm the routing cache for every site pair first: Routing::route
-  // caches lazily and is not thread-safe, so all lookups LP threads might
-  // trigger must be materialized here, single-threaded. Zone providers
-  // compute routes into per-thread scratch and need no warming — which is
-  // also what keeps million-host platforms affordable.
+  // flat, warm the routing cache from every site first: Routing::route
+  // caches lazily, one Dijkstra per source, and is not thread-safe, so all
+  // lookups LP threads might trigger must be materialized here,
+  // single-threaded. Zone providers compute routes into per-thread scratch
+  // and need no warming — which is also what keeps million-host platforms
+  // affordable.
   if (!zone_) {
-    for (std::size_t a = 0; a < nodes_.size(); ++a) {
-      for (std::size_t b = 0; b < nodes_.size(); ++b) {
-        if (a != b) routing_->route(nodes_[a], nodes_[b]);
-      }
-    }
+    for (net::NodeId node : nodes_) routing_->route(node, node);
   }
   // Per-LP storage ownership: a site's max-min devices register with its
   // owner LP's flow network ONLY — the resource lives where its events run,
@@ -125,6 +123,18 @@ void ParallelGrid::finalize() {
     }
     wire_storage(*flow_nets_.back(), own);
   }
+}
+
+void ParallelGrid::channel(SiteId from, SiteId to) {
+  assert(finalized());
+  const unsigned src = owner_[from], dst = owner_[to];
+  if (src == dst) return;  // same LP: an ordinary local event
+  const std::size_t n = specs_.size();
+  double delay = site_latency_.empty() ? path_latency(from, to) : site_latency_[from * n + to];
+  if (spec_.lookahead_override > 0) delay = std::min(delay, spec_.lookahead_override);
+  if (!pe_->channels_declared()) lookahead_ = core::kInfTime;
+  pe_->connect(src, dst, delay);
+  lookahead_ = std::min(lookahead_, delay);
 }
 
 void ParallelGrid::at(SiteId at_site, core::SimTime t, core::EventFn fn) {

@@ -8,13 +8,18 @@
 // cross-site interaction travels through the deterministic cross-LP message
 // path.
 //
-// The lookahead is not a config knob: it is *derived from the topology* as
-// the minimum path latency between any two sites in different partitions
-// (net/partition.hpp). Physics guarantees conservatism — no site can affect
-// another sooner than the network can carry the news. Consequences:
-//   * the topology-aware partitioner keeps LAN-latency clusters together,
-//     which directly widens the windows (lookahead auto-shrinks only when
-//     the cut is forced through low-latency links);
+// The lookahead is not a config knob: it is *derived from the topology*.
+// Physics guarantees conservatism — no site can affect another sooner than
+// the network can carry the news. A model declares the site pairs it sends
+// on (channel()); each becomes an engine channel between the owners' LPs
+// whose delay is the pair's path latency, and every LP runs ahead to its
+// own horizon over that channel graph (core/parallel.hpp). A model that
+// declares nothing runs on the complete graph at the minimum path latency
+// between any two sites in different partitions (net/partition.hpp).
+// Consequences:
+//   * the topology-aware partitioner keeps latency clusters together, so
+//     most declared channels stay inside one LP and the ones that cross
+//     run over the expensive WAN links;
 //   * when the derived lookahead is <= 0 (a zero-latency link crosses the
 //     cut) conservative parallelism is impossible, and ParallelGrid falls
 //     back to serial execution with a logged reason. The fallback runs the
@@ -52,22 +57,22 @@ struct ExecutionSpec {
   unsigned threads = 4;
   unsigned lps = 0;        // 0 = one LP per thread
   net::PartitionScheme partition = net::PartitionScheme::kTopology;
-  /// Optional lookahead floor override (seconds). Effective lookahead is
-  /// min(derived, override) when > 0 — it can narrow windows for
-  /// experiments, never widen them past what the topology allows.
+  /// Optional lookahead override (seconds). When > 0 it caps every channel
+  /// delay (and the default lookahead) — it can narrow the LPs' horizons
+  /// for experiments, never widen them past what the topology allows.
   double lookahead_override = 0;
   core::QueueKind queue = core::QueueKind::kBinaryHeap;
   std::uint64_t seed = 42;
 };
 
-/// Outcome of a ParallelGrid run: the engine's window/message counters plus
+/// Outcome of a ParallelGrid run: the engine's round/message counters plus
 /// the per-LP load rollup (stats/summary) the execution report prints.
 struct ExecutionReport {
   bool parallel = false;            // false when fell back (or asked serial)
   std::string fallback_reason;      // empty unless a parallel request fell back
   unsigned lps = 1;
   unsigned threads = 1;
-  double lookahead = 0;             // effective window length (+inf serial)
+  double lookahead = 0;             // smallest cross-LP channel delay (+inf serial)
   net::PartitionScheme partition = net::PartitionScheme::kTopology;
   core::ParallelEngine::Stats engine;
   /// Events executed per LP — balance profile (mean/min/max/stddev).
@@ -103,6 +108,16 @@ class ParallelGrid {
   /// instantiate every Site on its owner LP. Topology must not change
   /// afterwards.
   void finalize();
+
+  /// Declare that the model sends from site `from` to site `to` (post() or
+  /// transfer()). Call after finalize(), before run(). When the two sites
+  /// live on different LPs this declares the engine channel between those
+  /// LPs, with the pair's path latency as its minimum delay, capped at
+  /// ExecutionSpec::lookahead_override when that is set; a pair on one LP
+  /// declares nothing. Once one channel crosses LPs, a post between LPs no
+  /// declared pair connects throws std::logic_error when it runs, so a
+  /// model that declares channels must declare all of them.
+  void channel(SiteId from, SiteId to);
   bool finalized() const { return pe_ != nullptr; }
 
   // --- post-finalize introspection -----------------------------------------
@@ -121,7 +136,9 @@ class ParallelGrid {
   /// thread-safe); zone providers answer from per-thread scratch and need
   /// no warming.
   net::FlowNetwork& flows_of(SiteId id) { return *flow_nets_[owner_[id]]; }
-  /// Effective window length; +inf when serial (single LP).
+  /// The smallest delay of a declared channel between two LPs; before any
+  /// is declared, the smallest path latency across the cut. +inf when
+  /// serial (single LP).
   double lookahead() const { return lookahead_; }
   /// True when the run will actually be multi-LP.
   bool parallel() const { return pe_->num_lps() > 1; }
@@ -178,6 +195,9 @@ class ParallelGrid {
   std::unique_ptr<core::ParallelEngine> pe_;
   std::vector<std::unique_ptr<net::FlowNetwork>> flow_nets_;  // one per LP
   double lookahead_ = 0;
+  // kTopology's site latency matrix ([from * sites + to]), kept to give
+  // channels their delays without routing again; empty for other schemes.
+  std::vector<double> site_latency_;
   std::string fallback_reason_;
   // Per ordered (from, to) pair: when the channel frees up, and bytes ever
   // sent. Indexed by `from`; mutated only from `from`'s LP.

@@ -58,6 +58,12 @@ BagResult run_bag(const gridsim::Config& cfg, const hosts::ExecutionSpec& exec) 
                              util::strformat("broker--resource%zu", i));
   }
   grid.finalize();
+  // Dispatches go out to the resources, acknowledgements come back.
+  for (std::size_t i = 0; i < cfg.num_resources; ++i) {
+    const auto site = static_cast<hosts::SiteId>(1 + i);
+    grid.channel(broker, site);
+    grid.channel(site, broker);
+  }
 
   // --- static DBC-ish plan (all draws + all decisions at setup) -----------
   //

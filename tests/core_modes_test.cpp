@@ -237,7 +237,7 @@ TEST(ParallelEngine, LookaheadViolationsClampedAndCounted) {
   });
   const auto stats = eng.run_until(20.0);
   EXPECT_EQ(stats.lookahead_violations, 1u);
-  EXPECT_GE(delivered_at, 5.0);  // clamped to the window boundary
+  EXPECT_GE(delivered_at, 5.0);  // clamped to the sender's clock + lookahead
   EXPECT_EQ(stats.past_clamped, 0u);
 }
 
@@ -259,7 +259,7 @@ TEST(ParallelEngine, StopsWhenDrained) {
 
 TEST(ParallelEngine, CancelledFrontOpensNoWindow) {
   // An LP whose earliest key is cancelled must not bid that key's time for
-  // the next window: one live event, one window.
+  // the next round's horizons: one live event, one round.
   for (core::QueueKind kind : core::kAllQueueKinds) {
     SCOPED_TRACE(core::to_string(kind));
     core::ParallelEngine::Config cfg;
@@ -358,9 +358,10 @@ TEST(ParallelEngine, PerLpEventCountsSumToTotal) {
 
 // --- cross-LP message path property test ------------------------------------
 //
-// Randomized sends fuzzed across window boundaries. Invariants:
+// Randomized sends fuzzed across the lookahead bound. Invariants:
 //   1. a message intended for time t executes at exactly t when t clears the
-//      current window, and strictly later (the clamp) when it does not —
+//      sender's clock plus the lookahead, and strictly later (the clamp)
+//      when it does not —
 //      lookahead_violations counts EXACTLY the clamped sends;
 //   2. same-timestamp deliveries at one LP execute in (src_lp, src_seq)
 //      order — the deterministic merge;
@@ -389,7 +390,7 @@ std::vector<Delivery> run_fuzzed_cross_sends(unsigned num_threads, std::uint64_t
 
   // Pre-drawn plan (identical for every thread count): each sender fires at
   // a random time and targets a random intended delivery time around its own
-  // clock — before, inside and beyond the 2.0 s window, all three cases.
+  // clock — before, inside and beyond the 2.0 s lookahead, all three cases.
   struct Planned {
     double fire_at;
     double intended;
@@ -431,14 +432,14 @@ std::vector<Delivery> run_fuzzed_cross_sends(unsigned num_threads, std::uint64_t
     if (d.exec_time > d.intended) ++clamped;
   }
   EXPECT_EQ(stats.lookahead_violations, clamped);
-  EXPECT_GT(clamped, 0u) << "fuzz plan never crossed a window boundary";
+  EXPECT_GT(clamped, 0u) << "fuzz plan never sent inside the lookahead";
   EXPECT_LT(clamped, static_cast<std::uint64_t>(kSenders) * kSendsEach)
-      << "fuzz plan never cleared a window boundary";
+      << "fuzz plan never sent beyond the lookahead";
 
   // Invariant 2: equal-time deliveries are merged in (src_lp, src_seq)
-  // order. Equal execution times only arise within one delivery batch (a
-  // later window's boundary is strictly larger, and unclamped intended
-  // times are continuous draws), so the full lexicographic order applies.
+  // order. Intended times and clamp bounds (fire time + lookahead) are
+  // continuous draws, so equal execution times only arise within one
+  // delivery batch and the full lexicographic order applies.
   for (std::size_t i = 1; i < log.size(); ++i) {
     EXPECT_LE(log[i - 1].exec_time, log[i].exec_time);
     if (log[i - 1].exec_time == log[i].exec_time) {
@@ -522,6 +523,89 @@ TEST(ParallelEngine, HonestModelsUnderBudgetUnaffected) {
   EXPECT_EQ(stats.events, 100u);
 }
 
+// --- declared channels --------------------------------------------------------
+
+TEST(ParallelEngine, ConnectRejectsBadChannels) {
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 3;
+  cfg.num_threads = 1;
+  core::ParallelEngine eng(cfg);
+  EXPECT_FALSE(eng.channels_declared());
+  EXPECT_THROW(eng.connect(0, 3, 1.0), std::out_of_range);
+  EXPECT_THROW(eng.connect(1, 1, 1.0), std::invalid_argument);
+  for (double d : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW(eng.connect(0, 1, d), std::invalid_argument) << d;
+  }
+  EXPECT_FALSE(eng.channels_declared());
+  eng.connect(0, 1, 1.0);
+  EXPECT_TRUE(eng.channels_declared());
+}
+
+TEST(ParallelEngine, UndeclaredSendThrowsLogicError) {
+  // Once one channel is declared, the others are gone: a send on any other
+  // pair throws in every build type, at every thread count.
+  for (unsigned threads : {1u, 2u}) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 2;
+    cfg.num_threads = threads;
+    core::ParallelEngine eng(cfg);
+    eng.connect(0, 1, 1.0);
+    int delivered = 0;
+    eng.lp(0).schedule_at(0.5, [&] { eng.lp(0).send(1, 2.0, [&] { ++delivered; }); });
+    eng.lp(1).schedule_at(0.5, [&] { eng.lp(1).send(0, 2.0, [] {}); });
+    try {
+      eng.run_until(10.0);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("no channel from LP 1 to LP 0"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ParallelEngine, DeclaredSendsClampToTheirChannelDelay) {
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 2;
+  cfg.num_threads = 1;
+  core::ParallelEngine eng(cfg);
+  eng.connect(0, 1, 3.0);
+  eng.connect(0, 1, 2.0);  // a repeated pair keeps the smaller delay
+  std::vector<double> at;
+  eng.lp(0).schedule_at(1.0, [&] {
+    eng.lp(0).send(1, 2.5, [&] { at.push_back(eng.lp(1).now()); });  // below 1 + 2
+    eng.lp(0).send(1, 3.0, [&] { at.push_back(eng.lp(1).now()); });  // exactly 1 + 2
+  });
+  const auto stats = eng.run_until(10.0);
+  EXPECT_EQ(at, (std::vector<double>{3.0, 3.0}));
+  EXPECT_EQ(stats.lookahead_violations, 1u);
+}
+
+TEST(ParallelEngine, UnreachableLpRunsToTheHorizonInOneRound) {
+  // A star out of LP 0: nothing can reach LP 0, so it drains in the first
+  // round; the leaves wait for it, then drain in the second.
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 4;
+  cfg.num_threads = 1;
+  core::ParallelEngine eng(cfg);
+  for (unsigned leaf = 1; leaf < 4; ++leaf) eng.connect(0, leaf, 0.5);
+  std::vector<int> got(4, 0);  // slot i touched by LP i only
+  for (int k = 0; k < 50; ++k) {
+    eng.lp(0).schedule_at(k, [&eng, &got, k] {
+      ++got[0];
+      eng.lp(0).send(1 + k % 3, k + 0.5, [&got, k] { ++got[1 + k % 3]; });
+    });
+  }
+  for (unsigned leaf = 1; leaf < 4; ++leaf) eng.lp(leaf).schedule_at(0.25, [] {});
+  const auto stats = eng.run_until(core::kInfTime);
+  EXPECT_EQ(got, (std::vector<int>{50, 17, 17, 16}));
+  EXPECT_EQ(stats.windows, 2u);
+  EXPECT_EQ(stats.cross_messages, 50u);
+  EXPECT_EQ(stats.lookahead_violations, 0u);
+  EXPECT_EQ(stats.past_clamped, 0u);
+  // Drained to the last event, not to the infinite horizon.
+  EXPECT_EQ(eng.lp(0).now(), 49.0);
+}
+
 // --- configuration validation -----------------------------------------------
 
 TEST(ParallelEngine, RejectsZeroLps) {
@@ -539,7 +623,7 @@ TEST(ParallelEngine, RejectsZeroNegativeAndNanLookahead) {
   }
 }
 
-// --- window loop: inline path, persistent helpers, next-time cache ----------
+// --- round loop: inline path, persistent helpers, next-time cache -----------
 
 TEST(ParallelEngine, InfiniteLookaheadRunsOneClosedWindow) {
   // The serial-fallback shape: an unbounded window and horizon is one final
@@ -749,7 +833,7 @@ TEST(ParallelEngine, EnginesStopRightAfterHandedOffWindows) {
 }
 
 TEST(ParallelEngine, InlineWindowsAndBarrierWaitReported) {
-  // One thread: every window is inline and the barrier clock is never read.
+  // One thread: every round is inline and the barrier clock is never read.
   const auto run = [](unsigned threads) {
     core::ParallelEngine::Config cfg;
     cfg.num_lps = 2;
@@ -762,13 +846,15 @@ TEST(ParallelEngine, InlineWindowsAndBarrierWaitReported) {
     }
     return eng.run_until(100.0);
   };
+  // Each round takes two of LP 0's events and one of LP 1's: LP 0 runs to
+  // LP 1's next event + 1, LP 1 to LP 0's next event + 1.
   const auto one = run(1);
-  EXPECT_EQ(one.windows, 20u);
-  EXPECT_EQ(one.inline_windows, 20u);
+  EXPECT_EQ(one.windows, 10u);
+  EXPECT_EQ(one.inline_windows, 10u);
   EXPECT_EQ(one.barrier_wait_s, 0.0);
-  // Two threads: the 10 windows where both LPs have work are handed off.
+  // Two threads: both LPs have work in every round, so each is handed off.
   const auto two = run(2);
-  EXPECT_EQ(two.windows, 20u);
-  EXPECT_EQ(two.inline_windows, 10u);
+  EXPECT_EQ(two.windows, 10u);
+  EXPECT_EQ(two.inline_windows, 0u);
   EXPECT_GE(two.barrier_wait_s, 0.0);
 }

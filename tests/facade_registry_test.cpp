@@ -246,7 +246,7 @@ TEST(ShippedScenarios, ResultIsQueueInvariant) {
       {"explore_recovery.ini", "c70bec0f86a60e21"},
       {"lhc_2.5gbps.ini", "fd82fa22e4b2b055"},
       {"lhc_30gbps.ini", "68100fa80c086a1c"},
-      {"lhc_parallel.ini", "06a0fe2ca4dc8539"},
+      {"lhc_parallel.ini", "1b58fb3ab5be656d"},
       {"p2p_churn.ini", "7a0aca020d18e86a"},
       {"platform_fattree.ini", "f7f2172ae9a0d35b"},
   };

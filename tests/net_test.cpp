@@ -2,15 +2,18 @@
 // transfer service, packet-level model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "net/flow.hpp"
 #include "net/packet.hpp"
+#include "net/partition.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "net/transfer.hpp"
@@ -169,6 +172,90 @@ TEST(Routing, UnreachableIsInvalid) {
   t.add_node("b");  // no link
   net::Routing r(t);
   EXPECT_FALSE(r.route(0, 1).valid);
+}
+
+// --- topology partitioning ---------------------------------------------------
+
+namespace {
+
+// Two-level clusters: 3 regions hang off a core router at 50 ms, each with
+// 2 switches at 10 ms, each switch with 3 hosts at zero latency. Sites are
+// the 18 hosts, in (region, switch, host) order.
+struct Regions {
+  net::Topology topo;
+  std::vector<net::NodeId> sites;
+  Regions() {
+    const auto core_router = topo.add_node("core", net::NodeKind::kRouter);
+    for (int r = 0; r < 3; ++r) {
+      const auto region = topo.add_node("region", net::NodeKind::kRouter);
+      topo.add_link(core_router, region, 1e9, 0.05);
+      for (int s = 0; s < 2; ++s) {
+        const auto sw = topo.add_node("switch", net::NodeKind::kRouter);
+        topo.add_link(region, sw, 1e9, 0.01);
+        for (int h = 0; h < 3; ++h) {
+          sites.push_back(topo.add_node("host"));
+          topo.add_link(sw, sites.back(), 1e9, 0.0);
+        }
+      }
+    }
+  }
+};
+
+}  // namespace
+
+TEST(Partition, TopologyKeepsClustersThatFitWhole) {
+  Regions g;
+  net::Routing routing(g.topo);
+  // parts -> (cap, sites per kept cluster, lookahead): 3 parts keep each
+  // region, 6 keep each switch, and 4 (cap 5) still never split a switch.
+  struct Case {
+    unsigned parts;
+    std::size_t whole;
+    double lookahead;
+  };
+  for (const Case& c : {Case{3, 6, 0.12}, Case{6, 3, 0.02}, Case{4, 3, 0.02}}) {
+    SCOPED_TRACE(std::to_string(c.parts) + " parts");
+    const auto p = net::partition_sites(routing, g.sites, c.parts, net::PartitionScheme::kTopology);
+    ASSERT_EQ(p.parts, c.parts);
+    ASSERT_EQ(p.owner.size(), g.sites.size());
+    for (std::size_t i = 0; i < g.sites.size(); ++i) {
+      EXPECT_EQ(p.owner[i], p.owner[i - i % c.whole]) << "site " << i << " cut from its cluster";
+    }
+    std::vector<std::size_t> load(p.parts, 0);
+    for (unsigned o : p.owner) ++load[o];
+    EXPECT_GT(*std::min_element(load.begin(), load.end()), 0u);
+    EXPECT_NEAR(p.lookahead, c.lookahead, 1e-12);
+    EXPECT_EQ(p.lookahead, net::derive_lookahead(routing, g.sites, p.owner));
+    ASSERT_EQ(p.latency.size(), g.sites.size() * g.sites.size());
+    EXPECT_EQ(p.latency[1], routing.path_latency(g.sites[0], g.sites[1]));
+  }
+}
+
+TEST(Partition, TopologyNeverCutsAZeroLatencyPairTheCapAllows) {
+  // Zero-latency pairs scattered through the site list: (0, 5), (1, 4) and
+  // (2, 3) share a switch; the switches are 20 ms apart. Two parts (cap 3)
+  // keep every pair; round-robin cuts them.
+  net::Topology t;
+  const auto hub = t.add_node("hub", net::NodeKind::kRouter);
+  std::vector<net::NodeId> sw;
+  for (int k = 0; k < 3; ++k) {
+    sw.push_back(t.add_node("switch", net::NodeKind::kRouter));
+    t.add_link(hub, sw.back(), 1e9, 0.01);
+  }
+  std::vector<net::NodeId> sites;
+  for (int k : {0, 1, 2, 2, 1, 0}) {
+    sites.push_back(t.add_node("host"));
+    t.add_link(sw[k], sites.back(), 1e9, 0.0);
+  }
+  net::Routing routing(t);
+  const auto p = net::partition_sites(routing, sites, 2, net::PartitionScheme::kTopology);
+  EXPECT_EQ(p.owner[0], p.owner[5]);
+  EXPECT_EQ(p.owner[1], p.owner[4]);
+  EXPECT_EQ(p.owner[2], p.owner[3]);
+  EXPECT_EQ(p.lookahead, 0.02);
+  const auto rr = net::partition_sites(routing, sites, 2, net::PartitionScheme::kRoundRobin);
+  EXPECT_EQ(rr.lookahead, 0.0);
+  EXPECT_TRUE(rr.latency.empty());
 }
 
 TEST(Topology, EpochAdvancesOnMutation) {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -113,9 +114,21 @@ TEST(ParallelTier, Lhc64SiteScenario) {
   ASSERT_TRUE(p.exec.parallel);
   EXPECT_EQ(p.exec.lps, 4u);
   EXPECT_EQ(serial.trace(), p.trace());
-  // The cut must cross some T1--T2 (0.01 s) or T0--T1 (0.05 s) link.
-  EXPECT_GT(p.exec.lookahead, 0.0);
-  EXPECT_LE(p.exec.lookahead, 0.05);
+  // Each regional centre stays whole: every T1 shares its LP with all its
+  // T2s, so the cut crosses only T0--T1 links (0.05 s)...
+  hosts::ParallelGrid grid(par(4, 4));
+  const auto t2_sites = lsds::sim::monarc::add_tier_sites(grid, cfg);
+  grid.finalize();
+  for (std::size_t i = 0; i < cfg.num_t1; ++i) {
+    for (hosts::SiteId t2 : t2_sites[i]) {
+      EXPECT_EQ(grid.lp_of(t2), grid.lp_of(static_cast<hosts::SiteId>(1 + i)))
+          << "T2 site " << t2 << " cut from T1_" << i;
+    }
+  }
+  EXPECT_EQ(p.exec.lookahead, 0.05);
+  // ...and the LPs form a star out of T0's: round 1 drains T0's LP, the
+  // next drains the rest.
+  EXPECT_LE(p.exec.engine.windows, 3u);
   // Per-LP rollup covers every LP and sums to the event total.
   ASSERT_EQ(p.exec.engine.per_lp_events.size(), 4u);
   std::uint64_t sum = 0;
@@ -237,9 +250,12 @@ TEST(ParallelBag, StrategiesAndConstraintsSurvive) {
 // --- lookahead derivation & fallback ---------------------------------------
 
 TEST(ParallelGridCore, LookaheadOverrideNarrowsWindowsNotResults) {
+  // A round-robin cut puts T1--T2 channels both ways across LPs, so the
+  // channel delays bound the horizons. (The topology cut leaves a star out
+  // of T0's LP, which runs in two rounds whatever the delays.)
   const auto cfg = small_tier();
-  auto wide = par(4, 2);
-  auto narrow = par(4, 2);
+  auto wide = par(4, 2, net::PartitionScheme::kRoundRobin);
+  auto narrow = par(4, 2, net::PartitionScheme::kRoundRobin);
   narrow.lookahead_override = 0.002;
   const auto a = parallel::run_tier(cfg, wide);
   const auto b = parallel::run_tier(cfg, narrow);
@@ -268,6 +284,26 @@ TEST(ParallelGridCore, ZeroLatencyCutFallsBackToSerial) {
   EXPECT_FALSE(rep.parallel);
   EXPECT_EQ(rep.fallback_reason, grid.fallback_reason());
   EXPECT_EQ(rep.lps, 1u);
+}
+
+TEST(ParallelGridCore, ChannelsSetLookaheadAndUndeclaredPostsThrow) {
+  hosts::ParallelGrid grid(par(2, 2));
+  hosts::SiteSpec s;
+  s.name = "a";
+  const auto a = grid.add_site(s);
+  s.name = "b";
+  const auto b = grid.add_site(s);
+  grid.topology().add_link(a, b, 1e9, 0.03);
+  grid.finalize();
+  ASSERT_TRUE(grid.parallel()) << grid.fallback_reason();
+  EXPECT_EQ(grid.lookahead(), 0.03);
+  grid.channel(a, b);
+  grid.channel(a, a);  // one LP: declares nothing
+  EXPECT_EQ(grid.lookahead(), 0.03);
+  int delivered = 0;
+  grid.at(a, 1.0, [&] { grid.transfer(a, b, 1e6, [&] { ++delivered; }); });
+  grid.at(b, 1.0, [&] { grid.post(b, a, 2.0, [] {}); });  // b -> a never declared
+  EXPECT_THROW(grid.run(), std::logic_error);
 }
 
 TEST(ParallelGridCore, PerPartitionFlowNetworksDeliver) {
