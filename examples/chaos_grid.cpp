@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const double mtbf = flags.get_double("mtbf", 20.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const std::string policy_name = flags.get_string("policy", "resubmit");
+  flags.reject_unread();
 
   middleware::RecoveryConfig rcfg;
   bool matched = false;

@@ -51,9 +51,11 @@ int main(int argc, char** argv) {
   const auto cores = static_cast<unsigned>(flags.get_int("cores", 64));
   const auto n_jobs = static_cast<std::size_t>(flags.get_int("jobs", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
+  const std::string swf_path = flags.get_string("swf", "");
+  const std::string export_path = flags.get_string("export", "");
+  flags.reject_unread();
 
   std::vector<apps::SwfJob> jobs;
-  const std::string swf_path = flags.get_string("swf", "");
   if (!swf_path.empty()) {
     jobs = apps::load_swf(swf_path);
     std::printf("replaying %zu jobs from %s\n\n", jobs.size(), swf_path.c_str());
@@ -63,7 +65,6 @@ int main(int argc, char** argv) {
                                    /*mean_runtime=*/120.0, cores);
     std::printf("synthetic SWF-like workload: %zu jobs on %u cores\n\n", jobs.size(), cores);
   }
-  const std::string export_path = flags.get_string("export", "");
   if (!export_path.empty()) {
     std::ofstream f(export_path);
     f << apps::to_swf(jobs);

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   const auto width = static_cast<std::size_t>(flags.get_int("width", 6));
   const double edge_data = flags.get_size("edge-data", 1e6);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  flags.reject_unread();
 
   std::printf("workflow: %zu layers x %zu tasks, ~%s per edge, 4 hosts (100..800 ops/s)\n\n",
               layers, width, util::format_size(edge_data).c_str());

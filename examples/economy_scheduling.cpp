@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   cfg.budget = flags.get_double("budget", 1e18);
   cfg.deadline = flags.get_double("deadline", 1e18);
   const std::string strat = util::to_lower(flags.get_string("strategy", "cost"));
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 8));
+  flags.reject_unread();
   if (strat == "time") {
     cfg.strategy = middleware::DbcStrategy::kTimeOptimization;
   } else if (strat == "cost") {
@@ -29,8 +31,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::Engine engine({.queue = core::QueueKind::kBinaryHeap,
-                      .seed = static_cast<std::uint64_t>(flags.get_int("seed", 8))});
+  core::Engine engine({.queue = core::QueueKind::kBinaryHeap, .seed = seed});
   const auto res = sim::gridsim::run(engine, cfg);
 
   std::printf("strategy:       %s\n", middleware::to_string(cfg.strategy));

@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
   cfg.file_bytes = flags.get_size("file-size", 20e9);
   cfg.production_interval = flags.get_double("interval", 40.0);
   cfg.run_analysis = true;
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2005));
+  flags.reject_unread();
 
-  core::Engine engine({.queue = core::QueueKind::kCalendarQueue,
-                      .seed = static_cast<std::uint64_t>(flags.get_int("seed", 2005))});
+  core::Engine engine({.queue = core::QueueKind::kCalendarQueue, .seed = seed});
   const auto res = sim::monarc::run(engine, cfg);
 
   const double offered =

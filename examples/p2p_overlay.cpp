@@ -86,6 +86,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::size_t> sizes{32, 64, 128, 256, 512};
   if (flags.has("peers")) sizes = {static_cast<std::size_t>(flags.get_int("peers", 256))};
+  const std::string plot = flags.get_string("plot", "");
+  flags.reject_unread();
 
   stats::AsciiTable t({"peers", "chord hops (log2 n)", "chord latency [s]", "flood msgs (ttl 6)",
                        "flood success"});
@@ -104,7 +106,6 @@ int main(int argc, char** argv) {
   std::printf("shape: chord hops track ~log2(n)/2; flooding messages scale with the\n"
               "covered frontier and its success degrades once ttl stops covering n.\n");
 
-  const std::string plot = flags.get_string("plot", "");
   if (!plot.empty() && rows.size() > 1) {
     stats::PlotWriter pw(plot, "Chord vs flooding search cost");
     pw.set_axis_labels("peers", "cost");

@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
   const int n_jobs = static_cast<int>(flags.get_int("jobs", 20));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  flags.reject_unread();
 
   // 1. An engine: the clock + pending event set (pluggable structure).
   core::Engine engine({.queue = core::QueueKind::kCalendarQueue, .seed = seed});

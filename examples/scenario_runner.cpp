@@ -74,6 +74,10 @@ int run_campaign(const util::IniConfig& ini, const util::Flags& flags) {
   if (flags.has("test-hang-shard")) {
     dcfg.hang_shard = static_cast<std::size_t>(flags.get_int("test-hang-shard", -1));
   }
+  const bool set_workers = flags.has("workers");
+  const auto workers = static_cast<unsigned>(flags.get_int("workers", 1));
+  const std::string report_path = flags.get_string("report");
+  flags.reject_unread();
 
   exp::CampaignResult result;
   if (dcfg.processes > 0) {
@@ -81,9 +85,7 @@ int run_campaign(const util::IniConfig& ini, const util::Flags& flags) {
     result = distributed.run();
   } else {
     exp::Campaign campaign(ini);
-    if (flags.has("workers")) {
-      campaign.set_workers(static_cast<unsigned>(flags.get_int("workers", 1)));
-    }
+    if (set_workers) campaign.set_workers(workers);
     result = campaign.run();
   }
 
@@ -109,8 +111,8 @@ int run_campaign(const util::IniConfig& ini, const util::Flags& flags) {
                 d.failures.size() == 1 ? "" : "s");
   }
 
-  const std::string path = flags.has("report") ? flags.get_string("report")
-                                               : "CAMPAIGN_" + result.facade + ".json";
+  const std::string path =
+      report_path.empty() ? "CAMPAIGN_" + result.facade + ".json" : report_path;
   result.write(path);
   std::printf("report: %s\n", path.c_str());
   return 0;
@@ -150,9 +152,11 @@ int main(int argc, char** argv) {
     const bool has_campaign_cfg =
         std::find(sections.begin(), sections.end(), "campaign") != sections.end() ||
         std::find(sections.begin(), sections.end(), "sweep") != sections.end();
-    if (has_campaign_cfg || flags.get_bool("campaign", false)) {
+    if (flags.get_bool("campaign", false) || has_campaign_cfg) {
       return run_campaign(ini, flags);
     }
+    const std::string report_path = flags.get_string("report");
+    flags.reject_unread();
 
     core::Engine::Config ecfg;
     ecfg.seed = ini.get_count("scenario", "seed", 42);
@@ -163,10 +167,10 @@ int main(int argc, char** argv) {
     ini.reject_unread();
 
     core::Engine engine(ecfg);
-    if (flags.has("report")) {
+    if (!report_path.empty()) {
       // A --report= flag forces observability on and overrides the path.
       oopts.enabled = true;
-      oopts.report_path = flags.get_string("report");
+      oopts.report_path = report_path;
     }
     obs::Observability observability(oopts);
     observability.attach(engine);

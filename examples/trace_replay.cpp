@@ -38,11 +38,15 @@ double run_jobs(core::Engine& eng, const std::vector<apps::TimedJob>& jobs) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const auto num_jobs = static_cast<std::size_t>(flags.get_int("jobs", 50));
+  const std::string path = flags.get_string("out", "");
+  flags.reject_unread();
 
   // 1. Generator path.
-  core::RngStream rng(static_cast<std::uint64_t>(flags.get_int("seed", 7)));
+  core::RngStream rng(seed);
   apps::BagWorkloadSpec spec;
-  spec.num_jobs = static_cast<std::size_t>(flags.get_int("jobs", 50));
+  spec.num_jobs = num_jobs;
   spec.mean_interarrival = 2.0;
   spec.ops = {apps::SizeDist::kExponential, 500, 0};
   const auto generated = apps::generate_bag(rng, spec);
@@ -54,7 +58,6 @@ int main(int argc, char** argv) {
 
   // 2. Trace round trip.
   const std::string text = apps::workload_to_trace(generated);
-  const std::string path = flags.get_string("out", "");
   if (!path.empty()) {
     std::ofstream f(path);
     f << text;

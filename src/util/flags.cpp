@@ -1,5 +1,7 @@
 #include "util/flags.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -25,71 +27,89 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
-bool Flags::has(const std::string& name) const { return named_.count(name) > 0; }
+const std::string* Flags::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = named_.find(name);
+  return it == named_.end() ? nullptr : &it->second;
+}
+
+bool Flags::has(const std::string& name) const { return find(name) != nullptr; }
+
+void Flags::reject_unread() const {
+  for (const auto& entry : named_) {
+    const std::string& name = entry.first;
+    if (read_.count(name)) continue;
+    std::string msg = "unknown flag --" + name;
+    const std::string hint = near_miss(name, read_);
+    if (!hint.empty()) msg += " (did you mean --" + hint + "?)";
+    std::fprintf(stderr, "%s: %s\n", program_.c_str(), msg.c_str());
+    std::exit(1);
+  }
+}
 
 std::string Flags::get_string(const std::string& name, std::string def) const {
-  auto it = named_.find(name);
-  return it == named_.end() ? def : it->second;
+  const std::string* v = find(name);
+  return v ? *v : def;
 }
 
 long long Flags::get_int(const std::string& name, long long def) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return def;
+  const std::string* v = find(name);
+  if (!v) return def;
   long long out = 0;
-  if (!parse_long(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second + "' is not an integer");
+  if (!parse_long(*v, out)) {
+    throw std::runtime_error("flag --" + name + ": '" + *v + "' is not an integer");
   }
   return out;
 }
 
 double Flags::get_double(const std::string& name, double def) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return def;
+  const std::string* v = find(name);
+  if (!v) return def;
   double out = 0;
-  if (!parse_double(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second + "' is not a number");
+  if (!parse_double(*v, out)) {
+    throw std::runtime_error("flag --" + name + ": '" + *v + "' is not a number");
   }
   return out;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return def;
+  const std::string* v = find(name);
+  if (!v) return def;
   bool out = false;
-  if (!parse_bool(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second + "' is not a boolean");
+  if (!parse_bool(*v, out)) {
+    throw std::runtime_error("flag --" + name + ": '" + *v + "' is not a boolean");
   }
   return out;
 }
 
 double Flags::get_rate(const std::string& name, double def) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return def;
+  const std::string* v = find(name);
+  if (!v) return def;
   double out = 0;
-  if (!parse_rate(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second +
+  if (!parse_rate(*v, out)) {
+    throw std::runtime_error("flag --" + name + ": '" + *v +
                              "' is not a positive rate");
   }
   return out;
 }
 
 double Flags::get_size(const std::string& name, double def) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return def;
+  const std::string* v = find(name);
+  if (!v) return def;
   double out = 0;
-  if (!parse_size(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second +
+  if (!parse_size(*v, out)) {
+    throw std::runtime_error("flag --" + name + ": '" + *v +
                              "' is not a non-negative size");
   }
   return out;
 }
 
 double Flags::get_duration(const std::string& name, double def) const {
-  auto it = named_.find(name);
-  if (it == named_.end()) return def;
+  const std::string* v = find(name);
+  if (!v) return def;
   double out = 0;
-  if (!parse_duration(it->second, out)) {
-    throw std::runtime_error("flag --" + name + ": '" + it->second +
+  if (!parse_duration(*v, out)) {
+    throw std::runtime_error("flag --" + name + ": '" + *v +
                              "' is not a non-negative duration");
   }
   return out;

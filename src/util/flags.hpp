@@ -5,14 +5,18 @@
 //   const bool verbose = flags.get_bool("verbose", false); // --verbose
 //   auto rest = flags.positional();
 //
+//   flags.reject_unread();  // after the last read: a typo'd flag exits 1
+//
 // Values attach with '='; a bare --name is boolean true. This keeps the
 // grammar unambiguous when boolean flags precede positional arguments.
 //
-// Unknown flags are collected rather than rejected so google-benchmark's own
-// flags pass through bench binaries untouched.
+// Every getter and has() records the name it asked for, so reject_unread()
+// can refuse a flag the program never reads (`--fiels=3`) instead of
+// silently running another experiment.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,10 +41,19 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
+  /// Print "unknown flag --<name>" (with the nearest flag read, when one is
+  /// within edit distance 2) for the first given flag that no getter or
+  /// has() asked for, and exit 1. Call once every flag has been read.
+  void reject_unread() const;
+
  private:
+  /// The value of --name, recording that the program reads it.
+  const std::string* find(const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> named_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace lsds::util

@@ -22,21 +22,6 @@ std::string_view strip_comment(std::string_view line, bool in_quote = false) {
   return line;
 }
 
-// The candidate closest to `name` within edit distance 2, or "".
-template <typename Names>
-std::string near_miss(const std::string& name, const Names& candidates) {
-  std::string best;
-  std::size_t best_d = 3;
-  for (const std::string& cand : candidates) {
-    const std::size_t d = edit_distance(name, cand);
-    if (d < best_d) {
-      best_d = d;
-      best = cand;
-    }
-  }
-  return best;
-}
-
 std::string unquote(std::string_view v) {
   if (v.size() >= 2 && v.front() == '"' && v.back() == '"') {
     return std::string(v.substr(1, v.size() - 2));

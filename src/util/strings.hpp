@@ -59,6 +59,22 @@ std::string to_lower(std::string_view s);
 /// for "did you mean" suggestions on unknown configuration keys.
 std::size_t edit_distance(std::string_view a, std::string_view b);
 
+/// The candidate closest to `name` within edit distance 2, or "": the
+/// "did you mean" of an unknown key or flag.
+template <typename Names>
+std::string near_miss(std::string_view name, const Names& candidates) {
+  std::string best;
+  std::size_t best_d = 3;
+  for (const std::string& cand : candidates) {
+    const std::size_t d = edit_distance(name, cand);
+    if (d < best_d) {
+      best_d = d;
+      best = cand;
+    }
+  }
+  return best;
+}
+
 /// Parse helpers: return false on malformed input instead of throwing.
 bool parse_double(std::string_view s, double& out);
 bool parse_long(std::string_view s, long long& out);

@@ -389,6 +389,29 @@ TEST(Flags, MalformedThrows) {
   EXPECT_THROW(f.get_int("jobs", 0), std::runtime_error);
 }
 
+TEST(Flags, EveryReadFlagPassesRejectUnread) {
+  // has() counts as a read, as does a getter whose flag was not given.
+  const char* argv[] = {"prog", "--jobs=3", "--verbose", "--plot=p.dat"};
+  u::Flags f(4, argv);
+  EXPECT_EQ(f.get_int("jobs", 0), 3);
+  EXPECT_TRUE(f.has("verbose"));
+  EXPECT_EQ(f.get_string("plot"), "p.dat");
+  EXPECT_EQ(f.get_int("seed", 7), 7);
+  f.reject_unread();  // returns: nothing unread
+}
+
+TEST(FlagsDeathTest, RejectUnreadExitsNamingTheFlag) {
+  const char* argv[] = {"prog", "--files=6", "--fiels=3"};
+  u::Flags f(3, argv);
+  EXPECT_EQ(f.get_int("files", 60), 6);
+  EXPECT_EXIT(f.reject_unread(), ::testing::ExitedWithCode(1),
+              "prog: unknown flag --fiels \\(did you mean --files\\?\\)");
+  const char* far[] = {"prog", "--zzz=1"};
+  u::Flags g(2, far);
+  EXPECT_EQ(g.get_int("files", 60), 60);
+  EXPECT_EXIT(g.reject_unread(), ::testing::ExitedWithCode(1), "prog: unknown flag --zzz\n");
+}
+
 // --- thread pool ---------------------------------------------------------
 
 TEST(ThreadPool, RunsAllTasks) {
