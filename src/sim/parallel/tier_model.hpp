@@ -9,6 +9,15 @@
 // dispatch crosses partitions through the deterministic cross-LP message
 // path.
 //
+// The model declares its channels (hosts::ParallelGrid::channel): T0 -> T1
+// for replicas, T1 -> T2 for availability notices and files, T2 -> T1 for
+// pull requests. The topology cut keeps each T1 with its T2s, so only the
+// T0 -> T1 channels cross LPs and the LP graph is a star out of T0's LP.
+// Nothing reaches T0, so its LP runs the whole production in the first
+// round; the other LPs then run to the end in the second. On the 64-site
+// tier on 4 LPs that is 2 rounds and one cross-LP message per replica
+// shipped to another LP's T1 (2,100 at 300 files).
+//
 // The study logic stays separate from sim/monarc's on purpose: the serial
 // study draws its submit times at setup and each job's demand when the job
 // starts, from engine streams, and moves files over max-min flows; this
