@@ -11,12 +11,14 @@
 // messages per LP, exponential hop delays above the lookahead. The same
 // model runs on the sequential Engine (centralized) and on the
 // conservative ParallelEngine at 1, 2, 4 and 8 threads. The calling thread
-// runs LPs itself; extra threads are persistent helpers that join windows
-// with more than one busy LP. With ~2 events per LP per window the rows
-// mostly measure the cost of synchronization, not speedup. The bench exits 1
-// with a FAIL line unless the event, window and cross-LP counts agree across
-// thread counts and every parallel tier trace matches its serial reference.
-// The tier sweep goes to BENCH_parallel.json.
+// runs LPs itself; extra threads are persistent helpers that join rounds
+// with more than one busy LP. PHOLD sends between every pair of LPs, so each
+// LP's horizon is one lookahead past its neighbours' next events: ~5 events
+// per LP per round, and the rows mostly measure the cost of synchronization,
+// not speedup. The bench exits 1 with a FAIL line unless the event, round
+// and cross-LP counts agree across thread counts and every parallel tier
+// trace matches its serial reference. The tier sweep goes to
+// BENCH_parallel.json.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -226,8 +228,8 @@ int main() {
               phold_identical ? "are identical" : "DIFFER");
 
   std::printf("== Parallel Grid: LHC tier scenario, serial vs parallel (sites x threads) ==\n");
-  std::printf("4 LPs, topology-derived lookahead; every parallel cell differentially\n"
-              "checked against the serial reference trace.\n\n");
+  std::printf("4 LPs, horizons over the model's declared channels; every parallel cell\n"
+              "differentially checked against the serial reference trace.\n\n");
   lsds::stats::AsciiTable sweep({"sites", "mode", "threads", "wall [ms]", "speedup", "events",
                                  "windows", "inline", "barrier [ms]", "cross msgs",
                                  "identical"});
@@ -257,10 +259,13 @@ int main() {
   check.expect(phold_identical, "PHOLD totals differ across thread counts");
   check.expect(all_identical, "a parallel tier trace differs from its serial reference");
   check.write(record(all), "BENCH_parallel.json");
-  std::printf("NOTE: at ~2 events per window the parallel rows measure windowed-run\n"
-              "synchronization, not speedup: `inline` windows (one busy LP, or one\n"
-              "thread) run on the caller with no hand-off; the others wake helpers and\n"
-              "wait `barrier` ms for them in total. The `identical` column is the\n"
-              "point: the decomposition changes wall time only.\n");
+  std::printf("NOTE: `windows` counts rounds. The 64-site cut keeps each T1 with its\n"
+              "T2s, so its LPs form a star out of T0's LP: 2 rounds, T0's LP alone in\n"
+              "the first. The 16-site tier's T1 clusters (5 sites) exceed the 4-site\n"
+              "cap, so its cut crosses T1--T2 links and each round covers ~2 events.\n"
+              "`inline` rounds (one busy LP, or one thread) run on the caller with no\n"
+              "hand-off; the others wake helpers and wait `barrier` ms for them in\n"
+              "total. The `identical` column is the point: the decomposition changes\n"
+              "wall time only.\n");
   return check.ok ? 0 : 1;
 }
