@@ -82,6 +82,10 @@ class Engine {
   /// Schedule `fn` after a delay (>= 0).
   EventHandle schedule_in(SimTime dt, EventFn fn) { return schedule_at(now_ + dt, std::move(fn)); }
 
+  /// Config::time_quantum. On a quantized clock events tie at every step
+  /// and run in the order they were scheduled in.
+  double time_quantum() const { return quantum_; }
+
   /// Two-phase scheduling, for a model that decides an event's place in the
   /// (time, seq) order now but queues it only if it turns out to be needed.
   /// reserve_at() fixes the key exactly as schedule_at() would (clamped,

@@ -1,8 +1,10 @@
 #include "p2p/chord.hpp"
 
+#include <bit>
 #include <cassert>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -16,7 +18,8 @@ ChordNetwork::ChordNetwork(core::Engine& engine, net::RouteProvider& routing, st
       routing_(routing),
       maint_rng_(engine.rng("chord.maintenance")),
       m_(m),
-      ring_(m) {
+      ring_(m),
+      chase_(engine.time_quantum() <= 0) {
   if (m_ < 1 || m_ > 63) {
     throw std::invalid_argument("ChordNetwork: m must be in [1, 63], got " + std::to_string(m_));
   }
@@ -29,10 +32,9 @@ void ChordNetwork::reserve(std::size_t peers) {
   peers_.reserve(peers);
   succ_.reserve(peers);
   pred_.reserve(peers);
-  succ_len_.reserve(peers);
   succ_list_.reserve(peers * kSuccListLen);
   finger_.reserve(peers * m_);
-  next_finger_.reserve(peers);
+  calm_.reserve(peers);
 }
 
 PeerIndex ChordNetwork::add_peer(net::NodeId node) {
@@ -61,10 +63,9 @@ PeerIndex ChordNetwork::add_peer(net::NodeId node) {
     peers_.emplace_back();
     succ_.push_back(kNilRef);
     pred_.push_back(kNilRef);
-    succ_len_.push_back(0);
     succ_list_.resize(succ_list_.size() + kSuccListLen, kNilRef);
     finger_.resize(finger_.size() + m_, kNilRef);
-    next_finger_.push_back(0);
+    calm_.emplace_back();
   }
   Peer& p = peers_[slot];
   p.node = node;
@@ -73,10 +74,12 @@ PeerIndex ChordNetwork::add_peer(net::NodeId node) {
   p.succ_id = id;  // own successor until built/joined
   p.succ_node = node;
   p.finger_len = 0;
+  p.next_finger = 0;
+  p.succ_len = 0;
+  p.answers = 0;
   succ_[slot] = make_ref(slot, p.gen);
   pred_[slot] = kNilRef;
-  succ_len_[slot] = 0;
-  next_finger_[slot] = 0;
+  calm_[slot] = Calm{};
 
   ring_.insert(id, slot);
   ++live_count_;
@@ -87,6 +90,14 @@ void ChordNetwork::retire_peer(PeerIndex peer, const char* what) {
   if (!is_live(peer)) {
     throw std::invalid_argument(std::string("ChordNetwork::") + what +
                                 ": peer " + std::to_string(peer) + " is not live");
+  }
+  const float death = calm_[peer].death;
+  if (death > engine_.now()) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "ChordNetwork::%s: peer %zu is announced to die at %.9g s, not at %.9g s", what,
+                  peer, static_cast<double>(death), engine_.now());
+    throw std::logic_error(msg);
   }
   Peer& p = peers_[peer];
   p.live = 0;
@@ -104,6 +115,21 @@ void ChordNetwork::fail_peer(PeerIndex peer) {
   retire_peer(peer, "fail_peer");
 }
 
+void ChordNetwork::announce_death(PeerIndex peer, double at) {
+  if (!is_live(peer)) {
+    throw std::invalid_argument("ChordNetwork::announce_death: peer " + std::to_string(peer) +
+                                " is not live");
+  }
+  if (!std::isfinite(at) || at < engine_.now()) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "ChordNetwork::announce_death: peer %zu: instant %.9g s is not finite and >= "
+                  "now (%.9g s)", peer, at, engine_.now());
+    throw std::invalid_argument(msg);
+  }
+  calm_[peer].death = round_down(at);
+}
+
 void ChordNetwork::set_successor(PeerSlot self, PeerRef succ) {
   const Peer& s = peers_[ref_slot(succ)];
   succ_[self] = succ;
@@ -113,6 +139,13 @@ void ChordNetwork::set_successor(PeerSlot self, PeerRef succ) {
 
 void ChordNetwork::build() {
   assert(!ring_.empty());
+  if (chased_until_ >= engine_.now()) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "ChordNetwork::build: a hop resolved ahead of its event lands at %.9g s, not "
+                  "before now (%.9g s)", chased_until_, engine_.now());
+    throw std::logic_error(msg);
+  }
   // Successor pointers + finger tables from the global ring view, in one
   // ascending pass. Finger k of a peer is the first peer at or past
   // id + 2^k. Unwrapped into two laps (the second lap's ids read 2^m
@@ -162,17 +195,28 @@ PeerIndex ChordNetwork::random_live_peer(core::RngStream& rng) const {
   return ring_.successor(rng.next_u64() & mask_).slot;
 }
 
-ChordNetwork::PeerRef ChordNetwork::closest_preceding(PeerSlot from, ChordId key,
-                                                      net::NodeId& node_out) const {
-  const Peer& self = peers_[from];
-  const ChordId from_id = self.id;
+ChordNetwork::Step ChordNetwork::route_step(PeerSlot at, ChordId key) const {
+  const Peer& self = peers_[at];
+  Step step;
+  // Am I (exclusive) the predecessor of the key's owner? Owner = successor.
+  // The stored successor id is read even when the successor has died: a
+  // peer only learns of the death on its next stabilize round.
+  if (in_arc(key, self.id, self.succ_id)) return step;  // kAnswer
+  if (in_arc(key, (self.id + mask_) & mask_, self.id) || self.id == key) {
+    step.kind = Step::kDirectHit;  // the key maps to this peer itself (rare)
+    return step;
+  }
+  // Forward to the closest preceding finger.
+  step.kind = Step::kForward;
   const ChordId last = (key - 1) & mask_;
-  const PeerRef* fingers = &finger_[std::size_t{from} * m_];
+  const PeerRef* fingers = &finger_[std::size_t{at} * m_];
   // Low fingers often repeat one ref, and the verdict on a ref depends on
   // the ref alone: skip a repeat of the ref just rejected. The arc test
   // reads only the finger's id (a recycled slot's id belongs to its new
   // incarnation, but the liveness test below then rejects it anyway);
   // generation and liveness sit on the same line of the finger's record.
+  // A rejection never turns into an acceptance later on: a dead
+  // incarnation stays dead, and a live one keeps its id.
   PeerRef rejected = kNilRef;
   for (std::size_t k = self.finger_len; k-- > 0;) {
     const PeerRef f = fingers[k];
@@ -181,15 +225,43 @@ ChordNetwork::PeerRef ChordNetwork::closest_preceding(PeerSlot from, ChordId key
     const PeerSlot s = ref_slot(f);
     assert(s < peers_.size());  // fingers in use are never nil
     const Peer& cand = peers_[s];
-    // finger strictly inside (from_id, key): safe to jump.
-    if (s != from && in_arc(cand.id, from_id, last) && cand.id != key &&
+    // finger strictly inside (self.id, key): safe to jump.
+    if (s != at && in_arc(cand.id, self.id, last) && cand.id != key &&
         cand.gen == ref_gen(f) && cand.live != 0) {
-      node_out = cand.node;
-      return f;
+      step.finger = true;
+      step.next_node = cand.node;
+      step.next = f;
+      return step;
     }
   }
-  node_out = self.succ_node;
-  return succ_[from];
+  step.next_node = self.succ_node;
+  step.next = succ_[at];
+  return step;
+}
+
+float ChordNetwork::round_down(double t) {
+  assert(t >= 0);  // an instant on the clock, which starts at 0
+  constexpr float kMax = std::numeric_limits<float>::max();
+  if (t >= kMax) return kMax;
+  const float f = static_cast<float>(t);
+  // Rounded up? Step one float down: f > t >= 0, so f's bits sit above 0.
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) - std::uint32_t{f > t});
+}
+
+bool ChordNetwork::calm_through(PeerRef r, double t) const {
+  if (!ref_alive(r) || peers_[ref_slot(r)].answers != 0) return false;
+  const Calm& c = calm_[ref_slot(r)];
+  return c.death > t && c.maint > t;
+}
+
+void ChordNetwork::expect_answer(PeerSlot aux) {
+  std::uint8_t& n = peers_[aux].answers;
+  if (n != kUncountedAnswers) ++n;
+}
+
+void ChordNetwork::settle_answer(PeerSlot aux) {
+  std::uint8_t& n = peers_[aux].answers;
+  if (n != kUncountedAnswers) --n;
 }
 
 double ChordNetwork::link_latency(PeerSlot from, PeerRef to, net::NodeId to_node) {
@@ -267,37 +339,57 @@ void ChordNetwork::hop(std::uint32_t lk, std::uint32_t lk_gen, PeerSlot at, std:
     return;
   }
   const ChordId key = pending_[lk].key;
-  const ChordId at_id = peer.id;
-  // Am I (exclusive) the predecessor of the key's owner? Owner = successor.
-  // The stored successor id is read even when the successor has died: a
-  // peer only learns of the death on its next stabilize round.
-  if (in_arc(key, at_id, peer.succ_id)) {
-    // Answer travels straight back to the origin.
-    const double back = link_latency(at, pending_[lk].origin_ref, pending_[lk].origin_node);
+  Step step = route_step(at, key);
+  if (step.kind == Step::kDirectHit) {
+    finish(lk, /*ok=*/true, ref_of(at), peer.id, peer.node, hops);
+    return;
+  }
+  // `at` takes `step` at instant t: now, and after a chased hop the
+  // instant that hop's event would have run at.
+  double t = engine_.now();
+  for (;;) {
+    if (step.kind == Step::kAnswer) {
+      // Answer travels straight back to the origin.
+      const Pending& p = pending_[lk];
+      const double when = t + link_latency(at, p.origin_ref, p.origin_node);
+      ++messages_;
+      const PeerRef home = succ_[at];
+      const ChordId home_id = peers_[at].succ_id;
+      const net::NodeId home_node = peers_[at].succ_node;
+      engine_.schedule_at(when, [this, lk, lk_gen, home, home_id, home_node, hops] {
+        if (pending_[lk].gen != lk_gen) return;
+        finish(lk, /*ok=*/true, home, home_id, home_node, hops);
+      });
+      return;
+    }
+    const double when = t + link_latency(at, step.next, step.next_node);
     ++messages_;
-    const PeerRef home = succ_[at];
-    const ChordId home_id = peer.succ_id;
-    const net::NodeId home_node = peer.succ_node;
-    engine_.schedule_in(back, [this, lk, lk_gen, home, home_id, home_node, hops] {
-      if (pending_[lk].gen != lk_gen) return;
-      finish(lk, /*ok=*/true, home, home_id, home_node, hops);
+    // Chase the next hop now if nothing it reads can change by the time
+    // it lands, at `when` (the clock is continuous): its target's record
+    // and the liveness of the finger it accepts (the fingers it rejects
+    // stay rejected). A direct hit must finish at its own instant, so it
+    // stays an event.
+    if (chase_ && calm_through(step.next, when)) {
+      const PeerSlot next = ref_slot(step.next);
+      const Step after = route_step(next, key);
+      if (after.kind != Step::kDirectHit &&
+          (!after.finger || calm_[ref_slot(after.next)].death > when)) {
+        at = next;
+        t = when;
+        step = after;
+        ++hops;
+        ++hops_chased_;
+        if (when > chased_until_) chased_until_ = when;
+        continue;
+      }
+    }
+    const PeerSlot next_slot = ref_slot(step.next);
+    const std::uint32_t next_gen = ref_gen(step.next);
+    engine_.schedule_at(when, [this, lk, lk_gen, next_slot, next_gen, hops] {
+      hop(lk, lk_gen, next_slot, next_gen, hops + 1);
     });
     return;
   }
-  if (in_arc(key, (at_id + mask_) & mask_, at_id) || at_id == key) {
-    // The key maps to this peer itself (rare direct hit).
-    finish(lk, /*ok=*/true, ref_of(at), at_id, peer.node, hops);
-    return;
-  }
-  net::NodeId next_node = net::kInvalidNode;
-  const PeerRef next = closest_preceding(at, key, next_node);
-  const double lat = link_latency(at, next, next_node);
-  ++messages_;
-  const PeerSlot next_slot = ref_slot(next);
-  const std::uint32_t next_gen = ref_gen(next);
-  engine_.schedule_in(lat, [this, lk, lk_gen, next_slot, next_gen, hops] {
-    hop(lk, lk_gen, next_slot, next_gen, hops + 1);
-  });
 }
 
 void ChordNetwork::finish(std::uint32_t lk, bool ok, PeerRef home, ChordId home_id,
@@ -334,14 +426,16 @@ void ChordNetwork::finish(std::uint32_t lk, bool ok, PeerRef home, ChordId home_
       if (handler_ != nullptr) handler_(handler_user_, tag, res);
       break;
     case LookupKind::kFixFinger:
+      if (!ref_alive(make_ref(aux, aux_gen))) break;
+      settle_answer(aux);
       // The answer names an incarnation; if it died in transit the stored
       // finger is stale-on-arrival and gets skipped, never resurrected.
-      if (res.ok && ref_alive(make_ref(aux, aux_gen))) {
-        finger_[std::size_t{aux} * m_ + aux_k] = home;
-      }
+      if (res.ok) finger_[std::size_t{aux} * m_ + aux_k] = home;
       break;
     case LookupKind::kJoin:
-      if (res.ok && ref_alive(make_ref(aux, aux_gen))) {
+      if (!ref_alive(make_ref(aux, aux_gen))) break;
+      settle_answer(aux);
+      if (res.ok) {
         // Adopt the answering incarnation with its store-time id/node even
         // if it already died: the next stabilize round detects and repairs.
         succ_[aux] = home;
@@ -392,7 +486,6 @@ PeerIndex ChordNetwork::join_via(net::NodeId node, PeerIndex bootstrap) {
   nc_peer.finger_len = static_cast<std::uint8_t>(m_);
   PeerRef* fingers = &finger_[std::size_t{nc} * m_];
   for (std::uint32_t k = 0; k < m_; ++k) fingers[k] = boot;
-  succ_len_[nc] = 0;
   pred_[nc] = kNilRef;
   succ_[nc] = boot;  // provisional, replaced below
   nc_peer.succ_id = boot_peer.id;
@@ -409,6 +502,7 @@ PeerIndex ChordNetwork::join_via(net::NodeId node, PeerIndex bootstrap) {
   p.kind = LookupKind::kJoin;
   p.aux = nc;
   p.aux_gen = nc_peer.gen;
+  expect_answer(nc);
   start_lookup(lk);
   if (protocol_mode_) start_maintenance(nc);
   return newcomer;
@@ -425,7 +519,7 @@ void ChordNetwork::refresh_succ_list(PeerSlot self) {
     list[len++] = cur;
     cur = succ_[ref_slot(cur)];
   }
-  succ_len_[self] = len;
+  peers_[self].succ_len = len;
 }
 
 void ChordNetwork::stabilize(PeerSlot self) {
@@ -437,7 +531,7 @@ void ChordNetwork::stabilize(PeerSlot self) {
   if (!ref_alive(succ_[self]) || succ_[self] == self_ref) {
     PeerRef replacement = self_ref;
     const PeerRef* list = &succ_list_[std::size_t{self} * kSuccListLen];
-    for (std::uint8_t i = 0; i < succ_len_[self]; ++i) {
+    for (std::uint8_t i = 0; i < peers_[self].succ_len; ++i) {
       const PeerRef s = list[i];
       if (ref_alive(s) && s != self_ref) {
         replacement = s;
@@ -478,9 +572,9 @@ void ChordNetwork::stabilize(PeerSlot self) {
 }
 
 void ChordNetwork::fix_one_finger(PeerSlot self) {
-  const std::uint32_t k = next_finger_[self];
-  next_finger_[self] = (k + 1) % m_;
-  const Peer& peer = peers_[self];
+  Peer& peer = peers_[self];
+  const std::uint32_t k = peer.next_finger;
+  peer.next_finger = (k + 1) % m_;
   const ChordId start = (peer.id + (ChordId{1} << k)) & mask_;
   const std::uint32_t lk = allocate_pending();
   Pending& p = pending_[lk];
@@ -492,6 +586,7 @@ void ChordNetwork::fix_one_finger(PeerSlot self) {
   p.aux = self;
   p.aux_gen = peer.gen;
   p.aux_k = k;
+  expect_answer(self);
   start_lookup(lk);
 }
 
@@ -502,29 +597,39 @@ void ChordNetwork::fix_one_finger(PeerSlot self) {
 //   begin: now < horizon? wait successor RTT -> work
 //   work:  stabilize + fix a finger; wait period -> begin
 // — same rng draws, same event times, so small-scenario traces are
-// byte-identical to the coroutine version.
+// byte-identical to the coroutine version. Only work writes what hops
+// read; each step records the instant of the next begin or work as the
+// peer's maintenance bound.
 
 void ChordNetwork::start_maintenance(PeerSlot self) {
   // Desynchronize rounds across peers.
-  const double jitter = maint_rng_.uniform(0, stabilize_period_);
+  const double at = engine_.now() + maint_rng_.uniform(0, stabilize_period_);
   const std::uint32_t gen = peers_[self].gen;
-  engine_.schedule_in(jitter, [this, self, gen] { maint_begin(self, gen); });
+  calm_[self].maint = round_down(at);
+  engine_.schedule_at(at, [this, self, gen] { maint_begin(self, gen); });
 }
 
 void ChordNetwork::maint_begin(PeerSlot self, std::uint32_t gen) {
   if (!ref_alive(make_ref(self, gen))) return;  // peer churned away
-  if (engine_.now() >= horizon_) return;        // maintenance horizon reached
+  if (engine_.now() >= horizon_) {              // maintenance horizon reached
+    calm_[self].maint = kInfF;
+    return;
+  }
   // One round costs a successor RTT; charged before the state update. A
   // dead successor still costs the full (timed-out) round trip.
-  const double rtt = 2.0 * link_latency(self, succ_[self], peers_[self].succ_node);
-  engine_.schedule_in(rtt, [this, self, gen] { maint_work(self, gen); });
+  const double at =
+      engine_.now() + 2.0 * link_latency(self, succ_[self], peers_[self].succ_node);
+  calm_[self].maint = round_down(at);
+  engine_.schedule_at(at, [this, self, gen] { maint_work(self, gen); });
 }
 
 void ChordNetwork::maint_work(PeerSlot self, std::uint32_t gen) {
   if (!ref_alive(make_ref(self, gen))) return;
   stabilize(self);
   fix_one_finger(self);
-  engine_.schedule_in(stabilize_period_, [this, self, gen] { maint_begin(self, gen); });
+  const double at = engine_.now() + stabilize_period_;
+  calm_[self].maint = round_down(at);
+  engine_.schedule_at(at, [this, self, gen] { maint_begin(self, gen); });
 }
 
 // --- digest -------------------------------------------------------------

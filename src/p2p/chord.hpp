@@ -15,15 +15,17 @@
 // modeled at the fidelity these experiments need.
 //
 // Scale engineering (million-peer churn, experiment E16):
-//   * the live ring is a bucketed sorted array (p2p/ring_index.hpp), not a
-//     std::map — successor queries and churn updates are O(1) expected and
-//     contiguous;
+//   * the live ring is a bucketed sorted array of packed 12-byte entries
+//     (p2p/ring_index.hpp), not a std::map — successor queries and churn
+//     updates are O(1) expected and contiguous;
 //   * per-peer protocol state is indexed by a 32-bit slot. What every hop
 //     reads (id, node, generation, liveness, the cached successor id and
 //     node, the finger count) is one 32-byte Peer record, so a hop loads
-//     one cache line per peer it looks at; the successor refs, a flat
-//     m-wide finger slab, fixed-width successor lists and predecessors
-//     stay in slabs of their own. Churned-out slots are recycled through a
+//     one cache line per peer it looks at (its last two bytes hold the
+//     fix-fingers cursor, the successor-list length and the count of
+//     pending fix-finger/join answers); the successor refs, a flat m-wide
+//     finger slab, fixed-width successor lists and predecessors stay in
+//     slabs of their own. Churned-out slots are recycled through a
 //     free list; every stored reference (successor, predecessor, successor
 //     list, fingers) and every in-flight message carries the target's
 //     generation alongside the slot, so a reference to a dead peer stays
@@ -43,11 +45,26 @@
 //     instead of one coroutine frame per peer — at 1M peers the per-frame
 //     heap allocation alone would dominate. The event schedule reproduces
 //     the coroutine version's timing draw for draw, so small-scenario
-//     traces are unchanged.
+//     traces are unchanged;
+//   * a hop writes no peer state, so a hop whose inputs cannot change
+//     before it lands is resolved ("chased") inside the previous hop's
+//     event, not in an event of its own. Each peer keeps lower bounds on
+//     its announced death and its next maintenance event (an 8-byte Calm
+//     record) and counts its pending fix-finger and join answers. Hop i+1
+//     is chased when its target has no answer pending, its bounds and the
+//     death of the finger it accepts all lie strictly after the hop's
+//     arrival; otherwise it is an event, scheduled at the instant it
+//     always had, as are direct hits and answers. Lookup results, messages
+//     and overlay state are those of one event per hop; fewer events run,
+//     so the trace differs, and answers that tie with other events at one
+//     instant may run in another order among them. A peer without an
+//     announced death (announce_death) is never chased to, and a quantized
+//     clock chases nothing (see chase_).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -74,9 +91,12 @@ class ChordNetwork {
   /// Call build() after the initial population (or after churn).
   PeerIndex add_peer(net::NodeId node);
   /// Remove a peer (churn). Lookups started before removal may fail.
-  /// Throws std::invalid_argument on an out-of-range or dead peer.
+  /// Throws std::invalid_argument on an out-of-range or dead peer, and
+  /// std::logic_error before the peer's announced death (announce_death).
   void remove_peer(PeerIndex peer);
   /// (Re)build successors + finger tables from the current population.
+  /// Throws std::logic_error while a hop resolved ahead of its event is
+  /// still in flight: it read the state this would rewrite.
   void build();
 
   // --- protocol mode (self-maintaining overlay) ---------------------------
@@ -96,6 +116,15 @@ class ChordNetwork {
   /// Crash-stop a peer: no goodbye messages; neighbors discover the death
   /// through stabilization timeouts. Throws like remove_peer.
   void fail_peer(PeerIndex peer);
+  /// Promise that `peer` dies no earlier than `at`, the time its death
+  /// event is scheduled at (Engine::schedule_at's argument). Hops that
+  /// land on the peer, or accept it as a finger, before then may be
+  /// resolved ahead of their events; until then fail_peer and remove_peer
+  /// on it throw std::logic_error. A later call replaces the promise; a
+  /// peer that never had one is never resolved ahead. Throws
+  /// std::invalid_argument on a dead or out-of-range peer, or an `at`
+  /// that is not finite or lies before now().
+  void announce_death(PeerIndex peer, double at);
   /// Protocol join: the newcomer finds its successor through `bootstrap`
   /// and is integrated by subsequent stabilization rounds. Throws
   /// std::invalid_argument on an out-of-range or dead bootstrap.
@@ -151,6 +180,10 @@ class ChordNetwork {
   // --- statistics -----------------------------------------------------------
 
   std::uint64_t messages_sent() const { return messages_; }
+  /// Lookup hops resolved inside the previous hop's event rather than in
+  /// an event of their own (0 unless deaths are announced and the clock
+  /// is continuous).
+  std::uint64_t hops_chased() const { return hops_chased_; }
   std::size_t finger_count(PeerIndex peer) const { return peers_[peer].finger_len; }
   /// Total slots ever allocated (bounded by peak live population, not by
   /// cumulative churn — the slot-reuse regression hook).
@@ -173,6 +206,7 @@ class ChordNetwork {
   static constexpr std::uint32_t kNilIdx = 0xffffffffu;
   static constexpr PeerRef kNilRef = ~PeerRef{0};
   static constexpr int kSuccListLen = 3;
+  static constexpr float kInfF = std::numeric_limits<float>::infinity();
 
   /// A slot's hot state in one record, so that a hop, a finger test or a
   /// liveness check loads one cache line per peer: 32 bytes, aligned to 32,
@@ -185,8 +219,36 @@ class ChordNetwork {
     std::uint32_t gen = 0;
     std::uint8_t live = 0;
     std::uint8_t finger_len = 0;                 // 0 before build/join, m_ after
+    std::uint8_t next_finger : 6 = 0;            // protocol mode: fix-fingers cursor
+    std::uint8_t succ_len : 2 = 0;               // protocol mode: backup successors
+    std::uint8_t answers = 0;                    // fix-finger/join answers pending
   };
   static_assert(sizeof(Peer) == 32, "one Peer is half a cache line");
+
+  /// Lower bounds on the next instant a peer's hop-read state (its Peer
+  /// record, successor ref and fingers) can change, per incarnation; its
+  /// fix-finger and join answers (Peer::answers) are the one other writer.
+  /// The bounds are floats rounded toward -inf, so they only ever err
+  /// towards an event. A hop may be chased to a peer only if both lie
+  /// strictly after its arrival (ties are events).
+  struct Calm {
+    float death = -kInfF;  // announced death; -inf: none announced
+    float maint = kInfF;   // next maintenance event (begin or work)
+  };
+  /// Peer::answers stops counting here; that incarnation is then never
+  /// chased to.
+  static constexpr std::uint8_t kUncountedAnswers = 0xff;
+
+  /// What a hop at one peer does: answer (its successor owns the key),
+  /// a direct hit (it owns the key itself) or forward to `next`, where
+  /// `finger` says whether `next` was accepted as a live finger rather
+  /// than taken as the successor fallback, whose liveness is not read.
+  struct Step {
+    enum Kind : std::uint8_t { kAnswer, kDirectHit, kForward } kind = kAnswer;
+    bool finger = false;
+    net::NodeId next_node = net::kInvalidNode;
+    PeerRef next = kNilRef;
+  };
 
   static PeerRef make_ref(PeerSlot slot, std::uint32_t gen) {
     return (PeerRef{gen} << 32) | slot;
@@ -226,9 +288,20 @@ class ChordNetwork {
   void check_origin(PeerIndex origin, const char* what) const;
   std::uint32_t allocate_pending();
   void start_lookup(std::uint32_t lk);
-  /// One recursive-routing step at peer `at` (generation-checked).
+  /// One recursive-routing step at peer `at` (generation-checked), then
+  /// every following step whose inputs cannot change before it lands.
   void hop(std::uint32_t lk, std::uint32_t lk_gen, PeerSlot at, std::uint32_t at_gen,
            std::uint32_t hops);
+  /// The step a hop at live peer `at` takes for `key`; reads only.
+  Step route_step(PeerSlot at, ChordId key) const;
+  /// True iff the live incarnation `r` keeps its hop-read state through
+  /// instant `t` inclusive.
+  bool calm_through(PeerRef r, double t) const;
+  /// A fix-finger or join lookup for live peer `aux` starts, or its
+  /// answer arrives (or it fails): Peer::answers up or down.
+  void expect_answer(PeerSlot aux);
+  void settle_answer(PeerSlot aux);
+  static float round_down(double t);
   /// Resolve + release the lookup slot, then dispatch by kind. `home` is
   /// the answering incarnation with its store-time id/node (it may already
   /// be dead — the seed semantics a join inherits).
@@ -247,7 +320,6 @@ class ChordNetwork {
 
   /// True iff x is in the half-open arc (a, b] on the ring.
   bool in_arc(ChordId x, ChordId a, ChordId b) const;
-  PeerRef closest_preceding(PeerSlot from, ChordId key, net::NodeId& node_out) const;
   /// Latency from live peer `from` to the incarnation `to` whose node was
   /// captured at store time (`to` may be dead; its node is immutable).
   double link_latency(PeerSlot from, PeerRef to, net::NodeId to_node);
@@ -263,10 +335,9 @@ class ChordNetwork {
   std::vector<Peer> peers_;
   std::vector<PeerRef> succ_;
   std::vector<PeerRef> pred_;             // protocol mode
-  std::vector<std::uint8_t> succ_len_;    // protocol mode: backup successors
   std::vector<PeerRef> succ_list_;        // kSuccListLen per slot
   std::vector<PeerRef> finger_;           // m_ per slot; [k] ~ successor(id + 2^k)
-  std::vector<std::uint32_t> next_finger_;  // fix-fingers round-robin cursor
+  std::vector<Calm> calm_;                // per slot
   std::vector<PeerSlot> free_slots_;
   std::uint64_t added_ = 0;  // cumulative add counter: stable id derivation
 
@@ -282,7 +353,14 @@ class ChordNetwork {
   void* handler_user_ = nullptr;
 
   std::uint64_t messages_ = 0;
+  std::uint64_t hops_chased_ = 0;
+  double chased_until_ = -std::numeric_limits<double>::infinity();  // latest chased arrival
   std::uint64_t stabilize_rounds_ = 0;
+  // Chase hops only on a continuous clock. On a quantized one, events at
+  // one step run in the order they were scheduled in, and an answer
+  // scheduled from a chased hop's event would move ahead of ties that the
+  // event-per-hop run puts before it.
+  const bool chase_;
   bool protocol_mode_ = false;
   double stabilize_period_ = 1.0;
   double horizon_ = 0;

@@ -63,10 +63,12 @@ void ChordChurn::start() {
 }
 
 void ChordChurn::schedule_death(PeerIndex peer) {
-  const double life = draw_lifetime();
+  const double at = engine_.now() + draw_lifetime();
   const auto slot = static_cast<std::uint32_t>(peer);
   const std::uint32_t gen = chord_.generation(peer);
-  engine_.schedule_in(life, [this, slot, gen] { on_death(slot, gen); });
+  // The overlay may then resolve hops through this peer ahead of time.
+  chord_.announce_death(peer, at);
+  engine_.schedule_at(at, [this, slot, gen] { on_death(slot, gen); });
 }
 
 void ChordChurn::on_death(std::uint32_t slot, std::uint32_t gen) {

@@ -11,7 +11,7 @@
 //   bucket(id) = id >> shift_     (kept so the mean load is 2..8 entries)
 //
 // Each bucket is a small sorted array; insert/erase memmove a handful of
-// 16-byte entries, successor(key) binary-searches one bucket and then
+// 12-byte entries, successor(key) binary-searches one bucket and then
 // scans forward (wrapping) to the next non-empty one. The whole structure
 // rebuilds (amortized O(1)) when the population doubles or quarters.
 //
@@ -32,10 +32,12 @@ class RingIndex {
   using Id = std::uint64_t;
   using Slot = std::uint32_t;
 
-  struct Entry {
+  /// Packed: 12 bytes, not 16 with padding.
+  struct [[gnu::packed, gnu::aligned(4)]] Entry {
     Id id;
     Slot slot;
   };
+  static_assert(sizeof(Entry) == 12);
 
   /// `m` is the identifier-space width in bits (ids live in [0, 2^m)).
   explicit RingIndex(std::uint32_t m = 32) : m_(m) { rebuild(1); }

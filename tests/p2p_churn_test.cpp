@@ -9,6 +9,9 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -374,7 +377,9 @@ TEST(ChurnDeterminism, ChordStackIdenticalAcrossAllQueueKinds) {
   EXPECT_GT(ref.rebirths, 0u);
   // Golden values: a change that shifts every queue kind alike must still
   // show here.
-  EXPECT_EQ(ref.trace_hash, 0x23195706f666ebd0ull);
+  // The trace covers executed events, and hops chased inline run none: it
+  // moved when hops began to be chased, and the model results did not.
+  EXPECT_EQ(ref.trace_hash, 0xbed4baea194ef49eull);
   EXPECT_EQ(ref.digest, 0x4ea1f4bfdbc0f69full);
   EXPECT_EQ(ref.issued, 1478u);
   EXPECT_EQ(ref.failed, 10u);
@@ -535,4 +540,188 @@ TEST(GnutellaChurnDriver, DrivesDeathsAndRebirthsDeterministically) {
     if (q == core::QueueKind::kSortedList) continue;
     EXPECT_EQ(run(q), ref) << "queue kind " << static_cast<int>(q);
   }
+}
+
+// --- hops chased inline: results pinned where every hop was an event --------
+
+namespace {
+
+struct DenseChurnResult {
+  std::uint64_t digest = 0, issued = 0, failed = 0, messages = 0, chased = 0;
+  double mean_hops = 0, mean_latency = 0;
+};
+
+// 128 peers on two sites with slow links, half-second stabilization and a
+// 5 s mean lifetime: every peer dies and rejoins several times. Newcomers'
+// join answers are often still in flight when their first fix-finger
+// starts, and many hops accept a finger, often the successor itself, that
+// dies while the hop flies.
+DenseChurnResult run_dense_churn(std::uint64_t seed, double time_quantum) {
+  core::Engine eng({.queue = core::QueueKind::kBinaryHeap, .seed = seed,
+                    .time_quantum = time_quantum});
+  net::ZoneTree tree;
+  for (int s = 0; s < 2; ++s) {
+    net::ClusterSpec spec;
+    spec.hosts = 64;
+    spec.host_bandwidth = 1e8;
+    spec.host_latency = 0.03;
+    spec.backbone_bandwidth = 1e10;
+    spec.backbone_latency = 0.15;
+    tree.add_child(std::make_unique<net::ClusterZone>(spec), 1e10, 0.15);
+  }
+  net::ZoneRouting routing(tree);
+  p2p::ChordNetwork chord(eng, routing, 32);
+  for (std::size_t i = 0; i < 128; ++i) chord.add_peer(tree.host(i));
+  chord.build();
+  chord.enable_protocol_mode(0.5, 40.0);
+
+  p2p::ChurnSpec cs;
+  cs.mean_lifetime = 5;
+  cs.mean_downtime = 2;
+  cs.horizon = 40.0;
+  p2p::ChordChurn churn(eng, chord, cs);
+  p2p::TrafficSpec ts;
+  ts.rate = 100;
+  ts.horizon = 40.0;
+  p2p::ChordLookupTraffic traffic(eng, chord, ts);
+  churn.start();
+  traffic.start();
+  eng.run();
+
+  DenseChurnResult r;
+  r.digest = chord.state_digest();
+  r.issued = traffic.issued();
+  r.failed = traffic.failed();
+  r.messages = chord.messages_sent();
+  r.chased = chord.hops_chased();
+  r.mean_hops = traffic.hops().mean();
+  r.mean_latency = traffic.latency().mean();
+  return r;
+}
+
+}  // namespace
+
+// Recorded at the commit before hops were chased, where every hop was an
+// event. These runs break if a newcomer's pending join answer is not
+// counted before its first fix-finger starts, if a peer with an answer
+// pending is chased to, or if the finger a hop accepts may die in flight
+// when it is the successor itself.
+TEST(ChordChase, DenseChurnKeepsEventPerHopResults) {
+  const DenseChurnResult a = run_dense_churn(14, 0);
+  EXPECT_EQ(a.digest, 0x454a957d3452e056ull);
+  EXPECT_EQ(a.issued, 4048u);
+  EXPECT_EQ(a.failed, 1159u);
+  EXPECT_EQ(a.messages, 28403u);
+  EXPECT_EQ(a.mean_hops, 0x1.74204137ea065p+1);
+  EXPECT_EQ(a.mean_latency, 0x1.277b6138b5469p+0);
+  EXPECT_GT(a.chased, 0u);
+
+  const DenseChurnResult b = run_dense_churn(15, 0);
+  EXPECT_EQ(b.digest, 0x84464f2a4bf27fa3ull);
+  EXPECT_EQ(b.issued, 3912u);
+  EXPECT_EQ(b.failed, 956u);
+  EXPECT_EQ(b.messages, 25147u);
+  EXPECT_EQ(b.mean_hops, 0x1.ca0bc73026cc5p+0);
+  EXPECT_EQ(b.mean_latency, 0x1.86b6a83f13371p-1);
+  EXPECT_GT(b.chased, 0u);
+}
+
+// On a quantized clock events tie at every step and run in the order they
+// were scheduled in; a chased hop would schedule its answer earlier and move
+// it ahead of ties. So every hop stays an event, and the results are those
+// recorded before hops were chased.
+TEST(ChordChase, QuantizedClockKeepsEventPerHopResults) {
+  const DenseChurnResult r = run_dense_churn(14, 1e-3);
+  EXPECT_EQ(r.digest, 0x772bada2d0afee84ull);
+  EXPECT_EQ(r.issued, 3852u);
+  EXPECT_EQ(r.failed, 898u);
+  EXPECT_EQ(r.messages, 27985u);
+  EXPECT_EQ(r.mean_hops, 0x1.5ba52d9594315p+1);
+  EXPECT_EQ(r.mean_latency, 0x1.0499a10de8afcp+0);
+  EXPECT_EQ(r.chased, 0u);
+}
+
+namespace {
+
+struct StaticRing {
+  P2pWorld w{64};
+  p2p::ChordNetwork chord{w.eng, *w.routing};
+  StaticRing() {
+    for (std::size_t i = 0; i < 64; ++i) chord.add_peer(static_cast<net::NodeId>(i));
+    chord.build();
+  }
+};
+
+}  // namespace
+
+// Without maintenance a peer's record changes only when it dies, so once
+// every death is announced, hops chase ahead, every lookup resolves exactly
+// as hop by hop, and the overlay cannot be rebuilt under a chased hop.
+// (These lookups all start at t = 0 over links of one latency, so answers
+// tie; tied answers may run in another order than hop by hop.)
+TEST(ChordChase, AnnouncedDeathsChaseHopsWithoutChangingResults) {
+  const auto run = [](bool announce, std::uint64_t* chased, std::uint64_t* executed) {
+    StaticRing r;
+    if (announce) r.chord.for_each_live([&](p2p::PeerIndex p) { r.chord.announce_death(p, 100.0); });
+    std::vector<std::tuple<bool, p2p::PeerIndex, std::size_t, double>> out(64);
+    auto& rng = r.w.eng.rng("keys");
+    for (std::size_t i = 0; i < 64; ++i) {
+      r.chord.lookup(i, rng.next_u64() & r.chord.id_mask(), [&out, i](const auto& res) {
+        out[i] = {res.ok, res.home, res.hops, res.latency};
+      });
+    }
+    if (announce) {
+      EXPECT_GT(r.chord.hops_chased(), 0u);
+      EXPECT_THROW(r.chord.build(), std::logic_error);  // chased hops still fly
+    }
+    r.w.eng.run();
+    r.chord.build();  // nothing in flight any more
+    *chased = r.chord.hops_chased();
+    *executed = r.w.eng.stats().executed;
+    return out;
+  };
+  std::uint64_t chased = 0, executed = 0, chased_ref = 0, executed_ref = 0;
+  const auto ref = run(false, &chased_ref, &executed_ref);
+  const auto got = run(true, &chased, &executed);
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(chased_ref, 0u);
+  EXPECT_EQ(executed + chased, executed_ref);
+}
+
+TEST(ChordChase, FailingBeforeTheAnnouncedDeathThrows) {
+  StaticRing r;
+  r.chord.announce_death(3, 5.0);
+  try {
+    r.chord.fail_peer(3);
+    ADD_FAILURE() << "fail_peer before the announced death did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("peer 3 "), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("at 5 s"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(r.chord.remove_peer(3), std::logic_error);
+  EXPECT_TRUE(r.chord.is_live(3));
+  // A later announcement replaces the promise; the death is allowed from
+  // the announced instant on.
+  r.chord.announce_death(3, 6.0);
+  r.w.eng.schedule_at(5.5, [&] { EXPECT_THROW(r.chord.fail_peer(3), std::logic_error); });
+  r.w.eng.schedule_at(6.0, [&] { r.chord.fail_peer(3); });
+  r.w.eng.run();
+  EXPECT_FALSE(r.chord.is_live(3));
+  // A peer nobody announced a death for may die at any time.
+  r.chord.remove_peer(4);
+  EXPECT_FALSE(r.chord.is_live(4));
+}
+
+TEST(ChordChase, AnnounceRejectsNonFiniteOrPastInstants) {
+  StaticRing r;
+  r.w.eng.schedule_at(2.0, [] {});
+  r.w.eng.run();
+  EXPECT_THROW(r.chord.announce_death(3, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(r.chord.announce_death(3, HUGE_VAL), std::invalid_argument);
+  EXPECT_THROW(r.chord.announce_death(3, 1.5), std::invalid_argument);
+  EXPECT_THROW(r.chord.announce_death(999, 3.0), std::invalid_argument);
+  r.chord.remove_peer(5);
+  EXPECT_THROW(r.chord.announce_death(5, 3.0), std::invalid_argument);
+  r.chord.announce_death(3, 2.0);  // now itself is not in the past
+  r.chord.fail_peer(3);
 }
