@@ -23,11 +23,13 @@
 //                    IDENTICAL (the rewrite changes speed, not behavior).
 //   * diff_trace   — a 512-peer protocol-mode churn scenario run on both
 //                    impls with a trace probe hashing every executed
-//                    (time, event-id) pair: byte-identical schedules.
+//                    (time, event-id) pair: byte-identical schedules. Its
+//                    deaths are unannounced, so no hop is chased.
 //   * hash_points  — the same churn scenario across all five event-queue
 //                    kinds: state digests and trace hashes must agree.
 //   * churn[]      — the E16 study: failure rate / hop count / latency
-//                    degradation as mean session lifetime shrinks.
+//                    degradation as mean session lifetime shrinks, with
+//                    the events run and the lookup hops chased inline.
 //   * million      — 1M live peers in protocol mode under churn on the
 //                    ladder queue, >= 1e6 pending events; --small skips it.
 // Results go to BENCH_p2p.json. The bench judges its own run and exits 1
@@ -35,7 +37,8 @@
 // resolution must be >= kMinResolveSpeedup everywhere and reach
 // kMinResolveSpeedupAtScale at >= 100k peers, the flat overlays must keep
 // >= kMinThroughputRatio of the map ones' ops/s, chord mean hops must not
-// shrink with population, and churn must kill peers whenever it is on.
+// shrink with population, and churn must kill peers and chase hops
+// whenever it is on.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -48,6 +51,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_record.hpp"
@@ -767,7 +771,7 @@ class TraceHashProbe final : public core::EngineProbe {
 };
 
 struct DiffOut {
-  std::uint64_t trace = 0, executed = 0, messages = 0, ok = 0, fail = 0;
+  std::uint64_t trace = 0, executed = 0, messages = 0, ok = 0, fail = 0, chased = 0;
   std::size_t live = 0;
 };
 
@@ -829,6 +833,7 @@ DiffOut run_diff_scenario(std::vector<std::pair<double, std::uint64_t>>* seq = n
   out.executed = eng.stats().executed;
   out.messages = net.messages_sent();
   out.live = net.size();
+  if constexpr (std::is_same_v<Net, p2p::ChordNetwork>) out.chased = net.hops_chased();
   return out;
 }
 
@@ -882,7 +887,7 @@ HashPoint run_hash_point(core::QueueKind kind) {
 struct ChurnPoint {
   std::size_t peers = 0;
   double mean_lifetime = 0;  // 0 = no churn
-  std::uint64_t issued = 0, ok = 0, deaths = 0, rebirths = 0, events = 0;
+  std::uint64_t issued = 0, ok = 0, deaths = 0, rebirths = 0, events = 0, chased = 0;
   double failure_rate = 0, mean_hops = 0, mean_latency = 0, wall_ms = 0;
   std::size_t live = 0, peak_pending = 0;
   double events_per_s() const {
@@ -932,6 +937,7 @@ ChurnPoint run_churn_point(std::size_t peers, double mean_lifetime, double rate)
   pt.deaths = churner ? churner->deaths() : 0;
   pt.rebirths = churner ? churner->rebirths() : 0;
   pt.events = eng.stats().executed;
+  pt.chased = chord.hops_chased();
   pt.live = chord.size();
   pt.peak_pending = gen.peak_pending();
   return pt;
@@ -1046,6 +1052,7 @@ obs::Json record(bool small, const std::vector<ResolvePoint>& resolve,
   diff.set("executed", diff_flat.executed);
   diff.set("lookups_ok", diff_flat.ok);
   diff.set("lookups_failed", diff_flat.fail);
+  diff.set("hops_chased", diff_flat.chased);
   diff.set("identical", diff_identical);
 
   auto& hp = doc["hash_points"] = obs::Json::array();
@@ -1074,6 +1081,7 @@ obs::Json record(bool small, const std::vector<ResolvePoint>& resolve,
     o.set("rebirths", c.rebirths);
     o.set("live", c.live);
     o.set("events", c.events);
+    o.set("hops_chased", c.chased);
     o.set("wall_ms", c.wall_ms);
     o.set("events_per_s", c.events_per_s());
     o.set("peak_pending", c.peak_pending);
@@ -1232,6 +1240,10 @@ int main(int argc, char** argv) {
               diff_flat.trace, diff_map.trace, diff_flat.executed,
               diff_identical ? "identical" : "DIVERGED");
   check.expect(diff_identical, "seed-vs-rewrite trace diverged");
+  // Its deaths are unannounced fail_peer calls, so every hop is an event.
+  check.expect(diff_flat.chased == 0,
+               "differential scenario chased %" PRIu64 " hops past unannounced deaths",
+               diff_flat.chased);
   check.expect(diff_flat.trace != 0 && diff_flat.executed != 0,
                "differential scenario trace is empty");
 
@@ -1256,13 +1268,16 @@ int main(int argc, char** argv) {
     churn.push_back(run_churn_point(churn_peers, lifetime, churn_rate));
     const auto& c = churn.back();
     std::printf("churn life=%4.0fs: fail %.4f, hops %.2f, latency %.4f, deaths %" PRIu64
-                ", %.0f ev/s\n",
-                c.mean_lifetime, c.failure_rate, c.mean_hops, c.mean_latency, c.deaths,
-                c.events_per_s());
+                ", %" PRIu64 " events, %" PRIu64 " hops chased, %.0f ev/s\n",
+                c.mean_lifetime, c.failure_rate, c.mean_hops, c.mean_latency, c.deaths, c.events,
+                c.chased, c.events_per_s());
     check.expect(c.failure_rate >= 0 && c.failure_rate <= 1 && c.issued > 0,
                  "churn point life=%.0f implausible", c.mean_lifetime);
     check.expect(c.mean_lifetime == 0 || c.deaths > 0,
                  "churn life=%.0f: churn enabled but no deaths", c.mean_lifetime);
+    // Churn announces every death, so hops between calm peers are chased.
+    check.expect(c.mean_lifetime == 0 || c.chased > 0,
+                 "churn life=%.0f: no hop was chased", c.mean_lifetime);
     check.expect(std::isfinite(c.events_per_s()) && c.events_per_s() > 0,
                  "churn life=%.0f: bad events_per_s", c.mean_lifetime);
   }
