@@ -4,21 +4,28 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/rng.hpp"
 #include "hosts/cpu.hpp"
 #include "hosts/site.hpp"
 #include "hosts/storage.hpp"
+#include "net/flow.hpp"
+#include "net/routing.hpp"
+#include "net/topology.hpp"
 #include "stats/analytical.hpp"
 #include "stats/summary.hpp"
 #include "util/strings.hpp"
 
 namespace core = lsds::core;
 namespace hosts = lsds::hosts;
+namespace net = lsds::net;
 
 // --- CPU: space-shared ------------------------------------------------
 
@@ -442,6 +449,239 @@ TEST(Storage, CatalogIsIndependentOfInsertOrder) {
   }
   EXPECT_TRUE(run(descending) == want) << "descending";
   EXPECT_TRUE(run(shuffled) == want) << "shuffled";
+}
+
+// --- catalog against a reference model ---------------------------------------
+//
+// Seeded random sequences of every catalog operation, run against the device
+// and against a model of the catalog's semantics: a std::map of stored files
+// in name order, a std::set of names whose write is pending, and the bytes
+// reserved. Writes complete while the clock advances between operations, so
+// completions interleave with stores, evictions and pins. Names cover the
+// append path (numbered in order, crossing "raw99999" -> "raw100000", which
+// sorts before it), inserts in the middle, duplicates, and names with a write
+// pending.
+
+namespace {
+
+struct CatalogModel {
+  std::map<std::string, hosts::StoredFile> files;
+  std::set<std::string> pending;
+  double used = 0;
+  double capacity = 0;
+
+  bool store(const std::string& lfn, double bytes, bool pinned, double now) {
+    if (used + bytes > capacity || pending.count(lfn) || files.count(lfn)) return false;
+    files.emplace(lfn, hosts::StoredFile{lfn, bytes, now, now, 0, pinned});
+    used += bytes;
+    return true;
+  }
+  bool write(const std::string& lfn, double bytes) {
+    if (used + bytes > capacity || files.count(lfn) || pending.count(lfn)) return false;
+    pending.insert(lfn);
+    used += bytes;
+    return true;
+  }
+  void complete(const std::string& lfn, double bytes, double now) {
+    ASSERT_EQ(pending.erase(lfn), 1u) << lfn;
+    files.emplace(lfn, hosts::StoredFile{lfn, bytes, now, now, 0, false});
+  }
+  bool evict(const std::string& lfn) {
+    auto it = files.find(lfn);
+    if (it == files.end() || it->second.pinned) return false;
+    used -= it->second.bytes;
+    files.erase(it);
+    return true;
+  }
+  bool set_pinned(const std::string& lfn, bool pinned) {
+    auto it = files.find(lfn);
+    if (it == files.end()) return false;
+    it->second.pinned = pinned;
+    return true;
+  }
+  bool read(const std::string& lfn, double now) {
+    auto it = files.find(lfn);
+    if (it == files.end()) return false;
+    it->second.last_access = now;
+    ++it->second.access_count;
+    return true;
+  }
+  std::optional<std::string> lru() const {
+    const hosts::StoredFile* best = nullptr;
+    for (const auto& [lfn, f] : files) {
+      if (!f.pinned && (!best || f.last_access < best->last_access)) best = &f;
+    }
+    return best ? std::optional<std::string>(best->lfn) : std::nullopt;
+  }
+  std::optional<std::string> lfu() const {
+    const hosts::StoredFile* best = nullptr;
+    for (const auto& [lfn, f] : files) {
+      if (f.pinned) continue;
+      if (!best || f.access_count < best->access_count ||
+          (f.access_count == best->access_count && f.last_access < best->last_access)) {
+        best = &f;
+      }
+    }
+    return best ? std::optional<std::string>(best->lfn) : std::nullopt;
+  }
+};
+
+void expect_catalog_matches(const hosts::StorageDevice& disk, const CatalogModel& m,
+                            const std::set<std::string>& names) {
+  std::vector<std::string> want_list;
+  for (const auto& [lfn, f] : m.files) want_list.push_back(lfn);
+  ASSERT_EQ(disk.list(), want_list);
+  ASSERT_EQ(disk.file_count(), m.files.size());
+  ASSERT_EQ(disk.used(), m.used);
+  ASSERT_EQ(disk.lru_candidate(), m.lru());
+  ASSERT_EQ(disk.lfu_candidate(), m.lfu());
+  for (const auto& n : names) {
+    const auto it = m.files.find(n);
+    const hosts::StoredFile* f = disk.file(n);
+    ASSERT_EQ(disk.has(n), it != m.files.end()) << n;
+    ASSERT_EQ(f != nullptr, it != m.files.end()) << n;
+    if (!f) continue;
+    const hosts::StoredFile& w = it->second;
+    ASSERT_EQ(f->lfn, w.lfn);
+    ASSERT_EQ(f->bytes, w.bytes) << n;
+    ASSERT_EQ(f->created, w.created) << n;
+    ASSERT_EQ(f->last_access, w.last_access) << n;
+    ASSERT_EQ(f->access_count, w.access_count) << n;
+    ASSERT_EQ(f->pinned, w.pinned) << n;
+  }
+}
+
+// One seeded sequence; `net` is set for a max-min device.
+void run_catalog_differential(std::uint64_t seed, double capacity, net::FlowNetwork* net,
+                              core::Engine& eng) {
+  hosts::StorageDevice::Spec spec{capacity, 400, 250, 0.05};
+  if (net) spec.sharing = hosts::StorageSharing::kMaxMin;
+  hosts::StorageDevice disk(eng, "d", spec);
+  if (net) disk.attach_solver(*net);
+  CatalogModel m;
+  m.capacity = capacity;
+
+  core::RngStream rng(seed);
+  std::vector<std::string> names;  // every name drawn so far, repeats included
+  std::set<std::string> probes;     // each of them once
+  std::size_t next_numbered = 99'970;
+  const std::vector<std::string> fixed = {"a", "f10", "f2", "f9", "m", "raw00000", "tape-raw00001",
+                                          "raw99999", "raw100000", "zz"};
+  std::string last_written = "a";
+  const auto pick_name = [&]() -> std::string {
+    const double u = rng.uniform();
+    if (u < 0.1) return last_written;  // its write may still be pending
+    if (u < 0.5) {
+      names.push_back(lsds::util::numbered("raw", next_numbered++, 5));
+      return names.back();
+    }
+    if (u < 0.6) {
+      names.push_back(fixed[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(fixed.size()) - 1))]);
+      return names.back();
+    }
+    if (u < 0.7 || names.empty()) {
+      names.push_back("x" + std::to_string(rng.uniform_int(0, 999)));
+      return names.back();
+    }
+    return names[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(names.size()) - 1))];
+  };
+  std::size_t writes_done = 0, write_refusals = 0, store_refusals = 0, pinned_refusals = 0;
+  std::size_t middle_inserts = 0;
+  for (int step = 0; step < 1500; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+    const double now = eng.now();
+    const std::string lfn = pick_name();
+    const double bytes = static_cast<double>(rng.uniform_int(0, 120));
+    const auto op = rng.uniform_int(0, 9);
+    if (!m.files.empty() && m.files.rbegin()->first > lfn) ++middle_inserts;
+    switch (op) {
+      case 0:
+      case 1: {
+        const bool pinned = rng.bernoulli(0.2);
+        if (m.pending.count(lfn)) ++store_refusals;
+        ASSERT_EQ(disk.store(lfn, bytes, pinned), m.store(lfn, bytes, pinned, now)) << lfn;
+        break;
+      }
+      case 2:
+      case 3: {
+        if (m.pending.count(lfn)) ++write_refusals;
+        const bool want = m.write(lfn, bytes);
+        if (want) last_written = lfn;
+        ASSERT_EQ(disk.write(lfn, bytes,
+                             [&m, &eng, &writes_done, lfn, bytes] {
+                               m.complete(lfn, bytes, eng.now());
+                               ++writes_done;
+                             }),
+                  want)
+            << lfn;
+        break;
+      }
+      case 4: {
+        const auto it = m.files.find(lfn);
+        if (it != m.files.end() && it->second.pinned) ++pinned_refusals;
+        ASSERT_EQ(disk.evict(lfn), m.evict(lfn)) << lfn;
+        break;
+      }
+      case 5: {
+        const bool pinned = rng.bernoulli(0.5);
+        ASSERT_EQ(disk.set_pinned(lfn, pinned), m.set_pinned(lfn, pinned)) << lfn;
+        break;
+      }
+      case 6:
+        ASSERT_EQ(disk.read(lfn, nullptr), m.read(lfn, now)) << lfn;
+        break;
+      case 7:
+        // Evict what the catalog names as the least recently/frequently used.
+        if (const auto victim = rng.bernoulli(0.5) ? m.lru() : m.lfu()) {
+          ASSERT_TRUE(disk.evict(*victim));
+          ASSERT_TRUE(m.evict(*victim));
+        }
+        break;
+      default:
+        eng.run_until(now + rng.uniform(0.0, 1.0));
+        break;
+    }
+    if (step % 300 == 299) eng.run();  // drain every write in flight
+    probes.insert(lfn);
+    expect_catalog_matches(disk, m, step % 16 == 0 ? probes : std::set<std::string>{lfn});
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  eng.run();
+  EXPECT_TRUE(m.pending.empty());
+  expect_catalog_matches(disk, m, probes);
+  // The sequence must reach the cases it is written for.
+  EXPECT_GT(writes_done, 50u);
+  EXPECT_GT(write_refusals, 0u);
+  EXPECT_GT(store_refusals, 0u);
+  EXPECT_GT(pinned_refusals, 0u);
+  EXPECT_GT(middle_inserts, 100u);
+  EXPECT_EQ(disk.writes(), writes_done);
+}
+
+}  // namespace
+
+TEST(StorageCatalog, FifoDeviceMatchesMapAndSetModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const double capacity : {1500.0, 20000.0}) {
+      core::Engine eng;
+      run_catalog_differential(seed, capacity, nullptr, eng);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(StorageCatalog, MaxMinDeviceMatchesMapAndSetModel) {
+  net::Topology topo;
+  topo.add_node("a");
+  net::Routing routing(topo);
+  for (const std::uint64_t seed : {4u, 5u}) {
+    core::Engine eng;
+    net::FlowNetwork fnet(eng, routing);
+    run_catalog_differential(seed, 5000.0, &fnet, eng);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Storage, MassStorageSpecHasMountLatency) {
