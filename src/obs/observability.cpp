@@ -104,10 +104,23 @@ void Observability::fold_lp_spans() {
 
 std::size_t Observability::span_slot(const Span& s) {
   for (std::size_t i = 0; i < span_slots_.size(); ++i) {
-    if (span_slots_[i].kind == s.kind && span_slots_[i].status == s.status) return i;
+    if (span_slots_[i].kind_ptr == s.kind && span_slots_[i].status_ptr == s.status) return i;
+  }
+  for (std::size_t i = 0; i < span_slots_.size(); ++i) {
+    SpanSlot& slot = span_slots_[i];
+    if (slot.kind == s.kind && slot.status == s.status) {
+      slot.kind_ptr = s.kind;
+      slot.status_ptr = s.status;
+      return i;
+    }
   }
   const std::string kind(s.kind);
-  SpanSlot slot{kind, s.status, &metrics_.counter_ref("span." + kind + "." + s.status), nullptr,
+  SpanSlot slot{kind,
+                s.status,
+                s.kind,
+                s.status,
+                &metrics_.counter_ref("span." + kind + "." + s.status),
+                nullptr,
                 &metrics_.timer_ref("span." + kind + ".duration_s")};
   if (kind == "flow") {
     slot.quantity = &metrics_.counter_ref("net.bytes_moved");

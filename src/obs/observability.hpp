@@ -111,6 +111,10 @@ class Observability final : public core::EngineProbe {
   struct SpanSlot {
     std::string kind;
     std::string status;
+    // The publisher's literals the slot was last matched by: a span that
+    // carries the same pointers is routed without comparing text.
+    const char* kind_ptr;
+    const char* status_ptr;
     double* count;
     double* quantity;  // nullptr: the kind moves no tracked quantity
     stats::Accumulator* duration;
@@ -124,7 +128,8 @@ class Observability final : public core::EngineProbe {
 
   void on_span(const Span& s);
   /// Index of the slot for `s`, resolved on the first span of its kind and
-  /// status. Caller holds the metrics lock.
+  /// status; later spans match by pointer first, by text when another
+  /// literal of the same text arrives. Caller holds the metrics lock.
   std::size_t span_slot(const Span& s);
   /// Fold the LP partials into the registry, LP by LP, and drop them.
   void fold_lp_spans();

@@ -30,6 +30,8 @@
 namespace lsds::obs {
 
 struct Span {
+  // kind and status point to string literals (static storage): subscribers
+  // may key on the pointers.
   const char* kind = "";    // "flow" | "job" | "dispatch"
   const char* status = "";  // "done" | "aborted" | "killed" | "cancelled" | ...
   std::uint64_t id = 0;     // substrate-local id (FlowId, JobId, ...)

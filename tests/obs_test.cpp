@@ -711,6 +711,36 @@ TEST(ObservabilityLifecycle, DetachDropsEngineGaugesAndKeepsTheirSeries) {
   }
 }
 
+// Spans route to their slot by the kind and status pointers first; a second
+// literal of the same text (a distinct array here) must reach the same
+// instruments, and a new status under a known kind its own counter.
+TEST(ObservabilitySpans, EqualTextSharesInstrumentsWhateverThePointer) {
+  static const char kFlow[] = "flow";
+  static const char kDone[] = "done";
+  obs::Options opts;
+  opts.enabled = true;
+  obs::Observability o(opts);
+  const auto& bus = obs::SpanBus::global();
+  obs::Span s;
+  s.t1 = 1.0;
+  s.quantity = 10;
+  for (const auto& [kind, status] :
+       {std::pair<const char*, const char*>{"flow", "done"}, {kFlow, kDone}, {"flow", "done"},
+        {kFlow, "aborted"}, {kFlow, kDone}}) {
+    s.kind = kind;
+    s.status = status;
+    bus.publish(s);
+  }
+  obs::RunReport report;
+  o.finalize(report, 1.0);
+  const obs::Json* m = report.root().find("metrics");
+  const obs::Json* counters = m->find("counters");
+  EXPECT_EQ(counters->find("span.flow.done")->as_double(), 4);
+  EXPECT_EQ(counters->find("span.flow.aborted")->as_double(), 1);
+  EXPECT_EQ(counters->find("net.bytes_moved")->as_double(), 50);
+  EXPECT_EQ(m->find("timers")->find("span.flow.duration_s")->find("count")->as_int(), 5);
+}
+
 // Parallel LP threads publish spans concurrently; every one must be counted
 // and timed exactly once (run under TSan in CI).
 TEST(ObservabilityConcurrency, ConcurrentSpansAreCountedExactly) {
