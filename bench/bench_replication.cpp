@@ -11,8 +11,13 @@
 // replications/evictions — the OptorSim result shape (caching strategies
 // beat no-replication; with skewed access the economic model approaches LRU
 // with far fewer replications).
+//
+// Self-check: a replicating strategy that does not beat `none` on both mean
+// job time and network traffic at some skew, or an LRU/LFU arm that never
+// evicts (its cache policy went unexercised), prints a FAIL line and exits 1.
 #include <cstdio>
 
+#include "bench_record.hpp"
 #include "core/engine.hpp"
 #include "sim/optorsim/optorsim.hpp"
 #include "stats/table.hpp"
@@ -26,7 +31,9 @@ int main() {
 
   lsds::stats::AsciiTable t({"zipf", "strategy", "mean job time [s]", "hit ratio",
                              "network", "replications", "evictions"});
+  lsds::bench::SelfCheck check;
   for (double zipf : {0.0, 0.8, 1.2}) {
+    lsds::sim::optorsim::Result none;
     for (auto policy : mw::kAllReplicationPolicies) {
       lsds::core::Engine eng({.queue = lsds::core::QueueKind::kBinaryHeap, .seed = 4242});
       lsds::sim::optorsim::Config cfg;
@@ -48,9 +55,24 @@ int main() {
           .cell(lsds::util::format_size(r.network_bytes))
           .cell(r.replications)
           .cell(r.evictions);
+      const char* name = mw::to_string(policy);
+      if (policy == mw::ReplicationPolicy::kNone) {
+        none = r;
+        continue;
+      }
+      check.expect(r.mean_job_time() < none.mean_job_time(),
+                   "zipf %g %s: mean job time %.6g s does not beat none's %.6g s", zipf, name,
+                   r.mean_job_time(), none.mean_job_time());
+      check.expect(r.network_bytes < none.network_bytes,
+                   "zipf %g %s: network %.6g B does not beat none's %.6g B", zipf, name,
+                   r.network_bytes, none.network_bytes);
+      if (policy == mw::ReplicationPolicy::kLru || policy == mw::ReplicationPolicy::kLfu) {
+        check.expect(r.evictions > 0, "zipf %g %s: no evictions", zipf, name);
+      }
     }
   }
   std::printf("%s\n", t.render().c_str());
+  if (!check.ok) return 1;
   std::printf("claim check: any replication beats none on job time and traffic; under\n"
               "skewed (Zipf) access the economic optimizer replicates far more\n"
               "selectively while keeping most of the hit-ratio benefit.\n");
