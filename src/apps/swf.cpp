@@ -25,9 +25,10 @@ std::vector<SwfJob> parse_swf(const std::string& text) {
     }
     auto num = [&](std::size_t idx) {
       double v = 0;
-      if (!util::parse_double(f[idx], v)) {
-        throw std::runtime_error(util::strformat("swf: line %zu: field %zu ('%s') not numeric",
-                                                 lineno, idx + 1, f[idx].c_str()));
+      if (!util::parse_double(f[idx], v) || !std::isfinite(v)) {
+        throw std::runtime_error(util::strformat(
+            "swf: line %zu: field %zu ('%s') not a finite number", lineno, idx + 1,
+            f[idx].c_str()));
       }
       return v;
     };
@@ -39,7 +40,12 @@ std::vector<SwfJob> parse_swf(const std::string& text) {
     const double req_time = num(8);
 
     double procs = alloc_procs > 0 ? alloc_procs : req_procs;
-    if (runtime <= 0 || procs <= 0) continue;  // cancelled/failed entry
+    if (runtime <= 0 || procs < 1) continue;  // cancelled/failed entry
+    // The first values the job id and core count cannot hold: 2^64, 2^32.
+    if (id < 0 || id >= 0x1p64 || procs >= 0x1p32) {
+      throw std::runtime_error(
+          util::strformat("swf: line %zu: job id or processor count out of range", lineno));
+    }
 
     SwfJob j;
     j.submit_time = submit < 0 ? 0 : submit;

@@ -27,8 +27,10 @@ struct SwfJob {
   double submit_time = 0;
 };
 
-/// Parse SWF text. Jobs with non-positive runtime or processor count are
-/// skipped (cancelled/failed entries), as is conventional.
+/// Parse SWF text. Jobs with non-positive runtime or fewer than one processor
+/// are skipped (cancelled/failed entries), as is conventional. Throws
+/// std::runtime_error on a line with fewer than 9 fields, a read field that is
+/// not a finite number, or a job id or processor count out of range.
 std::vector<SwfJob> parse_swf(const std::string& text);
 std::vector<SwfJob> load_swf(const std::string& path);
 

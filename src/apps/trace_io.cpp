@@ -1,11 +1,25 @@
 #include "apps/trace_io.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/strings.hpp"
 
 namespace lsds::apps {
+
+namespace {
+// A size or amount attribute of a workload line: 0 when absent or not a
+// number, else it must be finite and >= 0.
+double amount(const core::TraceEvent& ev, const char* key) {
+  const double v = ev.num(key, 0);
+  if (!std::isfinite(v) || v < 0) {
+    throw std::runtime_error(util::strformat("trace_io: %s line: %s must be finite and >= 0",
+                                             ev.kind.c_str(), key));
+  }
+  return v;
+}
+}  // namespace
 
 std::string workload_to_trace(const std::vector<TimedJob>& jobs,
                               const std::vector<std::pair<std::string, double>>& files) {
@@ -42,17 +56,19 @@ ParsedWorkload workload_from_trace(const std::string& text) {
     if (ev.kind == "file") {
       const auto lfn = ev.attr("lfn");
       if (!lfn) throw std::runtime_error("trace_io: file line missing lfn");
-      out.files.emplace_back(*lfn, ev.num("bytes", 0));
+      out.files.emplace_back(*lfn, amount(ev, "bytes"));
     } else if (ev.kind == "job") {
       TimedJob tj;
       tj.arrival = ev.time;
-      tj.job.id = static_cast<hosts::JobId>(ev.num("id", 0));
-      if (tj.job.id == hosts::kInvalidJob) {
-        throw std::runtime_error("trace_io: job line missing id");
+      // Ids are 1 .. 2^64 - 1 (0 is kInvalidJob).
+      const double id = ev.num("id", 0);
+      if (!(id >= 1 && id < 0x1p64)) {
+        throw std::runtime_error("trace_io: job line missing id or id out of range");
       }
+      tj.job.id = static_cast<hosts::JobId>(id);
       tj.job.name = util::strformat("job%llu", static_cast<unsigned long long>(tj.job.id));
-      tj.job.ops = ev.num("ops", 0);
-      tj.job.output_bytes = ev.num("output", 0);
+      tj.job.ops = amount(ev, "ops");
+      tj.job.output_bytes = amount(ev, "output");
       if (auto inputs = ev.attr("inputs")) {
         for (auto& lfn : util::split(*inputs, ';')) {
           if (!lfn.empty()) tj.job.input_files.push_back(std::move(lfn));

@@ -1,6 +1,7 @@
 #include "core/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -55,7 +56,7 @@ std::vector<TraceEvent> TraceReader::parse(std::istream& in) {
           util::strformat("trace: line %zu: expected '<time> <kind> ...'", lineno));
     }
     TraceEvent ev;
-    if (!util::parse_double(fields[0], ev.time)) {
+    if (!util::parse_double(fields[0], ev.time) || !std::isfinite(ev.time)) {
       throw std::runtime_error(util::strformat("trace: line %zu: bad timestamp '%s'", lineno,
                                                fields[0].c_str()));
     }

@@ -45,7 +45,8 @@ struct TraceEvent {
 
 class TraceReader {
  public:
-  /// Parse a whole trace. Throws std::runtime_error on malformed lines.
+  /// Parse a whole trace. Throws std::runtime_error on malformed lines,
+  /// including a timestamp that is not a finite number.
   static std::vector<TraceEvent> parse(std::istream& in);
   static std::vector<TraceEvent> parse_text(const std::string& text);
   static std::vector<TraceEvent> load(const std::string& path);
