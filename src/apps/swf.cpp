@@ -1,5 +1,6 @@
 #include "apps/swf.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -66,15 +67,27 @@ std::vector<SwfJob> load_swf(const std::string& path) {
   return parse_swf(ss.str());
 }
 
+namespace {
+// The shortest text that reads back to exactly `v` (std::to_chars), so a
+// round trip through parse_swf keeps every time bit for bit.
+void append_exact(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+}  // namespace
+
 std::string to_swf(const std::vector<SwfJob>& jobs) {
   std::string out = "; lsds SWF export\n";
   for (const auto& j : jobs) {
     // Fields: id submit wait run alloc_procs cpu_used mem req_procs
     //         req_time req_mem status uid gid app queue part prev think
-    out += util::strformat("%llu %.3f -1 %.3f %u -1 -1 %u %.3f -1 -1 -1 -1 -1 -1 -1 -1 -1\n",
-                           static_cast<unsigned long long>(j.job.id), j.submit_time,
-                           j.job.runtime_actual, j.job.cores, j.job.cores,
-                           j.job.runtime_estimate);
+    out += util::strformat("%llu ", static_cast<unsigned long long>(j.job.id));
+    append_exact(out, j.submit_time);
+    out += " -1 ";
+    append_exact(out, j.job.runtime_actual);
+    out += util::strformat(" %u -1 -1 %u ", j.job.cores, j.job.cores);
+    append_exact(out, j.job.runtime_estimate);
+    out += " -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
   }
   return out;
 }

@@ -9,8 +9,9 @@
 namespace lsds::apps {
 
 namespace {
-// A size or amount attribute of a workload line: 0 when absent or not a
-// number, else it must be finite and >= 0.
+// A size or amount attribute of a workload line: 0 when absent, else it
+// must be a finite number >= 0 (TraceEvent::num throws on one that does not
+// parse).
 double amount(const core::TraceEvent& ev, const char* key) {
   const double v = ev.num(key, 0);
   if (!std::isfinite(v) || v < 0) {

@@ -18,28 +18,32 @@ std::optional<std::string> TraceEvent::attr(const std::string& key) const {
   return std::nullopt;
 }
 
-double TraceEvent::num(const std::string& key, double def) const {
-  auto v = attr(key);
+namespace {
+// An attribute read through `parse`: `def` when absent, else the parsed
+// value; a value that does not parse is an error naming the key and value.
+double attr_value(const TraceEvent& ev, const std::string& key, double def, const char* what,
+                  bool (*parse)(std::string_view, double&)) {
+  const auto v = ev.attr(key);
   if (!v) return def;
   double out = 0;
-  if (!util::parse_double(*v, out)) return def;
+  if (!parse(*v, out)) {
+    throw std::runtime_error(util::strformat("trace: %s event: %s=%s is not a %s", ev.kind.c_str(),
+                                             key.c_str(), v->c_str(), what));
+  }
   return out;
+}
+}  // namespace
+
+double TraceEvent::num(const std::string& key, double def) const {
+  return attr_value(*this, key, def, "number", util::parse_double);
 }
 
 double TraceEvent::size(const std::string& key, double def_bytes) const {
-  auto v = attr(key);
-  if (!v) return def_bytes;
-  double out = 0;
-  if (!util::parse_size(*v, out)) return def_bytes;
-  return out;
+  return attr_value(*this, key, def_bytes, "size", util::parse_size);
 }
 
 double TraceEvent::rate(const std::string& key, double def) const {
-  auto v = attr(key);
-  if (!v) return def;
-  double out = 0;
-  if (!util::parse_rate(*v, out)) return def;
-  return out;
+  return attr_value(*this, key, def, "rate", util::parse_rate);
 }
 
 std::vector<TraceEvent> TraceReader::parse(std::istream& in) {

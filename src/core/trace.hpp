@@ -36,9 +36,11 @@ struct TraceEvent {
 
   /// Attribute lookup; returns std::nullopt when absent.
   std::optional<std::string> attr(const std::string& key) const;
-  /// Numeric attribute with default.
+  /// Numeric attribute; `def` when absent. A present value that does not
+  /// parse throws std::runtime_error naming the key and the value.
   double num(const std::string& key, double def) const;
-  /// Unit-aware attribute lookups (sizes like "2GB", rates like "1Gbps").
+  /// Unit-aware attribute lookups (sizes like "2GB", rates like "1Gbps"),
+  /// with the same default and error rule as num().
   double size(const std::string& key, double def_bytes) const;
   double rate(const std::string& key, double def_bytes_per_sec) const;
 };

@@ -196,6 +196,9 @@ TEST(TraceIo, MalformedJobThrows) {
   EXPECT_THROW(apps::workload_from_trace("1 job id=-3 ops=5\n"), std::runtime_error);
   EXPECT_THROW(apps::workload_from_trace("nan job id=1 ops=5\n"), std::runtime_error);
   EXPECT_THROW(apps::workload_from_trace("0 file lfn=a bytes=inf\n"), std::runtime_error);
+  // A value that does not parse is not a 0-op job or a 0-byte file.
+  EXPECT_THROW(apps::workload_from_trace("1 job id=1 ops=12x\n"), std::runtime_error);
+  EXPECT_THROW(apps::workload_from_trace("0 file lfn=a bytes=1GB\n"), std::runtime_error);
 }
 
 

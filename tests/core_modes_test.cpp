@@ -112,6 +112,20 @@ TEST(Trace, MissingAttrsUseDefaults) {
   EXPECT_DOUBLE_EQ(events[0].num("nope", 3.5), 3.5);
 }
 
+TEST(Trace, UnparsableAttrsThrowNamingKeyAndValue) {
+  const auto events = core::TraceReader::parse_text("1 x cpu=12x input=2XB rate=fast\n");
+  ASSERT_EQ(events.size(), 1u);
+  try {
+    events[0].num("cpu", 0);
+    FAIL() << "num() accepted cpu=12x";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cpu=12x"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(events[0].size("input", 0), std::runtime_error);
+  EXPECT_THROW(events[0].rate("rate", 0), std::runtime_error);
+  EXPECT_DOUBLE_EQ(events[0].size("absent", 7), 7.0);
+}
+
 TEST(Trace, MalformedLinesThrow) {
   EXPECT_THROW(core::TraceReader::parse_text("notatime x\n"), std::runtime_error);
   EXPECT_THROW(core::TraceReader::parse_text("1.0\n"), std::runtime_error);

@@ -49,7 +49,17 @@ struct Op {
   double bytes = 0;
   double weight = 1;
   std::size_t flow_idx = 0;  // kCancel: index into the started-flow list
-  net::LinkId link = 0;
+  net::LinkId link = 0;      // kLinkDown / kLinkUp: any resource id
+  bool disks = false;        // kStart: join every registered resource to the route
+};
+
+// What a script runs on besides its topology: a quantized clock, and
+// capacity resources registered on the network (ids from link_count() on,
+// in this order) that a start op with `disks` set joins to its route, as
+// disk heads join a transfer.
+struct Extras {
+  double quantum = 0;
+  std::vector<double> disks;
 };
 
 // Deterministic, churn-heavy op script over a random connected topology.
@@ -91,48 +101,63 @@ std::vector<Op> make_script(const net::Topology& topo, std::uint64_t seed, std::
 
 // `work` also appends the solver's work counters and the engine's counts.
 // The two solvers agree on those only when every change dirties every
-// sharing flow, as on a route that all flows share.
+// sharing flow, as on a route that all flows share. Every executed event's
+// (time, seq) is in the trace, so a completion's key is compared too.
 Trace run_script_on(net::RouteProvider& routing, const std::vector<Op>& ops, core::QueueKind kind,
-                    bool incremental, core::FailureSemantics sem, bool work = false) {
+                    bool incremental, core::FailureSemantics sem, bool work = false,
+                    const Extras& extras = {}) {
   Trace trace;
   lsds::testutil::EventProbe probe(
       [&trace](double t, core::EventId id) { trace.emplace_back('X', id, bits(t)); });
-  core::Engine eng(core::Engine::Config{kind, 7, 0, 0});
+  core::Engine eng(core::Engine::Config{kind, 7, extras.quantum, 0});
   eng.set_probe(&probe);
   net::FlowNetwork fnet(eng, routing, net::FlowNetwork::Config{incremental});
   fnet.set_failure_semantics(sem);
+  std::vector<net::ResourceId> disks;
+  for (double cap : extras.disks) disks.push_back(fnet.add_resource(cap, "disk"));
 
   std::vector<net::FlowId> flows;
   for (const Op& op : ops) {
-    eng.schedule_at(op.t, [&eng, &fnet, &trace, &flows, op] {
+    eng.schedule_at(op.t, [&eng, &fnet, &trace, &flows, &disks, op] {
       switch (op.kind) {
-        case Op::kStart:
-          flows.push_back(fnet.start_flow_weighted(
-              op.src, op.dst, op.bytes, op.weight,
-              [&trace, &eng](net::FlowId id) { trace.emplace_back('C', id, bits(eng.now())); },
-              [&trace, &eng](net::FlowId id) { trace.emplace_back('E', id, bits(eng.now())); }));
+        case Op::kStart: {
+          net::FlowNetwork::FlowSpec spec;
+          spec.src = op.src;
+          spec.dst = op.dst;
+          spec.bytes = op.bytes;
+          spec.weight = op.weight;
+          if (op.disks) spec.resources = disks;
+          spec.on_complete = [&trace, &eng](net::FlowId id) {
+            trace.emplace_back('C', id, bits(eng.now()));
+          };
+          spec.on_error = [&trace, &eng](net::FlowId id) {
+            trace.emplace_back('E', id, bits(eng.now()));
+          };
+          flows.push_back(fnet.start_flow_spec(std::move(spec)));
           break;
+        }
         case Op::kCancel:
           if (op.flow_idx < flows.size()) fnet.cancel(flows[op.flow_idx]);
           break;
         case Op::kLinkDown:
-          fnet.set_link_up(op.link, false);
+          fnet.set_resource_up(op.link, false);
           break;
         case Op::kLinkUp:
-          fnet.set_link_up(op.link, true);
+          fnet.set_resource_up(op.link, true);
           break;
         case Op::kCheckpoint:
           for (net::FlowId id : flows) trace.emplace_back('R', id, bits(fnet.flow_rate(id)));
-          for (net::LinkId l = 0; l < fnet.link_count(); ++l) {
-            trace.emplace_back('L', l, bits(fnet.link_load(l)));
+          for (net::ResourceId r = 0; r < fnet.total_resources(); ++r) {
+            trace.emplace_back('L', r, bits(fnet.resource_load(r)));
           }
+          trace.emplace_back('N', fnet.sharing_flows(), 0);
           break;
       }
     });
   }
   eng.run();
-  for (net::LinkId l = 0; l < fnet.link_count(); ++l) {
-    trace.emplace_back('Y', l, bits(fnet.resource_bytes(l)));
+  for (net::ResourceId r = 0; r < fnet.total_resources(); ++r) {
+    trace.emplace_back('Y', r, bits(fnet.resource_bytes(r)));
   }
   trace.emplace_back('B', 0, bits(fnet.total_bytes_delivered()));
   if (work) {
@@ -144,9 +169,10 @@ Trace run_script_on(net::RouteProvider& routing, const std::vector<Op>& ops, cor
 }
 
 Trace run_script(const net::Topology& topo, const std::vector<Op>& ops, core::QueueKind kind,
-                 bool incremental, core::FailureSemantics sem, bool work = false) {
+                 bool incremental, core::FailureSemantics sem, bool work = false,
+                 const Extras& extras = {}) {
   net::Routing routing(topo);
-  return run_script_on(routing, ops, kind, incremental, sem, work);
+  return run_script_on(routing, ops, kind, incremental, sem, work, extras);
 }
 
 }  // namespace
@@ -534,9 +560,10 @@ struct SharedRoute {
 // Seeded churn on one shared route: starts with weights in [0.5, 4] and
 // random sizes, bursts of identical flows that complete at one instant,
 // cancels from the middle of the id order, short cross flows, and outages
-// of the shared link.
+// of the shared link. With `disks`, every flow of the shared route also
+// crosses every registered resource (Extras::disks); cross flows never do.
 std::vector<Op> make_shared_route_script(const SharedRoute& route, std::uint64_t seed,
-                                         std::size_t n_ops) {
+                                         std::size_t n_ops, bool disks = false) {
   core::RngStream rng(seed);
   std::vector<Op> ops;
   double t = 0;
@@ -555,16 +582,20 @@ std::vector<Op> make_shared_route_script(const SharedRoute& route, std::uint64_t
     op.weight = weight;
     ++started;
   };
+  const auto start_shared = [&](double bytes, double weight) {
+    start(route.src, route.dst, bytes, weight);
+    ops.back().disks = disks;
+  };
   for (std::size_t i = 0; i < n_ops; ++i) {
     t += rng.exponential(0.15);
     const double r = rng.uniform();
     if (r < 0.45 || started < 4) {
-      start(route.src, route.dst, rng.uniform(1e5, 5e7), rng.uniform(0.5, 4.0));
+      start_shared(rng.uniform(1e5, 5e7), rng.uniform(0.5, 4.0));
     } else if (r < 0.55) {
       // Same size, weight and start instant: the completions tie.
       const double bytes = rng.uniform(1e6, 2e7);
       const double weight = rng.uniform(0.5, 4.0);
-      for (int k = 0; k < 3; ++k) start(route.src, route.dst, bytes, weight);
+      for (int k = 0; k < 3; ++k) start_shared(bytes, weight);
     } else if (r < 0.72) {
       push(Op::kCancel).flow_idx = static_cast<std::size_t>(rng.uniform_int(
           static_cast<std::int64_t>(started / 4), static_cast<std::int64_t>(3 * started / 4)));
@@ -619,6 +650,124 @@ TEST(FlowSharedSet, OnePassMatchesReferenceSolver) {
       }
     }
   }
+}
+
+namespace {
+
+// Runs `ops` under both solvers and asserts bit-identical traces, work
+// counters included; returns the reference trace.
+Trace expect_solvers_agree(const net::Topology& topo, const std::vector<Op>& ops,
+                           core::QueueKind kind, core::FailureSemantics sem, const Extras& extras,
+                           const std::string& what) {
+  const Trace full = run_script(topo, ops, kind, false, sem, true, extras);
+  const Trace inc = run_script(topo, ops, kind, true, sem, true, extras);
+  EXPECT_EQ(full, inc) << what << " queue " << core::to_string(kind);
+  return full;
+}
+
+std::size_t count_of(const Trace& trace, char what) {
+  return static_cast<std::size_t>(std::count_if(
+      trace.begin(), trace.end(), [what](const auto& e) { return std::get<0>(e) == what; }));
+}
+
+}  // namespace
+
+// On a quantized clock every completion instant is rounded up to the
+// quantum, so completions tie with each other and with script events at
+// almost every step; the one pass must still reserve the reference
+// solver's keys in its order.
+TEST(FlowSharedSet, OnePassMatchesReferenceOnQuantizedClock) {
+  const net::Topology topo = chain();
+  const SharedRoute route{"two links", 0, 2, 1, 3, 1};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const auto ops = make_shared_route_script(route, seed * 57, 160);
+    const auto sem = seed % 2 == 0 ? core::FailureSemantics::kFailStop
+                                   : core::FailureSemantics::kFailResume;
+    for (core::QueueKind kind : core::kAllQueueKinds) {
+      const Trace full = expect_solvers_agree(topo, ops, kind, sem, Extras{0.25, {}},
+                                              "seed " + std::to_string(seed));
+      ASSERT_GE(count_of(full, 'C'), 20u);
+    }
+  }
+}
+
+// A set of route links plus registered disk heads (a read head and a write
+// head joined to every flow of the shared route), with outages of a disk
+// head under both semantics and cross flows that share a link only.
+TEST(FlowSharedSet, OnePassMatchesReferenceOverLinksAndDiskHeads) {
+  const net::Topology topo = chain();  // links 0-2; the disk heads are 3 and 4
+  const SharedRoute routes[] = {
+      {"one link + disks", 0, 1, 0, 2, 3},   // set {0, 3, 4}; read-head outages
+      {"two links + disks", 0, 2, 1, 3, 4},  // set {0, 1, 3, 4}; write-head outages
+  };
+  const Extras extras{0, {8e7, 9e7}};
+  for (const SharedRoute& route : routes) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const auto ops = make_shared_route_script(route, seed * 43 + route.outage, 160, true);
+      const auto sem = seed % 2 == 0 ? core::FailureSemantics::kFailStop
+                                     : core::FailureSemantics::kFailResume;
+      for (core::QueueKind kind : core::kAllQueueKinds) {
+        const Trace full = expect_solvers_agree(
+            topo, ops, kind, sem, extras, std::string(route.name) + " seed " + std::to_string(seed));
+        ASSERT_GE(count_of(full, 'C'), 20u);
+      }
+    }
+  }
+}
+
+// More than a thousand members at once on one set of two links and two
+// disk heads, with weights in [0.5, 4], cancellations from anywhere in the
+// id order and a fail-resume outage of a disk head in the set.
+TEST(FlowSharedSet, OnePassMatchesReferenceAtThousandsOfMembers) {
+  const net::Topology topo = chain();
+  core::RngStream rng(1000);
+  std::vector<Op> ops;
+  double t = 0;
+  std::size_t started = 0;
+  for (std::size_t i = 0; i < 1600; ++i) {
+    t += rng.exponential(0.001);
+    Op& op = ops.emplace_back();
+    op.t = t;
+    const double r = rng.uniform();
+    if (r < 0.8 || started < 8) {
+      op.kind = Op::kStart;
+      op.src = 0;
+      op.dst = 2;
+      op.bytes = rng.uniform(1e6, 4e7);
+      op.weight = rng.uniform(0.5, 4.0);
+      op.disks = true;
+      ++started;
+    } else if (r < 0.95) {
+      op.kind = Op::kCancel;
+      op.flow_idx = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(started) - 1));
+    } else {
+      op.kind = Op::kCheckpoint;
+    }
+  }
+  const net::ResourceId write_head = 4;
+  for (const double at : {t * 0.5, t + 0.5}) {
+    Op& down = ops.emplace_back();
+    down.kind = Op::kLinkDown;
+    down.t = at;
+    down.link = write_head;
+    Op& up = ops.emplace_back();
+    up.kind = Op::kLinkUp;
+    up.t = at + 0.3;
+    up.link = write_head;
+    Op& check = ops.emplace_back();
+    check.kind = Op::kCheckpoint;
+    check.t = at + 0.2;
+  }
+  const Extras extras{0, {8e7, 9e7}};
+  const Trace full = expect_solvers_agree(topo, ops, core::QueueKind::kBinaryHeap,
+                                          core::FailureSemantics::kFailResume, extras, "1k");
+  std::size_t peak = 0;
+  for (const auto& [what, n, unused] : full) {
+    if (what == 'N') peak = std::max<std::size_t>(peak, n);
+  }
+  EXPECT_GE(peak, 1000u);
+  EXPECT_GE(count_of(full, 'C'), 1000u);
 }
 
 // The earliest completion key of a component is the smallest (time, event
