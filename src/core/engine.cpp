@@ -36,21 +36,10 @@ Engine::~Engine() {
   }
 }
 
-SimTime Engine::quantize(SimTime t) const {
-  if (quantum_ <= 0) return t;
-  return std::ceil(t / quantum_) * quantum_;
-}
+SimTime Engine::round_up(SimTime t, double quantum) { return std::ceil(t / quantum) * quantum; }
 
 EventHandle Engine::schedule_at(SimTime t, EventFn fn) {
   return schedule_reserved(reserve_at(t), std::move(fn));
-}
-
-EventHandle Engine::reserve_at(SimTime t) {
-  if (t < now_) {
-    ++stats_.past_clamped;
-    t = now_;
-  }
-  return EventHandle{next_seq_++, quantize(t)};
 }
 
 EventHandle Engine::schedule_reserved(const EventHandle& key, EventFn fn) {

@@ -11,6 +11,7 @@
 // trace-driven input by core/trace.hpp.
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -94,7 +95,35 @@ class Engine {
   /// under it; an unqueued reservation is simply dropped. A reserved event
   /// runs at the same position among all other events as schedule_at()
   /// called at reservation time would have put it.
-  EventHandle reserve_at(SimTime t);
+  EventHandle reserve_at(SimTime t) {
+    if (t < now_) {
+      ++stats_.past_clamped;
+      t = now_;
+    }
+    return EventHandle{next_seq_++, quantize(t, quantum_)};
+  }
+  /// A run of reservations made in one pass by a model that re-keys many
+  /// events at once: take() hands out the sequence numbers consecutive
+  /// reserve_at() calls would, from a local counter, so the pass neither
+  /// calls out nor reloads the engine's counter per key. The model computes
+  /// each key's time itself, >= now() and passed through quantize(). Between
+  /// open_key_run() and close_key_run() it may cancel() but must not reserve
+  /// or schedule on this engine otherwise.
+  struct KeyRun {
+    EventId next;
+    EventId take() { return next++; }
+  };
+  KeyRun open_key_run() const { return KeyRun{next_seq_}; }
+  void close_key_run(const KeyRun& run) {
+    assert(run.next >= next_seq_);
+    next_seq_ = run.next;
+  }
+  /// `t` rounded up to a multiple of `quantum` (unchanged when quantum <= 0):
+  /// the rule every scheduled time passes through.
+  static SimTime quantize(SimTime t, double quantum) {
+    if (quantum <= 0) [[likely]] return t;
+    return round_up(t, quantum);
+  }
   /// Queue `fn` under a key from reserve_at() (at most once per key, while
   /// key.time >= now()). The event carries the entity tag current at this
   /// call. Returns the now-cancellable handle.
@@ -251,7 +280,7 @@ class Engine {
   static constexpr std::uint32_t kPageBits = 10;
   static constexpr std::uint32_t kPageMask = (1u << kPageBits) - 1;
 
-  SimTime quantize(SimTime t) const;
+  static SimTime round_up(SimTime t, double quantum);
   Slot& slot(std::uint32_t i) { return pages_[i >> kPageBits][i & kPageMask]; }
   /// The slot's stamp is the whole check: it matches only while the event
   /// is queued. It is 0 (or another event's seq) once the event runs, is

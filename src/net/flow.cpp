@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/span.hpp"
 
@@ -19,9 +20,6 @@ constexpr double kByteEpsilon = 1e-6;
 // subtractions, not a real unfixed flow.
 constexpr double kWeightEpsilon = 1e-9;
 
-bool earlier(const core::EventHandle& a, const core::EventHandle& b) {
-  return a.time < b.time || (a.time == b.time && a.id < b.id);
-}
 }  // namespace
 
 FlowNetwork::FlowNetwork(core::Engine& engine, RouteProvider& routing, Config cfg)
@@ -33,6 +31,7 @@ FlowNetwork::FlowNetwork(core::Engine& engine, RouteProvider& routing, Config cf
       res_bytes_(routing.link_count(), 0.0),
       res_up_(routing.link_count(), 1),
       dsu_parent_(routing.link_count()),
+      comp_members_(routing.link_count()),
       solve_cap_(routing.link_count(), 0.0),
       solve_wsum_(routing.link_count(), 0.0),
       res_mark_(routing.link_count(), 0),
@@ -56,6 +55,7 @@ ResourceId FlowNetwork::add_resource(double capacity, std::string name) {
   res_bytes_.push_back(0.0);
   res_up_.push_back(1);
   dsu_parent_.push_back(id);
+  comp_members_.emplace_back();
   solve_cap_.push_back(0.0);
   solve_wsum_.push_back(0.0);
   res_mark_.push_back(0);
@@ -105,9 +105,7 @@ void FlowNetwork::set_resource_up(ResourceId id, bool up) {
     }
     for (FlowId fid : doomed) {
       auto it = flows_.find(fid);
-      settle(it->second, it->second.rate);
-      publish_span(it->second, "aborted");
-      detach_sharing(it->second);
+      depart(it->second, member_of(it->second), "aborted");
       aborted.emplace_back(fid, std::move(it->second.on_error));
       flows_.erase(it);
       ++flows_aborted_;
@@ -174,7 +172,6 @@ FlowId FlowNetwork::start_flow_spec(FlowSpec spec) {
   Flow flow;
   flow.id = id;
   flow.resources = std::move(resources);
-  flow.remaining = spec.bytes;
   flow.weight = spec.weight;
   flow.on_complete = std::move(spec.on_complete);
   flow.on_error = std::move(spec.on_error);
@@ -207,7 +204,7 @@ FlowId FlowNetwork::start_flow_spec(FlowSpec spec) {
       auto fit = flows_.find(id);
       if (fit == flows_.end()) return;  // cancelled
       bytes_delivered_ += bytes;
-      finish_flow(id);
+      finish_flow(fit, nullptr);
     });
     return id;
   }
@@ -220,24 +217,28 @@ void FlowNetwork::activate(FlowId id) {
   if (it == flows_.end()) return;  // cancelled during the latency phase
   Flow& flow = it->second;
   flow.sharing = true;
-  flow.anchor_t = engine_.now();
   ++sharing_count_;
+  Member m;
+  m.id = id;
+  m.weight = flow.weight;
+  m.remaining = flow.bytes;
+  m.anchor_t = engine_.now();
+  m.res = flow.resources.data();
+  m.n_res = static_cast<std::uint32_t>(flow.resources.size());
+  m.first = flow.resources.front();
   if (cfg_.incremental) {
-    const ResourceId anchor = flow.resources.front();
-    for (ResourceId r : flow.resources) dsu_unite(anchor, r);
-    add_member(flow);
-    dirty_res_.push_back(anchor);
+    for (ResourceId r : flow.resources) dsu_unite(m.first, r);
+    dirty_res_.push_back(m.first);
   }
+  comp_members_[component_of(m.first)].insert(m);
   resolve_and_reschedule();
 }
 
 bool FlowNetwork::cancel(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return false;
-  settle(it->second, it->second.rate);
-  publish_span(it->second, "cancelled");
   const bool was_sharing = it->second.sharing;
-  detach_sharing(it->second);
+  depart(it->second, member_of(it->second), "cancelled");
   flows_.erase(it);
   // A latency-phase flow never held capacity: nothing to re-solve.
   if (was_sharing) resolve_and_reschedule();
@@ -246,22 +247,46 @@ bool FlowNetwork::cancel(FlowId id) {
 
 double FlowNetwork::flow_rate(FlowId id) const {
   auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  if (it == flows_.end()) return 0.0;
+  const Member* m = member_of(it->second);
+  return m == nullptr ? 0.0 : m->rate;
 }
 
 void FlowNetwork::track_link(ResourceId id) { tracked_.emplace(id, stats::TimeSeries{}); }
 
 const stats::TimeSeries& FlowNetwork::link_series(ResourceId id) const { return tracked_.at(id); }
 
-void FlowNetwork::settle(Flow& flow, double old_rate, const std::vector<ResourceId>& resources) {
+FlowNetwork::Member* FlowNetwork::member_of(const Flow& flow) {
+  return const_cast<Member*>(std::as_const(*this).member_of(flow));
+}
+
+const FlowNetwork::Member* FlowNetwork::member_of(const Flow& flow) const {
+  if (!flow.sharing) return nullptr;
+  const MemberList& list = comp_members_[component_of(flow.resources.front())];
+  const auto it = std::lower_bound(list.begin(), list.end(), flow.id,
+                                   [](const Member& m, FlowId id) { return m.id < id; });
+  assert(it != list.end() && it->id == flow.id);
+  return &*it;
+}
+
+void FlowNetwork::all_members(std::vector<Member*>& out) {
+  out.clear();
+  out.reserve(sharing_count_);
+  for (MemberList& list : comp_members_) {
+    for (Member& m : list) out.push_back(&m);
+  }
+  std::sort(out.begin(), out.end(), [](const Member* a, const Member* b) { return a->id < b->id; });
+}
+
+void FlowNetwork::settle(Member& m, double old_rate) {
   const double now = engine_.now();
-  const double dt = now - flow.anchor_t;
-  flow.anchor_t = now;
-  if (dt <= 0 || !flow.sharing || old_rate <= 0) return;
-  const double moved = std::min(old_rate * dt, flow.remaining);
-  flow.remaining -= moved;
+  const double dt = now - m.anchor_t;
+  m.anchor_t = now;
+  if (dt <= 0 || old_rate <= 0) return;
+  const double moved = std::min(old_rate * dt, m.remaining);
+  m.remaining -= moved;
   bytes_delivered_ += moved;
-  for (ResourceId r : resources) res_bytes_[r] += moved;
+  for (ResourceId r : m.set()) res_bytes_[r] += moved;
 }
 
 double FlowNetwork::total_bytes_delivered() const {
@@ -271,8 +296,9 @@ double FlowNetwork::total_bytes_delivered() const {
   double total = bytes_delivered_;
   const double now = engine_.now();
   for (const auto& [id, flow] : flows_) {
-    if (!flow.sharing || flow.rate <= 0) continue;
-    total += std::min(flow.rate * (now - flow.anchor_t), flow.remaining);
+    const Member* m = member_of(flow);
+    if (m == nullptr || m->rate <= 0) continue;
+    total += std::min(m->rate * (now - m->anchor_t), m->remaining);
   }
   return total;
 }
@@ -281,34 +307,49 @@ double FlowNetwork::resource_bytes(ResourceId id) const {
   double total = res_bytes_[id];
   const double now = engine_.now();
   for (const auto& [fid, flow] : flows_) {
-    if (!flow.sharing || flow.rate <= 0) continue;
     if (std::find(flow.resources.begin(), flow.resources.end(), id) == flow.resources.end()) {
       continue;
     }
-    total += std::min(flow.rate * (now - flow.anchor_t), flow.remaining);
+    const Member* m = member_of(flow);
+    if (m == nullptr || m->rate <= 0) continue;
+    total += std::min(m->rate * (now - m->anchor_t), m->remaining);
   }
   return total;
 }
 
-void FlowNetwork::detach_sharing(Flow& flow) {
-  if (!flow.sharing) return;
+void FlowNetwork::queue_completion(Member& m) {
+  m.slot = engine_
+               .schedule_reserved(core::EventHandle{m.due_id, m.due_t},
+                                  [this, id = m.id] { on_completion_event(id); })
+               .slot;
+}
+
+void FlowNetwork::drop_completion(Member& m) {
+  if (m.slot == core::kNoSlot) return;
+  engine_.cancel(core::EventHandle{m.due_id, m.due_t, m.slot});
+  m.slot = core::kNoSlot;
+}
+
+void FlowNetwork::depart(Flow& flow, Member* m, const char* status) {
+  if (m != nullptr) settle(*m, m->rate);
+  publish_span(flow, status);
+  if (m != nullptr) detach_sharing(flow, *m);
+}
+
+void FlowNetwork::detach_sharing(Flow& flow, Member& m) {
   flow.sharing = false;
   --sharing_count_;
-  if (flow.completion.valid()) {
-    engine_.cancel(flow.completion);
-    flow.completion = {};
-  }
-  flow.due = {};
+  drop_completion(m);
+  list_of(flow).erase(&m);
   if (cfg_.incremental) {
     // The departing flow's resources must be re-solved (and zeroed when it
     // was their last user).
-    remove_member(flow);
     ++departed_;
     for (ResourceId r : flow.resources) dirty_res_.push_back(r);
   }
 }
 
-ResourceId FlowNetwork::dsu_find(ResourceId r) {
+ResourceId FlowNetwork::dsu_find(ResourceId r) const {
   while (dsu_parent_[r] != r) {
     dsu_parent_[r] = dsu_parent_[dsu_parent_[r]];  // path halving
     r = dsu_parent_[r];
@@ -320,56 +361,61 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
   const ResourceId ra = dsu_find(a);
   const ResourceId rb = dsu_find(b);
   if (ra == rb) return;
-  const auto list_size = [this](ResourceId r) {
-    auto it = comp_members_.find(r);
-    return it == comp_members_.end() ? std::size_t{0} : it->second.size();
-  };
   // Small-to-large: the shorter member list is appended to the longer, so a
   // flow id moves lists O(log n) times. Ties go to the smaller root id —
   // fully determined by ids and sizes, never by hash layout.
   ResourceId win = ra;
   ResourceId lose = rb;
-  const std::size_t sa = list_size(ra);
-  const std::size_t sb = list_size(rb);
+  const std::size_t sa = comp_members_[ra].size();
+  const std::size_t sb = comp_members_[rb].size();
   if (sb > sa || (sb == sa && rb < ra)) {
     win = rb;
     lose = ra;
   }
   dsu_parent_[lose] = win;
-  auto it = comp_members_.find(lose);
-  if (it == comp_members_.end()) return;
-  std::vector<Member> moved = std::move(it->second);
-  comp_members_.erase(it);
-  auto& dst = comp_members_[win];
-  if (dst.empty()) {
-    dst = std::move(moved);
+  comp_members_[win].merge(comp_members_[lose]);
+}
+
+void FlowNetwork::MemberList::insert(const Member& m) {
+  // Flows mostly activate in id order; one that outlived a longer latency
+  // phase than a later flow goes to its id position.
+  if (empty() || v_.back().id < m.id) {
+    v_.push_back(m);
+    return;
+  }
+  v_.insert(std::lower_bound(v_.begin() + static_cast<std::ptrdiff_t>(head_), v_.end(), m.id,
+                             [](const Member& x, FlowId id) { return x.id < id; }),
+            m);
+}
+
+void FlowNetwork::MemberList::erase(Member* m) {
+  const auto pos = v_.begin() + (m - v_.data());
+  const auto head = v_.begin() + static_cast<std::ptrdiff_t>(head_);
+  if (pos - head < v_.end() - pos - 1) {
+    std::move_backward(head, pos, pos + 1);
+    ++head_;
+  } else {
+    v_.erase(pos);
+  }
+  if (head_ > size()) {
+    v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void FlowNetwork::MemberList::merge(MemberList& other) {
+  if (other.empty()) return;
+  if (empty()) {
+    std::swap(*this, other);
     return;
   }
   // Both lists are in id order; so is their merge.
-  const auto mid = dst.insert(dst.end(), moved.begin(), moved.end());
-  std::inplace_merge(dst.begin(), mid, dst.end());
-}
-
-void FlowNetwork::add_member(Flow& flow) {
-  auto& list = comp_members_[dsu_find(flow.resources.front())];
-  const Member m{flow.id, &flow, flow.weight, flow.resources.front(),
-                 static_cast<std::uint32_t>(flow.resources.size())};
-  // Flows mostly activate in id order; one that outlived a longer latency
-  // phase than a later flow goes to its id position.
-  if (list.empty() || list.back().id < flow.id) {
-    list.push_back(m);
-  } else {
-    list.insert(std::lower_bound(list.begin(), list.end(), m), m);
-  }
-}
-
-void FlowNetwork::remove_member(Flow& flow) {
-  const auto it = comp_members_.find(dsu_find(flow.resources.front()));
-  assert(it != comp_members_.end());
-  auto& list = it->second;
-  const auto pos = std::lower_bound(list.begin(), list.end(), Member{flow.id, &flow, 0, 0, 0});
-  assert(pos != list.end() && pos->flow == &flow);
-  list.erase(pos);  // an emptied list keeps its capacity for the next flow
+  v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  const auto mid = v_.insert(v_.end(), other.begin(), other.end());
+  std::inplace_merge(v_.begin(), mid, v_.end(),
+                     [](const Member& x, const Member& y) { return x.id < y.id; });
+  other = {};
 }
 
 bool FlowNetwork::maybe_rebuild_components() {
@@ -378,14 +424,18 @@ bool FlowNetwork::maybe_rebuild_components() {
   // departures since the last rebuild outnumber the live flows: O(1)
   // amortized per departure.
   if (departed_ < 64 || departed_ < sharing_count_) return false;
+  scratch_rebuild_.clear();
+  for (MemberList& list : comp_members_) {
+    scratch_rebuild_.insert(scratch_rebuild_.end(), list.begin(), list.end());
+    list = {};
+  }
+  std::sort(scratch_rebuild_.begin(), scratch_rebuild_.end(),
+            [](const Member& x, const Member& y) { return x.id < y.id; });
   std::iota(dsu_parent_.begin(), dsu_parent_.end(), ResourceId{0});
-  comp_members_.clear();
   departed_ = 0;
-  for (auto& [id, flow] : flows_) {
-    if (!flow.sharing) continue;
-    const ResourceId anchor = flow.resources.front();
-    for (ResourceId r : flow.resources) dsu_unite(anchor, r);
-    add_member(flow);
+  for (const Member& m : scratch_rebuild_) {
+    for (ResourceId r : m.set()) dsu_unite(m.first, r);
+    comp_members_[dsu_find(m.first)].insert(m);
   }
   return true;
 }
@@ -397,10 +447,10 @@ void FlowNetwork::collect_dirty() {
     // Full reference solver: every sharing flow, every resource, every time.
     std::fill(res_rate_.begin(), res_rate_.end(), 0.0);
     ++mark_epoch_;
-    for (auto& [id, flow] : flows_) {
-      if (!flow.sharing) continue;
-      scratch_members_.push_back(&flow);
-      for (ResourceId r : flow.resources) {
+    if (sharing_count_ == 0) return;
+    for (Member& m : comp_members_[0]) {
+      scratch_members_.push_back(&m);
+      for (ResourceId r : m.set()) {
         if (res_mark_[r] != mark_epoch_) {
           res_mark_[r] = mark_epoch_;
           scratch_res_.push_back(r);
@@ -410,29 +460,30 @@ void FlowNetwork::collect_dirty() {
     std::sort(scratch_res_.begin(), scratch_res_.end());
     return;
   }
-  // Dirty component roots -> their member flows. Each list is in id order;
+  // Dirty component roots -> their members. Each list is in id order;
   // several are merged by a sort, so the solve walks flows in ascending id
   // order, exactly like the full solver restricted to these components.
   ++mark_epoch_;
-  scratch_sorted_.clear();
   std::size_t lists = 0;
   for (ResourceId r : dirty_res_) {
     const ResourceId root = dsu_find(r);
     if (res_mark_[root] == mark_epoch_) continue;
     res_mark_[root] = mark_epoch_;
-    auto it = comp_members_.find(root);
-    if (it == comp_members_.end() || it->second.empty()) continue;
-    scratch_sorted_.insert(scratch_sorted_.end(), it->second.begin(), it->second.end());
+    MemberList& list = comp_members_[root];
+    if (list.empty()) continue;
+    for (Member& m : list) scratch_members_.push_back(&m);
     ++lists;
   }
-  if (lists > 1) std::sort(scratch_sorted_.begin(), scratch_sorted_.end());
-  for (const Member& m : scratch_sorted_) scratch_members_.push_back(m.flow);
+  if (lists > 1) {
+    std::sort(scratch_members_.begin(), scratch_members_.end(),
+              [](const Member* a, const Member* b) { return a->id < b->id; });
+  }
   // Resources to re-solve: every member's constraint set plus the explicitly
   // dirtied ones (a departed flow's resources must be zeroed even when no
   // member remains on them).
   ++mark_epoch_;
-  for (const Flow* f : scratch_members_) {
-    for (ResourceId r : f->resources) {
+  for (const Member* m : scratch_members_) {
+    for (ResourceId r : m->set()) {
       if (res_mark_[r] != mark_epoch_) {
         res_mark_[r] = mark_epoch_;
         scratch_res_.push_back(r);
@@ -452,15 +503,15 @@ bool FlowNetwork::rerate_single_set() {
   if (!cfg_.incremental) return false;  // the reference solver never takes this pass
   // Exactly one dirty component may hold members; any other dirty root is
   // empty and only needs its resource rates zeroed.
-  std::vector<Member>* list = nullptr;
+  MemberList* list = nullptr;
   ResourceId root = kInvalidResource;
   for (ResourceId r : dirty_res_) {
     const ResourceId c = dsu_find(r);
     if (c == root) continue;
-    const auto it = comp_members_.find(c);
-    if (it == comp_members_.end() || it->second.empty()) continue;
+    MemberList& members = comp_members_[c];
+    if (members.empty()) continue;
     if (list != nullptr) return false;
-    list = &it->second;
+    list = &members;
     root = c;
   }
   if (list == nullptr) return false;
@@ -469,17 +520,17 @@ bool FlowNetwork::rerate_single_set() {
   // bottleneck fixes every member, and the general solver's later rounds
   // and its bottleneck search do no work that reaches a result.
   const Member& head = list->front();
-  const std::vector<ResourceId>& set = head.flow->resources;
+  const std::span<const ResourceId> set = head.set();
   for (auto r = set.begin() + 1; r < set.end(); ++r) {
     if (std::find(set.begin(), r, *r) != r) return false;
   }
   // The weight sum in id order, as solve_members accumulates it per
   // resource. A one-resource set is checked from the list alone; a longer
-  // one needs the flow's own list.
+  // one needs each flow's own set.
   double wsum = 0.0;
   for (const Member& m : *list) {
     if (m.first != head.first || m.n_res != head.n_res) return false;
-    if (m.n_res > 1 && m.flow->resources != set) return false;
+    if (m.n_res > 1 && !std::equal(set.begin(), set.end(), m.res)) return false;
     wsum += m.weight;
   }
   if (wsum <= kWeightEpsilon) return false;
@@ -491,37 +542,94 @@ bool FlowNetwork::rerate_single_set() {
     const double fair = (res_up_[r] ? resource_capacity(r) : 0.0) / wsum;
     if (fair < best) best = fair;
   }
-
-  // One pass in id order does solve_members' rate assignment and res_rate_
-  // sums, the re-key loop, and arm_completions' earliest-key choice, with
-  // the same operations in the same order as the general path.
   ++solves_;
   flows_rerated_ += list->size();
+  // The pass buffers the completions it supersedes, at most one per member.
+  if (scratch_stale_.size() < list->size()) scratch_stale_.resize(list->size());
+  const bool quantized = engine_.time_quantum() > 0;
+  if (set.size() == 1) {
+    quantized ? one_set_pass<true, true>(*list, best) : one_set_pass<false, true>(*list, best);
+  } else {
+    quantized ? one_set_pass<true, false>(*list, best) : one_set_pass<false, false>(*list, best);
+  }
+  return true;
+}
+
+template <bool kQuantized, bool kOneResource>
+void FlowNetwork::one_set_pass(MemberList& list, double best) {
+  // One pass in id order does solve_members' rate assignment and res_rate_
+  // sums, settle() and the re-key loop, and arm_completions' earliest-key
+  // choice, with the same operations in the same order as the general path.
+  // The loop makes no call: the byte counters, the load and the sequence
+  // counter live in locals until it ends (a register for a one-resource
+  // set), the earliest key is tracked by value, and the queued completions
+  // it supersedes (one, unless components merged) are cancelled after it,
+  // in member order.
+  const std::span<const ResourceId> set = list.front().set();
+  double carried_one = res_bytes_[set[0]];  // kOneResource
+  if constexpr (!kOneResource) {
+    scratch_carried_.clear();
+    for (ResourceId r : set) scratch_carried_.push_back(res_bytes_[r]);
+  }
+  double* const carried = scratch_carried_.data();  // otherwise, in set order
   const double now = engine_.now();
+  const double quantum = engine_.time_quantum();
+  core::Engine::KeyRun keys = engine_.open_key_run();
   double load = 0.0;
-  Flow* first = nullptr;
-  for (const Member& m : *list) {
-    Flow& f = *m.flow;
-    const double old_rate = f.rate;
-    f.rate = best * f.weight;
-    load += f.rate;
-    if (f.rate != old_rate) {
-      settle(f, old_rate, set);
-      if (f.completion.valid()) {
-        engine_.cancel(f.completion);
-        f.completion = {};
+  double delivered = bytes_delivered_;
+  Member* first = nullptr;
+  double first_t = std::numeric_limits<double>::infinity();
+  core::EventId first_id = std::numeric_limits<core::EventId>::max();
+  core::EventHandle* stale = scratch_stale_.data();
+  std::size_t n_stale = 0;
+  for (Member& m : list) {
+    const double old_rate = m.rate;
+    m.rate = best * m.weight;
+    load += m.rate;
+    if (m.rate != old_rate) {
+      const double dt = now - m.anchor_t;
+      m.anchor_t = now;
+      if (dt > 0 && old_rate > 0) {
+        const double moved = std::min(old_rate * dt, m.remaining);
+        m.remaining -= moved;
+        delivered += moved;
+        if constexpr (kOneResource) {
+          carried_one += moved;
+        } else {
+          for (std::size_t k = 0; k < set.size(); ++k) carried[k] += moved;
+        }
       }
-      f.due = f.rate > 0 ? engine_.reserve_at(now + f.remaining / f.rate) : core::EventHandle{};
+      if (m.slot != core::kNoSlot) [[unlikely]] {
+        stale[n_stale++] = core::EventHandle{m.due_id, m.due_t, m.slot};
+        m.slot = core::kNoSlot;
+      }
+      if (m.rate > 0) {
+        // remaining >= 0 and rate > 0: the time is >= now, as reserve_at
+        // would leave it before quantizing.
+        m.due_t = now + m.remaining / m.rate;
+        if constexpr (kQuantized) m.due_t = core::Engine::quantize(m.due_t, quantum);
+        m.due_id = keys.take();
+      } else {
+        m.due_id = 0;
+      }
     }
-    if (f.due.valid() && (first == nullptr || earlier(f.due, first->due))) first = &f;
+    if (m.due_id != 0 && (m.due_t < first_t || (m.due_t == first_t && m.due_id < first_id))) {
+      first = &m;
+      first_t = m.due_t;
+      first_id = m.due_id;
+    }
+  }
+  engine_.close_key_run(keys);
+  for (std::size_t k = 0; k < n_stale; ++k) engine_.cancel(stale[k]);
+  bytes_delivered_ = delivered;
+  if constexpr (kOneResource) {
+    res_bytes_[set[0]] = carried_one;
+  } else {
+    for (std::size_t k = 0; k < set.size(); ++k) res_bytes_[set[k]] = carried[k];
   }
   for (ResourceId r : dirty_res_) res_rate_[r] = 0.0;
   for (ResourceId r : set) res_rate_[r] = load;
-  if (first != nullptr && !first->completion.valid()) {
-    first->completion =
-        engine_.schedule_reserved(first->due, [this, id = first->id] { on_completion_event(id); });
-  }
-  return true;
+  if (first != nullptr && first->slot == core::kNoSlot) queue_completion(*first);
 }
 
 void FlowNetwork::solve_members() {
@@ -536,10 +644,10 @@ void FlowNetwork::solve_members() {
   // *weight*, and a flow fixed at a bottleneck receives weight * that unit
   // rate.
   scratch_old_rate_.clear();
-  for (Flow* f : scratch_members_) {
-    scratch_old_rate_.push_back(f->rate);
-    f->rate = 0;
-    for (ResourceId r : f->resources) solve_wsum_[r] += f->weight;
+  for (Member* m : scratch_members_) {
+    scratch_old_rate_.push_back(m->rate);
+    m->rate = 0;
+    for (ResourceId r : m->set()) solve_wsum_[r] += m->weight;
   }
   scratch_fixed_.assign(scratch_members_.size(), 0);
   std::size_t n_left = scratch_members_.size();
@@ -563,17 +671,16 @@ void FlowNetwork::solve_members() {
     bool progressed = false;
     for (std::size_t i = 0; i < scratch_members_.size(); ++i) {
       if (scratch_fixed_[i]) continue;
-      Flow* f = scratch_members_[i];
-      const bool on_bottleneck =
-          std::find(f->resources.begin(), f->resources.end(), best_res) != f->resources.end();
-      if (!on_bottleneck) continue;
-      f->rate = best * f->weight;
+      Member* m = scratch_members_[i];
+      const std::span<const ResourceId> set = m->set();
+      if (std::find(set.begin(), set.end(), best_res) == set.end()) continue;
+      m->rate = best * m->weight;
       scratch_fixed_[i] = 1;
       progressed = true;
       --n_left;
-      for (ResourceId r : f->resources) {
-        solve_cap_[r] = std::max(0.0, solve_cap_[r] - f->rate);
-        solve_wsum_[r] = std::max(0.0, solve_wsum_[r] - f->weight);
+      for (ResourceId r : set) {
+        solve_cap_[r] = std::max(0.0, solve_cap_[r] - m->rate);
+        solve_wsum_[r] = std::max(0.0, solve_wsum_[r] - m->weight);
       }
     }
     if (!progressed) {
@@ -584,8 +691,8 @@ void FlowNetwork::solve_members() {
     }
   }
 
-  for (const Flow* f : scratch_members_) {
-    for (ResourceId r : f->resources) res_rate_[r] += f->rate;
+  for (const Member* m : scratch_members_) {
+    for (ResourceId r : m->set()) res_rate_[r] += m->rate;
   }
 }
 
@@ -609,74 +716,64 @@ void FlowNetwork::rerate_general(bool rebuilt) {
   // completion instant, so the reserved key stays valid. Members are in
   // ascending flow id order -> deterministic sequence numbers.
   for (std::size_t i = 0; i < scratch_members_.size(); ++i) {
-    Flow* f = scratch_members_[i];
-    if (f->rate == scratch_old_rate_[i]) continue;
-    settle(*f, scratch_old_rate_[i]);
-    if (f->completion.valid()) {
-      engine_.cancel(f->completion);  // O(1); the dead key is skipped at pop
-      f->completion = {};
+    Member& m = *scratch_members_[i];
+    if (m.rate == scratch_old_rate_[i]) continue;
+    settle(m, scratch_old_rate_[i]);
+    drop_completion(m);  // O(1); the dead key is skipped at pop
+    if (m.rate > 0) {
+      const core::EventHandle key = engine_.reserve_at(engine_.now() + m.remaining / m.rate);
+      m.due_t = key.time;
+      m.due_id = key.id;
+    } else {
+      m.due_id = 0;
     }
-    f->due = f->rate > 0 ? engine_.reserve_at(engine_.now() + f->remaining / f->rate)
-                         : core::EventHandle{};
   }
-  if (!rebuilt) {
-    arm_completions(scratch_members_);
-    return;
-  }
-  std::vector<Flow*> all;
-  all.reserve(sharing_count_);
-  for (auto& [id, flow] : flows_) {
-    if (flow.sharing) all.push_back(&flow);
-  }
-  arm_completions(all);
+  if (rebuilt) all_members(scratch_members_);
+  arm_completions(scratch_members_);
 }
 
-void FlowNetwork::arm_completions(const std::vector<Flow*>& flows) {
+void FlowNetwork::arm_completions(const std::vector<Member*>& members) {
   // Invariant: every component has its earliest reserved key queued. That
   // event is the first of the component's completions the engine reaches,
   // and it fires under exactly the key a per-flow event would have had.
   // Later keys stay reserved until a re-solve makes one the earliest.
   ++mark_epoch_;
   scratch_comps_.clear();
-  for (Flow* f : flows) {
-    if (!f->due.valid()) continue;
-    const ResourceId c = component_of(*f);
+  for (Member* m : members) {
+    if (m->due_id == 0) continue;
+    const ResourceId c = component_of(m->first);
     if (res_mark_[c] != mark_epoch_) {
       res_mark_[c] = mark_epoch_;
       scratch_comps_.push_back(c);
-      comp_first_[c] = f;
+      comp_first_[c] = m;
       continue;
     }
-    if (earlier(f->due, comp_first_[c]->due)) comp_first_[c] = f;
+    if (m->due_before(*comp_first_[c])) comp_first_[c] = m;
   }
   for (ResourceId c : scratch_comps_) {
-    Flow* f = comp_first_[c];
-    if (f->completion.valid()) continue;  // already queued
-    f->completion =
-        engine_.schedule_reserved(f->due, [this, id = f->id] { on_completion_event(id); });
+    Member* m = comp_first_[c];
+    if (m->slot == core::kNoSlot) queue_completion(*m);  // else already queued
   }
 }
 
 void FlowNetwork::on_completion_event(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;  // defensive: cancelled events never fire
-  it->second.completion = {};      // consumed by this firing
+  Member* m = member_of(it->second);
+  m->slot = core::kNoSlot;  // consumed by this firing
   // The event was scheduled at this flow's completion instant under its
   // current rate (any rate change would have rescheduled it), so the flow
   // is done — settling leaves at most float dust in `remaining`, and when
   // the residual transfer time is below the clock's ulp the residue could
   // never drain at all. Finish directly either way.
-  finish_flow(id);
+  finish_flow(it, m);
   resolve_and_reschedule();
 }
 
-void FlowNetwork::finish_flow(FlowId id) {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  settle(it->second, it->second.rate);
-  publish_span(it->second, "done");
+void FlowNetwork::finish_flow(std::map<FlowId, Flow>::iterator it, Member* m) {
+  const FlowId id = it->first;
+  depart(it->second, m, "done");
   CompletionFn cb = std::move(it->second.on_complete);
-  detach_sharing(it->second);
   flows_.erase(it);
   ++flows_completed_;
   if (cb) cb(id);

@@ -93,6 +93,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -288,31 +289,16 @@ class FlowNetwork {
   const stats::TimeSeries& link_series(ResourceId id) const;
 
  private:
+  /// A flow's cold state: what it was started with and who hears of its end.
+  /// While the flow shares capacity its solver state is a Member of its
+  /// component's member list, not a field here.
   struct Flow {
-    // Hot fields first: the re-rate pass reads and writes these for every
-    // member of a dirty component on every change.
     FlowId id = kInvalidFlow;
-    double rate = 0;
     double weight = 1.0;
-    /// Bytes left at `anchor_t`. The live value is the closed form
-    /// remaining - rate * (now - anchor_t): byte accounting is settled only
-    /// when the rate changes, never per event — so the arithmetic (and its
-    /// float rounding) depends only on the rate-change sequence, which the
-    /// incremental and full solvers produce identically.
-    double remaining = 0;
-    double anchor_t = 0;
-    /// Reserved completion key while sharing with rate > 0 (invalid
-    /// otherwise); re-reserved exactly when the rate changes.
-    core::EventHandle due{};
-    /// The queued completion event, when this flow holds one (then
-    /// completion.id == due.id). Each component queues at least its
-    /// earliest `due`; a superseded one is cancelled (O(1): its slot is
-    /// freed and its key skipped when it surfaces).
-    core::EventHandle completion{};
     bool sharing = false;  // false during the latency phase
     /// The flow's constraint set: route links in path order, then any extra
     /// capacity resources (endpoint disks). Uniform ids — the solver never
-    /// distinguishes.
+    /// distinguishes. Fixed for the flow's life.
     std::vector<ResourceId> resources;
     CompletionFn on_complete;
     ErrorFn on_error;
@@ -323,18 +309,78 @@ class FlowNetwork {
     double started = 0;
   };
 
+  /// A sharing flow's solver state, one entry of its component's member list
+  /// (ascending FlowId). The one-set pass reads and writes every field of
+  /// every member of a dirty component on every change, so the entries sit
+  /// contiguously in the order the solver walks them and the pass follows no
+  /// pointer to reach them.
+  struct Member {
+    FlowId id = kInvalidFlow;
+    double rate = 0;
+    double weight = 1.0;
+    /// Bytes left at `anchor_t`. The live value is the closed form
+    /// remaining - rate * (now - anchor_t): byte accounting is settled only
+    /// when the rate changes, never per event — so the arithmetic (and its
+    /// float rounding) depends only on the rate-change sequence, which the
+    /// incremental and full solvers produce identically.
+    double remaining = 0;
+    double anchor_t = 0;
+    /// Reserved completion key while the rate is > 0 (due_id 0 otherwise);
+    /// re-reserved exactly when the rate changes.
+    double due_t = 0;
+    core::EventId due_id = 0;
+    /// The flow's constraint set (Flow::resources, which never moves) and
+    /// its first entry, so the one-set check reads no other memory for a
+    /// one-resource set.
+    const ResourceId* res = nullptr;
+    std::uint32_t n_res = 0;
+    ResourceId first = kInvalidResource;
+    /// Engine slot of the completion event queued under the due key, or
+    /// core::kNoSlot. Each component queues at least its earliest key; a
+    /// superseded one is cancelled (O(1): its slot is freed and its key
+    /// skipped when it surfaces).
+    std::uint32_t slot = core::kNoSlot;
+
+    std::span<const ResourceId> set() const { return {res, n_res}; }
+    bool due_before(const Member& o) const {
+      return due_t < o.due_t || (due_t == o.due_t && due_id < o.due_id);
+    }
+  };
+
+  /// A component's members in ascending FlowId order. Erasing the lowest id
+  /// — on a saturated link of equal shares, the oldest flow is the one that
+  /// finishes — only advances the head; a departure elsewhere shifts the
+  /// shorter side. The dead prefix is dropped once it outgrows the live
+  /// part, which keeps both O(1) amortized per departure.
+  class MemberList {
+   public:
+    Member* begin() { return v_.data() + head_; }
+    Member* end() { return v_.data() + v_.size(); }
+    const Member* begin() const { return v_.data() + head_; }
+    const Member* end() const { return v_.data() + v_.size(); }
+    std::size_t size() const { return v_.size() - head_; }
+    bool empty() const { return head_ == v_.size(); }
+    Member& front() { return v_[head_]; }
+    /// Insert at the member's id position (an append in the common case).
+    void insert(const Member& m);
+    void erase(Member* m);
+    /// Move every member of `other` here, keeping the id order.
+    void merge(MemberList& other);
+
+   private:
+    std::vector<Member> v_;
+    std::size_t head_ = 0;  // v_[0, head_) is dead
+  };
+
   /// Publish a completed/aborted flow span to the observability bus.
   void publish_span(const Flow& flow, const char* status) const;
 
   void activate(FlowId id);
-  /// Settle a flow's transferred bytes from its anchor up to now at
+  /// Settle a member's transferred bytes from its anchor up to now at
   /// `old_rate`, crediting the global and per-resource byte counters, and
   /// re-anchor at now. Called exactly when a flow's rate changes or the
-  /// flow leaves — never on unrelated events. `resources` is the flow's
-  /// constraint set or an equal list (the one-pass re-rate passes the
-  /// component's shared set, which is already in cache).
-  void settle(Flow& flow, double old_rate, const std::vector<ResourceId>& resources);
-  void settle(Flow& flow, double old_rate) { settle(flow, old_rate, flow.resources); }
+  /// flow leaves — never on unrelated events.
+  void settle(Member& m, double old_rate);
   /// Re-solve max-min shares for the dirty flow set (everything when
   /// Config::incremental is off), re-reserve the completion key of every
   /// flow whose rate changed and re-arm the touched components: in one pass
@@ -348,48 +394,65 @@ class FlowNetwork {
   /// rates it determines.
   void collect_dirty();
   /// The one-pass re-rate of a dirty component whose members all cross the
-  /// same constraint set (see the member-list notes above comp_members_).
-  /// Does nothing and returns false when the case does not apply; the
-  /// general path then runs.
+  /// same constraint set (see "One pass" above). Does nothing and returns
+  /// false when the case does not apply; the general path then runs.
   bool rerate_single_set();
+  /// The pass itself over `list`, at `best` per unit of weight.
+  /// kQuantized: the engine rounds times up to its time quantum;
+  /// kOneResource: the set has one resource.
+  template <bool kQuantized, bool kOneResource>
+  void one_set_pass(MemberList& list, double best);
   /// Queue the earliest reserved completion key of every component among
-  /// `flows`, which must hold whole components.
-  void arm_completions(const std::vector<Flow*>& flows);
+  /// `members`, which must hold whole components.
+  void arm_completions(const std::vector<Member*>& members);
+  /// Queue `m`'s completion event under its reserved key.
+  void queue_completion(Member& m);
+  /// Cancel `m`'s queued completion event, if it holds one.
+  void drop_completion(Member& m);
   /// Component a sharing flow belongs to (the whole network is one
   /// component when Config::incremental is off).
-  ResourceId component_of(const Flow& flow) {
-    return cfg_.incremental ? dsu_find(flow.resources.front()) : 0;
+  ResourceId component_of(ResourceId first) const {
+    return cfg_.incremental ? dsu_find(first) : 0;
   }
+  MemberList& list_of(const Flow& flow) {
+    return comp_members_[component_of(flow.resources.front())];
+  }
+  /// A sharing flow's entry in its component's list (binary search by id);
+  /// nullptr for a flow in its latency phase.
+  Member* member_of(const Flow& flow);
+  const Member* member_of(const Flow& flow) const;
+  /// Every sharing flow's member, in ascending FlowId order.
+  void all_members(std::vector<Member*>& out);
   /// Weighted max-min over scratch_members_ / scratch_res_; updates
-  /// Flow::rate and res_rate_. Deterministic by construction: both scans
+  /// Member::rate and res_rate_. Deterministic by construction: both scans
   /// run in ascending id order.
   void solve_members();
   void on_completion_event(FlowId id);
-  void finish_flow(FlowId id);
-  /// Bookkeeping when a sharing flow leaves (finish/cancel/abort): cancels
-  /// its pending completion event and dirties its resources.
-  void detach_sharing(Flow& flow);
+  /// A flow leaves (done, cancelled or aborted): settle its bytes at its
+  /// rate, publish its span with `status` and detach it. `m` is its member,
+  /// nullptr in the latency phase. The Flow stays in flows_.
+  void depart(Flow& flow, Member* m, const char* status);
+  void finish_flow(std::map<FlowId, Flow>::iterator it, Member* m);
+  /// Bookkeeping when a sharing flow leaves: cancels its pending completion
+  /// event, erases its member and dirties its resources.
+  void detach_sharing(Flow& flow, Member& m);
 
   // --- constraint-graph components (incremental mode) ---------------------
-  ResourceId dsu_find(ResourceId r);
+  ResourceId dsu_find(ResourceId r) const;
   void dsu_unite(ResourceId a, ResourceId b);
   /// Union-find only ever merges; removals leave it over-merged (a stale
   /// super-component is re-solved — correct, just wider than needed). When
   /// enough flows have left since the last rebuild, rebuild the partition
   /// from live flows. Returns true when it rebuilt.
   bool maybe_rebuild_components();
-  /// Insert a sharing flow into its component's member list at its id
-  /// position (an append in the common case) / erase it from there.
-  void add_member(Flow& flow);
-  void remove_member(Flow& flow);
 
   core::Engine& engine_;
   RouteProvider& routing_;
   Config cfg_;
   core::FailureSemantics semantics_ = core::FailureSemantics::kFailResume;
-  /// Ordered so every per-flow scan (progression, member collection,
-  /// fail-stop dooming) walks ascending FlowId — determinism by
-  /// construction instead of by accident of hash layout.
+  /// Ordered so every per-flow scan (fail-stop dooming, byte totals) walks
+  /// ascending FlowId — determinism by construction instead of by accident
+  /// of hash layout.
   std::map<FlowId, Flow> flows_;
   std::size_t sharing_count_ = 0;
   /// Links [0, n_links_), registered resources after. All per-resource
@@ -409,39 +472,30 @@ class FlowNetwork {
   std::uint64_t solves_ = 0;
   std::uint64_t flows_rerated_ = 0;
 
-  // Component tracking: parent pointers over resources, and the live sharing
-  // flows of each component root in ascending FlowId order (std::map nodes
-  // never move, so the pointers stay valid). Keeping the order costs a
-  // shift of the tail on an out-of-order activation or a departure — far
-  // less than the sort it saves on every change. Each entry caches the
-  // flow's weight, first resource and constraint-set size (all fixed for
-  // the flow's life), so rerate_single_set checks the one-set case and sums
-  // the weights from the list alone when the set has one resource, and
-  // walks the Flow nodes once. (A longer set is compared flow by flow.)
-  struct Member {
-    FlowId id;
-    Flow* flow;
-    double weight;
-    ResourceId first;
-    std::uint32_t n_res;
-    bool operator<(const Member& o) const { return id < o.id; }
-  };
-  std::vector<ResourceId> dsu_parent_;
-  std::unordered_map<ResourceId, std::vector<Member>> comp_members_;
+  // Component tracking: parent pointers over resources (path halving is a
+  // cache, hence mutable), and the members of each component root in
+  // ascending FlowId order (the full solver keeps every member in list 0).
+  // Keeping the order costs a shift of the tail on an out-of-order
+  // activation or a departure — far less than the sort it saves on every
+  // change.
+  mutable std::vector<ResourceId> dsu_parent_;
+  std::vector<MemberList> comp_members_;  // indexed by root
   std::size_t departed_ = 0;  // flows that left since the last rebuild
   std::vector<ResourceId> dirty_res_;
 
   // Per-solve scratch, reserved once and reused (no per-call allocation).
-  std::vector<Flow*> scratch_members_;
-  std::vector<Member> scratch_sorted_;
+  std::vector<Member*> scratch_members_;
+  std::vector<Member> scratch_rebuild_;
   std::vector<double> scratch_old_rate_;
   std::vector<char> scratch_fixed_;
   std::vector<ResourceId> scratch_res_;
+  std::vector<double> scratch_carried_;  // the one-set pass's byte counters
+  std::vector<core::EventHandle> scratch_stale_;  // and the completions it supersedes
   std::vector<double> solve_cap_;       // indexed by ResourceId
   std::vector<double> solve_wsum_;      // indexed by ResourceId
   std::vector<std::uint32_t> res_mark_;  // epoch stamps, indexed by ResourceId
   std::uint32_t mark_epoch_ = 0;
-  std::vector<Flow*> comp_first_;        // per-component earliest due, by root
+  std::vector<Member*> comp_first_;      // per-component earliest due, by root
   std::vector<ResourceId> scratch_comps_;
 };
 
