@@ -230,7 +230,7 @@ void FlowNetwork::activate(FlowId id) {
     for (ResourceId r : flow.resources) dsu_unite(m.first, r);
     dirty_res_.push_back(m.first);
   }
-  comp_members_[component_of(m.first)].insert(m);
+  list_of(flow).insert(m);
   resolve_and_reschedule();
 }
 
@@ -379,16 +379,28 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
 void FlowNetwork::MemberList::insert(const Member& m) {
   // Flows mostly activate in id order; one that outlived a longer latency
   // phase than a later flow goes to its id position.
-  if (empty() || v_.back().id < m.id) {
+  if (empty()) {
+    v_.push_back(m);
+    remember_one_set(0.0 + m.weight);
+    return;
+  }
+  if (v_.back().id < m.id) {
+    if (one_set_ && m.same_set(front())) {
+      wsum_ += m.weight;
+    } else {
+      one_set_ = false;
+    }
     v_.push_back(m);
     return;
   }
+  one_set_ = false;
   v_.insert(std::lower_bound(v_.begin() + static_cast<std::ptrdiff_t>(head_), v_.end(), m.id,
                              [](const Member& x, FlowId id) { return x.id < id; }),
             m);
 }
 
 void FlowNetwork::MemberList::erase(Member* m) {
+  one_set_ = false;
   const auto pos = v_.begin() + (m - v_.data());
   const auto head = v_.begin() + static_cast<std::ptrdiff_t>(head_);
   if (pos - head < v_.end() - pos - 1) {
@@ -410,6 +422,7 @@ void FlowNetwork::MemberList::merge(MemberList& other) {
     return;
   }
   // Both lists are in id order; so is their merge.
+  one_set_ = false;
   v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
   head_ = 0;
   const auto mid = v_.insert(v_.end(), other.begin(), other.end());
@@ -525,13 +538,16 @@ bool FlowNetwork::rerate_single_set() {
     if (std::find(set.begin(), r, *r) != r) return false;
   }
   // The weight sum in id order, as solve_members accumulates it per
-  // resource. A one-resource set is checked from the list alone; a longer
-  // one needs each flow's own set.
+  // resource: kept by the list while only appends follow the last check.
   double wsum = 0.0;
-  for (const Member& m : *list) {
-    if (m.first != head.first || m.n_res != head.n_res) return false;
-    if (m.n_res > 1 && !std::equal(set.begin(), set.end(), m.res)) return false;
-    wsum += m.weight;
+  if (const auto known = list->one_set_wsum()) {
+    wsum = *known;
+  } else {
+    for (const Member& m : *list) {
+      if (!m.same_set(head)) return false;
+      wsum += m.weight;
+    }
+    list->remember_one_set(wsum);
   }
   if (wsum <= kWeightEpsilon) return false;
   // The minimum fair share over the set: a strict '<' in any order yields

@@ -55,11 +55,19 @@
 //     under exactly its per-flow key, completions (ties at equal instants
 //     included) interleave with every other event exactly as one event per
 //     flow would.
-//   * Member lists in id order. Each component keeps its sharing flows in
+//   * Solver state in member lists, in id order. A sharing flow's solver
+//     state — rate, weight, remaining bytes, anchor, reserved completion key
+//     and queued-event slot — is an entry of its component's member list,
+//     not a field of its Flow (which keeps the cold fields: constraint set,
+//     callbacks, span data). Each list holds its entries contiguously in
 //     ascending FlowId order: an append in the common case, a binary-search
-//     insert or erase otherwise, an inplace_merge when two components
-//     unite. A change on one component then solves its list as it stands;
-//     only a change that dirties several components sorts their union.
+//     insert otherwise, an inplace_merge when two components unite. The
+//     lowest id leaves in O(1) — on a saturated link of equal shares the
+//     oldest flow finishes first — and any other departure shifts the
+//     shorter side. A change on one component then solves its list as it
+//     stands; only a change that dirties several components sorts their
+//     union. The general solver, settle, finish, cancel and the fail-stop
+//     path all reach the state through the lists (a binary search by id).
 //   * One pass for a component that shares one constraint set. When the
 //     only dirty component with flows has every member crossing the same
 //     resource list (no resource listed twice) — a MONARC T0->T1 link, or
@@ -70,29 +78,41 @@
 //     settles at the old rate, re-keys and picks the earliest (time, event
 //     id) key, using the same floating-point operations in the same order
 //     as the general path: results stay bit-identical to it, and to the
-//     full reference solver, which never takes this pass.
+//     full reference solver, which never takes this pass. The pass walks
+//     the list front to back and makes no call: keys come from a local
+//     sequence counter (core::Engine::KeyRun), the byte counters and the
+//     load stay in locals until it ends, and the completions it supersedes
+//     are cancelled after the loop. The list remembers the set check and
+//     the weight sum while only appends follow, so an arrival skips the
+//     check.
 //
 // Why no O(log N) heap of virtual finish times: a heap reserves each
 // completion key once and settles lazily, which moves completion instants
 // in their last bits and the keys' tie order against other events. The
 // exact solver must settle and re-key every flow of a saturated component
-// at every change, so its cost per change stays O(N); the one-pass case
-// keeps that N cheap.
+// at every change, so its cost per change stays O(N); the flat member lists
+// cut the constant per member, which bench_flow_scaling's saturated sweep
+// (E11) tracks. A virtual-time solver waits for a stated tolerance on
+// completion instants; its per-flow finish tags would live in the same
+// lists.
 //
 // Determinism: the bottleneck scan walks resources in ascending ResourceId
 // order and flows in ascending FlowId order, so tie-broken bottleneck
 // selection is deterministic by construction — and the incremental solver
 // produces byte-identical traces to the full solver (Config::incremental =
-// false), locked in by tests/flow_incremental_test.cpp (links only) and
-// tests/storage_sharing_test.cpp (joint disk + link constraint sets) across
-// all queue kinds. The model is validated against closed forms in
+// false), locked in by tests/flow_incremental_test.cpp (links, and links
+// plus registered disk heads) and tests/storage_sharing_test.cpp (storage
+// devices in the constraint sets) across all queue kinds. The model is
+// validated against closed forms in
 // tests/net_test.cpp (max-min invariants as TEST_P properties) and in
 // experiments E5 and E15.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -342,6 +362,12 @@ class FlowNetwork {
     std::uint32_t slot = core::kNoSlot;
 
     std::span<const ResourceId> set() const { return {res, n_res}; }
+    /// Crosses the same constraint set as `o`; a one-resource set is
+    /// compared without reading the set itself.
+    bool same_set(const Member& o) const {
+      return first == o.first && n_res == o.n_res &&
+             (n_res == 1 || std::equal(res, res + n_res, o.res));
+    }
     bool due_before(const Member& o) const {
       return due_t < o.due_t || (due_t == o.due_t && due_id < o.due_id);
     }
@@ -352,6 +378,11 @@ class FlowNetwork {
   /// finishes — only advances the head; a departure elsewhere shifts the
   /// shorter side. The dead prefix is dropped once it outgrows the live
   /// part, which keeps both O(1) amortized per departure.
+  ///
+  /// The list also keeps what the one-set check last found while only
+  /// appends follow: that every member crosses the front's set, and the
+  /// weights summed in id order. An append extends the sum by the same
+  /// addition the check would make last; any other change forgets it.
   class MemberList {
    public:
     Member* begin() { return v_.data() + head_; }
@@ -366,10 +397,21 @@ class FlowNetwork {
     void erase(Member* m);
     /// Move every member of `other` here, keeping the id order.
     void merge(MemberList& other);
+    /// The weights summed in id order when every member is known to cross
+    /// the front's set; nullopt when that is not known.
+    std::optional<double> one_set_wsum() const {
+      return one_set_ ? std::optional<double>(wsum_) : std::nullopt;
+    }
+    void remember_one_set(double wsum) {
+      one_set_ = true;
+      wsum_ = wsum;
+    }
 
    private:
     std::vector<Member> v_;
     std::size_t head_ = 0;  // v_[0, head_) is dead
+    bool one_set_ = false;
+    double wsum_ = 0;
   };
 
   /// Publish a completed/aborted flow span to the observability bus.
@@ -473,11 +515,10 @@ class FlowNetwork {
   std::uint64_t flows_rerated_ = 0;
 
   // Component tracking: parent pointers over resources (path halving is a
-  // cache, hence mutable), and the members of each component root in
-  // ascending FlowId order (the full solver keeps every member in list 0).
-  // Keeping the order costs a shift of the tail on an out-of-order
-  // activation or a departure — far less than the sort it saves on every
-  // change.
+  // cache, hence mutable), and the member list of each component root (the
+  // full solver keeps every member in list 0). Keeping the id order costs a
+  // shift on an out-of-order activation or a departure — far less than the
+  // sort it saves on every change.
   mutable std::vector<ResourceId> dsu_parent_;
   std::vector<MemberList> comp_members_;  // indexed by root
   std::size_t departed_ = 0;  // flows that left since the last rebuild
