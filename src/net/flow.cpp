@@ -1,6 +1,7 @@
 #include "net/flow.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -19,6 +20,12 @@ constexpr double kByteEpsilon = 1e-6;
 // Residual weight below this is floating-point dust from the weighted
 // subtractions, not a real unfixed flow.
 constexpr double kWeightEpsilon = 1e-9;
+
+// A normal power of two: no mantissa bits, exponent field not zero.
+bool is_power_of_two(double w) {
+  const auto bits = std::bit_cast<std::uint64_t>(w);
+  return (bits & 0x000F'FFFF'FFFF'FFFFull) == 0 && (bits >> 52) != 0;
+}
 
 }  // namespace
 
@@ -377,30 +384,24 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
 }
 
 void FlowNetwork::MemberList::insert(const Member& m) {
-  // Flows mostly activate in id order; one that outlived a longer latency
-  // phase than a later flow goes to its id position.
   if (empty()) {
     v_.push_back(m);
-    remember_one_set(0.0 + m.weight);
+    uniform_ = true;
     return;
   }
+  uniform_ = uniform_ && m.same_share(front());
+  // Flows mostly activate in id order; one that outlived a longer latency
+  // phase than a later flow goes to its id position.
   if (v_.back().id < m.id) {
-    if (one_set_ && m.same_set(front())) {
-      wsum_ += m.weight;
-    } else {
-      one_set_ = false;
-    }
     v_.push_back(m);
     return;
   }
-  one_set_ = false;
   v_.insert(std::lower_bound(v_.begin() + static_cast<std::ptrdiff_t>(head_), v_.end(), m.id,
                              [](const Member& x, FlowId id) { return x.id < id; }),
             m);
 }
 
 void FlowNetwork::MemberList::erase(Member* m) {
-  one_set_ = false;
   const auto pos = v_.begin() + (m - v_.data());
   const auto head = v_.begin() + static_cast<std::ptrdiff_t>(head_);
   if (pos - head < v_.end() - pos - 1) {
@@ -421,8 +422,9 @@ void FlowNetwork::MemberList::merge(MemberList& other) {
     std::swap(*this, other);
     return;
   }
-  // Both lists are in id order; so is their merge.
-  one_set_ = false;
+  // Both lists are in id order; so is their merge. Two components share no
+  // resource, so their members cross different sets.
+  uniform_ = false;
   v_.erase(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(head_));
   head_ = 0;
   const auto mid = v_.insert(v_.end(), other.begin(), other.end());
@@ -538,16 +540,21 @@ bool FlowNetwork::rerate_single_set() {
     if (std::find(set.begin(), r, *r) != r) return false;
   }
   // The weight sum in id order, as solve_members accumulates it per
-  // resource: kept by the list while only appends follow the last check.
+  // resource. Equal weights w that are a power of two fold to exactly n * w
+  // (every partial sum k * w is representable), so a uniform list needs no
+  // walk; otherwise one walk checks the sets and sums the weights.
+  const double w = head.weight;
   double wsum = 0.0;
-  if (const auto known = list->one_set_wsum()) {
-    wsum = *known;
+  if (list->uniform() && is_power_of_two(w)) {
+    wsum = static_cast<double>(list->size()) * w;
   } else {
+    bool same_weight = true;
     for (const Member& m : *list) {
       if (!m.same_set(head)) return false;
+      same_weight = same_weight && m.weight == w;
       wsum += m.weight;
     }
-    list->remember_one_set(wsum);
+    list->set_uniform(same_weight);
   }
   if (wsum <= kWeightEpsilon) return false;
   // The minimum fair share over the set: a strict '<' in any order yields

@@ -82,9 +82,10 @@
 //     the list front to back and makes no call: keys come from a local
 //     sequence counter (core::Engine::KeyRun), the byte counters and the
 //     load stay in locals until it ends, and the completions it supersedes
-//     are cancelled after the loop. The list remembers the set check and
-//     the weight sum while only appends follow, so an arrival skips the
-//     check.
+//     are cancelled after the loop. When the list knows its members all
+//     share the front's set and weight, and that weight is a power of two
+//     (the default weight 1 is), the weight sum is n * weight exactly and
+//     the pass needs no check loop.
 //
 // Why no O(log N) heap of virtual finish times: a heap reserves each
 // completion key once and settles lazily, which moves completion instants
@@ -112,7 +113,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -368,6 +368,7 @@ class FlowNetwork {
       return first == o.first && n_res == o.n_res &&
              (n_res == 1 || std::equal(res, res + n_res, o.res));
     }
+    bool same_share(const Member& o) const { return same_set(o) && weight == o.weight; }
     bool due_before(const Member& o) const {
       return due_t < o.due_t || (due_t == o.due_t && due_id < o.due_id);
     }
@@ -379,10 +380,10 @@ class FlowNetwork {
   /// shorter side. The dead prefix is dropped once it outgrows the live
   /// part, which keeps both O(1) amortized per departure.
   ///
-  /// The list also keeps what the one-set check last found while only
-  /// appends follow: that every member crosses the front's set, and the
-  /// weights summed in id order. An append extends the sum by the same
-  /// addition the check would make last; any other change forgets it.
+  /// The list also knows whether every member crosses the front's set with
+  /// the front's weight (uniform). A departure never breaks that; a member
+  /// that joins keeps it only when it matches, and the one-set check
+  /// re-establishes it.
   class MemberList {
    public:
     Member* begin() { return v_.data() + head_; }
@@ -397,21 +398,13 @@ class FlowNetwork {
     void erase(Member* m);
     /// Move every member of `other` here, keeping the id order.
     void merge(MemberList& other);
-    /// The weights summed in id order when every member is known to cross
-    /// the front's set; nullopt when that is not known.
-    std::optional<double> one_set_wsum() const {
-      return one_set_ ? std::optional<double>(wsum_) : std::nullopt;
-    }
-    void remember_one_set(double wsum) {
-      one_set_ = true;
-      wsum_ = wsum;
-    }
+    bool uniform() const { return uniform_; }
+    void set_uniform(bool uniform) { uniform_ = uniform; }
 
    private:
     std::vector<Member> v_;
     std::size_t head_ = 0;  // v_[0, head_) is dead
-    bool one_set_ = false;
-    double wsum_ = 0;
+    bool uniform_ = false;
   };
 
   /// Publish a completed/aborted flow span to the observability bus.

@@ -770,6 +770,42 @@ TEST(FlowSharedSet, OnePassMatchesReferenceAtThousandsOfMembers) {
   EXPECT_GE(count_of(full, 'C'), 1000u);
 }
 
+// Equal weights sum, in id order, to exactly n * w only when every partial
+// sum k * w is representable, as for a power of two. Ten or more flows of
+// weight 0.1 fold to a sum that n * 0.1 misses in its last bit (ten give
+// 0.9999999999999999, not 1), so the pass must still walk such a list;
+// weight 2 takes the exact product. Both must match the reference solver.
+TEST(FlowSharedSet, UniformWeightsSumAsTheReferenceSolverDoes) {
+  const net::Topology topo = chain();
+  for (const double weight : {0.1, 2.0}) {
+    core::RngStream rng(static_cast<std::uint64_t>(weight * 10));
+    std::vector<Op> ops;
+    double t = 0;
+    std::size_t started = 0;
+    for (std::size_t i = 0; i < 120; ++i) {
+      t += rng.exponential(0.05);
+      Op& op = ops.emplace_back();
+      op.t = t;
+      if (rng.uniform() < 0.85 || started < 12) {
+        op.kind = Op::kStart;
+        op.src = 0;
+        op.dst = 2;
+        op.bytes = rng.uniform(2e8, 6e8);  // seconds alone: tens share the route
+        op.weight = weight;
+        ++started;
+      } else {
+        op.kind = Op::kCancel;
+        op.flow_idx = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(started) - 1));
+      }
+    }
+    const Trace full = expect_solvers_agree(topo, ops, core::QueueKind::kBinaryHeap,
+                                            core::FailureSemantics::kFailResume, Extras{},
+                                            "weight " + std::to_string(weight));
+    ASSERT_GE(count_of(full, 'C'), 50u);
+  }
+}
+
 // The earliest completion key of a component is the smallest (time, event
 // id), which on a tie need not be the smallest flow id. Weights of 2^53, 2
 // and 1 on a link of 2^53 + 2 B/s make that happen exactly: the weight sum
