@@ -30,6 +30,8 @@
 //   * churn[]      — the E16 study: failure rate / hop count / latency
 //                    degradation as mean session lifetime shrinks, with
 //                    the events run and the lookup hops chased inline.
+//                    Its model results are pinned (kChurnPins*): a change
+//                    that saves events must not move them.
 //   * million      — 1M live peers in protocol mode under churn on the
 //                    ladder queue, >= 1e6 pending events; --small skips it.
 // Results go to BENCH_p2p.json. The bench judges its own run and exits 1
@@ -77,6 +79,27 @@ using namespace lsds::bench;
 constexpr double kMinResolveSpeedup = 2.0;          // every resolve point
 constexpr double kMinResolveSpeedupAtScale = 10.0;  // best point at >= 100k peers
 constexpr double kMinThroughputRatio = 0.9;         // flat vs map ops/s
+
+// The churn rows' model results, recorded bit for bit when every
+// maintenance round of a peer took two events; the events column is free.
+struct ChurnPin {
+  double mean_lifetime;
+  std::uint64_t issued;
+  double failure_rate, mean_hops, mean_latency;
+  std::uint64_t deaths;
+};
+constexpr ChurnPin kChurnPinsSmall[] = {  // 10,000 peers, 100 lookups/s
+    {0, 5910, 0x0p+0, 0x1.d2f635e2b7d62p+2, 0x1.ad8452aeafbf2p-2, 0},
+    {600, 5910, 0x1.6701a561cef74p-5, 0x1.fa6aa3e6cfef2p+2, 0x1.bf03873168e59p-2, 985},
+    {120, 5910, 0x1.ad017906abb4dp-3, 0x1.3e63f1f8fc7e8p+3, 0x1.fe24c074b53fbp-2, 4497},
+    {30, 5910, 0x1.16b2a30b009b4p-1, 0x1.c8639fcc4963ep+2, 0x1.90279b3847b6ep-2, 13717},
+};
+constexpr ChurnPin kChurnPinsFull[] = {  // 50,000 peers, 500 lookups/s
+    {0, 29909, 0x0p+0, 0x1.0527171e607fbp+3, 0x1.091a7ec0eb9fcp-1, 0},
+    {600, 29909, 0x1.7624db387ffa8p-6, 0x1.13407c73d5539p+3, 0x1.14e94b8dc0d5p-1, 4939},
+    {120, 29909, 0x1.1540b32103618p-3, 0x1.44732687586d5p+3, 0x1.37739d55b9e7cp-1, 22156},
+    {30, 29909, 0x1.f87c24df9a625p-2, 0x1.06d8f5e942092p+3, 0x1.087b3b1d504d2p-1, 68108},
+};
 
 using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point t0) {
@@ -1264,8 +1287,8 @@ int main(int argc, char** argv) {
   std::vector<ChurnPoint> churn;
   const std::size_t churn_peers = small ? 10000 : 50000;
   const double churn_rate = small ? 100 : 500;
-  for (double lifetime : {0.0, 600.0, 120.0, 30.0}) {
-    churn.push_back(run_churn_point(churn_peers, lifetime, churn_rate));
+  for (const ChurnPin& pin : small ? kChurnPinsSmall : kChurnPinsFull) {
+    churn.push_back(run_churn_point(churn_peers, pin.mean_lifetime, churn_rate));
     const auto& c = churn.back();
     std::printf("churn life=%4.0fs: fail %.4f, hops %.2f, latency %.4f, deaths %" PRIu64
                 ", %" PRIu64 " events, %" PRIu64 " hops chased, %.0f ev/s\n",
@@ -1280,6 +1303,14 @@ int main(int argc, char** argv) {
                  "churn life=%.0f: no hop was chased", c.mean_lifetime);
     check.expect(std::isfinite(c.events_per_s()) && c.events_per_s() > 0,
                  "churn life=%.0f: bad events_per_s", c.mean_lifetime);
+    check.expect(c.issued == pin.issued && c.failure_rate == pin.failure_rate &&
+                     c.mean_hops == pin.mean_hops && c.mean_latency == pin.mean_latency &&
+                     c.deaths == pin.deaths,
+                 "churn life=%.0f: model results moved (issued %" PRIu64 ", fail %a, hops %a, "
+                 "latency %a, deaths %" PRIu64 "; pinned %" PRIu64 ", %a, %a, %a, %" PRIu64 ")",
+                 c.mean_lifetime, c.issued, c.failure_rate, c.mean_hops, c.mean_latency,
+                 c.deaths, pin.issued, pin.failure_rate, pin.mean_hops, pin.mean_latency,
+                 pin.deaths);
   }
   check.expect(churn.back().failure_rate >= churn.front().failure_rate,
                "heaviest churn did not raise the failure rate");
