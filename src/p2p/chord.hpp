@@ -20,17 +20,18 @@
 //     updates are O(1) expected and contiguous;
 //   * per-peer protocol state is indexed by a 32-bit slot. What every hop
 //     reads (id, node, generation, liveness, the cached successor id and
-//     node, the finger count) is one 32-byte Peer record, so a hop loads
-//     one cache line per peer it looks at (its last two bytes hold the
-//     fix-fingers cursor, the successor-list length and the count of
-//     pending fix-finger/join answers); the successor refs, a flat m-wide
-//     finger slab, fixed-width successor lists and predecessors stay in
-//     slabs of their own. Churned-out slots are recycled through a
-//     free list; every stored reference (successor, predecessor, successor
-//     list, fingers) and every in-flight message carries the target's
-//     generation alongside the slot, so a reference to a dead peer stays
-//     dead even after its slot is recycled — references name peer
-//     *incarnations*, exactly like the append-only indices they replace.
+//     node, the finger count, the finger-scan bound) is one 32-byte Peer
+//     record, so a hop loads one cache line per peer it looks at (its last
+//     bytes hold the fix-fingers cursor, the successor-list length, the
+//     count of pending fix-finger/join answers and a join-pending bit);
+//     the successor refs, a flat m-wide finger slab, fixed-width successor
+//     lists and predecessors stay in slabs of their own. Churned-out slots
+//     are recycled through a free list; every stored reference (successor,
+//     predecessor, successor list, fingers) and every in-flight message
+//     carries the target's generation alongside the slot, so a reference
+//     to a dead peer stays dead even after its slot is recycled —
+//     references name peer *incarnations*, exactly like the append-only
+//     indices they replace.
 //     The successor's id and node are cached at store time because the
 //     protocol reads them even when the successor has died (failure
 //     detection runs on the next stabilize round, not at read time);
@@ -41,11 +42,21 @@
 //     std::function callback API survives for tests and examples; bulk
 //     drivers use the tagged handler path (set_lookup_handler +
 //     lookup_tagged);
+//   * the closest-preceding-finger scan starts at the key's distance d,
+//     not at the top finger: a finger k lies 2^k or more away once k is at
+//     or past the peer's loose_top bound, and from k = bit_width(d - 1) on
+//     2^k >= d, so such a finger cannot precede the key. The scan skips
+//     them without loading their records, and every step it takes is the
+//     one a full scan takes;
 //   * maintenance is event-driven (two tiny events per round per peer)
 //     instead of one coroutine frame per peer — at 1M peers the per-frame
 //     heap allocation alone would dominate. The event schedule reproduces
 //     the coroutine version's timing draw for draw, so small-scenario
-//     traces are unchanged;
+//     traces are unchanged. A peer whose death is announced runs each
+//     round after its first as one event on a continuous clock: nothing
+//     the begin step reads can change between a round's work and the next
+//     begin, so work computes the next round's instant itself (see
+//     maint_work);
 //   * a hop writes no peer state, so a hop whose inputs cannot change
 //     before it lands is resolved ("chased") inside the previous hop's
 //     event, not in an event of its own. Each peer keeps lower bounds on
@@ -96,7 +107,8 @@ class ChordNetwork {
   void remove_peer(PeerIndex peer);
   /// (Re)build successors + finger tables from the current population.
   /// Throws std::logic_error while a hop resolved ahead of its event is
-  /// still in flight: it read the state this would rewrite.
+  /// still in flight (it read the state this would rewrite) and in
+  /// protocol mode (maintenance has scheduled rounds from that state).
   void build();
 
   // --- protocol mode (self-maintaining overlay) ---------------------------
@@ -111,7 +123,8 @@ class ChordNetwork {
   /// Spawn maintenance on every live peer. Maintenance runs until the
   /// horizon (no events are scheduled past it, so Engine::run terminates).
   /// Throws std::invalid_argument on stabilize_period <= 0 or non-finite,
-  /// or a non-finite horizon.
+  /// or a horizon that is not finite or lies before now(), and
+  /// std::logic_error when protocol mode is already on.
   void enable_protocol_mode(double stabilize_period, double horizon);
   /// Crash-stop a peer: no goodbye messages; neighbors discover the death
   /// through stabilization timeouts. Throws like remove_peer.
@@ -217,13 +230,19 @@ class ChordNetwork {
     net::NodeId node = net::kInvalidNode;
     net::NodeId succ_node = net::kInvalidNode;   // successor's node at store time
     std::uint32_t gen = 0;
-    std::uint8_t live = 0;
+    std::uint8_t live : 1 = 0;
+    std::uint8_t join_pending : 1 = 0;           // join answer not yet handled
+    std::uint8_t loose_top : 6 = 0;              // see below
     std::uint8_t finger_len = 0;                 // 0 before build/join, m_ after
     std::uint8_t next_finger : 6 = 0;            // protocol mode: fix-fingers cursor
     std::uint8_t succ_len : 2 = 0;               // protocol mode: backup successors
     std::uint8_t answers = 0;                    // fix-finger/join answers pending
   };
   static_assert(sizeof(Peer) == 32, "one Peer is half a cache line");
+  // Peer::loose_top: every finger k >= loose_top names an incarnation at
+  // ring distance >= 2^k from the peer, so no key nearer than 2^k can
+  // accept it. Only ever too high: build() and join_via() set it, a
+  // fix-finger answer nearer than its start raises it, add_peer resets it.
 
   /// Lower bounds on the next instant a peer's hop-read state (its Peer
   /// record, successor ref and fingers) can change, per incarnation; its

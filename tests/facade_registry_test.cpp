@@ -247,7 +247,10 @@ TEST(ShippedScenarios, ResultIsQueueInvariant) {
       {"lhc_2.5gbps.ini", "fd82fa22e4b2b055"},
       {"lhc_30gbps.ini", "68100fa80c086a1c"},
       {"lhc_parallel.ini", "1b58fb3ab5be656d"},
-      {"p2p_churn.ini", "7a0aca020d18e86a"},
+      // peak_pending, an event-queue depth, fell from 4067 to 4063 when a
+      // maintenance round of an announced peer became one event; every
+      // model result of the run stayed the same.
+      {"p2p_churn.ini", "716b93dc5f16f4b6"},
       {"platform_fattree.ini", "f7f2172ae9a0d35b"},
   };
   sim::register_builtin_facades();

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "net/routing.hpp"
@@ -249,6 +251,62 @@ TEST(ChordProtocol, MaintenanceStopsAtHorizon) {
   w.eng.run();  // must terminate: loops end at the horizon
   EXPECT_GE(w.eng.now(), 20.0);
   EXPECT_LT(w.eng.now(), 30.0);
+}
+
+// A peer whose death is announced runs each maintenance round after its
+// first as one event rather than two, once its join answer is handled.
+// Far-future deaths change nothing else: the overlay, the rounds, the
+// messages and every lookup result match a run without them.
+TEST(ChordProtocol, AnnouncedPeersRunOneEventPerRound) {
+  struct Out {
+    std::uint64_t digest = 0, rounds = 0, messages = 0, executed = 0, chased = 0;
+    std::vector<std::tuple<bool, p2p::PeerIndex, std::size_t, double>> results;
+  };
+  const auto run = [](bool announce) {
+    P2pWorld w(40);
+    p2p::ChordNetwork chord(w.eng, *w.routing);
+    for (std::size_t i = 0; i < 32; ++i) chord.add_peer(static_cast<net::NodeId>(i));
+    chord.build();
+    chord.enable_protocol_mode(0.5, 20.0);
+    EXPECT_THROW(chord.build(), std::logic_error);  // maintenance owns the overlay
+    if (announce) chord.for_each_live([&](p2p::PeerIndex p) { chord.announce_death(p, 1e6); });
+    for (std::size_t j = 0; j < 4; ++j) {
+      w.eng.schedule_at(3.0 + 2.0 * static_cast<double>(j), [&chord, j, announce] {
+        const auto nc = chord.join_via(static_cast<net::NodeId>(32 + j), j);
+        if (announce) chord.announce_death(nc, 1e6);
+      });
+    }
+    Out out;
+    out.results.resize(190);
+    auto& rng = w.eng.rng("keys");
+    for (std::size_t i = 0; i < out.results.size(); ++i) {
+      w.eng.schedule_at(0.1 * static_cast<double>(i + 1), [&, i] {
+        const auto origin = chord.random_live_peer(rng);
+        chord.lookup(origin, rng.next_u64() & chord.id_mask(), [&out, i](const auto& r) {
+          out.results[i] = {r.ok, r.home, r.hops, r.latency};
+        });
+      });
+    }
+    w.eng.run();
+    out.digest = chord.state_digest();
+    out.rounds = chord.stabilize_rounds();
+    out.messages = chord.messages_sent();
+    out.executed = w.eng.stats().executed;
+    out.chased = chord.hops_chased();
+    return out;
+  };
+  const Out ref = run(false);
+  const Out got = run(true);
+  EXPECT_EQ(got.digest, ref.digest);
+  EXPECT_EQ(got.rounds, ref.rounds);
+  EXPECT_EQ(got.messages, ref.messages);
+  EXPECT_EQ(got.results, ref.results);
+  EXPECT_EQ(ref.chased, 0u);
+  // Chased hops save their events; beyond those, each peer keeps its first
+  // begin event and drops one per round (the last one, at the horizon, ran
+  // no round). The joiners' answers arrive before their first rounds.
+  EXPECT_LT(got.executed, ref.executed);
+  EXPECT_EQ(ref.executed - got.executed - got.chased, ref.rounds);
 }
 
 TEST(Chord, HashKeyDeterministic) {
