@@ -72,9 +72,14 @@ Outcome run_parallel(unsigned threads) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = kLps;
   cfg.num_threads = threads;
-  cfg.lookahead = kLookahead;
   cfg.seed = 42;
   core::ParallelEngine eng(cfg);
+  // PHOLD sends between every pair of LPs.
+  for (unsigned src = 0; src < kLps; ++src) {
+    for (unsigned dst = 0; dst < kLps; ++dst) {
+      if (src != dst) eng.connect(src, dst, kLookahead);
+    }
+  }
   std::function<void(unsigned)> hop = [&](unsigned lp_idx) {
     auto& lp = eng.lp(lp_idx);
     const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, kLps - 1));

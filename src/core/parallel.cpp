@@ -42,14 +42,8 @@ ParallelEngine::ParallelEngine(Config cfg)
       inbox_mu_(cfg.num_lps),
       errors_(cfg.num_lps) {
   if (cfg.num_lps == 0) throw std::invalid_argument("ParallelEngine: num_lps must be >= 1");
-  if (!(cfg.lookahead > 0)) {
-    throw std::invalid_argument("ParallelEngine: lookahead must be > 0 (got " +
-                                std::to_string(cfg.lookahead) + ")");
-  }
-  // The default graph: every pair at the lookahead.
-  const unsigned n = cfg.num_lps;
-  delay_.assign(static_cast<std::size_t>(n) * n, cfg.lookahead);
-  for (unsigned i = 0; i < n; ++i) delay_[i * n + i] = kInfTime;
+  // No channel until connect() declares one.
+  delay_.assign(static_cast<std::size_t>(cfg.num_lps) * cfg.num_lps, kInfTime);
   lps_.reserve(cfg.num_lps);
   for (unsigned i = 0; i < cfg.num_lps; ++i) {
     // Per-LP seeds derived from the master seed; stable across thread counts.
@@ -108,10 +102,6 @@ void ParallelEngine::connect(unsigned src, unsigned dst, double min_delay) {
     throw std::invalid_argument("ParallelEngine::connect: min_delay must be > 0 (got " +
                                 std::to_string(min_delay) + ")");
   }
-  if (!declared_) {
-    std::fill(delay_.begin(), delay_.end(), kInfTime);
-    declared_ = true;
-  }
   double& d = delay_[src * n + dst];
   d = std::min(d, min_delay);
 }
@@ -127,7 +117,7 @@ void ParallelEngine::Lp::send(unsigned dst_lp, SimTime t, EventFn fn) {
     return;
   }
   const double delay = delays_[dst_lp];
-  if (delay == kInfTime && parent_.declared_) {
+  if (delay == kInfTime) {
     throw std::logic_error("ParallelEngine::Lp::send: no channel from LP " +
                            std::to_string(index_) + " to LP " + std::to_string(dst_lp) +
                            " was declared with connect()");

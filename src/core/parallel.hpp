@@ -16,8 +16,9 @@
 // messages):
 //
 //   connect(src, dst, d) declares that LP src may send to LP dst, never
-//   earlier than its clock plus d. With no connect() call the graph is
-//   complete, every pair at Config::lookahead.
+//   earlier than its clock plus d. The declared channels are the only
+//   lookahead: with none, no LP can reach another, and each runs to t_end
+//   in one round.
 //   D[j][i] = the shortest declared-delay path from j to i, computed once
 //   per run_until(); D[i][i] is the shortest cycle back to i (+inf if none).
 //   Each round:
@@ -36,8 +37,8 @@
 //
 // A send earlier than the sender's clock plus the channel's delay breaks the
 // contract that every horizon rests on: it is clamped to that bound and
-// counted (Stats::lookahead_violations). Once any channel is declared, a
-// send on an undeclared pair throws std::logic_error, in every build type.
+// counted (Stats::lookahead_violations). A send on a pair that connect()
+// never declared throws std::logic_error, in every build type.
 //
 // The thread that calls run_until() executes LPs itself. With one thread,
 // or when only one LP has work in the round, it runs the busy LPs inline in
@@ -88,9 +89,6 @@ class ParallelEngine {
   struct Config {
     unsigned num_lps = 4;      // >= 1
     unsigned num_threads = 2;  // caller + helpers; 0 counts as 1
-    /// Delay of every channel of the default complete graph (> 0); unused
-    /// once connect() declares the channels.
-    double lookahead = 1.0;
     QueueKind queue = QueueKind::kBinaryHeap;
     std::uint64_t seed = 42;  // per-LP engine and Lp::rng() seeds derive from it
     /// Per-LP event budget, the parallel twin of Engine::Config::max_events:
@@ -102,8 +100,7 @@ class ParallelEngine {
     std::uint64_t max_events = 0;
   };
 
-  /// Throws std::invalid_argument when num_lps is 0 or lookahead is not
-  /// > 0 (zero and NaN included): such rounds would never advance.
+  /// Throws std::invalid_argument when num_lps is 0.
   explicit ParallelEngine(Config cfg);
   ~ParallelEngine();
 
@@ -126,7 +123,7 @@ class ParallelEngine {
     /// channel: t >= now() + its delay. Violations are clamped to that bound
     /// and counted (ParallelEngine::Stats::lookahead_violations). Throws
     /// std::out_of_range when dst_lp >= num_lps(), and std::logic_error when
-    /// channels are declared and (index(), dst_lp) is not one of them.
+    /// connect() never declared (index(), dst_lp).
     void send(unsigned dst_lp, SimTime t, EventFn fn);
 
     /// Per-LP deterministic stream.
@@ -158,14 +155,11 @@ class ParallelEngine {
   unsigned num_lps() const { return static_cast<unsigned>(lps_.size()); }
 
   /// Declare the channel src -> dst: LP src sends to LP dst no earlier than
-  /// its clock plus `min_delay`. The first call replaces the default
-  /// complete graph; a repeated pair keeps the smaller delay. Call before or
-  /// between run_until() calls, not from an event. Throws std::out_of_range
-  /// for an LP index >= num_lps(), std::invalid_argument when src == dst or
-  /// min_delay is not > 0.
+  /// its clock plus `min_delay`; a repeated pair keeps the smaller delay.
+  /// Call before or between run_until() calls, not from an event. Throws
+  /// std::out_of_range for an LP index >= num_lps(), std::invalid_argument
+  /// when src == dst or min_delay is not > 0.
   void connect(unsigned src, unsigned dst, double min_delay);
-  /// True once connect() has been called.
-  bool channels_declared() const { return declared_; }
 
   struct Stats {
     /// Rounds: each runs every busy LP to its horizon, then merges inboxes.
@@ -241,7 +235,6 @@ class ParallelEngine {
   std::vector<double> path_;
   std::vector<double> keep_;
   std::vector<SimTime> bound_;  // per LP: plan_round()'s uncapped horizon
-  bool declared_ = false;
   // Round state, written by the caller before the round runs.
   bool dispatched_ = false;  // helpers may run LPs: inbox pushes must lock
   std::vector<Lp*> busy_;    // LPs with work in the round, ascending index

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/log.hpp"
@@ -44,49 +46,61 @@ void ParallelGrid::finalize() {
 
   unsigned lps = 1;
   unsigned threads = 1;
-  lookahead_ = core::kInfTime;
   net::Partition part;
   if (spec_.parallel) {
     threads = std::max(1u, spec_.threads);
     lps = spec_.lps > 0 ? spec_.lps : threads;
-    // A ZoneTree platform carries its partition structure and lookahead in
-    // closed form — no all-pairs latency matrix.
+    // A ZoneTree platform carries its partition structure: no all-pairs
+    // latency matrix.
     const auto* tree = dynamic_cast<const net::ZoneTree*>(zone_);
-    part = tree ? net::partition_zone_tree(*tree, *provider_, nodes_, lps)
+    part = tree ? net::partition_zone_tree(*tree, nodes_, lps)
                 : net::partition_sites(*provider_, nodes_, lps, spec_.partition);
     lps = part.parts;
-    lookahead_ = part.lookahead;
-    site_latency_ = std::move(part.latency);
-    if (spec_.lookahead_override > 0) {
-      lookahead_ = std::min(lookahead_, spec_.lookahead_override);
-    }
-    if (lps <= 1) {
-      fallback_reason_ = "partitioning yielded a single LP";
-    } else if (!(lookahead_ > 0)) {
-      // A zero-latency path crosses the cut: no conservative window can
-      // separate the partitions. Run serial — same model, same results.
-      fallback_reason_ =
-          "topology-derived lookahead <= 0 (zero-latency path crosses the partition cut)";
-    }
-    if (!fallback_reason_.empty()) {
-      LSDS_LOG_WARN("parallel_grid: falling back to serial execution: %s",
-                    fallback_reason_.c_str());
-      lps = 1;
-      threads = 1;
-      lookahead_ = core::kInfTime;
-    }
+    if (lps <= 1) fallback_reason_ = "partitioning yielded a single LP";
   }
-
   owner_.assign(specs_.size(), 0);
   if (lps > 1) owner_ = std::move(part.owner);
+
+  // Each declared channel that crosses the cut becomes an engine channel
+  // whose delay is the pair's path latency, capped by the override.
+  struct Crossing {
+    unsigned src, dst;
+    double delay;
+  };
+  std::vector<Crossing> crossings;
+  lookahead_ = core::kInfTime;
+  const std::size_t n = specs_.size();
+  for (const auto& [from, to] : channels_) {
+    if (owner_[from] == owner_[to]) continue;  // same LP: an ordinary local event
+    double delay = part.latency.empty() ? path_latency(from, to) : part.latency[from * n + to];
+    if (spec_.lookahead_override > 0) delay = std::min(delay, spec_.lookahead_override);
+    if (!(delay > 0)) {
+      // No conservative window can separate the two partitions. Run
+      // serial: same model, same results.
+      fallback_reason_ = "channel " + specs_[from].name + " -> " + specs_[to].name +
+                         " crosses the partition cut with zero latency";
+      break;
+    }
+    crossings.push_back({owner_[from], owner_[to], delay});
+    lookahead_ = std::min(lookahead_, delay);
+  }
+  if (!fallback_reason_.empty()) {
+    LSDS_LOG_WARN("parallel_grid: falling back to serial execution: %s",
+                  fallback_reason_.c_str());
+    lps = 1;
+    threads = 1;
+    owner_.assign(n, 0);
+    crossings.clear();
+    lookahead_ = core::kInfTime;
+  }
 
   core::ParallelEngine::Config pcfg;
   pcfg.num_lps = lps;
   pcfg.num_threads = threads;
-  pcfg.lookahead = lookahead_;
   pcfg.queue = spec_.queue;
   pcfg.seed = spec_.seed;
   pe_ = std::make_unique<core::ParallelEngine>(pcfg);
+  for (const Crossing& c : crossings) pe_->connect(c.src, c.dst, c.delay);
 
   sites_.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
@@ -126,15 +140,14 @@ void ParallelGrid::finalize() {
 }
 
 void ParallelGrid::channel(SiteId from, SiteId to) {
-  assert(finalized());
-  const unsigned src = owner_[from], dst = owner_[to];
-  if (src == dst) return;  // same LP: an ordinary local event
-  const std::size_t n = specs_.size();
-  double delay = site_latency_.empty() ? path_latency(from, to) : site_latency_[from * n + to];
-  if (spec_.lookahead_override > 0) delay = std::min(delay, spec_.lookahead_override);
-  if (!pe_->channels_declared()) lookahead_ = core::kInfTime;
-  pe_->connect(src, dst, delay);
-  lookahead_ = std::min(lookahead_, delay);
+  if (from >= specs_.size() || to >= specs_.size()) {
+    throw std::out_of_range("ParallelGrid::channel: site " + std::to_string(std::max(from, to)) +
+                            " out of range (" + std::to_string(specs_.size()) + " sites)");
+  }
+  if (finalized()) {
+    throw std::logic_error("ParallelGrid::channel: declare channels before finalize()");
+  }
+  channels_.emplace_back(from, to);
 }
 
 void ParallelGrid::at(SiteId at_site, core::SimTime t, core::EventFn fn) {

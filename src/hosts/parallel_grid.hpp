@@ -8,22 +8,24 @@
 // cross-site interaction travels through the deterministic cross-LP message
 // path.
 //
-// The lookahead is not a config knob: it is *derived from the topology*.
-// Physics guarantees conservatism — no site can affect another sooner than
-// the network can carry the news. A model declares the site pairs it sends
-// on (channel()); each becomes an engine channel between the owners' LPs
-// whose delay is the pair's path latency, and every LP runs ahead to its
-// own horizon over that channel graph (core/parallel.hpp). A model that
-// declares nothing runs on the complete graph at the minimum path latency
-// between any two sites in different partitions (net/partition.hpp).
+// The lookahead is not a config knob: it comes from the channels the model
+// declares, and physics guarantees conservatism — no site can affect
+// another sooner than the network can carry the news. Before finalize(), a
+// model declares the site pairs it sends on (channel()). finalize()
+// partitions the sites, and each declared pair whose sites land on
+// different LPs becomes an engine channel between the owners' LPs, whose
+// delay is the pair's path latency; every LP runs ahead to its own horizon
+// over that channel graph (core/parallel.hpp). The lookahead is the
+// smallest of those delays. Pairs that never talk constrain nothing.
 // Consequences:
 //   * the topology-aware partitioner keeps latency clusters together, so
 //     most declared channels stay inside one LP and the ones that cross
-//     run over the expensive WAN links;
-//   * when the derived lookahead is <= 0 (a zero-latency link crosses the
-//     cut) conservative parallelism is impossible, and ParallelGrid falls
-//     back to serial execution with a logged reason. The fallback runs the
-//     *same* model code on 1 LP, so results are identical by construction.
+//     run over the expensive WAN links (net/partition.hpp);
+//   * when a declared channel that crosses the cut has zero latency,
+//     conservative parallelism is impossible, and ParallelGrid falls back
+//     to serial execution with a logged reason naming both sites. The
+//     fallback runs the *same* model code on 1 LP, so results are
+//     identical by construction.
 //
 // Cross-site data movement uses an analytic store-and-forward channel per
 // ordered site pair: a transfer occupies the channel for bytes/bottleneck
@@ -38,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -58,8 +61,8 @@ struct ExecutionSpec {
   unsigned lps = 0;        // 0 = one LP per thread
   net::PartitionScheme partition = net::PartitionScheme::kTopology;
   /// Optional lookahead override (seconds). When > 0 it caps every channel
-  /// delay (and the default lookahead) — it can narrow the LPs' horizons
-  /// for experiments, never widen them past what the topology allows.
+  /// delay — it can narrow the LPs' horizons for experiments, never widen
+  /// them past what the topology allows.
   double lookahead_override = 0;
   core::QueueKind queue = core::QueueKind::kBinaryHeap;
   std::uint64_t seed = 42;
@@ -104,20 +107,21 @@ class ParallelGrid {
   /// hand-built topology node).
   SiteId add_site_at(const SiteSpec& spec, net::NodeId node);
 
-  /// Partition sites, derive the lookahead, build per-LP engines and
-  /// instantiate every Site on its owner LP. Topology must not change
-  /// afterwards.
-  void finalize();
-
   /// Declare that the model sends from site `from` to site `to` (post() or
-  /// transfer()). Call after finalize(), before run(). When the two sites
-  /// live on different LPs this declares the engine channel between those
-  /// LPs, with the pair's path latency as its minimum delay, capped at
-  /// ExecutionSpec::lookahead_override when that is set; a pair on one LP
-  /// declares nothing. Once one channel crosses LPs, a post between LPs no
-  /// declared pair connects throws std::logic_error when it runs, so a
-  /// model that declares channels must declare all of them.
+  /// transfer()). Call before finalize(). When finalize() puts the two
+  /// sites on different LPs, the pair becomes the engine channel between
+  /// those LPs, with the pair's path latency as its minimum delay, capped
+  /// at ExecutionSpec::lookahead_override when that is set; a pair on one
+  /// LP declares nothing. A post between LPs that no declared pair connects
+  /// throws std::logic_error when it runs, so a model declares every pair
+  /// it sends on. Throws std::out_of_range for a site id >= site_count(),
+  /// and std::logic_error after finalize().
   void channel(SiteId from, SiteId to);
+
+  /// Partition sites, give every declared channel that crosses the cut its
+  /// delay, build per-LP engines and instantiate every Site on its owner
+  /// LP. Topology must not change afterwards.
+  void finalize();
   bool finalized() const { return pe_ != nullptr; }
 
   // --- post-finalize introspection -----------------------------------------
@@ -136,9 +140,8 @@ class ParallelGrid {
   /// thread-safe); zone providers answer from per-thread scratch and need
   /// no warming.
   net::FlowNetwork& flows_of(SiteId id) { return *flow_nets_[owner_[id]]; }
-  /// The smallest delay of a declared channel between two LPs; before any
-  /// is declared, the smallest path latency across the cut. +inf when
-  /// serial (single LP).
+  /// The smallest delay of a declared channel that crosses the cut; +inf
+  /// when none crosses, and when serial (single LP).
   double lookahead() const { return lookahead_; }
   /// True when the run will actually be multi-LP.
   bool parallel() const { return pe_->num_lps() > 1; }
@@ -195,9 +198,7 @@ class ParallelGrid {
   std::unique_ptr<core::ParallelEngine> pe_;
   std::vector<std::unique_ptr<net::FlowNetwork>> flow_nets_;  // one per LP
   double lookahead_ = 0;
-  // kTopology's site latency matrix ([from * sites + to]), kept to give
-  // channels their delays without routing again; empty for other schemes.
-  std::vector<double> site_latency_;
+  std::vector<std::pair<SiteId, SiteId>> channels_;  // declared (from, to)
   std::string fallback_reason_;
   // Per ordered (from, to) pair: when the channel frees up, and bytes ever
   // sent. Indexed by `from`; mutated only from `from`'s LP.

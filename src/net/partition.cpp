@@ -1,18 +1,13 @@
 #include "net/partition.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "net/zone.hpp"
 
 namespace lsds::net {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// All-pairs site latency matrix, row-major (n Dijkstras over the cached
 /// Routing).
@@ -77,35 +72,18 @@ const char* to_string(PartitionScheme s) {
   return "?";
 }
 
-double derive_lookahead(RouteProvider& routing, const std::vector<NodeId>& sites,
-                        const std::vector<unsigned>& owner) {
-  assert(owner.size() == sites.size());
-  double la = kInf;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    for (std::size_t j = i + 1; j < sites.size(); ++j) {
-      if (owner[i] == owner[j]) continue;
-      la = std::min(la, routing.path_latency(sites[i], sites[j]));
-    }
-  }
-  return la;
-}
-
 Partition partition_sites(RouteProvider& routing, const std::vector<NodeId>& sites, unsigned parts,
                           PartitionScheme scheme) {
   const std::size_t n = sites.size();
   Partition p;
   p.parts = std::max(1u, std::min<unsigned>(parts, static_cast<unsigned>(std::max<std::size_t>(n, 1))));
   p.owner.assign(n, 0);
-  if (p.parts == 1 || n <= 1) {
-    p.lookahead = kInf;
-    return p;
-  }
+  if (p.parts == 1 || n <= 1) return p;
 
   if (scheme == PartitionScheme::kRoundRobin) {
     for (std::size_t i = 0; i < n; ++i) {
       p.owner[i] = static_cast<unsigned>(i % p.parts);
     }
-    p.lookahead = derive_lookahead(routing, sites, p.owner);
     return p;
   }
 
@@ -161,29 +139,18 @@ Partition partition_sites(RouteProvider& routing, const std::vector<NodeId>& sit
     load[least] += c.size[r];
   }
   for (std::uint32_t i = 0; i < n; ++i) p.owner[i] = part_of[c.find(i)];
-
-  // The lookahead, off the matrix: the fastest path across the cut.
-  p.lookahead = kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (p.owner[i] != p.owner[j]) p.lookahead = std::min(p.lookahead, lat[i * n + j]);
-    }
-  }
   return p;
 }
 
-Partition partition_zone_tree(const ZoneTree& tree, RouteProvider& routing,
-                              const std::vector<NodeId>& sites, unsigned parts) {
+Partition partition_zone_tree(const ZoneTree& tree, const std::vector<NodeId>& sites,
+                              unsigned parts) {
   const std::size_t n = sites.size();
   const std::size_t kids = tree.child_count();
   Partition p;
   p.parts = static_cast<unsigned>(
       std::max<std::size_t>(1, std::min<std::size_t>({parts, n > 0 ? n : 1, kids > 0 ? kids : 1})));
   p.owner.assign(n, 0);
-  if (p.parts == 1 || n <= 1) {
-    p.lookahead = kInf;
-    return p;
-  }
+  if (p.parts == 1 || n <= 1) return p;
 
   // Children stay whole: contiguous child ranges map onto partitions. Sites
   // on the root router (rare) join partition 0.
@@ -191,31 +158,6 @@ Partition partition_zone_tree(const ZoneTree& tree, RouteProvider& routing,
     const std::size_t c = tree.child_of(sites[i]);
     p.owner[i] = c >= kids ? 0 : static_cast<unsigned>(c * p.parts / kids);
   }
-
-  // Lookahead from the star structure: the latency between sites in
-  // different children is root_lat(s) + root_lat(t) exactly, so the min cut
-  // latency is the smallest such pair sum across two partitions — found
-  // from each partition's min root latency, no all-pairs sweep.
-  std::vector<double> part_min(p.parts, kInf);
-  const NodeId root = tree.gateway();
-  for (std::size_t i = 0; i < n; ++i) {
-    part_min[p.owner[i]] = std::min(part_min[p.owner[i]], routing.path_latency(sites[i], root));
-  }
-  double lo1 = kInf, lo2 = kInf;  // two smallest partition minima
-  for (double v : part_min) {
-    if (v < lo1) {
-      lo2 = lo1;
-      lo1 = v;
-    } else {
-      lo2 = std::min(lo2, v);
-    }
-  }
-  double la = lo1 + lo2;
-  // Shave a hair off to stay conservative against floating-point
-  // reassociation: the closed form sums the same latencies as the actual
-  // route but in a different order.
-  if (std::isfinite(la)) la *= 1.0 - 1e-9;
-  p.lookahead = la;
   return p;
 }
 

@@ -1,13 +1,15 @@
 // Topology partitioning for parallel execution.
 //
-// A conservative parallel simulation is only as good as its lookahead, and
-// the lookahead of a partitioned network model is the minimum communication
-// latency between any two sites placed in *different* partitions: an event
-// at one site cannot affect another site sooner than the propagation delay
-// of the path between them. Partitioning therefore decides performance
-// twice — balance (equal work per LP) and lookahead (keep low-latency pairs
-// together, so the channels that cross LPs are slow ones and each LP's
-// horizon runs far ahead; see core/parallel.hpp).
+// A conservative parallel simulation is only as good as its lookahead. A
+// model declares the site pairs it sends on (hosts::ParallelGrid::channel),
+// and the lookahead is the smallest path latency of a declared pair whose
+// sites land in *different* partitions: an event at one site cannot affect
+// another sooner than the propagation delay of the path between them.
+// Partitioning therefore decides performance twice — balance (equal work
+// per LP) and lookahead (keep low-latency pairs together, so the channels
+// that cross LPs are slow ones and each LP's horizon runs far ahead; see
+// core/parallel.hpp). The partitioner does not see the channels: it keeps
+// every low-latency pair together that the balance allows.
 //
 // Two schemes:
 //   * kRoundRobin — site i goes to partition i % parts. The baseline: fair
@@ -19,10 +21,9 @@
 //     largest first onto the least-loaded part. A latency cluster that fits
 //     the cap (a site farm, a campus, a MONARC regional centre with its
 //     T2s) is never split, and a zero-latency pair is never cut while the
-//     cap allows, so the cut — and hence the lookahead — runs along the
-//     expensive WAN links. On the 64-site tier (1 T0, 9 T1 x 6 T2) on 4
-//     parts each T1 shares a part with its T2s and the cut crosses only
-//     T0--T1 links (0.05 s).
+//     cap allows, so the cut runs along the expensive WAN links. On the
+//     64-site tier (1 T0, 9 T1 x 6 T2) on 4 parts each T1 shares a part
+//     with its T2s and the cut crosses only T0--T1 links (0.05 s).
 #pragma once
 
 #include <vector>
@@ -43,38 +44,25 @@ struct Partition {
   /// Parts actually used: kTopology returns fewer than requested when the
   /// capped clusters are fewer.
   unsigned parts = 1;
-  /// Minimum path latency between sites in different partitions — the
-  /// topology-derived lookahead. +inf when parts == 1 or nothing is cut;
-  /// <= 0 means the cut crosses a zero-latency path and conservative
-  /// parallel execution is impossible (callers fall back to serial).
-  double lookahead = 0;
   /// kTopology only: path latency from site i to site j at [i * n + j],
-  /// the matrix the clusters and the lookahead were read off (n = sites).
-  /// Empty for the other schemes.
+  /// the matrix the clusters were read off (n = sites). Empty for the
+  /// other schemes.
   std::vector<double> latency;
 };
 
 /// Partition `sites` (topology nodes hosting model state) into `parts`
-/// blocks. `routing` supplies path latencies; it is also used to derive the
-/// resulting lookahead. parts is clamped to [1, sites.size()].
+/// blocks. `routing` supplies the path latencies kTopology clusters by.
+/// parts is clamped to [1, sites.size()].
 Partition partition_sites(RouteProvider& routing, const std::vector<NodeId>& sites, unsigned parts,
                           PartitionScheme scheme);
-
-/// The lookahead of an externally supplied assignment (e.g. a hand-written
-/// placement): min cross-partition path latency, +inf when nothing is cut.
-double derive_lookahead(RouteProvider& routing, const std::vector<NodeId>& sites,
-                        const std::vector<unsigned>& owner);
 
 class ZoneTree;
 
 /// Zone-structure partitioner for a ZoneTree platform: children map to
 /// partitions whole (a child zone is a latency cluster by construction, so
-/// the cut always runs along backbone links), and the lookahead comes from
-/// the star shape in O(sites) route evaluations instead of an O(sites^2)
-/// latency matrix — every cross-child path goes through the root, so the
-/// min cross-partition latency is the smallest pair sum of per-site
-/// root latencies over two different partitions.
-Partition partition_zone_tree(const ZoneTree& tree, RouteProvider& routing,
-                              const std::vector<NodeId>& sites, unsigned parts);
+/// the cut always runs along backbone links), read off the tree in O(sites)
+/// with no route evaluated and no latency matrix.
+Partition partition_zone_tree(const ZoneTree& tree, const std::vector<NodeId>& sites,
+                              unsigned parts);
 
 }  // namespace lsds::net

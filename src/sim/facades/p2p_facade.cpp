@@ -163,7 +163,6 @@ int run_p2p(const P2pConfig& c, core::Engine& eng, obs::RunReport& report) {
     res["stabilize_rounds"] = chord.stabilize_rounds();
     res["deaths"] = churner ? churner->deaths() : 0;
     res["rebirths"] = churner ? churner->rebirths() : 0;
-    res["peak_pending"] = std::uint64_t{gen.peak_pending()};
     res["state_digest"] = hex64(digest);
     return gen.issued() > 0 && chord.size() > 0 ? 0 : 1;
   }
@@ -219,7 +218,6 @@ int run_p2p(const P2pConfig& c, core::Engine& eng, obs::RunReport& report) {
   res["deaths"] = churner ? churner->deaths() : 0;
   res["rebirths"] = churner ? churner->rebirths() : 0;
   res["query_table_slots"] = std::uint64_t{gnet.query_table_capacity()};
-  res["peak_pending"] = std::uint64_t{gen.peak_pending()};
   res["state_digest"] = hex64(digest);
   return gen.issued() > 0 && gnet.size() > 0 ? 0 : 1;
 }

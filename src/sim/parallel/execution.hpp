@@ -5,13 +5,14 @@
 //   threads = 4
 //   lps = 0                  ; 0 = one LP per thread
 //   partition = metis-ish    ; metis-ish (topology-aware, default) | round-robin
-//   lookahead = 0            ; optional override FLOOR (duration); 0 = derive
-//                            ; from the topology (min cross-partition latency)
+//   lookahead = 0            ; optional cap (duration) on every channel delay;
+//                            ; 0 = no cap
 //
 // The section configures hosts::ParallelGrid; the facade-specific models
-// (tier_model.hpp, bag_model.hpp) run on top of it. When the derived
-// lookahead is <= 0 the run falls back to serial with a logged reason —
-// `describe()` prints it.
+// (tier_model.hpp, bag_model.hpp) run on top of it and declare their
+// channels. The lookahead is the smallest delay of a declared channel that
+// crosses the cut. When such a channel has zero latency the run falls back
+// to serial with a logged reason — `describe()` prints it.
 #pragma once
 
 #include <string>

@@ -99,7 +99,6 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
 
   const hosts::SiteId t0 = 0;
   const auto t2_sites = monarc::add_tier_sites(grid, cfg);
-  grid.finalize();
   // Files flow T0 -> T1 -> T2; a T2 asks its T1 for a file. Nothing is
   // ever sent to T0, so its LP runs ahead to the horizon at once.
   for (std::size_t i = 0; i < cfg.num_t1; ++i) {
@@ -110,6 +109,7 @@ TierResult run_tier(const monarc::Config& cfg, const hosts::ExecutionSpec& exec)
       grid.channel(t2, t1);
     }
   }
+  grid.finalize();
 
   // --- plans: every random draw happens HERE, in a fixed order, from
   // master-seed streams — partitioning can never perturb them. ------------

@@ -177,23 +177,35 @@ TEST(Trace, UnsortedTraceRejected) {
 
 namespace {
 
+// Declares a channel of `delay` between every ordered pair of LPs.
+void connect_all(core::ParallelEngine& eng, double delay) {
+  for (unsigned src = 0; src < eng.num_lps(); ++src) {
+    for (unsigned dst = 0; dst < eng.num_lps(); ++dst) {
+      if (src != dst) eng.connect(src, dst, delay);
+    }
+  }
+}
+
+// The channel delay of the PHOLD workloads below.
+constexpr double kHopDelay = 1.0;
+
 // PHOLD-like workload: each LP starts `pop` messages; every message hop picks
 // a destination LP from the LP's own RNG and reschedules at
-// now + lookahead + exp(mean). Returns total events executed per LP.
+// now + kHopDelay + exp(mean). Returns total events executed per LP.
 std::vector<std::uint64_t> run_phold(unsigned num_lps, unsigned num_threads, double t_end,
                                      std::uint64_t seed) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = num_lps;
   cfg.num_threads = num_threads;
-  cfg.lookahead = 1.0;
   cfg.seed = seed;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, kHopDelay);
 
   // Hop closure: must be copyable and self-scheduling.
   std::function<void(unsigned)> hop = [&](unsigned lp_idx) {
     auto& lp = eng.lp(lp_idx);
     const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, num_lps - 1));
-    const double t = lp.now() + cfg.lookahead + lp.rng().exponential(0.5);
+    const double t = lp.now() + kHopDelay + lp.rng().exponential(0.5);
     if (dst == lp_idx) {
       lp.schedule_at(t, [&hop, dst] { hop(dst); });
     } else {
@@ -242,8 +254,8 @@ TEST(ParallelEngine, LookaheadViolationsClampedAndCounted) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 1;
-  cfg.lookahead = 5.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 5.0);
   double delivered_at = -1;
   eng.lp(0).schedule_at(0.0, [&] {
     // Attempt to deliver "immediately": violates the 5s lookahead.
@@ -259,8 +271,8 @@ TEST(ParallelEngine, StopsWhenDrained) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   int count = 0;
   eng.lp(0).schedule_at(0.5, [&] { ++count; });
   eng.lp(1).schedule_at(1.5, [&] { ++count; });
@@ -279,9 +291,9 @@ TEST(ParallelEngine, CancelledFrontOpensNoWindow) {
     core::ParallelEngine::Config cfg;
     cfg.num_lps = 2;
     cfg.num_threads = 2;
-    cfg.lookahead = 1.0;
     cfg.queue = kind;
     core::ParallelEngine eng(cfg);
+    connect_all(eng, 1.0);
     int count = 0;
     eng.lp(0).engine().cancel(eng.lp(0).engine().schedule_at(0.5, [&] { ++count; }));
     eng.lp(1).schedule_at(3.5, [&] { ++count; });
@@ -296,8 +308,8 @@ TEST(ParallelEngine, CrossMessagesCounted) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 1;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   int received = 0;
   eng.lp(0).schedule_at(0.0, [&] {
     for (int i = 0; i < 5; ++i) {
@@ -314,8 +326,8 @@ TEST(ParallelEngine, PastSchedulesClampedAndCounted) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 1;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   std::vector<double> ran_at;  // LP 0 only
   int received = 0;
   eng.lp(0).schedule_at(5.0, [&] {
@@ -337,8 +349,8 @@ TEST(ParallelEngine, HostedEnginesCountPastClamps) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   int ran = 0;
   eng.lp(0).engine().schedule_at(3.0, [&] {
     eng.lp(0).engine().schedule_at(1.0, [&] { ++ran; });  // past: clamped by the engine
@@ -355,8 +367,8 @@ TEST(ParallelEngine, PerLpEventCountsSumToTotal) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 3;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   for (unsigned i = 0; i < 3; ++i) {
     for (int k = 0; k <= static_cast<int>(i); ++k) {
       eng.lp(i).schedule_at(0.5 + k, [] {});
@@ -399,8 +411,8 @@ std::vector<Delivery> run_fuzzed_cross_sends(unsigned num_threads, std::uint64_t
   core::ParallelEngine::Config cfg;
   cfg.num_lps = kSenders + 1;  // LP 0 receives, LPs 1..kSenders send
   cfg.num_threads = num_threads;
-  cfg.lookahead = 2.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 2.0);
 
   // Pre-drawn plan (identical for every thread count): each sender fires at
   // a random time and targets a random intended delivery time around its own
@@ -487,9 +499,9 @@ TEST(ParallelEngine, EventBudgetThrowsInRawMode) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   cfg.max_events = 50;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   std::function<void()> spin = [&] { eng.lp(1).schedule_in(0, spin); };
   eng.lp(1).schedule_at(0, spin);
   eng.lp(0).schedule_at(0.5, [] {});
@@ -501,9 +513,9 @@ TEST(ParallelEngine, EventBudgetThrowsInHostedMode) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   cfg.max_events = 50;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   core::Engine& lp1 = eng.lp(1).engine();
   std::function<void()> spin = [&] { lp1.schedule_in(0, spin); };
   lp1.schedule_at(0, spin);
@@ -515,8 +527,8 @@ TEST(ParallelEngine, EventBudgetZeroMeansUnlimited) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   std::atomic<int> n = 0;  // both LP threads count into it
   for (int i = 0; i < 200; ++i) eng.lp(i % 2).schedule_at(0.1 * i, [&n] { ++n; });
   EXPECT_NO_THROW(eng.run_until(100.0));
@@ -527,9 +539,9 @@ TEST(ParallelEngine, HonestModelsUnderBudgetUnaffected) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = 1.0;
   cfg.max_events = 1000;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   std::atomic<int> n = 0;  // both LP threads count into it
   for (int i = 0; i < 100; ++i) eng.lp(i % 2).schedule_at(0.1 * i, [&n] { ++n; });
   const auto stats = eng.run_until(100.0);
@@ -544,20 +556,17 @@ TEST(ParallelEngine, ConnectRejectsBadChannels) {
   cfg.num_lps = 3;
   cfg.num_threads = 1;
   core::ParallelEngine eng(cfg);
-  EXPECT_FALSE(eng.channels_declared());
   EXPECT_THROW(eng.connect(0, 3, 1.0), std::out_of_range);
   EXPECT_THROW(eng.connect(1, 1, 1.0), std::invalid_argument);
   for (double d : {0.0, -1.0, std::nan("")}) {
     EXPECT_THROW(eng.connect(0, 1, d), std::invalid_argument) << d;
   }
-  EXPECT_FALSE(eng.channels_declared());
-  eng.connect(0, 1, 1.0);
-  EXPECT_TRUE(eng.channels_declared());
+  EXPECT_NO_THROW(eng.connect(0, 1, 1.0));
 }
 
 TEST(ParallelEngine, UndeclaredSendThrowsLogicError) {
-  // Once one channel is declared, the others are gone: a send on any other
-  // pair throws in every build type, at every thread count.
+  // A send on a pair connect() never declared throws in every build type,
+  // at every thread count, even beside a declared one.
   for (unsigned threads : {1u, 2u}) {
     core::ParallelEngine::Config cfg;
     cfg.num_lps = 2;
@@ -628,24 +637,14 @@ TEST(ParallelEngine, RejectsZeroLps) {
   EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
 }
 
-TEST(ParallelEngine, RejectsZeroNegativeAndNanLookahead) {
-  // A window that does not move forward would make run_until loop forever.
-  for (double la : {0.0, -1.0, std::nan("")}) {
-    core::ParallelEngine::Config cfg;
-    cfg.lookahead = la;
-    EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument) << la;
-  }
-}
-
 // --- round loop: inline path, persistent helpers, next-time cache -----------
 
 TEST(ParallelEngine, InfiniteLookaheadRunsOneClosedWindow) {
-  // The serial-fallback shape: an unbounded window and horizon is one final
-  // (closed) window that drains every LP.
+  // No channel: no LP can reach another, so each LP's horizon is unbounded
+  // and one final (closed) window drains every LP.
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 2;
   cfg.num_threads = 2;
-  cfg.lookahead = core::kInfTime;
   core::ParallelEngine eng(cfg);
   eng.lp(0).schedule_at(1.0, [] {});
   eng.lp(1).schedule_at(2.0, [] {});
@@ -667,18 +666,18 @@ std::vector<std::uint64_t> phold_digests(unsigned num_threads,
   core::ParallelEngine::Config cfg;
   cfg.num_lps = kLps;
   cfg.num_threads = num_threads;
-  cfg.lookahead = 1.0;
   cfg.seed = seed;
   // LPs requeue the first event past each window and then receive earlier
   // deliveries: the calendar queue's hardest pattern.
   cfg.queue = core::QueueKind::kCalendarQueue;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, kHopDelay);
   std::vector<core::StateHash> digest(kLps);  // slot i touched by LP i only
 
   std::function<void(unsigned)> hop = [&](unsigned lp_idx) {
     auto& lp = eng.lp(lp_idx);
     const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, kLps - 1));
-    const double t = lp.now() + cfg.lookahead + lp.rng().exponential(0.5);
+    const double t = lp.now() + kHopDelay + lp.rng().exponential(0.5);
     digest[lp_idx].mix(lp.now()).mix(static_cast<std::uint64_t>(dst));
     if (dst == lp_idx) {
       lp.schedule_at(t, [&hop, dst] { hop(dst); });
@@ -733,8 +732,8 @@ TEST(ParallelEngine, EventsScheduledBetweenRunsAreSeen) {
   core::ParallelEngine::Config cfg;
   cfg.num_lps = 3;
   cfg.num_threads = 4;
-  cfg.lookahead = 1.0;
   core::ParallelEngine eng(cfg);
+  connect_all(eng, 1.0);
   std::vector<double> ran;  // LP 2 only
   eng.lp(2).schedule_at(50.0, [&] { ran.push_back(eng.lp(2).now()); });
   eng.lp(0).schedule_at(1.0, [] {});
@@ -756,9 +755,9 @@ TEST(ParallelEngine, LowestIndexExceptionRethrownAtEveryThreadCount) {
       core::ParallelEngine::Config cfg;
       cfg.num_lps = 3;
       cfg.num_threads = threads;
-      cfg.lookahead = 1.0;
       cfg.max_events = 50;
       core::ParallelEngine eng(cfg);
+      connect_all(eng, 1.0);
       const unsigned spinner = budget_first ? 1 : 2;
       const unsigned thrower = budget_first ? 2 : 1;
       std::function<void()> spin = [&] { eng.lp(spinner).schedule_in(0, spin); };
@@ -787,8 +786,8 @@ TEST(ParallelEngine, SendToMissingLpThrowsOutOfRange) {
     core::ParallelEngine::Config cfg;
     cfg.num_lps = 3;
     cfg.num_threads = threads;
-    cfg.lookahead = 1.0;
     core::ParallelEngine eng(cfg);
+    connect_all(eng, 1.0);
     eng.lp(0).schedule_at(0.5, [] {});
     eng.lp(1).schedule_at(0.5, [&] { eng.lp(1).send(3, 5.0, [] {}); });
     eng.lp(2).schedule_at(0.5, [&] { eng.lp(2).send(7, 5.0, [] {}); });
@@ -839,6 +838,7 @@ TEST(ParallelEngine, EnginesStopRightAfterHandedOffWindows) {
     cfg.num_lps = 16;
     cfg.num_threads = 16;
     core::ParallelEngine eng(cfg);
+    connect_all(eng, 1.0);  // several rounds, each handed off
     for (unsigned lp = 0; lp < 16; ++lp) {
       for (int k = 0; k < 3; ++k) eng.lp(lp).schedule_at(k, [] {});
     }
@@ -852,8 +852,8 @@ TEST(ParallelEngine, InlineWindowsAndBarrierWaitReported) {
     core::ParallelEngine::Config cfg;
     cfg.num_lps = 2;
     cfg.num_threads = threads;
-    cfg.lookahead = 1.0;
     core::ParallelEngine eng(cfg);
+    connect_all(eng, 1.0);
     for (int i = 0; i < 20; ++i) {
       eng.lp(0).schedule_at(i, [] {});
       if (i % 2 == 0) eng.lp(1).schedule_at(i + 0.5, [] {});

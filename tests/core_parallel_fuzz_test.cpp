@@ -43,29 +43,25 @@ constexpr SimTime kInf = core::kInfTime;
 struct Graph {
   std::string name;
   unsigned lps = 1;
-  double lookahead = 1.0;  // Config::lookahead
   std::vector<double> delay;
-  bool declared = false;   // connect() every channel; else the default graph
 
   double at(unsigned src, unsigned dst) const { return delay[src * lps + dst]; }
   Graph& edge(unsigned src, unsigned dst, double d) {
     delay[src * lps + dst] = d;
-    declared = true;
     return *this;
   }
 };
 
 Graph empty(std::string name, unsigned lps) {
-  return Graph{std::move(name), lps, 1.0, std::vector<double>(lps * lps, kInf)};
+  return Graph{std::move(name), lps, std::vector<double>(lps * lps, kInf)};
 }
 
-/// Every pair at `lookahead`: the engine's graph when nothing is declared.
-Graph complete(unsigned lps, double lookahead) {
+/// Every pair at one delay.
+Graph complete(unsigned lps, double delay) {
   Graph g = empty("complete", lps);
-  g.lookahead = lookahead;
   for (unsigned s = 0; s < lps; ++s) {
     for (unsigned d = 0; d < lps; ++d) {
-      if (s != d) g.delay[s * lps + d] = lookahead;
+      if (s != d) g.edge(s, d, delay);
     }
   }
   return g;
@@ -135,9 +131,7 @@ class ParallelHost final : public Host {
   ParallelHost(const Graph& g, unsigned threads)
       : pe(core::ParallelEngine::Config{.num_lps = g.lps,
                                          .num_threads = threads,
-                                         .lookahead = g.lookahead,
                                          .queue = core::QueueKind::kCalendarQueue}) {
-    if (!g.declared) return;
     for (unsigned s = 0; s < g.lps; ++s) {
       for (unsigned d = 0; d < g.lps; ++d) {
         if (g.at(s, d) < kInf) pe.connect(s, d, g.at(s, d));

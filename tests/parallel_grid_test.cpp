@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "hosts/parallel_grid.hpp"
@@ -273,9 +274,11 @@ TEST(ParallelGridCore, ZeroLatencyCutFallsBackToSerial) {
   s.name = "b";
   const auto b = grid.add_site(s);
   grid.topology().add_link(a, b, 1e9, 0.0);  // zero latency: no conservative window
+  grid.channel(a, b);
   grid.finalize();
   EXPECT_FALSE(grid.parallel());
-  EXPECT_FALSE(grid.fallback_reason().empty());
+  EXPECT_NE(grid.fallback_reason().find("channel a -> b"), std::string::npos)
+      << grid.fallback_reason();
   int ran = 0;
   grid.at(a, 1.0, [&] { ++ran; });
   grid.at(b, 2.0, [&] { ++ran; });
@@ -294,16 +297,78 @@ TEST(ParallelGridCore, ChannelsSetLookaheadAndUndeclaredPostsThrow) {
   s.name = "b";
   const auto b = grid.add_site(s);
   grid.topology().add_link(a, b, 1e9, 0.03);
-  grid.finalize();
-  ASSERT_TRUE(grid.parallel()) << grid.fallback_reason();
-  EXPECT_EQ(grid.lookahead(), 0.03);
   grid.channel(a, b);
   grid.channel(a, a);  // one LP: declares nothing
+  grid.finalize();
+  ASSERT_TRUE(grid.parallel()) << grid.fallback_reason();
   EXPECT_EQ(grid.lookahead(), 0.03);
   int delivered = 0;
   grid.at(a, 1.0, [&] { grid.transfer(a, b, 1e6, [&] { ++delivered; }); });
   grid.at(b, 1.0, [&] { grid.post(b, a, 2.0, [] {}); });  // b -> a never declared
   EXPECT_THROW(grid.run(), std::logic_error);
+}
+
+TEST(ParallelGridCore, UnusedZeroLatencyPairRunsParallel) {
+  // Round-robin puts a and c on LP 0, b and d on LP 1, so the cut crosses
+  // the zero-latency a--b link. Only c and d talk: the lookahead is their
+  // 30 ms, and a and b constrain nothing.
+  auto run = [](bool parallel) {
+    auto spec = par(2, 2, net::PartitionScheme::kRoundRobin);
+    spec.parallel = parallel;
+    hosts::ParallelGrid grid(spec);
+    hosts::SiteSpec s;
+    std::vector<hosts::SiteId> id;
+    for (const char* name : {"a", "b", "c", "d"}) {
+      s.name = name;
+      id.push_back(grid.add_site(s));
+    }
+    grid.topology().add_link(id[0], id[1], 1e9, 0.0);
+    grid.topology().add_link(id[2], id[3], 1e9, 0.03);
+    grid.topology().add_link(id[0], id[2], 1e9, 0.05);
+    grid.channel(id[2], id[3]);
+    grid.channel(id[3], id[2]);
+    grid.finalize();
+    std::vector<double> at;  // written on d's LP, then on c's, never at once
+    grid.at(id[0], 1.0, [] {});
+    grid.at(id[1], 1.0, [] {});
+    grid.at(id[2], 0.5, [&grid, &at, id] {
+      grid.transfer(id[2], id[3], 1e6, [&grid, &at, id] {
+        at.push_back(grid.now_of(id[3]));
+        grid.transfer(id[3], id[2], 2e6, [&grid, &at, id] { at.push_back(grid.now_of(id[2])); });
+      });
+    });
+    if (parallel) {
+      EXPECT_NE(grid.lp_of(id[0]), grid.lp_of(id[1]));
+    }
+    const auto rep = grid.run();
+    EXPECT_EQ(rep.engine.lookahead_violations, 0u);
+    return std::make_pair(rep, at);
+  };
+  const auto [serial, serial_at] = run(false);
+  const auto [p, p_at] = run(true);
+  ASSERT_TRUE(p.parallel) << p.fallback_reason;
+  EXPECT_EQ(p.lps, 2u);
+  EXPECT_EQ(p.lookahead, 0.03);
+  EXPECT_EQ(p.engine.cross_messages, 2u);
+  EXPECT_EQ(p_at.size(), 2u);
+  EXPECT_EQ(p_at, serial_at);
+}
+
+TEST(ParallelGridCore, ChannelMisuseFailsFast) {
+  hosts::ParallelGrid grid(par(2, 2));
+  hosts::SiteSpec s;
+  s.name = "a";
+  const auto a = grid.add_site(s);
+  s.name = "b";
+  const auto b = grid.add_site(s);
+  grid.topology().add_link(a, b, 1e9, 0.03);
+  EXPECT_THROW(grid.channel(a, 2), std::out_of_range);
+  EXPECT_THROW(grid.channel(7, b), std::out_of_range);
+  grid.channel(a, b);
+  grid.finalize();
+  ASSERT_TRUE(grid.parallel()) << grid.fallback_reason();
+  // Too late: the engine's channels are fixed by finalize().
+  EXPECT_THROW(grid.channel(b, a), std::logic_error);
 }
 
 TEST(ParallelGridCore, PerPartitionFlowNetworksDeliver) {

@@ -334,18 +334,23 @@ TEST(ZonePartition, ZoneTreeLookaheadIsConservativeAndPositive) {
       sites.push_back(tree->child_offset(c) + tree->child(c).host(i));
     }
   }
-  const net::Partition p = net::partition_zone_tree(*tree, zr, sites, 3);
+  const net::Partition p = net::partition_zone_tree(*tree, sites, 3);
   ASSERT_EQ(p.parts, 3u);
   ASSERT_EQ(p.owner.size(), sites.size());
   // Children map to partitions whole.
   for (std::size_t i = 0; i < sites.size(); ++i) {
     EXPECT_EQ(p.owner[i], static_cast<unsigned>(tree->child_of(sites[i])));
   }
-  // The closed-form lookahead must be conservative: no cross-partition pair
-  // may be closer than it — and on this shape it must be strictly positive.
-  EXPECT_GT(p.lookahead, 0.0);
-  EXPECT_LE(p.lookahead, net::derive_lookahead(zr, sites, p.owner));
-  EXPECT_GT(p.lookahead, 0.999 * net::derive_lookahead(zr, sites, p.owner));
+  // So the cut runs along backbone links: a channel declared between any
+  // two partitions has a strictly positive delay.
+  double cut = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    for (std::size_t j = 0; j < sites.size(); ++j) {
+      if (p.owner[i] != p.owner[j]) cut = std::min(cut, zr.path_latency(sites[i], sites[j]));
+    }
+  }
+  EXPECT_GT(cut, 0.0);
+  EXPECT_LT(cut, std::numeric_limits<double>::infinity());
 }
 
 // --- end-to-end plumbing ----------------------------------------------------
@@ -373,8 +378,8 @@ TEST(ZonePlumbing, TransferServiceRunsOnZoneProvider) {
   EXPECT_GT(done_at, 1.0);
 }
 
-// A ParallelGrid on a ZoneTree platform: zone partitioning, closed-form
-// lookahead, per-LP flow networks — and the parallel run produces the same
+// A ParallelGrid on a ZoneTree platform: zone partitioning, declared
+// channels, per-LP flow networks — and the parallel run produces the same
 // channel traffic as the serial reference.
 TEST(ZonePlumbing, ParallelGridOnZoneTreeMatchesSerial) {
   auto run = [](bool parallel) {
@@ -396,6 +401,9 @@ TEST(ZonePlumbing, ParallelGridOnZoneTreeMatchesSerial) {
         ids.push_back(grid.add_site_at(s, tree->child_offset(c) + static_cast<net::NodeId>(i)));
       }
     }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      grid.channel(ids[i], ids[(i + 3) % ids.size()]);
+    }
     grid.finalize();
     for (std::size_t i = 0; i < ids.size(); ++i) {
       const hosts::SiteId from = ids[i];
@@ -411,7 +419,7 @@ TEST(ZonePlumbing, ParallelGridOnZoneTreeMatchesSerial) {
   const auto parallel = run(true);
   EXPECT_EQ(serial.first, parallel.first);
   EXPECT_FALSE(serial.second);
-  EXPECT_TRUE(parallel.second) << "zone lookahead should permit parallel execution";
+  EXPECT_TRUE(parallel.second) << "zone channels should permit parallel execution";
 }
 
 // The `[platform]` facade: both arms of the zone-vs-flat A/B must produce
